@@ -15,7 +15,6 @@ from .protocols import (
     aka,
     ame,
     avka,
-    keygen_round,
     notification,
     verification,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "extract_view",
     "ghz_prime_state",
     "ghz_state",
-    "keygen_round",
     "notification",
     "rotated_ghz",
     "verification",

@@ -59,17 +59,6 @@ class AdversaryRun:
     adversary_key_guess: str
 
 
-def dishonest_source_states(
-    generator: Union[NoiseEnsemble, StateVector],
-    count: int,
-    rng,
-) -> list[StateVector]:
-    """Sample ``count`` emissions from a dishonest source."""
-    if isinstance(generator, StateVector):
-        return [generator] * count
-    return [sample_ensemble(generator, rng) for _ in range(count)]
-
-
 def _check_strategy(roles: RoleAssignment, strategy: AdversaryStrategy) -> None:
     if isinstance(strategy, HonestCurious):
         if roles.alice in strategy.coalition:

@@ -13,6 +13,7 @@ Covers four jobs:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -22,7 +23,6 @@ import numpy as np
 from .netmodel import AdversaryView, Network, RoleAssignment, extract_view
 from .protocols import AvkaResult, ame, notification, verification
 from .qsim import (
-    Basis,
     NoiseEnsemble,
     StateVector,
     density_from_ensemble,
@@ -30,7 +30,7 @@ from .qsim import (
     ghz_prime_state,
     ghz_state,
     local_correct_ghz_prime,
-    measure,
+    measure_string,
     sample_ensemble,
     trace_distance,
     werner_ghz,
@@ -193,7 +193,9 @@ def parity_projection(view: AdversaryView) -> str:
 def _empirical_tvd(xs: Sequence[str], ys: Sequence[str]) -> float:
     ca, cb = Counter(xs), Counter(ys)
     na, nb = len(xs), len(ys)
-    return 0.5 * sum(abs(ca[k] / na - cb[k] / nb) for k in ca.keys() | cb.keys())
+    # fsum is exact, so the result does not depend on the set's iteration
+    # order, which varies with the per-process string-hash seed.
+    return 0.5 * math.fsum(abs(ca[k] / na - cb[k] / nb) for k in ca.keys() | cb.keys())
 
 
 @dataclass(frozen=True)
@@ -473,17 +475,6 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _measure_operator_string(
-    state: StateVector, ops: str, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Measure qubit-by-qubit per the operator string, left to right."""
-    bits = []
-    for ch in ops:
-        outcome, state = measure(state, 0, Basis(ch), rng)
-        bits.append(outcome)
-    return tuple(bits)
-
-
 def keygen_success(bits: Sequence[int], config: str) -> bool:
     """All participant Z-bits agree (the bystander's X bit is irrelevant)."""
     slots = CONFIG_SLOTS[config]
@@ -525,7 +516,7 @@ def reproduce_experiment(
     for label in CONFIG_LABELS:
         ops = measurement_settings_for(label, "keygen")
         hits = sum(
-            keygen_success(_measure_operator_string(sample_ensemble(ensemble, rng), ops, rng), label)
+            keygen_success(measure_string(sample_ensemble(ensemble, rng), ops, [rng] * len(ops))[0], label)
             for _ in range(trials)
         )
         p_k = hits / trials
@@ -536,7 +527,7 @@ def reproduce_experiment(
         for setting in VERIFICATION_SETTINGS:
             ops = measurement_settings_for(label, setting)
             hits = sum(
-                verification_success(_measure_operator_string(sample_ensemble(ensemble, rng), ops, rng), ops)
+                verification_success(measure_string(sample_ensemble(ensemble, rng), ops, [rng] * len(ops))[0], ops)
                 for _ in range(trials)
             )
             rate = hits / trials

@@ -42,6 +42,7 @@ from .protocols import aka, avka, notification
 from .qsim import (
     Basis,
     MAX_DENSITY_QUBITS,
+    MAX_QUBITS,
     NoiseEnsemble,
     StateVector,
     ghz_prime_state,
@@ -94,12 +95,20 @@ def _require(cfg: dict, key: str, kind: type, check: Callable[[Any], bool] = lam
     return value
 
 
+def _require_list(cfg: dict, key: str, kind: type, default: list | None = None) -> list:
+    """A list of finite ``kind`` values (int, or float which admits int)."""
+    values = _require(cfg, key, list) if default is None else cfg.get(key, default)
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, kind)) and not isinstance(v, bool) and math.isfinite(v) for v in values
+    ):
+        raise CliError(f"config key {key!r} must be a list of {kind.__name__}, got {values!r}")
+    return values
+
+
 def _roles_from(cfg: dict) -> RoleAssignment:
     n = _require(cfg, "n", int, lambda v: v >= 1)
     alice = _require(cfg, "alice", int)
-    receivers = _require(cfg, "receivers", list)
-    if not all(isinstance(r, int) for r in receivers):
-        raise CliError("config key 'receivers' must be a list of party ids")
+    receivers = _require_list(cfg, "receivers", int)
     try:
         return RoleAssignment(n=n, alice=alice, receivers=frozenset(receivers))
     except ValueError as exc:
@@ -134,11 +143,11 @@ def _make_source(cfg: dict, roles: RoleAssignment, bundle: RngBundle):
         if roles.n != 4:
             raise CliError("noise model 'ghz_prime' needs n=4")
         base = local_correct_ghz_prime(ghz_prime_state())
-        fidelity = noise.get("fidelity", 1.0)
+        fidelity = _require(noise, "fidelity", float) if "fidelity" in noise else 1.0
         if fidelity == 1.0:
             return lambda: base
         try:
-            weight = werner_p_for_fidelity(4, float(fidelity))
+            weight = werner_p_for_fidelity(4, fidelity)
             ensemble = werner_ghz(4, weight, ghz=base)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
@@ -154,8 +163,7 @@ def _make_strategy(cfg: dict, roles: RoleAssignment) -> adv.AdversaryStrategy | 
         raise CliError("config key 'adversary' must be an object")
     kind = spec.get("kind")
     if kind == "honest_curious":
-        coalition = _require(spec, "coalition", list)
-        return adv.HonestCurious(coalition=frozenset(coalition))
+        return adv.HonestCurious(coalition=frozenset(_require_list(spec, "coalition", int)))
     if kind == "withholding":
         party = _require(spec, "party", int)
         basis = spec.get("basis", "Z")
@@ -178,7 +186,7 @@ def _dishonest_generator(spec: dict, n: int) -> StateVector | NoiseEnsemble:
         amps[0] = 1.0
         return StateVector(n, amps)
     if state == "rotated":
-        return rotated_ghz(n, _require(spec, "theta", float))
+        return rotated_ghz(n, _require(spec, "theta", float, math.isfinite))
     if state == "werner":
         fidelity = _require(spec, "fidelity", float)
         try:
@@ -192,6 +200,8 @@ def cmd_run(cfg: dict, fmt: str) -> int:
     if fmt != "json":
         raise CliError("command 'run' only supports --format json")
     roles = _roles_from(cfg)
+    if roles.n > MAX_QUBITS:
+        raise CliError(f"statevector simulation needs n <= {MAX_QUBITS}, got {roles.n}")
     seed = _seed_from(cfg)
     num_states = _require(cfg, "L", int, lambda v: v >= 0)
     bundle = RngBundle.from_seed(seed, roles.n)
@@ -245,10 +255,8 @@ def cmd_theorem1(cfg: dict, fmt: str) -> int:
         raise CliError("config key 'n' must be an integer >= 2")
     if k > MAX_DENSITY_QUBITS:
         raise CliError(f"exact trace distance needs n <= {MAX_DENSITY_QUBITS}, got {k}")
-    theta_grid = cfg.get("theta_grid", [])
-    fidelity_grid = cfg.get("fidelity_grid", [])
-    if not isinstance(theta_grid, list) or not isinstance(fidelity_grid, list):
-        raise CliError("'theta_grid' and 'fidelity_grid' must be lists of numbers")
+    theta_grid = _require_list(cfg, "theta_grid", float, default=[])
+    fidelity_grid = _require_list(cfg, "fidelity_grid", float, default=[])
     family: list[StateVector | NoiseEnsemble] = [rotated_ghz(k, float(t)) for t in theta_grid]
     try:
         family += [
@@ -272,7 +280,7 @@ def cmd_anonymity(cfg: dict, fmt: str) -> int:
     trials = _require(cfg, "trials", int, lambda v: v >= 2)
     n = _require(cfg, "n", int, lambda v: v >= 2)
     protocol = _require(cfg, "protocol", str, lambda v: v in ("ame", "notification"))
-    coalition = frozenset(_require(cfg, "coalition", list))
+    coalition = frozenset(_require_list(cfg, "coalition", int))
 
     def hyp(key: str) -> RoleAssignment:
         spec = _require(cfg, key, dict)

@@ -182,12 +182,10 @@ class Network:
 class AdversaryView:
     """Everything a coalition observes: all broadcasts plus private messages
     with an endpoint inside the coalition. Honest-to-honest private traffic is
-    never included. ``coalition_randomness`` carries draws an adversary made
-    beyond what already shows up in its transcript entries."""
+    never included."""
 
     coalition: frozenset[int]
     visible_entries: tuple[Entry, ...]
-    coalition_randomness: tuple[str, ...] = ()
 
 
 def extract_view(

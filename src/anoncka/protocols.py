@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .netmodel import ChannelAbort, Entry, Network, RoleAssignment
-from .qsim import Basis, StateVector, apply_pauli_z, measure, project, reorder_qubits
+from .qsim import Basis, StateVector, apply_pauli_z, measure, measure_string, project, reorder_qubits
 from .rng import RngBundle
 
 VERIFICATION_ROUND = "verification"
@@ -247,6 +247,69 @@ def _parity_test(basis_bits: tuple[int, ...], outcomes: tuple[int, ...]) -> bool
     return sum(outcomes) % 2 == (y_count // 2) % 2
 
 
+def _verification_round(
+    state: StateVector,
+    holders: tuple[int, ...],
+    verifier: int,
+    net: Network,
+    rng: RngBundle,
+    *,
+    phase: str,
+    extra_announcements: Mapping[int, str] | None = None,
+    forced_bases: Mapping[int, int] | None = None,
+    forced_outcomes: Mapping[int, int] | None = None,
+) -> VerificationRecord:
+    """One even-Y X/Y parity test in which party ``holders[i]`` holds qubit i.
+
+    Qubits past the holders (kept by a withholder) stay unmeasured.
+    ``extra_announcements`` share the broadcast round but are not scored.
+    """
+    basis_bits: dict[int, int] = {}
+    outcomes: dict[int, int] = {}
+    branch_prob = 1.0 if forced_outcomes is not None else None
+    remaining = list(holders)
+
+    def _measure(party: int) -> None:
+        nonlocal state, branch_prob
+        qubit = remaining.index(party)
+        chosen = Basis.Y if basis_bits[party] else Basis.X
+        if forced_outcomes is not None:
+            prob, state = project(state, qubit, chosen, forced_outcomes[party])
+            outcomes[party] = forced_outcomes[party]
+            branch_prob *= prob
+        else:
+            outcomes[party], state = measure(state, qubit, chosen, rng.party(party))
+        remaining.pop(qubit)
+
+    for party in holders:
+        if party == verifier:
+            continue
+        if forced_bases is not None:
+            basis_bits[party] = forced_bases[party]
+        else:
+            basis_bits[party] = int(rng.party(party).integers(0, 2))
+        _measure(party)
+
+    placeholder = rng.party(verifier).integers(0, 2, size=2)
+    announcements = {p: f"{basis_bits[p]}{outcomes[p]}" for p in holders if p != verifier}
+    announcements[verifier] = f"{placeholder[0]}{placeholder[1]}"
+    announcements.update(extra_announcements or {})
+    # Every party named here must announce; a Network that drops one aborts.
+    net.broadcast_round(announcements, phase=f"{phase}:announce", expected=tuple(announcements))
+
+    basis_bits[verifier] = sum(basis_bits.values()) % 2
+    _measure(verifier)
+
+    ordered_basis = tuple(basis_bits[p] for p in holders)
+    ordered_outcomes = tuple(outcomes[p] for p in holders)
+    return VerificationRecord(
+        basis_bits=ordered_basis,
+        outcomes=ordered_outcomes,
+        accepted=_parity_test(ordered_basis, ordered_outcomes),
+        branch_probability=branch_prob,
+    )
+
+
 def verification(
     state: StateVector,
     verifier: int,
@@ -272,59 +335,10 @@ def verification(
     k = state.n_qubits
     if not 0 <= verifier < k:
         raise IndexError(f"verifier {verifier} out of range for a {k}-qubit state")
-
-    basis_bits: dict[int, int] = {}
-    outcomes: dict[int, int] = {}
-    branch_prob = 1.0 if forced_outcomes is not None else None
-    remaining = list(range(k))
-
-    def _measure(party: int) -> None:
-        nonlocal state, branch_prob
-        qubit = remaining.index(party)
-        chosen = Basis.Y if basis_bits[party] else Basis.X
-        if forced_outcomes is not None:
-            prob, state = project(state, qubit, chosen, forced_outcomes[party])
-            outcomes[party] = forced_outcomes[party]
-            branch_prob *= prob
-        else:
-            outcome, state = measure(state, qubit, chosen, rng.party(party))
-            outcomes[party] = outcome
-        remaining.pop(qubit)
-
-    for party in range(k):
-        if party == verifier:
-            continue
-        if forced_bases is not None:
-            basis_bits[party] = forced_bases[party]
-        else:
-            basis_bits[party] = int(rng.party(party).integers(0, 2))
-        _measure(party)
-
-    placeholder = rng.party(verifier).integers(0, 2, size=2)
-    announcements = {p: f"{basis_bits[p]}{outcomes[p]}" for p in range(k) if p != verifier}
-    announcements[verifier] = f"{placeholder[0]}{placeholder[1]}"
-    net.broadcast_round(announcements, phase=f"{phase}:announce", expected=range(k))
-
-    basis_bits[verifier] = sum(basis_bits.values()) % 2
-    _measure(verifier)
-
-    ordered_basis = tuple(basis_bits[p] for p in range(k))
-    ordered_outcomes = tuple(outcomes[p] for p in range(k))
-    return VerificationRecord(
-        basis_bits=ordered_basis,
-        outcomes=ordered_outcomes,
-        accepted=_parity_test(ordered_basis, ordered_outcomes),
-        branch_probability=branch_prob,
+    return _verification_round(
+        state, tuple(range(k)), verifier, net, rng,
+        phase=phase, forced_bases=forced_bases, forced_outcomes=forced_outcomes,
     )
-
-
-def keygen_round(state: StateVector, rng: np.random.Generator) -> tuple[int, ...]:
-    """Z-measure every qubit; on a GHZ state all bits agree and are uniform."""
-    bits = []
-    for _ in range(state.n_qubits):
-        outcome, state = measure(state, 0, Basis.Z, rng)
-        bits.append(outcome)
-    return tuple(bits)
 
 
 def aka(
@@ -342,71 +356,15 @@ def aka(
     assert tuple(sorted(roles.receivers)) == tuple(
         i for i, bit in enumerate(outcome.notified) if bit
     ), "notification must flag exactly the chosen receivers"
-    keys: dict[int, list[str]] = {p: [] for p in roles.participant_order}
+    order = roles.participant_order
+    readout_rngs = [rng.party(p) for p in order]
+    keys: dict[int, list[str]] = {p: [] for p in order}
     for index, source_state in enumerate(states):
         carved = ame(source_state, roles, net, rng, phase=f"round[{index}]:ame")
-        state = carved.participant_state
-        for party in roles.participant_order:
-            bit, state = measure(state, 0, Basis.Z, rng.party(party))
+        bits, _ = measure_string(carved.participant_state, "Z" * len(order), readout_rngs)
+        for party, bit in zip(order, bits):
             keys[party].append(str(bit))
     return {p: "".join(bits) for p, bits in keys.items()}
-
-
-def _avka_verification_round(
-    carved: AmeOutcome,
-    roles: RoleAssignment,
-    net: Network,
-    rng: RngBundle,
-    phase: str,
-    withholding_rng: np.random.Generator | None,
-) -> VerificationRecord:
-    """Verification round inside avka: every party announces a (basis,
-    outcome) pair, but Alice only scores the receivers' announcements plus
-    her own reset measurement. Bystanders announce random pairs; a withheld
-    qubit stays unmeasured and is discarded with the round."""
-    order = roles.participant_order
-    state = carved.participant_state
-
-    remaining = [*order, *carved.held_back]
-    basis_bits: dict[int, int] = {}
-    outcomes: dict[int, int] = {}
-    for party in order:
-        if party == roles.alice:
-            continue
-        basis_bits[party] = int(rng.party(party).integers(0, 2))
-        chosen = Basis.Y if basis_bits[party] else Basis.X
-        qubit = remaining.index(party)
-        outcome, state = measure(state, qubit, chosen, rng.party(party))
-        outcomes[party] = outcome
-        remaining.pop(qubit)
-
-    announcements: dict[int, str] = {}
-    placeholder = rng.party(roles.alice).integers(0, 2, size=2)
-    announcements[roles.alice] = f"{placeholder[0]}{placeholder[1]}"
-    for party in roles.receivers:
-        announcements[party] = f"{basis_bits[party]}{outcomes[party]}"
-    for party in roles.non_participants:
-        source = (
-            withholding_rng
-            if withholding_rng is not None and party in carved.held_back
-            else rng.party(party)
-        )
-        pair = source.integers(0, 2, size=2)
-        announcements[party] = f"{pair[0]}{pair[1]}"
-    net.broadcast_round(announcements, phase=f"{phase}:announce", expected=range(roles.n))
-
-    basis_bits[roles.alice] = sum(basis_bits[p] for p in roles.receivers) % 2
-    chosen = Basis.Y if basis_bits[roles.alice] else Basis.X
-    outcome, state = measure(state, remaining.index(roles.alice), chosen, rng.party(roles.alice))
-    outcomes[roles.alice] = outcome
-
-    ordered_basis = tuple(basis_bits[p] for p in order)
-    ordered_outcomes = tuple(outcomes[p] for p in order)
-    return VerificationRecord(
-        basis_bits=ordered_basis,
-        outcomes=ordered_outcomes,
-        accepted=_parity_test(ordered_basis, ordered_outcomes),
-    )
 
 
 def avka(
@@ -441,8 +399,13 @@ def avka(
     withholding = frozenset() if withholder is None else frozenset({withholder})
     adversary_rng = rng.adversary if withholder is not None else None
 
+    # Keygen readout: the participants in Z, then the withholder's guess.
+    order = roles.participant_order
+    readout_ops = "Z" * len(order) + ("" if withholder is None else withholder_basis.value)
+    readout_rngs = [rng.party(p) for p in order] + ([] if withholder is None else [adversary_rng])
+
     rounds: list[AvkaRound] = []
-    keys: dict[int, list[str]] = {p: [] for p in roles.participant_order}
+    keys: dict[int, list[str]] = {p: [] for p in order}
     guesses: list[str] = []
     aborted = False
 
@@ -462,20 +425,22 @@ def avka(
             keygen = int(rng.coin.random() < 1.0 / keygen_denom)
             net.broadcast_public(str(keygen), phase=f"{phase}:coin")
             if keygen:
-                state = carved.participant_state
-                bits = []
-                for party in roles.participant_order:
-                    outcome, state = measure(state, 0, Basis.Z, rng.party(party))
-                    bits.append(outcome)
-                for party, bit in zip(roles.participant_order, bits):
+                bits, _ = measure_string(carved.participant_state, readout_ops, readout_rngs)
+                for party, bit in zip(order, bits):
                     keys[party].append(str(bit))
                 if withholder is not None:
-                    guess, state = measure(state, 0, withholder_basis, adversary_rng)
-                    guesses.append(str(guess))
-                rounds.append(AvkaRound(KEYGEN_ROUND, keygen_bits=tuple(bits)))
+                    guesses.append(str(bits[-1]))
+                rounds.append(AvkaRound(KEYGEN_ROUND, keygen_bits=bits[: len(order)]))
             else:
-                record = _avka_verification_round(
-                    carved, roles, net, rng, phase=f"{phase}:verify", withholding_rng=adversary_rng
+                # Unscored bystander pairs; the withholder's comes from the adversary stream.
+                bystander_pairs = {}
+                for party in roles.non_participants:
+                    pair_rng = adversary_rng if party == withholder else rng.party(party)
+                    pair = pair_rng.integers(0, 2, size=2)
+                    bystander_pairs[party] = f"{pair[0]}{pair[1]}"
+                record = _verification_round(
+                    carved.participant_state, order, roles.alice, net, rng,
+                    phase=f"{phase}:verify", extra_announcements=bystander_pairs,
                 )
                 rounds.append(AvkaRound(VERIFICATION_ROUND, verification=record))
     except ChannelAbort:

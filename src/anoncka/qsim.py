@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class StateVector:
                 f"got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # also rejects NaN amplitudes
             raise ValueError(f"state norm {norm!r} is not 1 within 1e-12")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -162,36 +163,41 @@ def apply_rz(s: StateVector, qubit: int, theta: float) -> StateVector:
     return StateVector(s.n_qubits, t.reshape(-1))
 
 
-def apply_hadamard(s: StateVector, qubit: int) -> StateVector:
-    s._check_qubit(qubit)
-    t = s.as_tensor()
-    a0 = np.take(t, 0, axis=qubit)
-    a1 = np.take(t, 1, axis=qubit)
-    out = np.stack([(a0 + a1) * _SQRT_HALF, (a0 - a1) * _SQRT_HALF], axis=qubit)
-    return StateVector(s.n_qubits, out.reshape(-1))
-
-
-def _branch_vectors(s: StateVector, qubit: int, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized post-measurement vectors for outcomes 0 and 1.
+def _measure_kernel(
+    s: StateVector, qubit: int, basis: Basis, rng: np.random.Generator | None = None, outcome: int | None = None
+) -> tuple[int, float, StateVector]:
+    """The single-qubit measurement kernel behind ``measure`` and ``project``.
 
     Outcome 0 projects onto the +1 eigenvector: |+> for X, (|0>+i|1>)/sqrt(2)
-    for Y, |0> for Z. The measured qubit's axis is removed.
+    for Y, |0> for Z. The outcome is sampled from ``rng`` unless ``outcome``
+    forces it. Returns the outcome, its Born probability and the kept branch
+    with the measured qubit removed, normalised by that branch's own norm so
+    rounding errors do not build up along a chain of measurements.
     """
-    t = s.as_tensor()
-    a0 = np.take(t, 0, axis=qubit).reshape(-1)
-    a1 = np.take(t, 1, axis=qubit).reshape(-1)
-    if basis is Basis.Z:
-        return a0, a1
-    if basis is Basis.X:
-        return (a0 + a1) * _SQRT_HALF, (a0 - a1) * _SQRT_HALF
-    return (a0 - 1j * a1) * _SQRT_HALF, (a0 + 1j * a1) * _SQRT_HALF
-
-
-def branch_probabilities(s: StateVector, qubit: int, basis: Basis) -> tuple[float, float]:
-    """Born probabilities of outcomes (0, 1) for measuring ``qubit``."""
     s._check_qubit(qubit)
-    b0, b1 = _branch_vectors(s, qubit, basis)
-    return float(np.vdot(b0, b0).real), float(np.vdot(b1, b1).real)
+    t = s.as_tensor()
+    z0 = np.take(t, 0, axis=qubit).reshape(-1)
+    z1 = np.take(t, 1, axis=qubit).reshape(-1)
+
+    def branch(bit: int) -> np.ndarray:
+        if basis is Basis.Z:
+            return z1 if bit else z0
+        if basis is Basis.X:
+            return (z0 - z1 if bit else z0 + z1) * _SQRT_HALF
+        return (z0 + 1j * z1 if bit else z0 - 1j * z1) * _SQRT_HALF
+
+    vec = branch(0)  # the outcome-1 branch is built only when it is kept
+    prob = float(np.vdot(vec, vec).real)
+    if outcome is None:
+        outcome = 0 if rng.random() < prob else 1
+    elif outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
+    if outcome == 1:
+        vec = branch(1)
+        prob = float(np.vdot(vec, vec).real)
+    if prob < _BRANCH_EPS:
+        raise ValueError(f"branch (qubit={qubit}, basis={basis.value}, outcome={outcome}) has probability ~0")
+    return outcome, prob, StateVector(s.n_qubits - 1, vec / np.sqrt(prob))
 
 
 def project(s: StateVector, qubit: int, basis: Basis, outcome: int) -> tuple[float, StateVector]:
@@ -199,17 +205,10 @@ def project(s: StateVector, qubit: int, basis: Basis, outcome: int) -> tuple[flo
 
     Returns the branch probability and the renormalized post-measurement
     state with the measured qubit removed. Raises on an (almost) impossible
-    branch. This is the workhorse for exhaustive branch enumeration.
+    branch. Exhaustive branch enumeration is built on this.
     """
-    s._check_qubit(qubit)
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    branches = _branch_vectors(s, qubit, basis)
-    vec = branches[outcome]
-    prob = float(np.vdot(vec, vec).real)
-    if prob < _BRANCH_EPS:
-        raise ValueError(f"branch (qubit={qubit}, basis={basis.value}, outcome={outcome}) has probability ~0")
-    return prob, StateVector(s.n_qubits - 1, vec / np.sqrt(prob))
+    _, prob, post = _measure_kernel(s, qubit, basis, outcome=outcome)
+    return prob, post
 
 
 def measure(
@@ -220,15 +219,23 @@ def measure(
     Returns the outcome bit and the renormalized post-measurement state with
     the measured qubit removed (``n_qubits`` drops by one).
     """
-    s._check_qubit(qubit)
-    b0, b1 = _branch_vectors(s, qubit, basis)
-    p0 = float(np.vdot(b0, b0).real)
-    outcome = 0 if rng.random() < p0 else 1
-    vec = b0 if outcome == 0 else b1
-    prob = p0 if outcome == 0 else 1.0 - p0
-    if prob < _BRANCH_EPS:
-        raise RuntimeError("sampled a zero-probability branch; this must be unreachable")
-    return outcome, StateVector(s.n_qubits - 1, vec / np.sqrt(prob))
+    outcome, _, post = _measure_kernel(s, qubit, basis, rng=rng)
+    return outcome, post
+
+
+def measure_string(
+    s: StateVector, ops: str, rngs: Sequence[np.random.Generator]
+) -> tuple[tuple[int, ...], StateVector]:
+    """Measure qubit 0 once per operator character (``X``, ``Y`` or ``Z``).
+
+    Character i draws from ``rngs[i]``. Returns the outcome bits and the
+    state of the qubits left unmeasured.
+    """
+    bits = []
+    for ch, rng in zip(ops, rngs, strict=True):
+        bit, s = measure(s, 0, Basis(ch), rng)
+        bits.append(bit)
+    return tuple(bits), s
 
 
 def reorder_qubits(s: StateVector, order: tuple[int, ...]) -> StateVector:
@@ -248,18 +255,6 @@ def overlap(a: StateVector, b: StateVector) -> complex:
 def fidelity_pure(a: StateVector, b: StateVector) -> float:
     """Squared overlap |<a|b>|^2 of two pure states."""
     return abs(overlap(a, b)) ** 2
-
-
-def states_equal(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
-    """Equality up to a global phase (overlap modulus within ``tol`` of 1)."""
-    if a.n_qubits != b.n_qubits:
-        return False
-    return abs(abs(overlap(a, b)) - 1.0) <= tol
-
-
-def amplitudes_as_pairs(s: StateVector) -> list[list[float]]:
-    """Debug dump: amplitudes as JSON-friendly [re, im] pairs."""
-    return [[float(a.real), float(a.imag)] for a in s.amplitudes]
 
 
 # --- density matrices and ensembles -------------------------------------------------
@@ -352,8 +347,8 @@ def werner_ghz(n: int, p: float, *, ghz: StateVector | None = None) -> NoiseEnse
     """Werner-like mixture p * |GHZ><GHZ| + (1 - p) * I / 2^n as an ensemble.
 
     The white-noise part is spelled out as all 2^n computational basis states,
-    so the materialized ensemble is limited to n <= 10; for larger registers
-    use ``sample_werner_ghz``. Fidelity with GHZ is p + (1 - p)/2^n.
+    so the materialized ensemble is limited to n <= 10. Fidelity with GHZ is
+    p + (1 - p)/2^n.
 
     ``ghz`` may substitute a different coherent component (e.g. the corrected
     photonic state) and must equal the GHZ state up to numerical noise.
@@ -371,27 +366,9 @@ def werner_ghz(n: int, p: float, *, ghz: StateVector | None = None) -> NoiseEnse
     return NoiseEnsemble(tuple(components))
 
 
-def sample_werner_ghz(n: int, p: float, rng: np.random.Generator) -> StateVector:
-    """Sample from the Werner-like GHZ mixture without materializing it (n <= 16)."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise SizeError(f"n must be in [1, {MAX_QUBITS}], got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if rng.random() < p:
-        return ghz_state(n)
-    return basis_state(n, int(rng.integers(0, 2**n)))
-
-
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of (a - b), via a Hermitian eigensolver."""
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatchError(f"{a.n_qubits}-qubit vs {b.n_qubits}-qubit matrix")
     eigs = np.linalg.eigvalsh(a.entries - b.entries)
     return float(0.5 * np.abs(eigs).sum())
-
-
-def fidelity_with_pure(rho: DensityMatrix, psi: StateVector) -> float:
-    """<psi| rho |psi>."""
-    if rho.n_qubits != psi.n_qubits:
-        raise DimensionMismatchError(f"{rho.n_qubits}-qubit matrix vs {psi.n_qubits}-qubit state")
-    return float(np.vdot(psi.amplitudes, rho.entries @ psi.amplitudes).real)

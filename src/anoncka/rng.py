@@ -35,19 +35,17 @@ class RngBundle:
     @classmethod
     def from_seed(cls, seed: int, n_parties: int) -> "RngBundle":
         children = np.random.SeedSequence(seed).spawn(n_parties + 4)
-        gens = [np.random.default_rng(c) for c in children]
-        return cls(
-            parties=tuple(gens[:n_parties]),
-            network=gens[n_parties],
-            coin=gens[n_parties + 1],
-            source=gens[n_parties + 2],
-            adversary=gens[n_parties + 3],
-        )
+        return cls._from_streams([np.random.default_rng(c) for c in children])
 
     @classmethod
     def from_generator(cls, rng: np.random.Generator, n_parties: int) -> "RngBundle":
         """Derive a bundle from an existing generator (consumes one spawn)."""
-        gens = rng.spawn(n_parties + 4)
+        return cls._from_streams(rng.spawn(n_parties + 4))
+
+    @classmethod
+    def _from_streams(cls, gens: list[np.random.Generator]) -> "RngBundle":
+        """Assign spawned streams in the documented order: parties first."""
+        n_parties = len(gens) - 4
         return cls(
             parties=tuple(gens[:n_parties]),
             network=gens[n_parties],
@@ -55,10 +53,6 @@ class RngBundle:
             source=gens[n_parties + 2],
             adversary=gens[n_parties + 3],
         )
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.parties)
 
     def party(self, party: int) -> np.random.Generator:
         return self.parties[party]

@@ -28,6 +28,25 @@ def operator_from_string(ops: str) -> np.ndarray:
     return mat
 
 
+def born_probabilities(amplitudes: np.ndarray, qubit: int, basis: str) -> tuple[float, float]:
+    """Probabilities of outcomes 0 (+1 eigenvalue) and 1 for measuring one
+    qubit in Pauli ``basis``, from the projectors (I +- P)/2 on that qubit."""
+    n = int(np.log2(len(amplitudes)))
+    pauli = operator_from_string("I" * qubit + basis + "I" * (n - qubit - 1))
+    identity = np.eye(2**n)
+    return tuple(
+        float(np.vdot(amplitudes, 0.5 * (identity + sign * pauli) @ amplitudes).real)
+        for sign in (1, -1)
+    )
+
+
+def states_equal(a, b, tol: float = 1e-10) -> bool:
+    """Equality of two StateVectors up to a global phase (|<a|b>| within ``tol`` of 1)."""
+    if a.n_qubits != b.n_qubits:
+        return False
+    return abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1.0) <= tol
+
+
 def even_y_settings(k: int):
     """All X/Y basis-bit vectors of length k with an even number of Y's."""
     for bits in itertools.product((0, 1), repeat=k):

@@ -12,7 +12,6 @@ from anoncka.adversary import (
     DishonestSource,
     HonestCurious,
     WithholdingAgent,
-    dishonest_source_states,
     run_with_adversary,
 )
 from anoncka.netmodel import Network, RoleAssignment
@@ -59,15 +58,6 @@ def test_honest_curious_view_is_filtered():
         e.kind == "broadcast" or e.sender == 3 or e.receiver == 3
         for e in out.view.visible_entries
     )
-
-
-def test_dishonest_source_states_sampling():
-    const = dishonest_source_states(ghz_state(4), 5, np.random.default_rng(0))
-    assert len(const) == 5 and all(qsim.states_equal(s, ghz_state(4)) for s in const)
-    ens = qsim.NoiseEnsemble(((0.5, qsim.basis_state(2, 0)), (0.5, qsim.basis_state(2, 3))))
-    drawn = dishonest_source_states(ens, 200, np.random.default_rng(1))
-    kinds = {np.argmax(np.abs(s.amplitudes)) for s in drawn}
-    assert kinds == {0, 3}
 
 
 def test_dishonest_source_ghz_passes():

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +228,40 @@ def test_byte_identical_reruns(command, cfg, tmp_path, capsys):
     code_b, out_b, _ = run_cli(capsys, command, "--config", path)
     assert code_a == code_b
     assert out_a == out_b
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_cli_process(*argv, hash_seed="0"):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONHASHSEED": hash_seed}
+    return subprocess.run(
+        [sys.executable, "-m", "anoncka.cli", *argv], capture_output=True, text=True, env=env, check=False
+    )
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("theorem1", {"n": 4, "trials": 10, "seed": 1, "theta_grid": ["x"]}),
+        ("anonymity", {**ANON_CFG, "coalition": ["a"]}),
+        ("run", {**BASE_RUN, "adversary": {"kind": "honest_curious", "coalition": ["a"]}}),
+        ("run", {**BASE_RUN, "noise": {"model": "ghz_prime", "fidelity": [1]}}),
+        ("run", {**BASE_RUN, "n": 17}),
+        (
+            "run",
+            {**BASE_RUN, "adversary": {"kind": "dishonest_source", "state": "rotated", "theta": float("nan")}},
+        ),
+    ],
+)
+def test_malformed_config_is_usage_error_without_traceback(command, cfg, tmp_path):
+    proc = run_cli_process(command, "--config", write_config(tmp_path, cfg))
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_anonymity_output_independent_of_hash_seed():
+    config = str(REPO / "configs" / "anonymity.json")
+    outs = [run_cli_process("anonymity", "--config", config, hash_seed=h).stdout for h in ("1", "2")]
+    assert outs[0] and outs[0] == outs[1]

@@ -15,7 +15,6 @@ from anoncka.protocols import (
     aka,
     ame,
     avka,
-    keygen_round,
     notification,
     verification,
 )
@@ -248,15 +247,16 @@ def test_keygen_on_ghz_bits_agree_and_are_uniform():
     ones = 0
     rounds = 10_000
     for _ in range(rounds):
-        bits = keygen_round(ghz_state(3), rng)
+        bits, _ = qsim.measure_string(ghz_state(3), "ZZZ", [rng] * 3)
         assert len(set(bits)) == 1
         ones += bits[0]
     assert ones / rounds == pytest.approx(0.5, abs=4 * np.sqrt(0.25 / rounds))
 
 
 def test_keygen_on_basis_state_deterministic():
-    bits = keygen_round(qsim.basis_state(3, 0b010), np.random.default_rng(15))
-    assert bits == (0, 1, 0)
+    bits, rest = qsim.measure_string(qsim.basis_state(3, 0b010), "ZZ", [np.random.default_rng(15)] * 2)
+    assert bits == (0, 1)
+    assert rest.n_qubits == 1 and abs(rest.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_keygen_classical_mixture_mimics_ghz():
@@ -265,7 +265,7 @@ def test_keygen_classical_mixture_mimics_ghz():
     ones = 0
     rounds = 4000
     for _ in range(rounds):
-        bits = keygen_round(qsim.sample_ensemble(mixture, rng), rng)
+        bits, _ = qsim.measure_string(qsim.sample_ensemble(mixture, rng), "ZZZ", [rng] * 3)
         assert len(set(bits)) == 1
         ones += bits[0]
     assert ones / rounds == pytest.approx(0.5, abs=4 * np.sqrt(0.25 / rounds))
