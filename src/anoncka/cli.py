@@ -116,11 +116,19 @@ def _roles_from(cfg: dict) -> RoleAssignment:
 
 
 def _seed_from(cfg: dict) -> int:
-    return _require(cfg, "seed", int)
+    return _require(cfg, "seed", int, lambda v: v >= 0)
 
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _werner(n: int, fidelity: float, ghz: StateVector | None = None) -> NoiseEnsemble:
+    """The white-noise mixture of ``ghz`` (default GHZ) at ``fidelity``; infeasible is a CliError."""
+    try:
+        return werner_ghz(n, werner_p_for_fidelity(n, fidelity), ghz=ghz)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _make_source(cfg: dict, roles: RoleAssignment, bundle: RngBundle):
@@ -132,12 +140,7 @@ def _make_source(cfg: dict, roles: RoleAssignment, bundle: RngBundle):
         state = ghz_state(roles.n)
         return lambda: state
     if model == "werner":
-        fidelity = _require(noise, "fidelity", float)
-        try:
-            weight = werner_p_for_fidelity(roles.n, fidelity)
-            ensemble = werner_ghz(roles.n, weight)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        ensemble = _werner(roles.n, _require(noise, "fidelity", float))
         return lambda: sample_ensemble(ensemble, bundle.source)
     if model == "ghz_prime":
         if roles.n != 4:
@@ -146,11 +149,7 @@ def _make_source(cfg: dict, roles: RoleAssignment, bundle: RngBundle):
         fidelity = _require(noise, "fidelity", float) if "fidelity" in noise else 1.0
         if fidelity == 1.0:
             return lambda: base
-        try:
-            weight = werner_p_for_fidelity(4, fidelity)
-            ensemble = werner_ghz(4, weight, ghz=base)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        ensemble = _werner(4, fidelity, base)
         return lambda: sample_ensemble(ensemble, bundle.source)
     raise CliError(f"unknown noise model {model!r}")
 
@@ -188,11 +187,7 @@ def _dishonest_generator(spec: dict, n: int) -> StateVector | NoiseEnsemble:
     if state == "rotated":
         return rotated_ghz(n, _require(spec, "theta", float, math.isfinite))
     if state == "werner":
-        fidelity = _require(spec, "fidelity", float)
-        try:
-            return werner_ghz(n, werner_p_for_fidelity(n, fidelity))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        return _werner(n, _require(spec, "fidelity", float))
     raise CliError(f"unknown dishonest source state {state!r}")
 
 
@@ -258,12 +253,7 @@ def cmd_theorem1(cfg: dict, fmt: str) -> int:
     theta_grid = _require_list(cfg, "theta_grid", float, default=[])
     fidelity_grid = _require_list(cfg, "fidelity_grid", float, default=[])
     family: list[StateVector | NoiseEnsemble] = [rotated_ghz(k, float(t)) for t in theta_grid]
-    try:
-        family += [
-            werner_ghz(k, werner_p_for_fidelity(k, float(f))) for f in fidelity_grid
-        ]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    family += [_werner(k, float(f)) for f in fidelity_grid]
 
     checks = check_theorem1(family, trials, np.random.default_rng(seed))
     if fmt == "csv":
@@ -333,7 +323,7 @@ def cmd_notify_demo(cfg: dict, fmt: str) -> int:
     target = cfg.get("target")
     if target is None:
         target = min(roles.receivers) if roles.receivers else 0
-    if not isinstance(target, int) or not 0 <= target < roles.n:
+    if not isinstance(target, int) or isinstance(target, bool) or not 0 <= target < roles.n:
         raise CliError(f"config key 'target' must be a party id, got {target!r}")
 
     bundle = RngBundle.from_seed(seed, roles.n)

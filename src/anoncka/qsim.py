@@ -257,7 +257,7 @@ def fidelity_pure(a: StateVector, b: StateVector) -> float:
     return abs(overlap(a, b)) ** 2
 
 
-# --- density matrices and ensembles -------------------------------------------------
+# --- density matrices and Werner mixtures -----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -287,27 +287,19 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class NoiseEnsemble:
-    """Probabilistic mixture of pure states, all on the same register size."""
+    """Werner-like mixture p * |c><c| + (1 - p) * I / 2^n of a coherent state
+    ``c`` on n qubits with white noise."""
 
-    components: tuple[tuple[float, StateVector], ...]
+    coherent: StateVector
+    p: float
 
     def __post_init__(self) -> None:
-        if not self.components:
-            raise ValueError("ensemble needs at least one component")
-        probs = np.array([p for p, _ in self.components], dtype=float)
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError("component probabilities must lie in [0, 1]")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"component probabilities sum to {probs.sum()!r}, not 1")
-        sizes = {s.n_qubits for _, s in self.components}
-        if len(sizes) != 1:
-            raise DimensionMismatchError(f"components span register sizes {sorted(sizes)}")
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "_cumulative", np.cumsum(probs))
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
     @property
     def n_qubits(self) -> int:
-        return self.components[0][1].n_qubits
+        return self.coherent.n_qubits
 
 
 def density_from_pure(psi: StateVector) -> DensityMatrix:
@@ -315,20 +307,26 @@ def density_from_pure(psi: StateVector) -> DensityMatrix:
 
 
 def density_from_ensemble(e: NoiseEnsemble) -> DensityMatrix:
-    """Sum of p * |psi><psi| over the ensemble components."""
+    """The mixture's density matrix p * |c><c| + (1 - p) * I / 2^n."""
     if e.n_qubits > MAX_DENSITY_QUBITS:
         raise SizeError(f"density matrices support at most {MAX_DENSITY_QUBITS} qubits")
-    vecs = np.stack([s.amplitudes for _, s in e.components])
-    probs = np.array([p for p, _ in e.components])
-    mat = (vecs.T * probs) @ vecs.conj()
+    c = e.coherent.amplitudes
+    mat = e.p * np.outer(c, c.conj()) + (1.0 - e.p) / c.size * np.eye(c.size)
     return DensityMatrix(e.n_qubits, mat)
 
 
 def sample_ensemble(e: NoiseEnsemble, rng: np.random.Generator) -> StateVector:
-    """Draw one component state with its ensemble probability."""
-    i = int(np.searchsorted(getattr(e, "_cumulative"), rng.random(), side="right"))
-    i = min(i, len(e.components) - 1)
-    return e.components[i][1]
+    """Draw one pure state of the mixture from a single uniform ``u``.
+
+    The states are laid out on [0, 1) in the order coherent state, then basis
+    states 0 .. 2^n - 1: ``u < p`` gives the coherent state, otherwise the
+    basis state in whose (1 - p)/2^n slice ``u`` falls.
+    """
+    u = rng.random()
+    if u < e.p:
+        return e.coherent
+    dim = 2**e.n_qubits
+    return basis_state(e.n_qubits, min(int((u - e.p) / ((1.0 - e.p) / dim)), dim - 1))
 
 
 def werner_p_for_fidelity(n: int, fidelity: float) -> float:
@@ -344,26 +342,16 @@ def werner_p_for_fidelity(n: int, fidelity: float) -> float:
 
 
 def werner_ghz(n: int, p: float, *, ghz: StateVector | None = None) -> NoiseEnsemble:
-    """Werner-like mixture p * |GHZ><GHZ| + (1 - p) * I / 2^n as an ensemble.
+    """Werner-like mixture p * |GHZ><GHZ| + (1 - p) * I / 2^n on n <= 16 qubits.
 
-    The white-noise part is spelled out as all 2^n computational basis states,
-    so the materialized ensemble is limited to n <= 10. Fidelity with GHZ is
-    p + (1 - p)/2^n.
-
-    ``ghz`` may substitute a different coherent component (e.g. the corrected
-    photonic state) and must equal the GHZ state up to numerical noise.
+    Fidelity with GHZ is p + (1 - p)/2^n. ``ghz`` may substitute a different
+    coherent component (e.g. the corrected photonic state) and must equal the
+    GHZ state up to numerical noise.
     """
-    if not 1 <= n <= MAX_DENSITY_QUBITS:
-        raise SizeError(f"materialized Werner mixtures support n in [1, {MAX_DENSITY_QUBITS}]")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
     coherent = ghz if ghz is not None else ghz_state(n)
     if coherent.n_qubits != n:
         raise DimensionMismatchError("coherent component has the wrong register size")
-    white = (1.0 - p) / 2**n
-    components = [(p, coherent)]
-    components += [(white, basis_state(n, z)) for z in range(2**n)]
-    return NoiseEnsemble(tuple(components))
+    return NoiseEnsemble(coherent, p)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -123,3 +123,23 @@ def keygen_success_probability(rho: np.ndarray, participant_slots: tuple[int, ..
         if len(values) == 1:
             total += float(rho[index, index].real)
     return total
+
+
+def materialized_werner(coherent: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture p |c><c| + (1-p) I/2^n spelled out as 2^n + 1 explicit
+    components: weights, and amplitude rows ordered coherent state first, then
+    basis states 0 .. 2^n - 1."""
+    dim = len(coherent)
+    weights = np.array([p] + [(1.0 - p) / dim] * dim)
+    return weights, np.vstack([coherent, np.eye(dim, dtype=complex)])
+
+
+def sample_materialized(weights: np.ndarray, vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One component drawn by a single uniform on the cumulative weights."""
+    i = int(np.searchsorted(np.cumsum(weights), rng.random(), side="right"))
+    return vectors[min(i, len(weights) - 1)]
+
+
+def materialized_density(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Sum of w |v><v| over the components."""
+    return (vectors.T * weights) @ vectors.conj()

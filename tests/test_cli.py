@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anoncka.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 
@@ -95,6 +99,26 @@ def test_run_werner_noise_and_withholding(tmp_path, capsys):
     assert payload["adversary"]["kind"] == "withholding"
     assert code in (EXIT_OK, EXIT_REJECTED)  # detection is probabilistic per round
     assert len(payload["adversary"]["key_guess"]) == len(payload["key_bits"]["0"])
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {**BASE_RUN, "n": 12, "L": 24, "noise": {"model": "werner", "fidelity": 0.9}},
+        {
+            **BASE_RUN,
+            "n": 16,
+            "L": 16,
+            "adversary": {"kind": "dishonest_source", "state": "werner", "fidelity": 0.9},
+        },
+    ],
+)
+def test_run_werner_noise_beyond_ten_qubits(cfg, tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert code in (EXIT_OK, EXIT_REJECTED)
+    payload = json.loads(out)
+    assert payload["roles"]["n"] == cfg["n"]
+    assert payload["num_rounds"] == cfg["L"]
 
 
 def test_theorem1_csv_rows(tmp_path, capsys):
@@ -252,6 +276,9 @@ def run_cli_process(*argv, hash_seed="0"):
             "run",
             {**BASE_RUN, "adversary": {"kind": "dishonest_source", "state": "rotated", "theta": float("nan")}},
         ),
+        ("run", {**BASE_RUN, "seed": -1}),
+        ("theorem1", {"n": 4, "trials": 10, "seed": -1, "theta_grid": [0.3]}),
+        ("notify-demo", {"n": 4, "alice": 0, "receivers": [2], "target": True, "seed": 31}),
     ],
 )
 def test_malformed_config_is_usage_error_without_traceback(command, cfg, tmp_path):
@@ -265,3 +292,54 @@ def test_anonymity_output_independent_of_hash_seed():
     config = str(REPO / "configs" / "anonymity.json")
     outs = [run_cli_process("anonymity", "--config", config, hash_seed=h).stdout for h in ("1", "2")]
     assert outs[0] and outs[0] == outs[1]
+
+
+CONFIG_COMMANDS = {
+    "run.json": "run",
+    "run_withholding.json": "run",
+    "theorem1.json": "theorem1",
+    "anonymity.json": "anonymity",
+    "experiment.json": "experiment",
+    "notify_demo.json": "notify-demo",
+}
+FUZZ_CAPS = {"trials": 20, "L": 16, "n": 12}  # keeps one example well under a second
+# negative ints get their own branch so that out-of-range values come up often
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, -1) | st.integers(0, 20) | st.floats() | st.text(max_size=4)
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=4,
+)
+
+
+def key_paths(cfg: dict, prefix: tuple = ()):
+    for key, value in cfg.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from key_paths(value, (*prefix, key))
+
+
+@settings(
+    max_examples=800,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_sample_configs_never_raise(data, tmp_path):
+    """One key of one sample config set to any JSON value exits 0, 1 or 2 and never raises."""
+    name = data.draw(st.sampled_from(sorted(CONFIG_COMMANDS)), label="config")
+    cfg = json.loads((REPO / "configs" / name).read_text())
+    path = data.draw(st.sampled_from(list(key_paths(cfg))), label="key")
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(JSON_VALUES, label="value")
+    for key, cap in FUZZ_CAPS.items():
+        value = cfg.get(key)
+        if isinstance(value, int) and not isinstance(value, bool) and value > cap:
+            cfg[key] = cap
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main([CONFIG_COMMANDS[name], "--config", write_config(tmp_path, cfg)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_REJECTED)

@@ -14,7 +14,10 @@ from oracles import (
     born_probabilities,
     even_y_settings,
     exact_verification_acceptance,
+    materialized_density,
+    materialized_werner,
     pure_state_trace_distance,
+    sample_materialized,
     states_equal,
 )
 
@@ -304,8 +307,7 @@ def test_density_from_pure_projector():
 
 def test_density_uniform_mixture_is_maximally_mixed():
     n = 3
-    components = tuple((1 / 2**n, qsim.basis_state(n, z)) for z in range(2**n))
-    rho = qsim.density_from_ensemble(qsim.NoiseEnsemble(components))
+    rho = qsim.density_from_ensemble(qsim.werner_ghz(n, 0.0))
     assert np.allclose(rho.entries, np.eye(2**n) / 2**n)
 
 
@@ -340,24 +342,47 @@ def test_werner_infeasible_fidelity():
 
 
 def test_ensemble_validation():
-    with pytest.raises(ValueError):
-        qsim.NoiseEnsemble(((0.5, qsim.ghz_state(2)),))
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            qsim.werner_ghz(2, p)
     with pytest.raises(qsim.DimensionMismatchError):
-        qsim.NoiseEnsemble(((0.5, qsim.ghz_state(2)), (0.5, qsim.ghz_state(3))))
+        qsim.werner_ghz(2, 0.5, ghz=qsim.ghz_state(3))
 
 
 def test_sample_singleton_ensemble():
-    e = qsim.NoiseEnsemble(((1.0, qsim.ghz_state(2)),))
+    e = qsim.werner_ghz(2, 1.0)
     s = qsim.sample_ensemble(e, np.random.default_rng(0))
     assert states_equal(s, qsim.ghz_state(2))
 
 
 def test_sample_ensemble_frequencies():
-    e = qsim.NoiseEnsemble(((0.5, qsim.basis_state(1, 0)), (0.5, qsim.basis_state(1, 1))))
+    e = qsim.werner_ghz(1, 0.0)
     rng = np.random.default_rng(6)
     draws = 100_000
     ones = sum(abs(qsim.sample_ensemble(e, rng).amplitudes[1]) > 0.5 for _ in range(draws))
     assert ones / draws == pytest.approx(0.5, abs=0.01)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sample_ensemble_matches_materialized_oracle(n):
+    coherent = qsim.ghz_state(n)
+    for p, seed in [(0.0, 1), (0.3, 2), (0.8, 3), (0.97, 4)]:
+        e = qsim.werner_ghz(n, p)
+        weights, vectors = materialized_werner(coherent.amplitudes, p)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(10_000):
+            expected = sample_materialized(weights, vectors, oracle_rng)
+            assert np.array_equal(qsim.sample_ensemble(e, rng).amplitudes, expected)
+
+
+def test_density_from_ensemble_matches_materialized_oracle():
+    coherent = qsim.local_correct_ghz_prime(qsim.ghz_prime_state())
+    for n in range(1, 6):
+        for p in (0.0, 0.25, 0.7973333333333333, 1.0):
+            ghz = coherent if n == 4 else qsim.ghz_state(n)
+            rho = qsim.density_from_ensemble(qsim.werner_ghz(n, p, ghz=ghz))
+            expected = materialized_density(*materialized_werner(ghz.amplitudes, p))
+            assert np.max(np.abs(rho.entries - expected)) <= 1e-12
 
 
 def test_sampled_z_statistics_match_density_diagonal():
