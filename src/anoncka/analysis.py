@@ -21,7 +21,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .netmodel import AdversaryView, Network, RoleAssignment, extract_view
-from .protocols import AvkaResult, ame, notification, verification
+from .protocols import AvkaResult, _parity_test, ame, notification
 from .qsim import (
     NoiseEnsemble,
     StateVector,
@@ -31,6 +31,7 @@ from .qsim import (
     ghz_state,
     local_correct_ghz_prime,
     measure_string,
+    reorder_qubits,
     sample_ensemble,
     trace_distance,
     werner_ghz,
@@ -43,6 +44,17 @@ from .rng import RngBundle
 REFERENCE_KEYGEN_RATE = 0.92974
 REFERENCE_VERIFICATION_RATE = 0.87178
 REFERENCE_FIDELITY = 0.81
+
+# Amplitudes per Monte Carlo batch: shots run 2^16 / 2^n at a time, so the
+# batch arrays stay about 1 MB whatever the register size.
+_BATCH_AMPLITUDES = 2**16
+
+
+def _batches(trials: int, n_qubits: int):
+    """Shot counts of the batches that together run ``trials`` shots."""
+    size = max(1, _BATCH_AMPLITUDES >> n_qubits)
+    for start in range(0, trials, size):
+        yield min(size, trials - start)
 
 
 # --- acceptance bound ---------------------------------------------------------------
@@ -79,10 +91,16 @@ def check_theorem1(
     """Verify the acceptance bound on a family of states.
 
     For each state: compute eps exactly as the trace distance to the GHZ
-    state of the same size, run the verification protocol ``trials`` times
-    with party 0 as verifier, and flag whether the acceptance rate stays
-    below 1 - eps^2/2 within four standard errors.
+    state of the same size, run the verification test ``trials`` times with
+    party 0 as verifier, and flag whether the acceptance rate stays below
+    1 - eps^2/2 within four standard errors.
+
+    The shots run in batches (see ``_verification_shots``); each party draws
+    from its own stream of one bundle spawned from ``rng``, mixture draws
+    come from the bundle's source stream.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if not state_family:
         return []
     sizes = {s.n_qubits for s in state_family}
@@ -94,18 +112,10 @@ def check_theorem1(
     checks = []
     bundle = RngBundle.from_generator(rng, k)
     for entry in state_family:
-        if isinstance(entry, NoiseEnsemble):
-            rho = density_from_ensemble(entry)
-            draw = lambda: sample_ensemble(entry, bundle.source)
-        else:
-            rho = density_from_pure(entry)
-            draw = lambda: entry
+        rho = density_from_ensemble(entry) if isinstance(entry, NoiseEnsemble) else density_from_pure(entry)
         eps = min(1.0, max(0.0, trace_distance(rho, ghz_rho)))
-        accepted = 0
-        for _ in range(trials):
-            net = Network(k, bundle.network)
-            record = verification(draw(), 0, net, bundle)
-            accepted += record.accepted
+        source = _verifier_last(entry)
+        accepted = sum(int(_verification_shots(source, shots, bundle).sum()) for shots in _batches(trials, k))
         rate = accepted / trials
         stderr = float(np.sqrt(rate * (1.0 - rate) / trials))
         bound = 1.0 - eps**2 / 2.0
@@ -120,6 +130,42 @@ def check_theorem1(
             )
         )
     return checks
+
+
+def _verifier_last(entry: Union[StateVector, NoiseEnsemble]) -> Union[StateVector, NoiseEnsemble]:
+    """The same source with qubit 0 (the verifier's) moved to the end of the
+    register, so a readout of qubit 0 per party reaches the verifier last.
+    White noise is unchanged by the move."""
+    order = (*range(1, entry.n_qubits), 0)
+    if isinstance(entry, NoiseEnsemble):
+        return NoiseEnsemble(reorder_qubits(entry.coherent, order), entry.p)
+    return reorder_qubits(entry, order)
+
+
+def _verification_shots(
+    source: Union[StateVector, NoiseEnsemble], shots: int, bundle: RngBundle
+) -> np.ndarray:
+    """Accept flags of ``shots`` verification tests with party 0 as verifier.
+
+    ``source`` holds party p's qubit at position p - 1 and the verifier's
+    last (see ``_verifier_last``). Parties 1..k-1 each draw ``shots`` basis
+    bits (0 -> X, 1 -> Y) from their own stream; the verifier's bit is reset
+    to make every row's Y count even. Then every party in turn, the verifier
+    last, draws one uniform per shot from its own stream and measures. No
+    transcript is kept: the announcements cannot change a verdict.
+    """
+    k = source.n_qubits
+    if isinstance(source, NoiseEnsemble):
+        amps = sample_ensemble(source, bundle.source, shots)
+    else:
+        amps = np.broadcast_to(source.amplitudes, (shots, 2**k))
+    order = (*range(1, k), 0)
+    bases = np.empty((shots, k), dtype=np.int64)
+    for column, party in enumerate(order[:-1]):
+        bases[:, column] = bundle.party(party).integers(0, 2, size=shots)
+    bases[:, -1] = bases[:, :-1].sum(axis=1) % 2
+    outcomes, _ = measure_string(amps, np.where(bases == 1, "Y", "X"), [bundle.party(p) for p in order])
+    return _parity_test(bases.T, outcomes.T)
 
 
 def bound_checks_to_csv(checks: Sequence[BoundCheck]) -> str:
@@ -475,22 +521,27 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def keygen_success(bits: Sequence[int], config: str) -> bool:
-    """All participant Z-bits agree (the bystander's X bit is irrelevant)."""
+def keygen_success(bits, config: str):
+    """All participant Z-bits agree (the bystander's X bit is irrelevant).
+
+    ``bits`` is one shot's readout or a (shots, 4) array of them.
+    """
+    bits = np.asarray(bits)
     slots = CONFIG_SLOTS[config]
-    values = {bits[slots["alice"]], *(bits[b] for b in slots["bobs"])}
-    return len(values) == 1
+    alice = bits[..., slots["alice"]]
+    return np.logical_and.reduce([bits[..., b] == alice for b in slots["bobs"]])
 
 
-def verification_success(bits: Sequence[int], ops: str) -> bool:
-    """Joint-outcome parity equals half the Y count mod 2.
+def verification_success(bits, ops: str):
+    """The parity test on a readout under ``ops``: joint-outcome parity
+    equals half the Y count mod 2.
 
     Alice's phase correction (Z iff the bystander's announced X outcome is 1)
     flips her own X/Y outcome, so folding the bystander's bit into one joint
-    parity is exactly the corrected participant test.
+    parity is exactly the corrected participant test. ``bits`` is one shot's
+    readout or a (shots, 4) array of them.
     """
-    y_count = ops.count("Y")
-    return sum(bits) % 2 == (y_count // 2) % 2
+    return _parity_test([int(ch == "Y") for ch in ops], np.transpose(bits))
 
 
 def reproduce_experiment(
@@ -508,29 +559,29 @@ def reproduce_experiment(
     Reports keygen and verification success rates per configuration plus the
     averages, next to the reference values of the demonstration.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     weight = werner_p_for_fidelity(4, fidelity_target)
     base = local_correct_ghz_prime(ghz_prime_state()) if from_ghz_prime else ghz_state(4)
     ensemble = werner_ghz(4, weight, ghz=base)
 
+    def hits(ops: str, success: Callable[[np.ndarray], np.ndarray]) -> int:
+        """Successful shots out of ``trials``, each on a fresh draw of the source."""
+        return sum(
+            int(success(measure_string(sample_ensemble(ensemble, rng, shots), ops, [rng] * len(ops))[0]).sum())
+            for shots in _batches(trials, 4)
+        )
+
     stats = []
     for label in CONFIG_LABELS:
-        ops = measurement_settings_for(label, "keygen")
-        hits = sum(
-            keygen_success(measure_string(sample_ensemble(ensemble, rng), ops, [rng] * len(ops))[0], label)
-            for _ in range(trials)
-        )
-        p_k = hits / trials
+        p_k = hits(measurement_settings_for(label, "keygen"), lambda bits: keygen_success(bits, label)) / trials
         p_k_err = float(np.sqrt(p_k * (1.0 - p_k) / trials))
 
         setting_rates = []
         setting_vars = []
         for setting in VERIFICATION_SETTINGS:
             ops = measurement_settings_for(label, setting)
-            hits = sum(
-                verification_success(measure_string(sample_ensemble(ensemble, rng), ops, [rng] * len(ops))[0], ops)
-                for _ in range(trials)
-            )
-            rate = hits / trials
+            rate = hits(ops, lambda bits: verification_success(bits, ops)) / trials
             setting_rates.append(rate)
             setting_vars.append(rate * (1.0 - rate) / trials)
         p_v = float(np.mean(setting_rates))

@@ -236,14 +236,18 @@ def ame(
     )
 
 
-def _parity_test(basis_bits: tuple[int, ...], outcomes: tuple[int, ...]) -> bool:
+def _parity_test(basis_bits, outcomes):
     """Accept iff sum of outcomes == (number of Y measurers / 2) mod 2.
 
-    The basis sum is even by construction (the verifier resets), so the
-    integer halving is well defined.
+    ``basis_bits`` and ``outcomes`` hold one entry per party: an int for one
+    round (the verdict is a bool) or an array over shots for a batch of
+    rounds (one verdict per shot). The basis sum is even by construction (the
+    verifier resets), so the integer halving is well defined; an odd sum
+    raises ValueError.
     """
     y_count = sum(basis_bits)
-    assert y_count % 2 == 0, "verifier reset must leave an even basis sum"
+    if np.count_nonzero(y_count % 2):
+        raise ValueError("verifier reset must leave an even basis sum")
     return sum(outcomes) % 2 == (y_count // 2) % 2
 
 
@@ -353,9 +357,8 @@ def aka(
     participants Z-measure. Returns each participant's key string.
     """
     outcome = notification(roles, net, rng)
-    assert tuple(sorted(roles.receivers)) == tuple(
-        i for i, bit in enumerate(outcome.notified) if bit
-    ), "notification must flag exactly the chosen receivers"
+    if tuple(sorted(roles.receivers)) != tuple(i for i, bit in enumerate(outcome.notified) if bit):
+        raise RuntimeError("notification must flag exactly the chosen receivers")
     order = roles.participant_order
     readout_rngs = [rng.party(p) for p in order]
     keys: dict[int, list[str]] = {p: [] for p in order}

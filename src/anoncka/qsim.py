@@ -44,6 +44,20 @@ class Basis(enum.Enum):
     Z = "Z"
 
 
+_NORM_TOL = 1e-12
+# |norm - 1| <= tol  <=>  |norm^2 - 1| <= 2 tol + tol^2, so the check can skip the square root.
+_SQUARED_NORM_TOL = 2 * _NORM_TOL + _NORM_TOL**2
+
+
+def _check_unit_norms(amps: np.ndarray) -> None:
+    """Raise unless every row of ``amps`` has norm 1 within 1e-12 (NaN fails)."""
+    squared = np.vecdot(amps, amps).real
+    ok = np.abs(squared - 1.0) <= _SQUARED_NORM_TOL
+    if np.count_nonzero(ok) != len(ok):
+        norm = float(np.sqrt(squared[~ok][0]))
+        raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_TOL}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized complex amplitude vector over ``n_qubits`` qubits.
@@ -64,11 +78,19 @@ class StateVector:
                 f"expected {2**self.n_qubits} amplitudes for {self.n_qubits} qubits, "
                 f"got shape {amps.shape}"
             )
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= 1e-12:  # also rejects NaN amplitudes
-            raise ValueError(f"state norm {norm!r} is not 1 within 1e-12")
+        _check_unit_norms(amps[None])
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _checked(cls, n_qubits: int, amps: np.ndarray) -> "StateVector":
+        """Wrap a contiguous amplitude row whose norm the measurement kernel
+        has just checked, without checking it a second time."""
+        s = object.__new__(cls)
+        amps.flags.writeable = False
+        object.__setattr__(s, "n_qubits", n_qubits)
+        object.__setattr__(s, "amplitudes", amps)
+        return s
 
     def _check_qubit(self, qubit: int) -> None:
         if not 0 <= qubit < self.n_qubits:
@@ -163,41 +185,103 @@ def apply_rz(s: StateVector, qubit: int, theta: float) -> StateVector:
     return StateVector(s.n_qubits, t.reshape(-1))
 
 
+def _branch(z0: np.ndarray, z1: np.ndarray, basis: Basis, bit: int) -> np.ndarray:
+    """Unnormalised ``bit`` branch of rows whose measured qubit splits into
+    the (rows, 2^q, 2^(n-q-1)) halves ``z0``/``z1``, as a fresh
+    (rows, 2^(n-1)) array."""
+    rows, _, tail = z0.shape
+    z0, z1 = z0.reshape(-1, tail), z1.reshape(-1, tail)  # 2-D views: cheaper elementwise loops
+    if basis is Basis.Z:
+        vec = (z1 if bit else z0).copy()
+    elif basis is Basis.X:
+        vec = (z0 - z1 if bit else z0 + z1) * _SQRT_HALF
+    else:
+        vec = (z0 + 1j * z1 if bit else z0 - 1j * z1) * _SQRT_HALF
+    return vec.reshape(rows, -1)
+
+
 def _measure_kernel(
-    s: StateVector, qubit: int, basis: Basis, rng: np.random.Generator | None = None, outcome: int | None = None
-) -> tuple[int, float, StateVector]:
-    """The single-qubit measurement kernel behind ``measure`` and ``project``.
+    amps: np.ndarray,
+    qubit: int,
+    basis,
+    u: np.ndarray | None = None,
+    outcomes: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The single-qubit measurement kernel, applied to every row of a
+    (shots, 2^n) amplitude array; ``measure`` and ``project`` are its
+    one-row case.
 
-    Outcome 0 projects onto the +1 eigenvector: |+> for X, (|0>+i|1>)/sqrt(2)
-    for Y, |0> for Z. The outcome is sampled from ``rng`` unless ``outcome``
-    forces it. Returns the outcome, its Born probability and the kept branch
-    with the measured qubit removed, normalised by that branch's own norm so
-    rounding errors do not build up along a chain of measurements.
+    ``basis`` is one Basis (or letter) for all rows or an array of basis
+    letters, one per row. Outcome 0 projects onto the +1 eigenvector: |+> for
+    X, (|0>+i|1>)/sqrt(2) for Y, |0> for Z. Row i gets outcome 0 iff
+    ``u[i]`` is below its outcome-0 probability, unless ``outcomes`` forces
+    the outcomes. Returns the outcomes, their Born probabilities and the kept
+    branches with the measured qubit removed, each normalised by its own norm
+    so rounding errors do not build up along a chain of measurements.
     """
-    s._check_qubit(qubit)
-    t = s.as_tensor()
-    z0 = np.take(t, 0, axis=qubit).reshape(-1)
-    z1 = np.take(t, 1, axis=qubit).reshape(-1)
+    if isinstance(basis, str):
+        basis = Basis(basis)
+    if not isinstance(basis, Basis):
+        return _measure_by_basis(amps, qubit, np.asarray(basis), u, outcomes)
+    shots, dim = amps.shape
+    if not 0 <= qubit < dim.bit_length() - 1:
+        raise IndexError(f"qubit {qubit} out of range for {dim.bit_length() - 1}-qubit state")
+    t = amps.reshape(shots, 1 << qubit, 2, -1)
+    z0, z1 = t[:, :, 0], t[:, :, 1]
 
-    def branch(bit: int) -> np.ndarray:
-        if basis is Basis.Z:
-            return z1 if bit else z0
-        if basis is Basis.X:
-            return (z0 - z1 if bit else z0 + z1) * _SQRT_HALF
-        return (z0 + 1j * z1 if bit else z0 - 1j * z1) * _SQRT_HALF
+    vec = _branch(z0, z1, basis, 0)
+    prob = np.vecdot(vec, vec).real
+    if outcomes is None:
+        ones = u >= prob
+        outcomes = ones.view(np.int8)
+    else:
+        outcomes = np.asarray(outcomes)
+        ones = outcomes == 1
+        valid = ones | (outcomes == 0)
+        if np.count_nonzero(valid) != shots:
+            raise ValueError(f"outcome must be 0 or 1, got {outcomes[~valid][0]}")
+    # The outcome-1 branch is built only for the rows that keep it.
+    count = np.count_nonzero(ones)
+    if count == shots:
+        vec = _branch(z0, z1, basis, 1)
+        prob = np.vecdot(vec, vec).real
+    elif count:
+        vec1 = _branch(z0[ones], z1[ones], basis, 1)
+        vec[ones], prob[ones] = vec1, np.vecdot(vec1, vec1).real
+    impossible = prob < _BRANCH_EPS
+    if np.count_nonzero(impossible):
+        i = int(np.argmax(impossible))
+        raise ValueError(f"branch (qubit={qubit}, basis={basis.value}, outcome={outcomes[i]}) has probability ~0")
+    vec /= np.sqrt(prob)[:, None]
+    _check_unit_norms(vec)
+    return outcomes, prob, vec
 
-    vec = branch(0)  # the outcome-1 branch is built only when it is kept
-    prob = float(np.vdot(vec, vec).real)
-    if outcome is None:
-        outcome = 0 if rng.random() < prob else 1
-    elif outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    if outcome == 1:
-        vec = branch(1)
-        prob = float(np.vdot(vec, vec).real)
-    if prob < _BRANCH_EPS:
-        raise ValueError(f"branch (qubit={qubit}, basis={basis.value}, outcome={outcome}) has probability ~0")
-    return outcome, prob, StateVector(s.n_qubits - 1, vec / np.sqrt(prob))
+
+def _measure_by_basis(
+    amps: np.ndarray, qubit: int, bases: np.ndarray, u: np.ndarray | None, outcomes: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_measure_kernel`` with one basis letter per row: each basis's rows
+    go through the kernel as one group."""
+    shots, dim = amps.shape
+    out = (np.empty(shots, dtype=np.int8), np.empty(shots), np.empty((shots, dim // 2), dtype=complex))
+    covered = 0
+    for basis in Basis:
+        rows = bases == basis.value
+        count = np.count_nonzero(rows)
+        if count == shots:
+            return _measure_kernel(amps, qubit, basis, u, outcomes)
+        if count:
+            group = _measure_kernel(
+                amps[rows], qubit, basis,
+                None if u is None else u[rows],
+                None if outcomes is None else np.asarray(outcomes)[rows],
+            )
+            for whole, part in zip(out, group):
+                whole[rows] = part
+            covered += count
+    if covered != shots:
+        raise ValueError(f"bases must be X, Y or Z, got {sorted(set(bases.tolist()) - {'X', 'Y', 'Z'})}")
+    return out
 
 
 def project(s: StateVector, qubit: int, basis: Basis, outcome: int) -> tuple[float, StateVector]:
@@ -207,8 +291,8 @@ def project(s: StateVector, qubit: int, basis: Basis, outcome: int) -> tuple[flo
     state with the measured qubit removed. Raises on an (almost) impossible
     branch. Exhaustive branch enumeration is built on this.
     """
-    _, prob, post = _measure_kernel(s, qubit, basis, outcome=outcome)
-    return prob, post
+    _, prob, post = _measure_kernel(s.amplitudes[None], qubit, basis, outcomes=np.array([outcome]))
+    return float(prob[0]), StateVector._checked(s.n_qubits - 1, post[0])
 
 
 def measure(
@@ -216,26 +300,34 @@ def measure(
 ) -> tuple[int, StateVector]:
     """Projective measurement of one qubit, sampling with Born probabilities.
 
-    Returns the outcome bit and the renormalized post-measurement state with
-    the measured qubit removed (``n_qubits`` drops by one).
+    Draws one uniform from ``rng``. Returns the outcome bit and the
+    renormalized post-measurement state with the measured qubit removed
+    (``n_qubits`` drops by one).
     """
-    outcome, _, post = _measure_kernel(s, qubit, basis, rng=rng)
-    return outcome, post
+    outcomes, _, post = _measure_kernel(s.amplitudes[None], qubit, basis, u=rng.random(1))
+    return int(outcomes[0]), StateVector._checked(s.n_qubits - 1, post[0])
 
 
-def measure_string(
-    s: StateVector, ops: str, rngs: Sequence[np.random.Generator]
-) -> tuple[tuple[int, ...], StateVector]:
-    """Measure qubit 0 once per operator character (``X``, ``Y`` or ``Z``).
+def measure_string(s, ops, rngs: Sequence[np.random.Generator]):
+    """Measure qubit 0 once per operator column, on one state or a batch.
 
-    Character i draws from ``rngs[i]``. Returns the outcome bits and the
-    state of the qubits left unmeasured.
+    ``s`` is a StateVector or a (shots, 2^n) amplitude array of one state
+    per shot. ``ops`` is one operator string (``X``, ``Y`` or ``Z`` per
+    character) for every shot, or a (shots, m) array of basis letters, one
+    row per shot. Column i draws one uniform per shot from ``rngs[i]``.
+    Returns the outcome bits and the states of the qubits left unmeasured:
+    a tuple and a StateVector for a StateVector, a (shots, m) bit array and
+    a (shots, 2^(n-m)) amplitude array for a batch.
     """
-    bits = []
-    for ch, rng in zip(ops, rngs, strict=True):
-        bit, s = measure(s, 0, Basis(ch), rng)
-        bits.append(bit)
-    return tuple(bits), s
+    amps = s.amplitudes[None] if isinstance(s, StateVector) else s
+    shots = len(amps)
+    columns = ops if isinstance(ops, str) else np.asarray(ops).T
+    bits = np.empty((shots, len(columns)), dtype=np.int8)
+    for i, (basis, rng) in enumerate(zip(columns, rngs, strict=True)):
+        bits[:, i], _, amps = _measure_kernel(amps, 0, basis, u=rng.random(shots))
+    if isinstance(s, StateVector):
+        return tuple(int(b) for b in bits[0]), StateVector._checked(s.n_qubits - len(columns), amps[0])
+    return bits, amps
 
 
 def reorder_qubits(s: StateVector, order: tuple[int, ...]) -> StateVector:
@@ -315,18 +407,24 @@ def density_from_ensemble(e: NoiseEnsemble) -> DensityMatrix:
     return DensityMatrix(e.n_qubits, mat)
 
 
-def sample_ensemble(e: NoiseEnsemble, rng: np.random.Generator) -> StateVector:
-    """Draw one pure state of the mixture from a single uniform ``u``.
+def sample_ensemble(e: NoiseEnsemble, rng: np.random.Generator, shots: int | None = None):
+    """Draw pure states of the mixture, one uniform ``u`` per state.
 
     The states are laid out on [0, 1) in the order coherent state, then basis
     states 0 .. 2^n - 1: ``u < p`` gives the coherent state, otherwise the
-    basis state in whose (1 - p)/2^n slice ``u`` falls.
+    basis state in whose (1 - p)/2^n slice ``u`` falls. Returns one
+    StateVector, or with ``shots`` a (shots, 2^n) array of one state per row.
     """
-    u = rng.random()
-    if u < e.p:
-        return e.coherent
+    u = rng.random(1 if shots is None else shots)
+    noise = u >= e.p
     dim = 2**e.n_qubits
-    return basis_state(e.n_qubits, min(int((u - e.p) / ((1.0 - e.p) / dim)), dim - 1))
+    index = np.minimum(((u[noise] - e.p) / ((1.0 - e.p) / dim)).astype(np.int64), dim - 1)
+    if shots is None:
+        return basis_state(e.n_qubits, int(index[0])) if noise[0] else e.coherent
+    amps = np.zeros((shots, dim), dtype=complex)
+    amps[~noise] = e.coherent.amplitudes
+    amps[np.flatnonzero(noise), index] = 1.0
+    return amps
 
 
 def werner_p_for_fidelity(n: int, fidelity: float) -> float:

@@ -143,3 +143,30 @@ def sample_materialized(weights: np.ndarray, vectors: np.ndarray, rng: np.random
 def materialized_density(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Sum of w |v><v| over the components."""
     return (vectors.T * weights) @ vectors.conj()
+
+
+def single_state_measure(
+    amplitudes: np.ndarray, qubit: int, basis: str, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
+    """One-state measurement as ``qsim.measure`` did it before the kernel
+    took batches: split with ``np.take``, one ``rng.random()``, outcome 0 iff
+    the uniform is below p0, the kept branch divided by its own norm."""
+    n = int(np.log2(len(amplitudes)))
+    t = amplitudes.reshape([2] * n)
+    z0 = np.take(t, 0, axis=qubit).reshape(-1)
+    z1 = np.take(t, 1, axis=qubit).reshape(-1)
+
+    def branch(bit: int) -> np.ndarray:
+        if basis == "Z":
+            return z1 if bit else z0
+        if basis == "X":
+            return (z0 - z1 if bit else z0 + z1) * (1.0 / np.sqrt(2.0))
+        return (z0 + 1j * z1 if bit else z0 - 1j * z1) * (1.0 / np.sqrt(2.0))
+
+    vec = branch(0)
+    prob = float(np.vdot(vec, vec).real)
+    outcome = 0 if rng.random() < prob else 1
+    if outcome:
+        vec = branch(1)
+        prob = float(np.vdot(vec, vec).real)
+    return outcome, vec / np.sqrt(prob)

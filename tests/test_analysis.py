@@ -81,6 +81,38 @@ def test_check_theorem1_rejects_mixed_sizes():
         check_theorem1([ghz_state(3), ghz_state(4)], 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_batched_check_theorem1_matches_exact_acceptance(k):
+    family = [qsim.rotated_ghz(k, theta) for theta in (0.4, 1.3, 2.5)]
+    family += [qsim.werner_ghz(k, p) for p in (0.9, 0.45)]
+    trials = 6000
+    checks = check_theorem1(family, trials, np.random.default_rng(20 + k))
+    for entry, check in zip(family, checks):
+        if isinstance(entry, qsim.NoiseEnsemble):
+            rho = qsim.density_from_ensemble(entry).entries
+        else:
+            rho = qsim.density_from_pure(entry).entries
+        exact = exact_verification_acceptance(rho)
+        assert check.accept_rate == pytest.approx(exact, abs=4 * np.sqrt(exact * (1 - exact) / trials))
+
+
+def test_check_theorem1_across_many_batches_at_ten_qubits():
+    # 2^16 amplitudes per batch is 64 shots at k=10, so 1500 trials take 24 batches.
+    theta, trials = 2.0, 1500
+    (check,) = check_theorem1([qsim.rotated_ghz(10, theta)], trials, np.random.default_rng(31))
+    exact = (1 + np.cos(theta)) / 2
+    assert check.epsilon == pytest.approx(np.sin(theta / 2), abs=1e-9)
+    assert check.accept_rate == pytest.approx(exact, abs=4 * np.sqrt(exact * (1 - exact) / trials))
+
+
+def test_monte_carlo_needs_a_trial():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            check_theorem1([ghz_state(3)], trials, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="trials"):
+            reproduce_experiment(0.9, trials, np.random.default_rng(0))
+
+
 def test_bound_checks_csv_shape():
     checks = check_theorem1([ghz_state(3)], 50, np.random.default_rng(3))
     csv = bound_checks_to_csv(checks)

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anoncka import qsim
 from anoncka.netmodel import ChannelAbort, Network, RoleAssignment
+from anoncka import protocols
 from anoncka.protocols import (
     KEYGEN_ROUND,
     VERIFICATION_ROUND,
@@ -240,6 +245,40 @@ def test_verification_basis_sum_always_even():
 
 
 # --- keygen --------------------------------------------------------------------------
+
+
+def test_parity_test_scores_rows_and_rejects_odd_basis_sums():
+    assert protocols._parity_test((1, 1, 0), (1, 0, 0)) is True
+    assert protocols._parity_test((0, 0, 0), (1, 0, 0)) is False
+    # a batch: one array over shots per party
+    bases = np.array([[1, 1, 0], [0, 0, 0], [0, 1, 1]])
+    outcomes = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert protocols._parity_test(bases.T, outcomes.T).tolist() == [True, False, True]
+    with pytest.raises(ValueError, match="even basis sum"):
+        protocols._parity_test((1, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="even basis sum"):
+        protocols._parity_test(np.array([[1, 1, 0], [1, 0, 0]]).T, np.zeros((3, 2), dtype=int))
+
+
+def test_parity_test_check_survives_optimised_python():
+    # An assert would vanish under -O and accept the odd-sum setting.
+    code = (
+        "from anoncka.protocols import _parity_test\n"
+        "try:\n    _parity_test((1, 0, 0), (0, 0, 0))\nexcept ValueError:\n    print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "raised"
+
+
+def test_aka_raises_when_notification_misses_a_receiver(monkeypatch):
+    roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
+    net, bundle = fresh(28, 4)
+    wrong = protocols.NotificationOutcome(notified=(0, 1, 0, 0), transcript=())
+    monkeypatch.setattr(protocols, "notification", lambda *args: wrong)
+    with pytest.raises(RuntimeError, match="exactly the chosen receivers"):
+        aka(roles, [ghz_state(4)], net, bundle)
 
 
 def test_keygen_on_ghz_bits_agree_and_are_uniform():

@@ -18,6 +18,7 @@ from oracles import (
     materialized_werner,
     pure_state_trace_distance,
     sample_materialized,
+    single_state_measure,
     states_equal,
 )
 
@@ -224,6 +225,101 @@ def test_long_measurement_chains_at_16_qubits_keep_unit_norm():
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-14
 
 
+def test_single_shot_measure_is_bit_identical_to_one_state_reference():
+    # measure is the one-row case of the batch kernel: same uniforms, same
+    # outcomes and the same amplitude bytes as the one-state computation.
+    for seed in range(10):
+        rng, ref_rng, picks = (np.random.default_rng(seed) for _ in range(3))
+        s = qsim.ghz_state(16)
+        ref = s.amplitudes
+        while s.n_qubits > 1:
+            qubit = int(picks.integers(0, s.n_qubits))
+            outcome, s = qsim.measure(s, qubit, Basis.X, rng)
+            ref_outcome, ref = single_state_measure(ref, qubit, "X", ref_rng)
+            assert outcome == ref_outcome
+            assert s.amplitudes.tobytes() == ref.tobytes()
+    rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
+    s = random_state(5, np.random.default_rng(98))
+    bits, rest = qsim.measure_string(s, "XYZX", [rng] * 4)
+    ref = s.amplitudes
+    for ch, bit in zip("XYZX", bits):
+        ref_bit, ref = single_state_measure(ref, 0, ch, ref_rng)
+        assert bit == ref_bit
+    assert rest.amplitudes.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_batched_forced_branches_match_born_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    shots = 24
+    amps = np.vstack([random_state(n, rng).amplitudes for _ in range(shots)])
+    bases = rng.choice(["X", "Y", "Z"], size=shots)
+    forced = rng.integers(0, 2, size=shots)
+    qubit = int(rng.integers(0, n))
+    outcomes, probs, post = qsim._measure_kernel(amps, qubit, bases, outcomes=forced)
+    assert np.array_equal(outcomes, forced)
+    assert post.shape == (shots, 2 ** (n - 1))
+    for row in range(shots):
+        expected = born_probabilities(amps[row], qubit, bases[row])[forced[row]]
+        assert probs[row] == pytest.approx(expected, abs=1e-12)
+        one_prob, one_post = qsim.project(qsim.StateVector(n, amps[row]), qubit, Basis(bases[row]), int(forced[row]))
+        assert one_prob == pytest.approx(probs[row], abs=1e-15)
+        assert np.allclose(one_post.amplitudes, post[row], atol=1e-15)
+    # sampled: outcome 0 exactly when the row's uniform is below its p0
+    u = rng.random(shots)
+    sampled, _, _ = qsim._measure_kernel(amps, qubit, bases, u=u)
+    p0 = np.array([born_probabilities(amps[row], qubit, bases[row])[0] for row in range(shots)])
+    assert np.array_equal(sampled == 0, u < p0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_batched_kernel_rejects_impossible_branches_and_bad_rows():
+    amps = np.vstack([qsim.ghz_state(2).amplitudes, qsim.basis_state(2, 0).amplitudes])
+    with pytest.raises(ValueError, match="probability"):
+        qsim._measure_kernel(amps, 0, "Z", outcomes=np.array([0, 1]))
+    # a sampled outcome whose branch has probability 1e-13
+    tiny = np.vstack([amps[0], [np.sqrt(1 - 1e-13), np.sqrt(1e-13), 0, 0]])
+    with pytest.raises(ValueError, match="probability"):
+        qsim._measure_kernel(tiny, 1, "Z", u=np.array([0.5, 1 - 1e-14]))
+    with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+        qsim._measure_kernel(amps, 0, "Z", outcomes=np.array([0, 2]))
+    with pytest.raises(ValueError, match="X, Y or Z"):
+        qsim._measure_kernel(amps, 0, np.array(["X", "Q"]), outcomes=np.array([0, 0]))
+    bad = amps.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="state norm nan"):
+        qsim._measure_kernel(bad, 0, "X", u=np.array([0.5, 0.5]))
+
+
+class _Fixed:
+    """A generator stand-in whose one draw is a given uniform."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_batched_measure_string_matches_per_shot_readout():
+    # One ops string for all shots or a per-shot basis array: column i draws
+    # one uniform per shot from rngs[i], shot by shot as a one-shot readout would.
+    rng = np.random.default_rng(7)
+    states = [random_state(4, rng) for _ in range(6)]
+    ops = np.array([list(rng.choice(["X", "Y", "Z"], size=3)) for _ in states])
+    for batch_ops in ("XYZ", ops):
+        rngs = [np.random.default_rng(10 + i) for i in range(3)]
+        bits, rest = qsim.measure_string(np.vstack([s.amplitudes for s in states]), batch_ops, rngs)
+        uniforms = [np.random.default_rng(10 + i).random(len(states)) for i in range(3)]
+        for shot, s in enumerate(states):
+            row_ops = batch_ops if isinstance(batch_ops, str) else "".join(batch_ops[shot])
+            ref = s.amplitudes
+            for column, ch in enumerate(row_ops):
+                ref_bit, ref = single_state_measure(ref, 0, ch, _Fixed(uniforms[column][shot]))
+                assert bits[shot, column] == ref_bit
+            assert rest[shot].tobytes() == ref.tobytes()
+
+
 def test_measurement_statistics_match_born():
     rng = np.random.default_rng(5)
     s = qsim.apply_rz(qsim.ghz_state(1), 0, 0.7)
@@ -373,6 +469,15 @@ def test_sample_ensemble_matches_materialized_oracle(n):
         for _ in range(10_000):
             expected = sample_materialized(weights, vectors, oracle_rng)
             assert np.array_equal(qsim.sample_ensemble(e, rng).amplitudes, expected)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.97, 1.0])
+def test_batched_sample_ensemble_matches_single_draws(p):
+    e = qsim.werner_ghz(3, p)
+    batch = qsim.sample_ensemble(e, np.random.default_rng(5), 500)
+    rng = np.random.default_rng(5)
+    single = np.vstack([qsim.sample_ensemble(e, rng).amplitudes for _ in range(500)])
+    assert np.array_equal(batch, single)
 
 
 def test_density_from_ensemble_matches_materialized_oracle():
