@@ -14,26 +14,25 @@ Covers four jobs:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .netmodel import AdversaryView, Network, RoleAssignment, extract_view
-from .protocols import AvkaResult, _parity_test, ame, notification
+from .netmodel import AdversaryView, RoleAssignment
+from .protocols import AvkaResult, _check_notified, _parity_test, deal_shares
 from .qsim import (
+    Basis,
+    _measure_kernel,
     NoiseEnsemble,
     StateVector,
-    density_from_ensemble,
-    density_from_pure,
     ghz_prime_state,
     ghz_state,
+    ghz_trace_distance,
     local_correct_ghz_prime,
     measure_string,
     reorder_qubits,
     sample_ensemble,
-    trace_distance,
     werner_ghz,
     werner_p_for_fidelity,
 )
@@ -45,14 +44,16 @@ REFERENCE_KEYGEN_RATE = 0.92974
 REFERENCE_VERIFICATION_RATE = 0.87178
 REFERENCE_FIDELITY = 0.81
 
-# Amplitudes per Monte Carlo batch: shots run 2^16 / 2^n at a time, so the
-# batch arrays stay about 1 MB whatever the register size.
+# Array entries per Monte Carlo batch: shots run 2^16 / 2^n at a time (and
+# notifications 2^16 / n^3, one entry per share bit), so the batch arrays
+# stay about 1 MB whatever the register size.
 _BATCH_AMPLITUDES = 2**16
 
 
-def _batches(trials: int, n_qubits: int):
-    """Shot counts of the batches that together run ``trials`` shots."""
-    size = max(1, _BATCH_AMPLITUDES >> n_qubits)
+def _batches(trials: int, row_size: int):
+    """Shot counts of the batches that together run ``trials`` shots of
+    ``row_size`` array entries each."""
+    size = max(1, _BATCH_AMPLITUDES // row_size)
     for start in range(0, trials, size):
         yield min(size, trials - start)
 
@@ -107,15 +108,13 @@ def check_theorem1(
     if len(sizes) != 1:
         raise ValueError(f"state family spans register sizes {sorted(sizes)}")
     k = sizes.pop()
-    ghz_rho = density_from_pure(ghz_state(k))
 
     checks = []
     bundle = RngBundle.from_generator(rng, k)
     for entry in state_family:
-        rho = density_from_ensemble(entry) if isinstance(entry, NoiseEnsemble) else density_from_pure(entry)
-        eps = min(1.0, max(0.0, trace_distance(rho, ghz_rho)))
+        eps = min(1.0, max(0.0, ghz_trace_distance(entry)))
         source = _verifier_last(entry)
-        accepted = sum(int(_verification_shots(source, shots, bundle).sum()) for shots in _batches(trials, k))
+        accepted = sum(int(_verification_shots(source, shots, bundle).sum()) for shots in _batches(trials, 2**k))
         rate = accepted / trials
         stderr = float(np.sqrt(rate * (1.0 - rate) / trials))
         bound = 1.0 - eps**2 / 2.0
@@ -178,29 +177,102 @@ def bound_checks_to_csv(checks: Sequence[BoundCheck]) -> str:
 # --- anonymity ----------------------------------------------------------------------
 
 
-ProtocolRunner = Callable[[RoleAssignment, Network, RngBundle], None]
+# A view sampler runs one protocol ``trials`` times under one role
+# assignment and returns two arrays with one key per run: the coalition's
+# raw view and its per-phase parity projection. Two runs get equal keys
+# exactly when the coalition saw identical content (or parities).
+ViewSampler = Callable[[RoleAssignment, frozenset[int], int, RngBundle], tuple[np.ndarray, np.ndarray]]
 
 
-def ame_anonymity_runner() -> ProtocolRunner:
-    """Runner executing one entanglement round on a fresh pure GHZ state."""
-
-    def run(roles: RoleAssignment, net: Network, rng: RngBundle) -> None:
-        ame(ghz_state(roles.n), roles, net, rng)
-
-    return run
+def _chunked(sample_chunk: Callable[[int], tuple[np.ndarray, np.ndarray]], trials: int, row_size: int):
+    """Run a sampler's chunk function over the batches of ``trials`` runs
+    and join the keys."""
+    raw, projected = zip(*(sample_chunk(size) for size in _batches(trials, row_size)))
+    return np.concatenate(raw), np.concatenate(projected)
 
 
-def notification_anonymity_runner() -> ProtocolRunner:
-    """Runner executing one full notification."""
+def _bit_keys(bits: np.ndarray) -> np.ndarray:
+    """One key per row of a (rows, width) 0/1 array: the row packed by
+    ``np.packbits`` into a void scalar of at least one byte."""
+    packed = np.packbits(bits.reshape(len(bits), -1), axis=1)
+    keys = np.zeros((len(bits), max(1, packed.shape[1])), dtype=np.uint8)
+    keys[:, : packed.shape[1]] = packed
+    return keys.view(np.dtype((np.void, keys.shape[1])))[:, 0]
 
-    def run(roles: RoleAssignment, net: Network, rng: RngBundle) -> None:
-        notification(roles, net, rng)
 
-    return run
+def _permutation_ranks(order: np.ndarray) -> np.ndarray:
+    """Lehmer rank in [0, n!) of each row of a (rows, n) permutation array."""
+    rows, n = order.shape
+    later_smaller = (order[:, None, :] < order[:, :, None]) & np.triu(np.ones((n, n), dtype=bool), 1)
+    digits = later_smaller.sum(axis=2)
+    ranks = np.zeros(rows, dtype=np.int64)
+    for position in range(n):
+        ranks = ranks * (n - position) + digits[:, position]
+    return ranks
+
+
+def ame_views(
+    roles: RoleAssignment, coalition: frozenset[int], trials: int, bundle: RngBundle
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coalition views of ``trials`` ame rounds on a fresh pure GHZ state.
+
+    Draws as ``ame`` does, run by run: each bystander X-measures with one
+    uniform from its own stream, each participant draws a coin, and the
+    network stream permutes the announcement order. Every announcement is
+    broadcast, so any coalition sees the whole round: the raw key packs the
+    order's Lehmer rank and the n announced bits into one int64 (n! 2^n <
+    2^63 up to n = 16), the projection is the XOR of the bits.
+    """
+    n = roles.n
+    ghz = ghz_state(n).amplitudes
+
+    def chunk(size: int):
+        bits = np.empty((size, n), dtype=np.int64)
+        amps = np.broadcast_to(ghz, (size, ghz.size))
+        remaining = list(range(n))
+        for party in sorted(roles.non_participants):
+            qubit = remaining.index(party)
+            bits[:, party], _, amps = _measure_kernel(amps, qubit, Basis.X, u=bundle.party(party).random(size))
+            remaining.pop(qubit)
+        for party in sorted(roles.participants):
+            bits[:, party] = bundle.party(party).integers(0, 2, size=size)
+        order = bundle.network.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
+        raw = _permutation_ranks(order) << n | bits @ (1 << np.arange(n - 1, -1, -1))
+        return raw, bits.sum(axis=1) % 2
+
+    return _chunked(chunk, trials, 2**n)
+
+
+def notification_views(
+    roles: RoleAssignment, coalition: frozenset[int], trials: int, bundle: RngBundle
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coalition views of ``trials`` notifications, dealt by ``deal_shares``.
+
+    The raw key packs the bits of every message the coalition sees, in
+    transcript order; the projection packs, per target round, the XOR of the
+    visible share bits and the XOR of the visible partial bits.
+    """
+    n = roles.n
+    member = np.isin(np.arange(n), list(coalition))
+    # A target round's n^2 shares (dealer, holder) and n partials (holder)
+    # in transcript order; a share is seen when its dealer or holder is in
+    # the coalition, a partial when its holder or its target is.
+    either = member[:, None] | member[None, :]
+    visible = np.concatenate([np.broadcast_to(either.reshape(-1), (n, n * n)), either], axis=1)
+
+    def chunk(size: int):
+        shares = deal_shares(roles, bundle, size)
+        partials = np.bitwise_xor.reduce(shares, axis=2)
+        _check_notified(roles, np.bitwise_xor.reduce(partials, axis=2))
+        messages = np.concatenate([shares.reshape(size, n, n * n), partials], axis=2)
+        parities = np.bitwise_xor.reduceat(messages & visible, [0, n * n], axis=2)
+        return _bit_keys(messages[:, visible]), _bit_keys(parities)
+
+    return _chunked(chunk, trials, n**3)
 
 
 def serialize_view(view: AdversaryView) -> str:
-    """Canonical serialization for histogramming view distributions.
+    """Canonical serialization of a per-party view.
 
     Entries are sorted by (phase, kind, position, sender, receiver) and all
     fields are concatenated, so two views collide iff the coalition saw
@@ -223,10 +295,8 @@ def serialize_view(view: AdversaryView) -> str:
 
 
 def parity_projection(view: AdversaryView) -> str:
-    """Coarse view feature: the XOR of all visible bits, per phase.
-
-    Used when the raw view space is too large to histogram.
-    """
+    """Coarse view feature of a per-party view: the XOR of all visible bits,
+    per phase."""
     parities: dict[str, int] = {}
     for e in view.visible_entries:
         acc = parities.setdefault(e.phase, 0)
@@ -236,12 +306,12 @@ def parity_projection(view: AdversaryView) -> str:
     return ";".join(f"{phase}={bit:d}" for phase, bit in sorted(parities.items()))
 
 
-def _empirical_tvd(xs: Sequence[str], ys: Sequence[str]) -> float:
-    ca, cb = Counter(xs), Counter(ys)
-    na, nb = len(xs), len(ys)
-    # fsum is exact, so the result does not depend on the set's iteration
-    # order, which varies with the per-process string-hash seed.
-    return 0.5 * math.fsum(abs(ca[k] / na - cb[k] / nb) for k in ca.keys() | cb.keys())
+def _empirical_tvd(xs: np.ndarray, ys: np.ndarray, support: int) -> float:
+    """Plug-in TVD between two samples of view indices in [0, support)."""
+    pa = np.bincount(xs, minlength=support) / len(xs)
+    pb = np.bincount(ys, minlength=support) / len(ys)
+    # fsum is exact, so the result does not depend on the summation order.
+    return 0.5 * math.fsum(np.abs(pa - pb))
 
 
 @dataclass(frozen=True)
@@ -276,7 +346,7 @@ class TvdEstimate:
 
 
 def estimate_anonymity_tvd(
-    protocol_runner: ProtocolRunner,
+    view_sampler: ViewSampler,
     hypothesis_a: RoleAssignment,
     hypothesis_b: RoleAssignment,
     coalition: frozenset[int],
@@ -288,12 +358,15 @@ def estimate_anonymity_tvd(
 ) -> TvdEstimate:
     """Estimate how well a coalition can distinguish two identity hypotheses.
 
-    Runs the protocol ``trials`` times under each hypothesis, projects every
-    run onto the coalition's view, and measures the total-variation distance
-    between the two view distributions. If the samples contain more distinct
-    raw views than ``max_support``, or more than ``trials`` (so the histogram
-    cannot resolve repeats), the per-phase parity projection is used instead
-    and the result is flagged as projected.
+    ``view_sampler`` (``ame_views``, ``notification_views``) runs the
+    protocol ``trials`` times under each hypothesis, on a bundle spawned from
+    ``rng`` per hypothesis, and keys every run's coalition view. The keys are
+    histogrammed and the total-variation distance between the two view
+    distributions is debiased by a permutation null over the pooled runs. If
+    the samples contain more distinct raw views than ``max_support``, or
+    more than ``trials`` (so the histogram cannot resolve repeats), the
+    per-phase parity projection is used instead and the result is flagged
+    as projected.
     """
     coalition = frozenset(coalition)
     if hypothesis_a.n != hypothesis_b.n:
@@ -303,34 +376,27 @@ def estimate_anonymity_tvd(
     n = hypothesis_a.n
     if len(coalition) > n - 2:
         raise ValueError(f"coalition of {len(coalition)} exceeds the corruption bound {n - 2}")
+    if any(not 0 <= p < n for p in coalition):
+        raise ValueError(f"coalition {sorted(coalition)} contains parties out of range for n={n}")
     for hyp in (hypothesis_a, hypothesis_b):
         if hyp.alice in coalition:
             raise ValueError("coalition must exclude Alice under both hypotheses")
     if trials < 2:
         raise ValueError("need at least two trials per hypothesis")
 
-    raw: dict[int, list[str]] = {0: [], 1: []}
-    proj: dict[int, list[str]] = {0: [], 1: []}
-    for side, hyp in enumerate((hypothesis_a, hypothesis_b)):
-        bundle = RngBundle.from_generator(rng, n)
-        for _ in range(trials):
-            net = Network(n, bundle.network)
-            protocol_runner(hyp, net, bundle)
-            view = extract_view(net.transcript, coalition, n)
-            raw[side].append(serialize_view(view))
-            proj[side].append(parity_projection(view))
+    samples = [
+        view_sampler(hyp, coalition, trials, RngBundle.from_generator(rng, n)) for hyp in (hypothesis_a, hypothesis_b)
+    ]
+    support, index = np.unique(np.concatenate([raw for raw, _ in samples]), return_inverse=True)
+    projected = len(support) > min(max_support, trials)
+    if projected:
+        support, index = np.unique(np.concatenate([proj for _, proj in samples]), return_inverse=True)
 
-    projected = len(set(raw[0]) | set(raw[1])) > min(max_support, trials)
-    xs, ys = (proj[0], proj[1]) if projected else (raw[0], raw[1])
-
-    raw_tvd = _empirical_tvd(xs, ys)
-    pool = xs + ys
+    raw_tvd = _empirical_tvd(index[:trials], index[trials:], len(support))
     null = np.empty(null_rounds)
     for r in range(null_rounds):
-        order = rng.permutation(len(pool))
-        left = [pool[i] for i in order[:trials]]
-        right = [pool[i] for i in order[trials:]]
-        null[r] = _empirical_tvd(left, right)
+        order = rng.permutation(len(index))
+        null[r] = _empirical_tvd(index[order[:trials]], index[order[trials:]], len(support))
     null_mean = float(null.mean())
     null_sd = float(null.std(ddof=1))
 
@@ -569,7 +635,7 @@ def reproduce_experiment(
         """Successful shots out of ``trials``, each on a fresh draw of the source."""
         return sum(
             int(success(measure_string(sample_ensemble(ensemble, rng, shots), ops, [rng] * len(ops))[0]).sum())
-            for shots in _batches(trials, 4)
+            for shots in _batches(trials, 2**4)
         )
 
     stats = []

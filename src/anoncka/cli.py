@@ -30,11 +30,11 @@ import numpy as np
 
 from . import adversary as adv
 from .analysis import (
+    ame_views,
     bound_checks_to_csv,
-    ame_anonymity_runner,
     check_theorem1,
     estimate_anonymity_tvd,
-    notification_anonymity_runner,
+    notification_views,
     reproduce_experiment,
 )
 from .netmodel import Network, RoleAssignment
@@ -277,10 +277,10 @@ def cmd_anonymity(cfg: dict, fmt: str) -> int:
         return _roles_from({"n": n, **spec})
 
     hyp_a, hyp_b = hyp("hypothesis_a"), hyp("hypothesis_b")
-    runner = ame_anonymity_runner() if protocol == "ame" else notification_anonymity_runner()
+    sampler = ame_views if protocol == "ame" else notification_views
     try:
         estimate = estimate_anonymity_tvd(
-            runner, hyp_a, hyp_b, coalition, trials, np.random.default_rng(seed)
+            sampler, hyp_a, hyp_b, coalition, trials, np.random.default_rng(seed)
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc

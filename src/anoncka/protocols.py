@@ -119,11 +119,30 @@ class AvkaResult:
         return out
 
 
-def _share_row(parity: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n random bits whose XOR equals ``parity``."""
-    row = rng.integers(0, 2, size=n, dtype=np.int8)
-    row[-1] ^= int(row.sum() & 1) ^ parity
-    return row
+def deal_shares(roles: RoleAssignment, rng: RngBundle, trials: int) -> np.ndarray:
+    """XOR share tables of ``trials`` notifications, as a (trials, target,
+    dealer, holder) int8 bit array.
+
+    Every dealer draws its whole table, (trials, target, holder), in one
+    call on its own stream. Then the last bit of each row is set so that the
+    row XORs to 1 on Alice's rows for receiver targets and to 0 elsewhere.
+    """
+    n = roles.n
+    shares = np.empty((trials, n, n, n), dtype=np.int8)
+    for dealer in range(n):
+        shares[:, :, dealer] = rng.party(dealer).integers(0, 2, size=(trials, n, n), dtype=np.int8)
+    parity = np.zeros((n, n), dtype=np.int8)
+    parity[sorted(roles.receivers), roles.alice] = 1
+    shares[..., -1] ^= np.bitwise_xor.reduce(shares, axis=-1) ^ parity
+    return shares
+
+
+def _check_notified(roles: RoleAssignment, notified) -> None:
+    """Raise unless each row of ``notified`` (one bit per party) flags
+    exactly the receivers."""
+    expected = [int(p in roles.receivers) for p in range(roles.n)]
+    if np.any(np.asarray(notified) != expected):
+        raise RuntimeError("notification must flag exactly the chosen receivers")
 
 
 def notification(roles: RoleAssignment, net: Network, rng: RngBundle) -> NotificationOutcome:
@@ -132,32 +151,30 @@ def notification(roles: RoleAssignment, net: Network, rng: RngBundle) -> Notific
     One round per target party i: every party deals an n-bit XOR share row
     with even parity, except Alice, whose row parity encodes whether i is a
     receiver. Each party then returns the XOR of the column it received to
-    party i, who recovers the membership bit exactly.
+    party i, who recovers the membership bit exactly. This is the one-run
+    case of ``deal_shares``; it records the dealt table on ``net``.
     """
     n = roles.n
-    notified = []
+    (shares,) = deal_shares(roles, rng, 1)
+    partials = np.bitwise_xor.reduce(shares, axis=1)
     for target in range(n):
         phase_shares = f"notify[target={target}]:shares"
-        rows = np.empty((n, n), dtype=np.int8)
         for dealer in range(n):
-            parity = 1 if dealer == roles.alice and target in roles.receivers else 0
-            rows[dealer] = _share_row(parity, n, rng.party(dealer))
             for holder in range(n):
-                bit = str(rows[dealer, holder])
+                bit = str(shares[target, dealer, holder])
                 if holder == dealer:
                     net.keep_share(dealer, bit, phase_shares)
                 else:
                     net.send_private(dealer, holder, bit, phase_shares)
         phase_partials = f"notify[target={target}]:partials"
-        column_parity = np.bitwise_xor.reduce(rows, axis=0)
         for holder in range(n):
-            bit = str(column_parity[holder])
+            bit = str(partials[target, holder])
             if holder == target:
                 net.keep_share(holder, bit, phase_partials)
             else:
                 net.send_private(holder, target, bit, phase_partials)
-        notified.append(int(np.bitwise_xor.reduce(column_parity)))
-    return NotificationOutcome(notified=tuple(notified), transcript=net.transcript)
+    notified = np.bitwise_xor.reduce(partials, axis=1)
+    return NotificationOutcome(notified=tuple(int(b) for b in notified), transcript=net.transcript)
 
 
 def ame(
@@ -356,9 +373,7 @@ def aka(
     Runs notification once, then one ame round per source state, then the
     participants Z-measure. Returns each participant's key string.
     """
-    outcome = notification(roles, net, rng)
-    if tuple(sorted(roles.receivers)) != tuple(i for i, bit in enumerate(outcome.notified) if bit):
-        raise RuntimeError("notification must flag exactly the chosen receivers")
+    _check_notified(roles, notification(roles, net, rng).notified)
     order = roles.participant_order
     readout_rngs = [rng.party(p) for p in order]
     keys: dict[int, list[str]] = {p: [] for p in order}

@@ -452,6 +452,30 @@ def werner_ghz(n: int, p: float, *, ghz: StateVector | None = None) -> NoiseEnse
     return NoiseEnsemble(coherent, p)
 
 
+def ghz_trace_distance(entry: StateVector | NoiseEnsemble) -> float:
+    """Trace distance from a pure state or a mixture p|c><c| + (1 - p) I/2^n
+    to the GHZ state of the same size, in O(2^n) without an eigensolver.
+
+    A pure state is the case p = 1. Write c = a |GHZ> + b |e> with |e> a
+    unit vector orthogonal to GHZ; as GHZ lives on the first and last basis
+    states, |a|^2 and b^2 are sums of squares with no cancellation. The
+    difference of the two density matrices has the eigenvalue (1 - p)/2^n on
+    the complement of span{GHZ, e}, and inside that span it is the 2x2 block
+    [[(1-p)/2^n - (1-p) - p b^2, p|a|b], [p|a|b, (1-p)/2^n + p b^2]] (using
+    |a|^2 + b^2 = 1).
+    """
+    if isinstance(entry, NoiseEnsemble):
+        c, p = entry.coherent.amplitudes, entry.p
+    else:
+        c, p = entry.amplitudes, 1.0
+    along = abs(c[0] + c[-1]) / np.sqrt(2.0)
+    across = np.sqrt(abs(c[0] - c[-1]) ** 2 / 2.0 + np.vdot(c[1:-1], c[1:-1]).real)
+    noise = (1.0 - p) / c.size
+    mean = noise - (1.0 - p) / 2.0
+    radius = np.hypot((1.0 - p) / 2.0 + p * across**2, p * along * across)
+    return float(0.5 * ((c.size - 2) * noise + abs(mean + radius) + abs(mean - radius)))
+
+
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of (a - b), via a Hermitian eigensolver."""
     if a.n_qubits != b.n_qubits:

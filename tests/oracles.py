@@ -170,3 +170,34 @@ def single_state_measure(
         vec = branch(1)
         prob = float(np.vdot(vec, vec).real)
     return outcome, vec / np.sqrt(prob)
+
+
+def ame_view_keys(view, n: int) -> tuple[int, int]:
+    """Raw and projected key of one per-party ame view, in plain Python.
+
+    Raw: the Lehmer rank of the announcement order, shifted left by n, over
+    the announced bits with party 0's bit most significant. Projected: the
+    XOR of the announced bits.
+    """
+    announced = sorted(view.visible_entries, key=lambda e: e.position)
+    order = [e.sender for e in announced]
+    bits = {e.sender: int(e.bits) for e in announced}
+    rank = 0
+    for position, party in enumerate(order):
+        rank = rank * (n - position) + sum(later < party for later in order[position + 1 :])
+    raw = rank << n | sum(bits[p] << (n - 1 - p) for p in range(n))
+    return raw, sum(bits.values()) % 2
+
+
+def notification_view_keys(view, projection: str, n: int) -> tuple[bytes, bytes]:
+    """Raw and projected key of one per-party notification view, as bytes.
+
+    Raw: the visible bits in transcript order, packed eight to a byte (at
+    least one byte). Projected: the per-phase parities of ``projection``
+    (a ``parity_projection`` string), target by target with the share phase
+    before the partial phase; a phase the coalition does not see counts 0.
+    """
+    raw = np.packbits(np.array([int(e.bits) for e in view.visible_entries], dtype=np.uint8)).tobytes() or b"\0"
+    phases = dict(item.rsplit("=", 1) for item in projection.split(";") if item)
+    parities = [int(phases.get(f"notify[target={t}]:{kind}", 0)) for t in range(n) for kind in ("shares", "partials")]
+    return raw, np.packbits(parities).tobytes()

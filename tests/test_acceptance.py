@@ -23,11 +23,11 @@ from anoncka.analysis import (
     CONFIG_LABELS,
     MEASUREMENT_TABLE,
     VERIFICATION_SETTINGS,
-    ame_anonymity_runner,
+    ame_views,
     check_theorem1,
     estimate_anonymity_tvd,
     key_rate,
-    notification_anonymity_runner,
+    notification_views,
     reproduce_experiment,
 )
 from anoncka.cli import main as cli_main
@@ -181,7 +181,7 @@ def test_criterion_6_anonymity_tvd():
     """Coalition views indistinguishable across identity hypotheses."""
     trials = 10_000
     ame_est = estimate_anonymity_tvd(
-        ame_anonymity_runner(),
+        ame_views,
         RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2})),
         RoleAssignment(n=4, alice=1, receivers=frozenset({0, 2})),
         frozenset({3}),
@@ -189,7 +189,7 @@ def test_criterion_6_anonymity_tvd():
         np.random.default_rng(66),
     )
     notify_est = estimate_anonymity_tvd(
-        notification_anonymity_runner(),
+        notification_views,
         RoleAssignment(n=4, alice=0, receivers=frozenset({1})),
         RoleAssignment(n=4, alice=0, receivers=frozenset({2})),
         frozenset({3}),

@@ -12,25 +12,31 @@ from anoncka.analysis import (
     CONFIG_SLOTS,
     MEASUREMENT_TABLE,
     VERIFICATION_SETTINGS,
-    ame_anonymity_runner,
+    ame_views,
     bound_checks_to_csv,
     check_theorem1,
     estimate_anonymity_tvd,
     key_rate,
     keygen_success,
     measurement_settings_for,
-    notification_anonymity_runner,
+    notification_views,
     parity_projection,
     reproduce_experiment,
     serialize_view,
     verification_success,
 )
 from anoncka.netmodel import Network, RoleAssignment, extract_view
-from anoncka.protocols import avka
+from anoncka import analysis
+from anoncka.protocols import ame, avka, notification
 from anoncka.qsim import ghz_state
 from anoncka.rng import RngBundle
 
-from oracles import exact_verification_acceptance, keygen_success_probability
+from oracles import (
+    ame_view_keys,
+    exact_verification_acceptance,
+    keygen_success_probability,
+    notification_view_keys,
+)
 
 
 # --- acceptance bound -----------------------------------------------------------------
@@ -129,7 +135,7 @@ def test_serialize_view_is_canonical():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
     bundle = RngBundle.from_seed(4, 4)
     net = Network(4, bundle.network)
-    ame_anonymity_runner()(roles, net, bundle)
+    ame(ghz_state(4), roles, net, bundle)
     view = extract_view(net.transcript, frozenset({3}), 4)
     text = serialize_view(view)
     assert text.count(";") == len(view.visible_entries) - 1
@@ -140,10 +146,138 @@ def test_serialize_view_is_canonical():
     assert proj.startswith("ame:announce=")
 
 
+def per_party_views(protocol, roles, coalition, trials, bundle):
+    """The coalition's view of ``trials`` per-party runs on one bundle."""
+    views = []
+    for _ in range(trials):
+        net = Network(roles.n, bundle.network)
+        protocol(roles, net, bundle)
+        views.append(extract_view(net.transcript, coalition, roles.n))
+    return views
+
+
+def assert_same_partition(keys, texts):
+    """Two runs share a key exactly when their serialized views agree."""
+    pairs = set(zip(keys, texts))
+    assert len(pairs) == len(set(keys)) == len(set(texts))
+
+
+def coalitions(n, alice):
+    """Coalitions of size 0, 1 and n - 2 that leave Alice out."""
+    others = [p for p in range(n) if p != alice]
+    return [frozenset(), frozenset(others[-1:]), frozenset(others[1:])]
+
+
+AME_ROLES = [
+    RoleAssignment(n=4, alice=1, receivers=frozenset({0, 3})),
+    RoleAssignment(n=5, alice=2, receivers=frozenset({4})),
+]
+
+
+@pytest.mark.parametrize("roles", AME_ROLES, ids=lambda r: f"n{r.n}")
+@pytest.mark.parametrize("batch_runs", [None, 7])
+def test_ame_view_keys_match_the_per_party_transcript(roles, batch_runs, monkeypatch):
+    # batch_runs=7 makes the sampler run in chunks of 7 runs
+    if batch_runs is not None:
+        monkeypatch.setattr(analysis, "_BATCH_AMPLITUDES", batch_runs * 2**roles.n)
+    trials = 300
+    for index, coalition in enumerate(coalitions(roles.n, roles.alice)):
+        seed = 40 + index
+        raw, projected = ame_views(roles, coalition, trials, RngBundle.from_seed(seed, roles.n))
+        views = per_party_views(
+            lambda r, net, b: ame(ghz_state(r.n), r, net, b), roles, coalition, trials, RngBundle.from_seed(seed, roles.n)
+        )
+        assert raw.dtype == projected.dtype == np.int64
+        assert [int(k) for k in raw] == [ame_view_keys(v, roles.n)[0] for v in views]
+        assert [int(k) for k in projected] == [ame_view_keys(v, roles.n)[1] for v in views]
+        assert [parity_projection(v) for v in views] == [f"ame:announce={int(k)}" for k in projected]
+        assert_same_partition(raw.tolist(), [serialize_view(v) for v in views])
+
+
+NOTIFICATION_ROLES = [
+    RoleAssignment(n=4, alice=0, receivers=frozenset({2})),
+    RoleAssignment(n=6, alice=3, receivers=frozenset({0, 5})),
+]
+
+
+def assert_notification_keys_match(roles, coalition, raw, projected, views):
+    expected = [notification_view_keys(v, parity_projection(v), roles.n) for v in views]
+    assert [k.tobytes() for k in raw] == [e[0] for e in expected]
+    assert [k.tobytes() for k in projected] == [e[1] for e in expected]
+    assert_same_partition([k.tobytes() for k in raw], [serialize_view(v) for v in views])
+    assert_same_partition([k.tobytes() for k in projected], [parity_projection(v) for v in views])
+
+
+@pytest.mark.parametrize("roles", NOTIFICATION_ROLES, ids=lambda r: f"n{r.n}")
+@pytest.mark.parametrize("batch_runs", [None, 3])
+def test_notification_view_keys_match_the_per_party_transcript(roles, batch_runs, monkeypatch):
+    # even n: one (runs, n, n) draw per dealer equals one (1, n, n) draw per run
+    if batch_runs is not None:
+        monkeypatch.setattr(analysis, "_BATCH_AMPLITUDES", batch_runs * roles.n**3)
+    trials = 40
+    for index, coalition in enumerate(coalitions(roles.n, roles.alice)):
+        seed = 50 + index
+        raw, projected = notification_views(roles, coalition, trials, RngBundle.from_seed(seed, roles.n))
+        views = per_party_views(notification, roles, coalition, trials, RngBundle.from_seed(seed, roles.n))
+        assert_notification_keys_match(roles, coalition, raw, projected, views)
+
+
+class ReplayStream:
+    """Stands in for a party's stream: hands out one run of a pre-drawn
+    (runs, n, n) share table per call."""
+
+    def __init__(self, table):
+        self.table = table
+        self.runs = 0
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size, dtype) == (0, 2, (1, *self.table.shape[1:]), np.int8)
+        self.runs += 1
+        return self.table[self.runs - 1 : self.runs].copy()
+
+
+def test_notification_view_keys_match_injected_tables_at_odd_n():
+    # at odd n the per-party draws do not line up with the batch's, so the
+    # per-party protocol replays the tables the batch drew
+    roles = RoleAssignment(n=5, alice=1, receivers=frozenset({0, 4}))
+    trials = 40
+    for index, coalition in enumerate(coalitions(roles.n, roles.alice)):
+        seed = 60 + index
+        raw, projected = notification_views(roles, coalition, trials, RngBundle.from_seed(seed, roles.n))
+        streams = RngBundle.from_seed(seed, roles.n)
+        tables = [streams.party(p).integers(0, 2, size=(trials, 5, 5), dtype=np.int8) for p in range(5)]
+        replay = RngBundle(tuple(ReplayStream(t) for t in tables), *(np.random.default_rng(0) for _ in range(4)))
+        views = per_party_views(notification, roles, coalition, trials, replay)
+        assert_notification_keys_match(roles, coalition, raw, projected, views)
+
+
+def test_numpy_draw_alignment_the_batch_relies_on():
+    # The samplers draw a whole batch per stream in one call; the per-party
+    # protocols draw one run at a time. These equalities keep the two
+    # byte-identical.
+    runs = 50
+
+    def one_call(seed, draw):
+        return draw(np.random.default_rng(seed))
+
+    def run_by_run(seed, draw):
+        rng = np.random.default_rng(seed)
+        return np.stack([draw(rng) for _ in range(runs)])
+
+    for n in (2, 4, 6, 8):
+        batch = one_call(n, lambda g: g.integers(0, 2, size=(runs, n, n), dtype=np.int8))
+        assert np.array_equal(batch, run_by_run(n, lambda g: g.integers(0, 2, size=(n, n), dtype=np.int8)))
+        order = one_call(n, lambda g: g.permuted(np.tile(np.arange(n), (runs, 1)), axis=1))
+        assert np.array_equal(order, run_by_run(n, lambda g: g.permutation(n)))
+    assert np.array_equal(one_call(1, lambda g: g.random(runs)), run_by_run(1, lambda g: g.random(1))[:, 0])
+    coins = one_call(2, lambda g: g.integers(0, 2, size=runs))
+    assert np.array_equal(coins, run_by_run(2, lambda g: g.integers(0, 2)))
+
+
 def test_tvd_identical_hypotheses_consistent_with_zero():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     est = estimate_anonymity_tvd(
-        ame_anonymity_runner(), roles, roles, frozenset({3}), 2000, np.random.default_rng(5)
+        ame_views, roles, roles, frozenset({3}), 2000, np.random.default_rng(5)
     )
     assert est.tvd < 4 * est.stderr
     assert not est.projected
@@ -154,7 +288,7 @@ def test_tvd_ame_swapped_roles_indistinguishable():
     hyp_a = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     hyp_b = RoleAssignment(n=4, alice=1, receivers=frozenset({0, 2}))
     est = estimate_anonymity_tvd(
-        ame_anonymity_runner(), hyp_a, hyp_b, frozenset({3}), 4000, np.random.default_rng(6)
+        ame_views, hyp_a, hyp_b, frozenset({3}), 4000, np.random.default_rng(6)
     )
     assert est.tvd < 4 * est.stderr
 
@@ -163,7 +297,7 @@ def test_tvd_notification_receiver_swap_projected():
     hyp_a = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
     hyp_b = RoleAssignment(n=4, alice=0, receivers=frozenset({2}))
     est = estimate_anonymity_tvd(
-        notification_anonymity_runner(), hyp_a, hyp_b, frozenset({3}), 2000, np.random.default_rng(7)
+        notification_views, hyp_a, hyp_b, frozenset({3}), 2000, np.random.default_rng(7)
     )
     assert est.projected  # raw notification views are almost surely distinct
     assert est.tvd < 4 * est.stderr
@@ -177,7 +311,7 @@ def test_tvd_identical_hypotheses_repeated_experiments():
     passes = sum(
         est.tvd < 4 * est.stderr
         for est in (
-            estimate_anonymity_tvd(ame_anonymity_runner(), roles, roles, frozenset({3}), 400, rng)
+            estimate_anonymity_tvd(ame_views, roles, roles, frozenset({3}), 400, rng)
             for _ in range(100)
         )
     )
@@ -186,12 +320,27 @@ def test_tvd_identical_hypotheses_repeated_experiments():
 
 def test_tvd_detects_a_leaky_protocol():
     # sanity check that the estimator is not blind: leak Alice's identity
-    def leaky(roles, net, rng):
-        net.broadcast_round({roles.alice: "1"}, "leak")
+    def leaky(roles, coalition, trials, bundle):
+        keys = np.full(trials, roles.alice)
+        return keys, keys
 
     hyp_a = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
     hyp_b = RoleAssignment(n=4, alice=1, receivers=frozenset({0}))
     est = estimate_anonymity_tvd(leaky, hyp_a, hyp_b, frozenset({3}), 500, np.random.default_rng(8))
+    assert est.tvd > 0.9
+    assert est.guessing_bound == 1.0
+
+
+def test_tvd_detects_a_leak_through_the_projection():
+    # every raw view is distinct, so the estimate falls back to the
+    # projection, which carries Alice's identity
+    def leaky(roles, coalition, trials, bundle):
+        return bundle.party(0).integers(0, 2**62, size=trials), np.full(trials, roles.alice)
+
+    hyp_a = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
+    hyp_b = RoleAssignment(n=4, alice=1, receivers=frozenset({0}))
+    est = estimate_anonymity_tvd(leaky, hyp_a, hyp_b, frozenset({3}), 500, np.random.default_rng(8))
+    assert est.projected
     assert est.tvd > 0.9
     assert est.guessing_bound == 1.0
 
@@ -201,14 +350,14 @@ def test_tvd_validation_errors():
     hyp_b = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError, match="receiver count"):
-        estimate_anonymity_tvd(ame_anonymity_runner(), hyp_a, hyp_b, frozenset({3}), 10, rng)
+        estimate_anonymity_tvd(ame_views, hyp_a, hyp_b, frozenset({3}), 10, rng)
     hyp_c = RoleAssignment(n=5, alice=0, receivers=frozenset({1}))
     with pytest.raises(ValueError, match="network size"):
-        estimate_anonymity_tvd(ame_anonymity_runner(), hyp_a, hyp_c, frozenset({3}), 10, rng)
+        estimate_anonymity_tvd(ame_views, hyp_a, hyp_c, frozenset({3}), 10, rng)
     with pytest.raises(ValueError, match="Alice"):
-        estimate_anonymity_tvd(ame_anonymity_runner(), hyp_a, hyp_a, frozenset({0}), 10, rng)
+        estimate_anonymity_tvd(ame_views, hyp_a, hyp_a, frozenset({0}), 10, rng)
     with pytest.raises(ValueError, match="corruption"):
-        estimate_anonymity_tvd(ame_anonymity_runner(), hyp_a, hyp_a, frozenset({1, 2, 3}), 10, rng)
+        estimate_anonymity_tvd(ame_views, hyp_a, hyp_a, frozenset({1, 2, 3}), 10, rng)
 
 
 # --- key rate -------------------------------------------------------------------------

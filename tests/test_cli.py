@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,36 @@ def test_anonymity_coalition_with_alice_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "anonymity", "--config", cfg)
     assert code == EXIT_USAGE
     assert "Alice" in err
+
+
+@pytest.mark.parametrize(
+    "protocol, n, trials",
+    [("ame", 16, 64), ("notification", 16, 1000)],
+)
+def test_anonymity_at_sixteen_parties_runs_in_bounded_memory(tmp_path, capsys, protocol, n, trials):
+    # Unbatched, the 2 x 64 ame runs would hold 2^16 amplitudes (1 MB) per run
+    # at once (97 MB peak), and the 2 x 1000 notifications 18 MB of share
+    # tables and messages; batches of 2^16 entries keep the peak near 6 MB.
+    cfg = write_config(tmp_path, {
+        "protocol": protocol,
+        "n": n,
+        "hypothesis_a": {"alice": 0, "receivers": [1, 2]},
+        "hypothesis_b": {"alice": 2, "receivers": [0, 1]},
+        "coalition": list(range(3, n)),
+        "trials": trials,
+        "seed": 16,
+    })
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "anonymity", "--config", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["trials_per_hypothesis"] == trials
+    assert payload["tvd"] < 4 * payload["stderr"]
+    assert peak < 12 * 2**20
 
 
 def test_experiment_perfect_fidelity(tmp_path, capsys):

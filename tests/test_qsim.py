@@ -540,6 +540,27 @@ def test_trace_distance_symmetry_triangle_and_pure_formula(seed):
     assert d01 == pytest.approx(expected, abs=1e-8)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ghz_trace_distance_matches_the_eigensolver(n):
+    rng = np.random.default_rng(70 + n)
+    ghz = qsim.ghz_state(n)
+    coherent = [ghz, qsim.rotated_ghz(n, np.pi), qsim.apply_rz(ghz, 0, 1e-6), qsim.basis_state(n, 0)]
+    coherent += [qsim.rotated_ghz(n, rng.uniform(0, 2 * np.pi)) for _ in range(3)]
+    coherent += [random_state(n, rng) for _ in range(3)]
+    # a global phase leaves c parallel to GHZ
+    coherent.append(qsim.StateVector(n, np.exp(0.7j) * ghz.amplitudes))
+    ghz_rho = qsim.density_from_pure(ghz)
+    for c in coherent:
+        pure = qsim.trace_distance(qsim.density_from_pure(c), ghz_rho)
+        assert qsim.ghz_trace_distance(c) == pytest.approx(pure, abs=1e-12)
+        for p in (0.0, 1.0, rng.uniform()):
+            ensemble = qsim.NoiseEnsemble(c, p)
+            mixed = qsim.trace_distance(qsim.density_from_ensemble(ensemble), ghz_rho)
+            assert qsim.ghz_trace_distance(ensemble) == pytest.approx(mixed, abs=1e-12)
+    assert qsim.ghz_trace_distance(ghz) == 0.0
+    assert qsim.ghz_trace_distance(qsim.werner_ghz(n, 0.0)) == pytest.approx(1 - 2.0**-n, abs=1e-15)
+
+
 def test_dimension_mismatch_errors():
     a = qsim.density_from_pure(qsim.ghz_state(2))
     b = qsim.density_from_pure(qsim.ghz_state(3))
