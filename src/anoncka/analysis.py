@@ -1,12 +1,11 @@
 """Statistical evaluation of the protocols.
 
-Covers four jobs:
+Covers three jobs:
 
 * acceptance-bound checking for the verification test (accept rate vs
   1 - eps^2/2 where eps is the exact trace distance to GHZ),
 * anonymity estimation as a total-variation distance between the adversary's
   view distributions under two identity hypotheses,
-* key-rate measurement for the verifiable key agreement run,
 * reproduction of the four-photon table-top demonstration (three network
   configurations, keygen and verification success rates at fidelity 0.81).
 """
@@ -20,10 +19,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .netmodel import AdversaryView, RoleAssignment
-from .protocols import AvkaResult, _check_notified, _parity_test, deal_shares
+from .protocols import _check_notified, _parity_test, carve, deal_shares, parity_round
 from .qsim import (
-    Basis,
-    _measure_kernel,
     NoiseEnsemble,
     StateVector,
     ghz_prime_state,
@@ -31,7 +28,6 @@ from .qsim import (
     ghz_trace_distance,
     local_correct_ghz_prime,
     measure_string,
-    reorder_qubits,
     sample_ensemble,
     werner_ghz,
     werner_p_for_fidelity,
@@ -44,16 +40,16 @@ REFERENCE_KEYGEN_RATE = 0.92974
 REFERENCE_VERIFICATION_RATE = 0.87178
 REFERENCE_FIDELITY = 0.81
 
-# Array entries per Monte Carlo batch: shots run 2^16 / 2^n at a time (and
-# notifications 2^16 / n^3, one entry per share bit), so the batch arrays
-# stay about 1 MB whatever the register size.
-_BATCH_AMPLITUDES = 2**16
+# Bytes per Monte Carlo batch: shots run 2^20 / (16 * 2^n) at a time (one
+# complex amplitude is 16 bytes) and notifications 2^20 / n^3 (one int8 per
+# share bit), so the batch arrays stay about 1 MB whatever the register size.
+_BATCH_BYTES = 2**20
 
 
-def _batches(trials: int, row_size: int):
+def _batches(trials: int, row_bytes: int):
     """Shot counts of the batches that together run ``trials`` shots of
-    ``row_size`` array entries each."""
-    size = max(1, _BATCH_AMPLITUDES // row_size)
+    ``row_bytes`` bytes each."""
+    size = max(1, _BATCH_BYTES // row_bytes)
     for start in range(0, trials, size):
         yield min(size, trials - start)
 
@@ -96,7 +92,7 @@ def check_theorem1(
     party 0 as verifier, and flag whether the acceptance rate stays below
     1 - eps^2/2 within four standard errors.
 
-    The shots run in batches (see ``_verification_shots``); each party draws
+    The shots run in batches through ``parity_round``; each party draws
     from its own stream of one bundle spawned from ``rng``, mixture draws
     come from the bundle's source stream.
     """
@@ -113,8 +109,13 @@ def check_theorem1(
     bundle = RngBundle.from_generator(rng, k)
     for entry in state_family:
         eps = min(1.0, max(0.0, ghz_trace_distance(entry)))
-        source = _verifier_last(entry)
-        accepted = sum(int(_verification_shots(source, shots, bundle).sum()) for shots in _batches(trials, 2**k))
+        accepted = 0
+        for shots in _batches(trials, 16 * 2**k):
+            if isinstance(entry, NoiseEnsemble):
+                amps = sample_ensemble(entry, bundle.source, shots)
+            else:
+                amps = np.broadcast_to(entry.amplitudes, (shots, 2**k))
+            accepted += int(parity_round(amps, tuple(range(k)), 0, bundle).accepted.sum())
         rate = accepted / trials
         stderr = float(np.sqrt(rate * (1.0 - rate) / trials))
         bound = 1.0 - eps**2 / 2.0
@@ -129,42 +130,6 @@ def check_theorem1(
             )
         )
     return checks
-
-
-def _verifier_last(entry: Union[StateVector, NoiseEnsemble]) -> Union[StateVector, NoiseEnsemble]:
-    """The same source with qubit 0 (the verifier's) moved to the end of the
-    register, so a readout of qubit 0 per party reaches the verifier last.
-    White noise is unchanged by the move."""
-    order = (*range(1, entry.n_qubits), 0)
-    if isinstance(entry, NoiseEnsemble):
-        return NoiseEnsemble(reorder_qubits(entry.coherent, order), entry.p)
-    return reorder_qubits(entry, order)
-
-
-def _verification_shots(
-    source: Union[StateVector, NoiseEnsemble], shots: int, bundle: RngBundle
-) -> np.ndarray:
-    """Accept flags of ``shots`` verification tests with party 0 as verifier.
-
-    ``source`` holds party p's qubit at position p - 1 and the verifier's
-    last (see ``_verifier_last``). Parties 1..k-1 each draw ``shots`` basis
-    bits (0 -> X, 1 -> Y) from their own stream; the verifier's bit is reset
-    to make every row's Y count even. Then every party in turn, the verifier
-    last, draws one uniform per shot from its own stream and measures. No
-    transcript is kept: the announcements cannot change a verdict.
-    """
-    k = source.n_qubits
-    if isinstance(source, NoiseEnsemble):
-        amps = sample_ensemble(source, bundle.source, shots)
-    else:
-        amps = np.broadcast_to(source.amplitudes, (shots, 2**k))
-    order = (*range(1, k), 0)
-    bases = np.empty((shots, k), dtype=np.int64)
-    for column, party in enumerate(order[:-1]):
-        bases[:, column] = bundle.party(party).integers(0, 2, size=shots)
-    bases[:, -1] = bases[:, :-1].sum(axis=1) % 2
-    outcomes, _ = measure_string(amps, np.where(bases == 1, "Y", "X"), [bundle.party(p) for p in order])
-    return _parity_test(bases.T, outcomes.T)
 
 
 def bound_checks_to_csv(checks: Sequence[BoundCheck]) -> str:
@@ -184,10 +149,10 @@ def bound_checks_to_csv(checks: Sequence[BoundCheck]) -> str:
 ViewSampler = Callable[[RoleAssignment, frozenset[int], int, RngBundle], tuple[np.ndarray, np.ndarray]]
 
 
-def _chunked(sample_chunk: Callable[[int], tuple[np.ndarray, np.ndarray]], trials: int, row_size: int):
+def _chunked(sample_chunk: Callable[[int], tuple[np.ndarray, np.ndarray]], trials: int, row_bytes: int):
     """Run a sampler's chunk function over the batches of ``trials`` runs
     and join the keys."""
-    raw, projected = zip(*(sample_chunk(size) for size in _batches(trials, row_size)))
+    raw, projected = zip(*(sample_chunk(size) for size in _batches(trials, row_bytes)))
     return np.concatenate(raw), np.concatenate(projected)
 
 
@@ -216,31 +181,22 @@ def ame_views(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coalition views of ``trials`` ame rounds on a fresh pure GHZ state.
 
-    Draws as ``ame`` does, run by run: each bystander X-measures with one
-    uniform from its own stream, each participant draws a coin, and the
-    network stream permutes the announcement order. Every announcement is
-    broadcast, so any coalition sees the whole round: the raw key packs the
-    order's Lehmer rank and the n announced bits into one int64 (n! 2^n <
-    2^63 up to n = 16), the projection is the XOR of the bits.
+    The runs go through ``carve`` as rows and draw what ``ame`` draws run
+    by run; then the network stream permutes the announcement order. Every
+    announcement is broadcast, so any coalition sees the whole round: the
+    raw key packs the order's Lehmer rank and the n announced bits into one
+    int64 (n! 2^n < 2^63 up to n = 16), the projection is the XOR of the bits.
     """
     n = roles.n
     ghz = ghz_state(n).amplitudes
 
     def chunk(size: int):
-        bits = np.empty((size, n), dtype=np.int64)
-        amps = np.broadcast_to(ghz, (size, ghz.size))
-        remaining = list(range(n))
-        for party in sorted(roles.non_participants):
-            qubit = remaining.index(party)
-            bits[:, party], _, amps = _measure_kernel(amps, qubit, Basis.X, u=bundle.party(party).random(size))
-            remaining.pop(qubit)
-        for party in sorted(roles.participants):
-            bits[:, party] = bundle.party(party).integers(0, 2, size=size)
+        bits = carve(np.broadcast_to(ghz, (size, ghz.size)), roles, bundle).announced
         order = bundle.network.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
         raw = _permutation_ranks(order) << n | bits @ (1 << np.arange(n - 1, -1, -1))
         return raw, bits.sum(axis=1) % 2
 
-    return _chunked(chunk, trials, 2**n)
+    return _chunked(chunk, trials, 16 * 2**n)
 
 
 def notification_views(
@@ -411,54 +367,6 @@ def estimate_anonymity_tvd(
         raw_tvd=raw_tvd,
         null_mean=null_mean,
         projected=projected,
-    )
-
-
-# --- key rate -----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KeyRateReport:
-    empirical_rate: float
-    expected: float
-    within_ci: bool
-    tolerance: float
-    num_trials: int
-
-    def to_dict(self) -> dict:
-        return {
-            "empirical_rate": self.empirical_rate,
-            "expected": self.expected,
-            "within_ci": self.within_ci,
-            "tolerance": self.tolerance,
-            "num_trials": self.num_trials,
-        }
-
-
-def key_rate(results: Sequence[AvkaResult], num_states: int, keygen_denom: int) -> KeyRateReport:
-    """Compare the mean generated key length against num_states/keygen_denom.
-
-    The tolerance is four binomial standard deviations of a single run's key
-    length; keygen_denom == 1 collapses it to an exact equality check.
-    """
-    if not results:
-        raise ValueError("need at least one result")
-    lengths = []
-    for result in results:
-        keys = set(len(bits) for bits in result.key_bits.values())
-        if len(keys) != 1:
-            raise ValueError("participants disagree on key length")
-        lengths.append(keys.pop())
-    mean = float(np.mean(lengths))
-    q = 1.0 / keygen_denom
-    expected = num_states * q
-    tolerance = 4.0 * float(np.sqrt(num_states * q * (1.0 - q)))
-    return KeyRateReport(
-        empirical_rate=mean,
-        expected=expected,
-        within_ci=abs(mean - expected) <= tolerance,
-        tolerance=tolerance,
-        num_trials=len(results),
     )
 
 
@@ -635,7 +543,7 @@ def reproduce_experiment(
         """Successful shots out of ``trials``, each on a fresh draw of the source."""
         return sum(
             int(success(measure_string(sample_ensemble(ensemble, rng, shots), ops, [rng] * len(ops))[0]).sum())
-            for shots in _batches(trials, 2**4)
+            for shots in _batches(trials, 16 * 2**4)
         )
 
     stats = []

@@ -41,7 +41,6 @@ from .netmodel import Network, RoleAssignment
 from .protocols import aka, avka, notification
 from .qsim import (
     Basis,
-    MAX_DENSITY_QUBITS,
     MAX_QUBITS,
     NoiseEnsemble,
     StateVector,
@@ -248,8 +247,8 @@ def cmd_theorem1(cfg: dict, fmt: str) -> int:
     k = cfg.get("n", 4)
     if not isinstance(k, int) or k < 2:
         raise CliError("config key 'n' must be an integer >= 2")
-    if k > MAX_DENSITY_QUBITS:
-        raise CliError(f"exact trace distance needs n <= {MAX_DENSITY_QUBITS}, got {k}")
+    if k > MAX_QUBITS:
+        raise CliError(f"statevector simulation needs n <= {MAX_QUBITS}, got {k}")
     theta_grid = _require_list(cfg, "theta_grid", float, default=[])
     fidelity_grid = _require_list(cfg, "fidelity_grid", float, default=[])
     family: list[StateVector | NoiseEnsemble] = [rotated_ghz(k, float(t)) for t in theta_grid]

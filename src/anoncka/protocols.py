@@ -12,6 +12,14 @@
 * ``avka``           -- verifiable variant: a public coin splits rounds into
                         verification and keygen rounds.
 
+Each quantum step has one implementation, which works on a (rows, 2^n)
+amplitude array of independent rounds through the measurement kernel:
+``carve`` is the bystander step of ame and ``parity_round`` the parity test.
+``ame``, ``verification`` and the verification rounds of ``avka`` are their
+one-row case plus the round's broadcast on a ``Network``; the Monte Carlo in
+``analysis`` calls them with many rows, and exhaustive tests pass forced
+``outcomes``/``bases`` rows.
+
 Party i holds qubit i of each source state. All participant-ordered tuples
 use Alice first, then receivers ascending.
 """
@@ -19,12 +27,12 @@ use Alice first, then receivers ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .netmodel import ChannelAbort, Entry, Network, RoleAssignment
-from .qsim import Basis, StateVector, apply_pauli_z, measure, measure_string, project, reorder_qubits
+from .qsim import Basis, StateVector, _measure_kernel, measure_string
 from .rng import RngBundle
 
 VERIFICATION_ROUND = "verification"
@@ -45,16 +53,13 @@ class AmeOutcome:
 
     ``participant_state`` holds the participants' qubits in participant order
     (Alice first, receivers ascending); any withheld bystander qubits follow
-    in ascending party order (``held_back`` names them). ``branch_probability``
-    is filled only when measurement outcomes were forced, and is the Born
-    probability of that branch.
+    in ascending party order (``held_back`` names them).
     """
 
     participant_state: StateVector
     announced_bits: tuple[int, ...]
     corrected: bool
     held_back: tuple[int, ...] = ()
-    branch_probability: float | None = None
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,6 @@ class VerificationRecord:
     basis_bits: tuple[int, ...]
     outcomes: tuple[int, ...]
     accepted: bool
-    branch_probability: float | None = None
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,79 @@ def notification(roles: RoleAssignment, net: Network, rng: RngBundle) -> Notific
     return NotificationOutcome(notified=tuple(int(b) for b in notified), transcript=net.transcript)
 
 
+def _coins(stream: np.random.Generator, rows: int):
+    """``rows`` fair coins, the same draws as ``rows`` calls of
+    ``integers(0, 2)``; one row takes the scalar call, which is several times
+    faster than a size-1 array draw."""
+    return stream.integers(0, 2) if rows == 1 else stream.integers(0, 2, size=rows)
+
+
+class Carving(NamedTuple):
+    """The bystander step of ame on a batch of rounds, one row per round."""
+
+    announced: np.ndarray  # (rows, n) int8: outcomes or coins, by party
+    probability: np.ndarray  # (rows,) Born probability of each row's branch
+    corrected: np.ndarray  # (rows,) bool: Alice applied Z
+    carved: np.ndarray  # (rows, 2^(m+1+w)) participants' qubits, then the w withheld
+
+
+def carve(
+    amps: np.ndarray,
+    roles: RoleAssignment,
+    bundle: RngBundle,
+    *,
+    withholding: frozenset[int] = frozenset(),
+    withholding_rng: np.random.Generator | None = None,
+    outcomes: np.ndarray | None = None,
+) -> Carving:
+    """Carve the participants' GHZ state out of each row of a (rows, 2^n)
+    amplitude array.
+
+    Bystanders in ascending order X-measure their qubit, each drawing one
+    uniform per row from its own stream; then every participant draws one
+    coin per row. Alice's qubit takes a Z in the rows whose bystander bits
+    have odd parity, and the remaining qubits are put in participant order.
+
+    ``withholding`` names bystanders that skip the measurement, keep their
+    qubit, and announce a coin instead, drawn from ``withholding_rng`` (or
+    their own stream). ``outcomes`` forces the measured bystanders' outcomes:
+    a (rows, n) array read by party, for enumerating branches; the forced
+    rows draw no uniforms and raise ValueError on an impossible branch.
+    """
+    rows, dim = amps.shape
+    if dim != 2**roles.n:
+        raise ValueError(f"state has {dim.bit_length() - 1} qubits but the network has {roles.n} parties")
+    if not withholding <= roles.non_participants:
+        raise ValueError("only non-participants can withhold their measurement")
+    bystanders = sorted(roles.non_participants)
+    announced = np.zeros((rows, roles.n), dtype=np.int8)
+    probability = np.ones(rows)
+    remaining = list(range(roles.n))
+    for party in bystanders:
+        if party in withholding:
+            announced[:, party] = _coins(withholding_rng if withholding_rng is not None else bundle.party(party), rows)
+            continue
+        qubit = remaining.index(party)
+        if outcomes is None:
+            announced[:, party], prob, amps = _measure_kernel(amps, qubit, Basis.X, u=bundle.party(party).random(rows))
+        else:
+            announced[:, party], prob, amps = _measure_kernel(amps, qubit, Basis.X, outcomes=outcomes[:, party])
+        probability *= prob
+        remaining.pop(qubit)
+    # The participants' columns are still 0, so this is the bystanders' parity.
+    corrected = np.bitwise_xor.reduce(announced, axis=1) == 1
+    for party in roles.participant_order:
+        announced[:, party] = _coins(bundle.party(party), rows)
+
+    order = [remaining.index(p) for p in (*roles.participant_order, *sorted(withholding))]
+    carved = amps.reshape(rows, *[2] * len(order)).transpose(0, *(q + 1 for q in order)).reshape(rows, -1)
+    if np.count_nonzero(corrected):
+        # Alice's qubit is now qubit 0: Z negates the second half of a row.
+        carved = carved.copy()
+        carved[corrected, carved.shape[1] // 2 :] *= -1.0
+    return Carving(announced, probability, corrected, carved)
+
+
 def ame(
     state: StateVector,
     roles: RoleAssignment,
@@ -185,71 +262,25 @@ def ame(
     *,
     withholding: frozenset[int] = frozenset(),
     withholding_rng: np.random.Generator | None = None,
-    forced_outcomes: Mapping[int, int] | None = None,
     phase: str = "ame",
 ) -> AmeOutcome:
-    """One anonymous multiparty entanglement round.
+    """One anonymous multiparty entanglement round: the one-row case of
+    ``carve``, then everyone broadcasts its bit in random order.
 
-    Bystanders X-measure their qubit; everyone broadcasts one bit in random
-    order (participants announce fresh coins, bystanders their outcome);
-    Alice applies a Z correction to her qubit when the bystanders' announced
-    parity is odd. On a pure GHZ input the participants end up with a perfect
-    (m+1)-party GHZ state in every branch.
-
-    ``withholding`` names bystanders that skip the measurement, keep their
-    qubit, and announce a fresh coin instead (drawn from ``withholding_rng``).
-    ``forced_outcomes`` pins measurement outcomes per bystander for exhaustive
-    branch enumeration.
+    On a pure GHZ input the participants end up with a perfect (m+1)-party
+    GHZ state in every branch.
     """
-    if state.n_qubits != roles.n:
-        raise ValueError(f"state has {state.n_qubits} qubits but the network has {roles.n} parties")
-    if not withholding <= roles.non_participants:
-        raise ValueError("only non-participants can withhold their measurement")
-
-    remaining = list(range(roles.n))
-    announced: dict[int, int] = {}
-    branch_prob = 1.0 if forced_outcomes is not None else None
-
-    for party in sorted(roles.non_participants):
-        if party in withholding:
-            source = withholding_rng if withholding_rng is not None else rng.party(party)
-            announced[party] = int(source.integers(0, 2))
-            continue
-        qubit = remaining.index(party)
-        if forced_outcomes is not None:
-            prob, state = project(state, qubit, Basis.X, forced_outcomes[party])
-            announced[party] = forced_outcomes[party]
-            branch_prob *= prob
-        else:
-            outcome, state = measure(state, qubit, Basis.X, rng.party(party))
-            announced[party] = outcome
-        remaining.pop(qubit)
-
-    for party in roles.participants:
-        announced[party] = int(rng.party(party).integers(0, 2))
-
-    net.broadcast_round(
-        {p: str(b) for p, b in announced.items()},
-        phase=f"{phase}:announce",
-        expected=range(roles.n),
+    announced, _, corrected, carved = carve(
+        state.amplitudes[None], roles, rng, withholding=withholding, withholding_rng=withholding_rng
     )
-
-    parity = 0
-    for party in roles.non_participants:
-        parity ^= announced[party]
-    corrected = bool(parity)
-    if corrected:
-        state = apply_pauli_z(state, remaining.index(roles.alice))
-
+    bits = announced[0].tolist()
+    net.broadcast_round({p: str(b) for p, b in enumerate(bits)}, phase=f"{phase}:announce", expected=range(roles.n))
     held_back = tuple(sorted(withholding))
-    order = tuple(remaining.index(p) for p in (*roles.participant_order, *held_back))
-    state = reorder_qubits(state, order)
     return AmeOutcome(
-        participant_state=state,
-        announced_bits=tuple(announced[p] for p in range(roles.n)),
-        corrected=corrected,
+        participant_state=StateVector._checked(roles.m + 1 + len(held_back), carved[0]),
+        announced_bits=tuple(bits),
+        corrected=bool(corrected[0]),
         held_back=held_back,
-        branch_probability=branch_prob,
     )
 
 
@@ -268,6 +299,66 @@ def _parity_test(basis_bits, outcomes):
     return sum(outcomes) % 2 == (y_count // 2) % 2
 
 
+class ParityRound(NamedTuple):
+    """The parity test on a batch of rounds, one row per round; columns
+    follow the holders."""
+
+    bases: np.ndarray  # (rows, k) int8: 0 -> X, 1 -> Y, with the verifier's reset bit
+    outcomes: np.ndarray  # (rows, k) int8
+    placeholders: np.ndarray  # (rows, 2): the pair the verifier announces
+    probability: np.ndarray  # (rows,) Born probability of each row's branch
+    accepted: np.ndarray  # (rows,) bool verdicts of ``_parity_test``
+
+
+def parity_round(
+    amps: np.ndarray,
+    holders: tuple[int, ...],
+    verifier: int,
+    bundle: RngBundle,
+    *,
+    bases: np.ndarray | None = None,
+    outcomes: np.ndarray | None = None,
+) -> ParityRound:
+    """The even-Y X/Y parity test on each row of a (rows, 2^q) amplitude
+    array in which party ``holders[i]`` holds qubit i.
+
+    Every holder but the verifier, in ``holders`` order, draws one basis bit
+    per row (0 -> X, 1 -> Y) and one uniform per row from its own stream, and
+    measures. The verifier draws its placeholder pair, resets its basis bit
+    so each row's Y count is even, and measures last. Qubits past the holders
+    (kept by a withholder) stay unmeasured.
+
+    ``bases`` and ``outcomes`` force the draws with (rows, k) arrays by holder
+    position (the verifier's basis column is ignored), for enumerating
+    branches; a forced impossible branch raises ValueError.
+    """
+    rows, k = len(amps), len(holders)
+    bits = np.empty((rows, k), dtype=np.int8) if bases is None else np.array(bases, dtype=np.int8)
+    results = np.empty((rows, k), dtype=np.int8)
+    probability = np.ones(rows)
+    remaining = list(holders)
+    last = holders.index(verifier)
+    for column in (*(c for c in range(k) if c != last), last):
+        stream = bundle.party(holders[column])
+        if column == last:
+            placeholders = stream.integers(0, 2, size=(rows, 2))
+            bits[:, last] = 0
+            bits[:, last] = bits.sum(axis=1) % 2
+        elif bases is None:
+            bits[:, column] = _coins(stream, rows)
+        # One basis for the whole column when every row agrees.
+        ys = np.count_nonzero(bits[:, column])
+        basis = Basis.X if ys == 0 else Basis.Y if ys == rows else np.where(bits[:, column] == 1, "Y", "X")
+        qubit = remaining.index(holders[column])
+        if outcomes is None:
+            results[:, column], prob, amps = _measure_kernel(amps, qubit, basis, u=stream.random(rows))
+        else:
+            results[:, column], prob, amps = _measure_kernel(amps, qubit, basis, outcomes=outcomes[:, column])
+        probability *= prob
+        remaining.pop(qubit)
+    return ParityRound(bits, results, placeholders, probability, _parity_test(bits.T, results.T))
+
+
 def _verification_round(
     state: StateVector,
     holders: tuple[int, ...],
@@ -277,58 +368,19 @@ def _verification_round(
     *,
     phase: str,
     extra_announcements: Mapping[int, str] | None = None,
-    forced_bases: Mapping[int, int] | None = None,
-    forced_outcomes: Mapping[int, int] | None = None,
 ) -> VerificationRecord:
-    """One even-Y X/Y parity test in which party ``holders[i]`` holds qubit i.
-
-    Qubits past the holders (kept by a withholder) stay unmeasured.
-    ``extra_announcements`` share the broadcast round but are not scored.
-    """
-    basis_bits: dict[int, int] = {}
-    outcomes: dict[int, int] = {}
-    branch_prob = 1.0 if forced_outcomes is not None else None
-    remaining = list(holders)
-
-    def _measure(party: int) -> None:
-        nonlocal state, branch_prob
-        qubit = remaining.index(party)
-        chosen = Basis.Y if basis_bits[party] else Basis.X
-        if forced_outcomes is not None:
-            prob, state = project(state, qubit, chosen, forced_outcomes[party])
-            outcomes[party] = forced_outcomes[party]
-            branch_prob *= prob
-        else:
-            outcomes[party], state = measure(state, qubit, chosen, rng.party(party))
-        remaining.pop(qubit)
-
-    for party in holders:
-        if party == verifier:
-            continue
-        if forced_bases is not None:
-            basis_bits[party] = forced_bases[party]
-        else:
-            basis_bits[party] = int(rng.party(party).integers(0, 2))
-        _measure(party)
-
-    placeholder = rng.party(verifier).integers(0, 2, size=2)
-    announcements = {p: f"{basis_bits[p]}{outcomes[p]}" for p in holders if p != verifier}
-    announcements[verifier] = f"{placeholder[0]}{placeholder[1]}"
+    """The one-row case of ``parity_round``, then one broadcast round: every
+    holder but the verifier announces (basis, outcome), the verifier its
+    placeholders. ``extra_announcements`` share the round but are not
+    scored."""
+    bits, results, placeholders, _, accepted = parity_round(state.amplitudes[None], holders, verifier, rng)
+    bits, results, pair = bits[0].tolist(), results[0].tolist(), placeholders[0].tolist()
+    announcements = {p: f"{b}{o}" for p, b, o in zip(holders, bits, results) if p != verifier}
+    announcements[verifier] = f"{pair[0]}{pair[1]}"
     announcements.update(extra_announcements or {})
     # Every party named here must announce; a Network that drops one aborts.
     net.broadcast_round(announcements, phase=f"{phase}:announce", expected=tuple(announcements))
-
-    basis_bits[verifier] = sum(basis_bits.values()) % 2
-    _measure(verifier)
-
-    ordered_basis = tuple(basis_bits[p] for p in holders)
-    ordered_outcomes = tuple(outcomes[p] for p in holders)
-    return VerificationRecord(
-        basis_bits=ordered_basis,
-        outcomes=ordered_outcomes,
-        accepted=_parity_test(ordered_basis, ordered_outcomes),
-        branch_probability=branch_prob,
-    )
+    return VerificationRecord(basis_bits=tuple(bits), outcomes=tuple(results), accepted=bool(accepted[0]))
 
 
 def verification(
@@ -337,8 +389,6 @@ def verification(
     net: Network,
     rng: RngBundle,
     *,
-    forced_bases: Mapping[int, int] | None = None,
-    forced_outcomes: Mapping[int, int] | None = None,
     phase: str = "verify",
 ) -> VerificationRecord:
     """Verify a k-party state against the GHZ parity correlations.
@@ -349,17 +399,11 @@ def verification(
     privately resets her basis bit so the total number of Y measurers is
     even, measures, and accepts iff the outcome parity matches half the Y
     count mod 2.
-
-    ``forced_bases``/``forced_outcomes`` pin the random draws for exhaustive
-    enumeration; forcing outcomes fills ``branch_probability``.
     """
     k = state.n_qubits
     if not 0 <= verifier < k:
         raise IndexError(f"verifier {verifier} out of range for a {k}-qubit state")
-    return _verification_round(
-        state, tuple(range(k)), verifier, net, rng,
-        phase=phase, forced_bases=forced_bases, forced_outcomes=forced_outcomes,
-    )
+    return _verification_round(state, tuple(range(k)), verifier, net, rng, phase=phase)
 
 
 def aka(

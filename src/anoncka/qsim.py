@@ -208,8 +208,7 @@ def _measure_kernel(
     outcomes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The single-qubit measurement kernel, applied to every row of a
-    (shots, 2^n) amplitude array; ``measure`` and ``project`` are its
-    one-row case.
+    (shots, 2^n) amplitude array; ``measure`` is its one-row case.
 
     ``basis`` is one Basis (or letter) for all rows or an array of basis
     letters, one per row. Outcome 0 projects onto the +1 eigenvector: |+> for
@@ -284,17 +283,6 @@ def _measure_by_basis(
     return out
 
 
-def project(s: StateVector, qubit: int, basis: Basis, outcome: int) -> tuple[float, StateVector]:
-    """Deterministically project onto the given outcome.
-
-    Returns the branch probability and the renormalized post-measurement
-    state with the measured qubit removed. Raises on an (almost) impossible
-    branch. Exhaustive branch enumeration is built on this.
-    """
-    _, prob, post = _measure_kernel(s.amplitudes[None], qubit, basis, outcomes=np.array([outcome]))
-    return float(prob[0]), StateVector._checked(s.n_qubits - 1, post[0])
-
-
 def measure(
     s: StateVector, qubit: int, basis: Basis, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
@@ -336,17 +324,6 @@ def reorder_qubits(s: StateVector, order: tuple[int, ...]) -> StateVector:
         raise ValueError(f"order {order} is not a permutation of 0..{s.n_qubits - 1}")
     t = np.transpose(s.as_tensor(), order)
     return StateVector(s.n_qubits, t.reshape(-1))
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    if a.n_qubits != b.n_qubits:
-        raise DimensionMismatchError(f"{a.n_qubits}-qubit vs {b.n_qubits}-qubit state")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def fidelity_pure(a: StateVector, b: StateVector) -> float:
-    """Squared overlap |<a|b>|^2 of two pure states."""
-    return abs(overlap(a, b)) ** 2
 
 
 # --- density matrices and Werner mixtures -----------------------------------------------

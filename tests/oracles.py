@@ -3,14 +3,18 @@
 Everything here is built from first principles (explicit Pauli matrices,
 Kronecker products, exhaustive XOR-table enumeration) and deliberately avoids
 the package's measurement path, so it can serve as a second route for
-checking the Monte Carlo implementations.
+checking the Monte Carlo implementations. ``StateVector`` is used only as
+the container the package's states come in.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
+
+from anoncka.qsim import StateVector
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -145,12 +149,9 @@ def materialized_density(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray
     return (vectors.T * weights) @ vectors.conj()
 
 
-def single_state_measure(
-    amplitudes: np.ndarray, qubit: int, basis: str, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """One-state measurement as ``qsim.measure`` did it before the kernel
-    took batches: split with ``np.take``, one ``rng.random()``, outcome 0 iff
-    the uniform is below p0, the kept branch divided by its own norm."""
+def _branches(amplitudes: np.ndarray, qubit: int, basis: str):
+    """The unnormalised outcome-``bit`` branch of one state, with the
+    measured qubit split off by ``np.take``."""
     n = int(np.log2(len(amplitudes)))
     t = amplitudes.reshape([2] * n)
     z0 = np.take(t, 0, axis=qubit).reshape(-1)
@@ -163,6 +164,16 @@ def single_state_measure(
             return (z0 - z1 if bit else z0 + z1) * (1.0 / np.sqrt(2.0))
         return (z0 + 1j * z1 if bit else z0 - 1j * z1) * (1.0 / np.sqrt(2.0))
 
+    return branch
+
+
+def single_state_measure(
+    amplitudes: np.ndarray, qubit: int, basis: str, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
+    """One-state measurement as ``qsim.measure`` did it before the kernel
+    took batches: split with ``np.take``, one ``rng.random()``, outcome 0 iff
+    the uniform is below p0, the kept branch divided by its own norm."""
+    branch = _branches(amplitudes, qubit, basis)
     vec = branch(0)
     prob = float(np.vdot(vec, vec).real)
     outcome = 0 if rng.random() < prob else 1
@@ -170,6 +181,40 @@ def single_state_measure(
         vec = branch(1)
         prob = float(np.vdot(vec, vec).real)
     return outcome, vec / np.sqrt(prob)
+
+
+def project(s, qubit: int, basis, outcome: int):
+    """Deterministic projection of a StateVector onto one outcome, as the
+    package did it per state before forced branches went through the batch:
+    the branch probability and the renormalised state without the measured
+    qubit. An (almost) impossible branch raises ValueError."""
+    vec = _branches(s.amplitudes, qubit, getattr(basis, "value", basis))(outcome)
+    prob = float(np.vdot(vec, vec).real)
+    if prob < 1e-12:
+        raise ValueError(f"branch (qubit={qubit}, outcome={outcome}) has probability ~0")
+    return prob, StateVector(s.n_qubits - 1, vec / np.sqrt(prob))
+
+
+def overlap(a, b) -> complex:
+    """<a|b> of two StateVectors on the same number of qubits."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError(f"{a.n_qubits}-qubit vs {b.n_qubits}-qubit state")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def fidelity_pure(a, b) -> float:
+    """Squared overlap |<a|b>|^2 of two pure states."""
+    return abs(overlap(a, b)) ** 2
+
+
+def branch_probability(amplitudes: np.ndarray, ops: str, outcomes) -> float:
+    """Born probability of measuring every qubit, qubit i in Pauli
+    ``ops[i]``, with outcome bits ``outcomes``: the expectation of the
+    product of the projectors (I + (-1)^o P)/2, built by Kronecker products."""
+    projector = np.array([[1.0 + 0j]])
+    for ch, bit in zip(ops, outcomes, strict=True):
+        projector = np.kron(projector, 0.5 * (PAULI["I"] + (-1) ** bit * PAULI[ch]))
+    return float(np.vdot(amplitudes, projector @ amplitudes).real)
 
 
 def ame_view_keys(view, n: int) -> tuple[int, int]:
@@ -201,3 +246,40 @@ def notification_view_keys(view, projection: str, n: int) -> tuple[bytes, bytes]
     phases = dict(item.rsplit("=", 1) for item in projection.split(";") if item)
     parities = [int(phases.get(f"notify[target={t}]:{kind}", 0)) for t in range(n) for kind in ("shares", "partials")]
     return raw, np.packbits(parities).tobytes()
+
+
+@dataclass(frozen=True)
+class KeyRateReport:
+    empirical_rate: float
+    expected: float
+    within_ci: bool
+    tolerance: float
+    num_trials: int
+
+
+def key_rate(results, num_states: int, keygen_denom: int) -> KeyRateReport:
+    """Compare the mean key length of avka results against
+    num_states/keygen_denom.
+
+    The tolerance is four binomial standard deviations of a single run's key
+    length; keygen_denom == 1 collapses it to an exact equality check.
+    """
+    if not results:
+        raise ValueError("need at least one result")
+    lengths = []
+    for result in results:
+        keys = set(len(bits) for bits in result.key_bits.values())
+        if len(keys) != 1:
+            raise ValueError("participants disagree on key length")
+        lengths.append(keys.pop())
+    mean = float(np.mean(lengths))
+    q = 1.0 / keygen_denom
+    expected = num_states * q
+    tolerance = 4.0 * float(np.sqrt(num_states * q * (1.0 - q)))
+    return KeyRateReport(
+        empirical_rate=mean,
+        expected=expected,
+        within_ci=abs(mean - expected) <= tolerance,
+        tolerance=tolerance,
+        num_trials=len(results),
+    )

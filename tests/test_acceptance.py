@@ -26,17 +26,16 @@ from anoncka.analysis import (
     ame_views,
     check_theorem1,
     estimate_anonymity_tvd,
-    key_rate,
     notification_views,
     reproduce_experiment,
 )
 from anoncka.cli import main as cli_main
 from anoncka.netmodel import Network, RoleAssignment
-from anoncka.protocols import KEYGEN_ROUND, VERIFICATION_ROUND, ame, avka, notification, verification
+from anoncka.protocols import KEYGEN_ROUND, VERIFICATION_ROUND, avka, carve, notification, verification
 from anoncka.qsim import Basis, ghz_state
 from anoncka.rng import RngBundle
 
-from oracles import enumerate_notification_tables, exact_verification_acceptance
+from oracles import enumerate_notification_tables, exact_verification_acceptance, fidelity_pure, key_rate
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -57,19 +56,17 @@ def test_criterion_1_ame_exact_on_every_branch():
     checked = 0
     for n in range(1, 9):
         bundle = RngBundle.from_seed(1000 + n, n)
+        ghz = ghz_state(n).amplitudes
         for roles in all_roles(n):
+            # one forced row per branch of the bystanders' outcomes
             bystanders = sorted(roles.non_participants)
-            for outcomes in itertools.product((0, 1), repeat=len(bystanders)):
-                net = Network(n, bundle.network)
-                out = ame(
-                    ghz_state(n),
-                    roles,
-                    net,
-                    bundle,
-                    forced_outcomes=dict(zip(bystanders, outcomes)),
-                )
-                fid = qsim.fidelity_pure(out.participant_state, ghz_state(roles.m + 1))
-                worst = min(worst, fid)
+            branches = list(itertools.product((0, 1), repeat=len(bystanders)))
+            outcomes = np.zeros((len(branches), n), dtype=np.int8)
+            outcomes[:, bystanders] = np.array(branches, dtype=np.int8).reshape(len(branches), -1)
+            carving = carve(np.broadcast_to(ghz, (len(branches), ghz.size)), roles, bundle, outcomes=outcomes)
+            assert np.allclose(carving.probability, 2.0 ** -len(bystanders), rtol=0, atol=1e-12)
+            for row in carving.carved:
+                worst = min(worst, fidelity_pure(qsim.StateVector(roles.m + 1, row), ghz_state(roles.m + 1)))
                 checked += 1
     ok = worst >= 1.0 - 1e-10
     report(1, ok, f"{checked} branches over n<=8, worst fidelity {worst:.3e}")
@@ -239,7 +236,7 @@ def test_criterion_8_experiment_bracket():
     last, faithfully, and fails to document the model/hardware gap.
     """
     corrected = qsim.local_correct_ghz_prime(qsim.ghz_prime_state())
-    correction_exact = qsim.fidelity_pure(corrected, ghz_state(4)) >= 1.0 - 1e-12
+    correction_exact = fidelity_pure(corrected, ghz_state(4)) >= 1.0 - 1e-12
 
     reference_table = {
         "AB1B2P4": {"keygen": "ZZZX", (0, 0, 0): "XXXX", (0, 1, 1): "XYYX", (1, 0, 1): "YXYX", (1, 1, 0): "YYXX"},

@@ -16,7 +16,6 @@ from anoncka.analysis import (
     bound_checks_to_csv,
     check_theorem1,
     estimate_anonymity_tvd,
-    key_rate,
     keygen_success,
     measurement_settings_for,
     notification_views,
@@ -34,6 +33,7 @@ from anoncka.rng import RngBundle
 from oracles import (
     ame_view_keys,
     exact_verification_acceptance,
+    key_rate,
     keygen_success_probability,
     notification_view_keys,
 )
@@ -103,7 +103,7 @@ def test_batched_check_theorem1_matches_exact_acceptance(k):
 
 
 def test_check_theorem1_across_many_batches_at_ten_qubits():
-    # 2^16 amplitudes per batch is 64 shots at k=10, so 1500 trials take 24 batches.
+    # 2^20 bytes per batch is 64 shots at k=10, so 1500 trials take 24 batches.
     theta, trials = 2.0, 1500
     (check,) = check_theorem1([qsim.rotated_ghz(10, theta)], trials, np.random.default_rng(31))
     exact = (1 + np.cos(theta)) / 2
@@ -179,7 +179,7 @@ AME_ROLES = [
 def test_ame_view_keys_match_the_per_party_transcript(roles, batch_runs, monkeypatch):
     # batch_runs=7 makes the sampler run in chunks of 7 runs
     if batch_runs is not None:
-        monkeypatch.setattr(analysis, "_BATCH_AMPLITUDES", batch_runs * 2**roles.n)
+        monkeypatch.setattr(analysis, "_BATCH_BYTES", batch_runs * 16 * 2**roles.n)
     trials = 300
     for index, coalition in enumerate(coalitions(roles.n, roles.alice)):
         seed = 40 + index
@@ -213,7 +213,7 @@ def assert_notification_keys_match(roles, coalition, raw, projected, views):
 def test_notification_view_keys_match_the_per_party_transcript(roles, batch_runs, monkeypatch):
     # even n: one (runs, n, n) draw per dealer equals one (1, n, n) draw per run
     if batch_runs is not None:
-        monkeypatch.setattr(analysis, "_BATCH_AMPLITUDES", batch_runs * roles.n**3)
+        monkeypatch.setattr(analysis, "_BATCH_BYTES", batch_runs * roles.n**3)
     trials = 40
     for index, coalition in enumerate(coalitions(roles.n, roles.alice)):
         seed = 50 + index
@@ -272,6 +272,9 @@ def test_numpy_draw_alignment_the_batch_relies_on():
     assert np.array_equal(one_call(1, lambda g: g.random(runs)), run_by_run(1, lambda g: g.random(1))[:, 0])
     coins = one_call(2, lambda g: g.integers(0, 2, size=runs))
     assert np.array_equal(coins, run_by_run(2, lambda g: g.integers(0, 2)))
+    # the verifier's placeholder pairs
+    pairs = one_call(3, lambda g: g.integers(0, 2, size=(runs, 2)))
+    assert np.array_equal(pairs, run_by_run(3, lambda g: g.integers(0, 2, size=2)))
 
 
 def test_tvd_identical_hypotheses_consistent_with_zero():

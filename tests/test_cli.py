@@ -143,10 +143,24 @@ def test_theorem1_empty_grid_header_only(tmp_path, capsys):
 
 
 def test_theorem1_too_many_qubits(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"n": 11, "trials": 10, "seed": 1, "theta_grid": [0.0]})
+    cfg = write_config(tmp_path, {"n": 17, "trials": 10, "seed": 1, "theta_grid": [0.0]})
     code, _, err = run_cli(capsys, "theorem1", "--config", cfg)
     assert code == EXIT_USAGE
-    assert "n <= 10" in err
+    assert err.startswith("error:") and "n <= 16" in err
+
+
+def test_theorem1_at_sixteen_qubits(tmp_path, capsys):
+    # theta = 0 is GHZ (every shot accepts), theta = pi the -1 eigenstate of
+    # every even-Y parity observable (no shot accepts).
+    cfg = write_config(
+        tmp_path, {"n": 16, "trials": 200, "seed": 1, "theta_grid": [0.0, 3.141592653589793, 1.0], "fidelity_grid": [0.9]}
+    )
+    code, out, _ = run_cli(capsys, "theorem1", "--config", cfg)
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 4
+    assert [float(rows[0][1]), float(rows[1][1])] == [1.0, 0.0]
+    assert all(row[4] == "True" for row in rows)
 
 
 ANON_CFG = {
@@ -183,7 +197,7 @@ def test_anonymity_coalition_with_alice_rejected(tmp_path, capsys):
 def test_anonymity_at_sixteen_parties_runs_in_bounded_memory(tmp_path, capsys, protocol, n, trials):
     # Unbatched, the 2 x 64 ame runs would hold 2^16 amplitudes (1 MB) per run
     # at once (97 MB peak), and the 2 x 1000 notifications 18 MB of share
-    # tables and messages; batches of 2^16 entries keep the peak near 6 MB.
+    # tables and messages; batches of about 1 MB keep the peak near 6 MB.
     cfg = write_config(tmp_path, {
         "protocol": protocol,
         "n": n,

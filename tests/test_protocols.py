@@ -20,13 +20,21 @@ from anoncka.protocols import (
     aka,
     ame,
     avka,
+    carve,
     notification,
+    parity_round,
     verification,
 )
 from anoncka.qsim import ghz_state
 from anoncka.rng import RngBundle
 
-from oracles import enumerate_notification_tables, even_y_settings, exact_verification_acceptance
+from oracles import (
+    branch_probability,
+    enumerate_notification_tables,
+    even_y_settings,
+    exact_verification_acceptance,
+    fidelity_pure,
+)
 
 
 def fresh(seed: int, n: int) -> tuple[Network, RngBundle]:
@@ -101,39 +109,53 @@ def test_ame_rejects_size_mismatch():
         ame(ghz_state(3), roles, net, bundle)
 
 
+def forced_rows(roles: RoleAssignment, outcomes) -> np.ndarray:
+    """A (rows, n) outcomes array for ``carve``: row i puts ``outcomes[i]``
+    on the bystanders in ascending order."""
+    rows = np.zeros((len(outcomes), roles.n), dtype=np.int8)
+    rows[:, sorted(roles.non_participants)] = outcomes
+    return rows
+
+
 def test_ame_both_bystander_outcomes_give_ghz3():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
+    rows = forced_rows(roles, [[0], [1]])
+    amps = np.broadcast_to(ghz_state(4).amplitudes, (2, 16))
+    announced, probability, corrected, carved = carve(amps, roles, RngBundle.from_seed(3, 4), outcomes=rows)
+    assert probability == pytest.approx([0.5, 0.5], abs=1e-12)
     for outcome in (0, 1):
-        net, bundle = fresh(3, 4)
-        out = ame(ghz_state(4), roles, net, bundle, forced_outcomes={3: outcome})
-        assert out.branch_probability == pytest.approx(0.5, abs=1e-12)
-        assert qsim.fidelity_pure(out.participant_state, ghz_state(3)) == pytest.approx(1.0, abs=1e-12)
-        assert out.corrected == bool(outcome)
-        assert out.announced_bits[3] == outcome
+        assert fidelity_pure(qsim.StateVector(3, carved[outcome]), ghz_state(3)) == pytest.approx(1.0, abs=1e-12)
+        assert corrected[outcome] == bool(outcome)
+        assert announced[outcome, 3] == outcome
 
 
 def test_ame_exhaustive_branches_n5_pair():
     # three bystanders -> eight branches, each with probability 1/8, each
     # correcting to the two-party GHZ (Bell) state
     roles = RoleAssignment(n=5, alice=1, receivers=frozenset({3}))
-    bystanders = sorted(roles.non_participants)
-    for outcomes in itertools.product((0, 1), repeat=3):
-        net, bundle = fresh(4, 5)
-        forced = dict(zip(bystanders, outcomes))
-        out = ame(ghz_state(5), roles, net, bundle, forced_outcomes=forced)
-        assert out.branch_probability == pytest.approx(1 / 8, abs=1e-12)
-        assert qsim.fidelity_pure(out.participant_state, ghz_state(2)) == pytest.approx(1.0, abs=1e-10)
+    rows = forced_rows(roles, list(itertools.product((0, 1), repeat=3)))
+    amps = np.broadcast_to(ghz_state(5).amplitudes, (8, 32))
+    _, probability, _, carved = carve(amps, roles, RngBundle.from_seed(4, 5), outcomes=rows)
+    assert probability == pytest.approx([1 / 8] * 8, abs=1e-12)
+    for row in carved:
+        assert fidelity_pure(qsim.StateVector(2, row), ghz_state(2)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ame_broadcast_covers_everyone_and_announces_true_outcomes():
     roles = RoleAssignment(n=5, alice=0, receivers=frozenset({4}))
     net, bundle = fresh(5, 5)
-    out = ame(ghz_state(5), roles, net, bundle, forced_outcomes={1: 1, 2: 0, 3: 1})
+    out = ame(ghz_state(5), roles, net, bundle)
     announce = [e for e in net.transcript if e.phase == "ame:announce"]
     assert {e.sender for e in announce} == set(range(5))
-    assert out.announced_bits[1] == 1 and out.announced_bits[2] == 0 and out.announced_bits[3] == 1
-    # correction happened: parity of (1, 0, 1) is even -> no Z
-    assert out.corrected is False
+    assert {e.sender: int(e.bits) for e in announce} == dict(enumerate(out.announced_bits))
+    # the bystanders announce the outcomes the same draws give the batch step
+    rows = carve(ghz_state(5).amplitudes[None], roles, RngBundle.from_seed(5, 5))
+    assert tuple(rows.announced[0]) == out.announced_bits
+    assert out.corrected == bool(sum(out.announced_bits[p] for p in (1, 2, 3)) % 2)
+    # forced bystander outcomes (1, 0, 1) are announced as given; even parity -> no Z
+    forced = carve(ghz_state(5).amplitudes[None], roles, bundle, outcomes=forced_rows(roles, [[1, 0, 1]]))
+    assert forced.announced[0, 1:4].tolist() == [1, 0, 1]
+    assert not forced.corrected[0]
 
 
 def test_ame_participant_reorder_uses_alice_first():
@@ -177,28 +199,29 @@ def test_ame_aborts_on_missing_announcement():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_verification_accepts_ghz_exhaustively(k):
-    # all even-Y settings, all outcome branches, through the protocol path
+    # all even-Y settings, all outcome branches, as forced rows of one batch
+    ghz = ghz_state(k).amplitudes
+    bundle = RngBundle.from_seed(9, k)
     for bits in even_y_settings(k):
-        forced_bases = {p: bits[p] for p in range(k) if p != 0}
-        # party 0 is the verifier; its reset recreates bits[0] iff the others
-        # sum to bits[0] mod 2, so only enumerate settings consistent with it
-        if sum(forced_bases.values()) % 2 != bits[0]:
-            continue
-        total = 0.0
-        for outcomes in itertools.product((0, 1), repeat=k):
-            net, bundle = fresh(9, k)
-            try:
-                record = verification(
-                    ghz_state(k), 0, net, bundle,
-                    forced_bases=forced_bases,
-                    forced_outcomes=dict(enumerate(outcomes)),
-                )
-            except ValueError:
-                continue  # zero-probability branch
-            assert record.accepted, (bits, outcomes)
-            assert sum(record.basis_bits) % 2 == 0
-            total += record.branch_probability
-        assert total == pytest.approx(1.0, abs=1e-10)
+        ops = "".join("Y" if b else "X" for b in bits)
+        branches = list(itertools.product((0, 1), repeat=k))
+        oracle = [branch_probability(ghz, ops, outcomes) for outcomes in branches]
+        possible = [o for o, p in zip(branches, oracle) if p > 1e-12]
+        # party 0 is the verifier and resets its basis bit from the others'
+        bases = np.tile(bits, (len(possible), 1))
+        record = parity_round(
+            np.broadcast_to(ghz, (len(possible), 2**k)), tuple(range(k)), 0, bundle,
+            bases=bases, outcomes=np.array(possible),
+        )
+        assert record.accepted.all(), (bits, possible)
+        assert np.array_equal(record.bases, bases)
+        assert np.array_equal(record.outcomes, possible)
+        assert record.probability == pytest.approx([p for p in oracle if p > 1e-12], abs=1e-12)
+        assert record.probability.sum() == pytest.approx(1.0, abs=1e-10)
+        # every branch the oracle rules out is rejected as impossible
+        for outcomes in set(branches) - set(possible):
+            with pytest.raises(ValueError, match="probability"):
+                parity_round(ghz[None], tuple(range(k)), 0, bundle, bases=[bits], outcomes=np.array([outcomes]))
 
 
 def test_verification_all_zeros_accepts_half():

@@ -10,12 +10,18 @@ from hypothesis import strategies as st
 from anoncka import qsim
 from anoncka.qsim import Basis
 
+from anoncka.netmodel import RoleAssignment
+from anoncka.protocols import carve, parity_round
+from anoncka.rng import RngBundle
+
 from oracles import (
     born_probabilities,
     even_y_settings,
     exact_verification_acceptance,
+    fidelity_pure,
     materialized_density,
     materialized_werner,
+    project,
     pure_state_trace_distance,
     sample_materialized,
     single_state_measure,
@@ -78,12 +84,12 @@ def test_ghz_prime_support_and_signs():
 
 
 def test_ghz_prime_orthogonal_to_ghz4():
-    assert qsim.fidelity_pure(qsim.ghz_prime_state(), qsim.ghz_state(4)) == 0.0
+    assert fidelity_pure(qsim.ghz_prime_state(), qsim.ghz_state(4)) == 0.0
 
 
 def test_local_correction_maps_prime_to_ghz4():
     corrected = qsim.local_correct_ghz_prime(qsim.ghz_prime_state())
-    assert qsim.fidelity_pure(corrected, qsim.ghz_state(4)) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity_pure(corrected, qsim.ghz_state(4)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_local_correction_is_involution():
@@ -155,7 +161,7 @@ def test_x_basis_expansion_of_ghz3():
     # on the participants, the Hamming-weight sign rule at one bystander.
     s = qsim.ghz_state(3)
     for outcome in (0, 1):
-        prob, post = qsim.project(s, 2, Basis.X, outcome)
+        prob, post = project(s, 2, Basis.X, outcome)
         assert prob == pytest.approx(0.5, abs=1e-12)
         expected = np.array([SQRT_HALF, 0, 0, (-1) ** outcome * SQRT_HALF])
         assert np.allclose(post.amplitudes, expected, atol=1e-12)
@@ -183,14 +189,14 @@ def test_x_measure_plus_is_deterministic():
 
 def test_z_measure_ghz2_branches():
     for outcome in (0, 1):
-        prob, post = qsim.project(qsim.ghz_state(2), 0, Basis.Z, outcome)
+        prob, post = project(qsim.ghz_state(2), 0, Basis.Z, outcome)
         assert prob == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(post.amplitudes, qsim.basis_state(1, outcome).amplitudes)
 
 
 def test_x_measure_ghz3_branches():
     for outcome in (0, 1):
-        prob, post = qsim.project(qsim.ghz_state(3), 0, Basis.X, outcome)
+        prob, post = project(qsim.ghz_state(3), 0, Basis.X, outcome)
         assert prob == pytest.approx(0.5, abs=1e-12)
         expected = np.array([SQRT_HALF, 0, 0, (-1) ** outcome * SQRT_HALF])
         assert np.allclose(post.amplitudes, expected, atol=1e-12)
@@ -202,8 +208,20 @@ def test_measure_invalid_qubit():
 
 
 def test_project_zero_probability_branch_rejected():
+    # Forced branches go through the batch rounds: an impossible forced
+    # outcome raises there as it did in the per-state projection.
     with pytest.raises(ValueError, match="probability"):
-        qsim.project(qsim.basis_state(1, 0), 0, Basis.Z, 1)
+        project(qsim.basis_state(1, 0), 0, Basis.Z, 1)
+    # |0>|+>: bystander 1 X-measures |+>, so outcome 1 cannot happen
+    plus = np.kron([1.0, 0.0], [SQRT_HALF, SQRT_HALF]).astype(complex)
+    roles = RoleAssignment(n=2, alice=0, receivers=frozenset())
+    carve(plus[None], roles, RngBundle.from_seed(0, 2), outcomes=np.array([[0, 0]]))
+    with pytest.raises(ValueError, match="probability"):
+        carve(plus[None], roles, RngBundle.from_seed(0, 2), outcomes=np.array([[0, 1]]))
+    # the verifier of GHZ2 after an X outcome 0 can only see outcome 0
+    ghz2 = qsim.ghz_state(2).amplitudes[None]
+    with pytest.raises(ValueError, match="probability"):
+        parity_round(ghz2, (0, 1), 0, RngBundle.from_seed(0, 2), bases=np.zeros((1, 2)), outcomes=np.array([[1, 0]]))
 
 
 def test_outcome_one_is_normalised_by_its_own_branch_norm():
@@ -262,7 +280,7 @@ def test_batched_forced_branches_match_born_oracle(n):
     for row in range(shots):
         expected = born_probabilities(amps[row], qubit, bases[row])[forced[row]]
         assert probs[row] == pytest.approx(expected, abs=1e-12)
-        one_prob, one_post = qsim.project(qsim.StateVector(n, amps[row]), qubit, Basis(bases[row]), int(forced[row]))
+        one_prob, one_post = project(qsim.StateVector(n, amps[row]), qubit, Basis(bases[row]), int(forced[row]))
         assert one_prob == pytest.approx(probs[row], abs=1e-15)
         assert np.allclose(one_post.amplitudes, post[row], atol=1e-15)
     # sampled: outcome 0 exactly when the row's uniform is below its p0
@@ -341,7 +359,7 @@ def test_born_completeness_and_norm(n, seed, qubit_pick, basis):
     probs = born_probabilities(s.amplitudes, qubit, basis.value)
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
     for outcome in (0, 1):
-        prob, _ = qsim.project(s, qubit, basis, outcome)
+        prob, _ = project(s, qubit, basis, outcome)
         assert prob == pytest.approx(probs[outcome], abs=1e-12)
     outcome, post = qsim.measure(s, qubit, basis, np.random.default_rng(seed + 1))
     assert post.n_qubits == n - 1
@@ -377,7 +395,7 @@ def test_ghz_stabilizer_parities_exhaustive(n):
             for outcome in (0, 1):
                 if probs[outcome] < 1e-12:
                     continue
-                _, post = qsim.project(state, 0, basis, outcome)
+                _, post = project(state, 0, basis, outcome)
                 stack.append((post, qubit + 1, parity ^ outcome))
 
 
