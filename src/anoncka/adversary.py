@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .netmodel import AdversaryView, Network, RoleAssignment, extract_view
+from .netmodel import AdversaryView, Network, RoleAssignment, check_coalition, extract_view
 from .protocols import AvkaResult, avka
 from .qsim import Basis, NoiseEnsemble, StateVector, ghz_state, sample_ensemble
 from .rng import RngBundle
@@ -63,12 +63,10 @@ def _check_strategy(roles: RoleAssignment, strategy: AdversaryStrategy) -> None:
     if isinstance(strategy, HonestCurious):
         if roles.alice in strategy.coalition:
             raise ConfigurationError("coalition must exclude Alice (her knowledge is trivial)")
-        if len(strategy.coalition) > roles.n - 2:
-            raise ConfigurationError(
-                f"coalition of {len(strategy.coalition)} exceeds the corruption bound {roles.n - 2}"
-            )
-        if any(not 0 <= p < roles.n for p in strategy.coalition):
-            raise ConfigurationError(f"coalition {sorted(strategy.coalition)} out of range")
+        try:
+            check_coalition(strategy.coalition, roles.n)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
     elif isinstance(strategy, WithholdingAgent):
         if strategy.party not in roles.non_participants:
             raise ConfigurationError(

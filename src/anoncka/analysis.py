@@ -18,7 +18,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .netmodel import AdversaryView, RoleAssignment
+from .netmodel import AdversaryView, RoleAssignment, check_coalition
 from .protocols import _check_notified, _parity_test, carve, deal_shares, parity_round
 from .qsim import (
     NoiseEnsemble,
@@ -262,6 +262,13 @@ def parity_projection(view: AdversaryView) -> str:
     return ";".join(f"{phase}={bit:d}" for phase, bit in sorted(parities.items()))
 
 
+# Raw views are histogrammed only up to this many distinct values; past it
+# the estimator falls back to the parity projection.
+MAX_SUPPORT = 4096
+# Permutations of the pooled runs behind the null mean and spread.
+NULL_ROUNDS = 32
+
+
 def _empirical_tvd(xs: np.ndarray, ys: np.ndarray, support: int) -> float:
     """Plug-in TVD between two samples of view indices in [0, support)."""
     pa = np.bincount(xs, minlength=support) / len(xs)
@@ -308,9 +315,6 @@ def estimate_anonymity_tvd(
     coalition: frozenset[int],
     trials: int,
     rng: np.random.Generator,
-    *,
-    max_support: int = 4096,
-    null_rounds: int = 32,
 ) -> TvdEstimate:
     """Estimate how well a coalition can distinguish two identity hypotheses.
 
@@ -319,21 +323,17 @@ def estimate_anonymity_tvd(
     ``rng`` per hypothesis, and keys every run's coalition view. The keys are
     histogrammed and the total-variation distance between the two view
     distributions is debiased by a permutation null over the pooled runs. If
-    the samples contain more distinct raw views than ``max_support``, or
+    the samples contain more distinct raw views than ``MAX_SUPPORT``, or
     more than ``trials`` (so the histogram cannot resolve repeats), the
     per-phase parity projection is used instead and the result is flagged
     as projected.
     """
-    coalition = frozenset(coalition)
     if hypothesis_a.n != hypothesis_b.n:
         raise ValueError("hypotheses must share the network size")
     if hypothesis_a.m != hypothesis_b.m:
         raise ValueError("hypotheses must share the receiver count")
     n = hypothesis_a.n
-    if len(coalition) > n - 2:
-        raise ValueError(f"coalition of {len(coalition)} exceeds the corruption bound {n - 2}")
-    if any(not 0 <= p < n for p in coalition):
-        raise ValueError(f"coalition {sorted(coalition)} contains parties out of range for n={n}")
+    coalition = check_coalition(coalition, n)
     for hyp in (hypothesis_a, hypothesis_b):
         if hyp.alice in coalition:
             raise ValueError("coalition must exclude Alice under both hypotheses")
@@ -344,13 +344,13 @@ def estimate_anonymity_tvd(
         view_sampler(hyp, coalition, trials, RngBundle.from_generator(rng, n)) for hyp in (hypothesis_a, hypothesis_b)
     ]
     support, index = np.unique(np.concatenate([raw for raw, _ in samples]), return_inverse=True)
-    projected = len(support) > min(max_support, trials)
+    projected = len(support) > min(MAX_SUPPORT, trials)
     if projected:
         support, index = np.unique(np.concatenate([proj for _, proj in samples]), return_inverse=True)
 
     raw_tvd = _empirical_tvd(index[:trials], index[trials:], len(support))
-    null = np.empty(null_rounds)
-    for r in range(null_rounds):
+    null = np.empty(NULL_ROUNDS)
+    for r in range(NULL_ROUNDS):
         order = rng.permutation(len(index))
         null[r] = _empirical_tvd(index[order[:trials]], index[order[trials:]], len(support))
     null_mean = float(null.mean())

@@ -44,6 +44,7 @@ from .qsim import (
     MAX_QUBITS,
     NoiseEnsemble,
     StateVector,
+    basis_state,
     ghz_prime_state,
     ghz_state,
     local_correct_ghz_prime,
@@ -180,9 +181,7 @@ def _dishonest_generator(spec: dict, n: int) -> StateVector | NoiseEnsemble:
     if state == "ghz_minus":
         return rotated_ghz(n, math.pi)
     if state == "zeros":
-        amps = np.zeros(2**n, dtype=complex)
-        amps[0] = 1.0
-        return StateVector(n, amps)
+        return basis_state(n, 0)
     if state == "rotated":
         return rotated_ghz(n, _require(spec, "theta", float, math.isfinite))
     if state == "werner":
@@ -329,27 +328,18 @@ def cmd_notify_demo(cfg: dict, fmt: str) -> int:
     net = Network(roles.n, bundle.network)
     outcome = notification(roles, net, bundle)
 
-    shares = {
-        (e.sender, e.receiver): e.bits
-        for e in net.transcript
-        if e.phase == f"notify[target={target}]:shares"
-    }
-    partials = [
-        e.bits
-        for e in net.transcript
-        if e.phase == f"notify[target={target}]:partials"
-    ]
+    table = outcome.shares[target].tolist()
+    partials = np.bitwise_xor.reduce(outcome.shares[target], axis=0).tolist()
     n = roles.n
     print(f"notification share table for target {target} (seed {seed})")
     header = "dealer\\holder | " + " ".join(f"{k}" for k in range(n)) + " | parity"
     print(header)
     print("-" * len(header))
-    for dealer in range(n):
-        row = [shares[(dealer, holder)] for holder in range(n)]
+    for dealer, row in enumerate(table):
         tag = " (alice)" if dealer == roles.alice else ""
-        print(f"{dealer:>13} | " + " ".join(row) + f" | {sum(map(int, row)) % 2}{tag}")
+        print(f"{dealer:>13} | " + " ".join(map(str, row)) + f" | {sum(row) % 2}{tag}")
     print("-" * len(header))
-    print(f"{'column xor':>13} | " + " ".join(partials) + f" | {sum(map(int, partials)) % 2}")
+    print(f"{'column xor':>13} | " + " ".join(map(str, partials)) + f" | {sum(partials) % 2}")
     print(f"notified bits: {''.join(map(str, outcome.notified))} (receivers {sorted(roles.receivers)})")
     return EXIT_OK
 

@@ -188,15 +188,22 @@ class AdversaryView:
     visible_entries: tuple[Entry, ...]
 
 
+def check_coalition(coalition: Iterable[int], n: int) -> frozenset[int]:
+    """The coalition as a frozenset; ValueError unless it holds at most n - 2
+    parties (the corruption bound), each a party of the n-party network."""
+    members = frozenset(coalition)
+    if len(members) > n - 2:
+        raise ValueError(f"coalition of {len(members)} exceeds the corruption bound {n - 2}")
+    if any(not 0 <= p < n for p in members):
+        raise ValueError(f"coalition {sorted(members)} contains parties out of range for n={n}")
+    return members
+
+
 def extract_view(
     transcript: Iterable[Entry], coalition: Iterable[int], n: int
 ) -> AdversaryView:
     """Filter a transcript down to what ``coalition`` can see."""
-    members = frozenset(coalition)
-    if len(members) > n - 2:
-        raise ValueError(f"coalition of {len(members)} exceeds the n-2 = {n - 2} corruption bound")
-    if any(not 0 <= p < n for p in members):
-        raise ValueError(f"coalition {sorted(members)} contains parties out of range for n={n}")
+    members = check_coalition(coalition, n)
     visible = tuple(
         e
         for e in transcript

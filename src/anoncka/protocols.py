@@ -31,7 +31,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .netmodel import ChannelAbort, Entry, Network, RoleAssignment
+from .netmodel import ChannelAbort, Network, RoleAssignment
 from .qsim import Basis, StateVector, _measure_kernel, measure_string
 from .rng import RngBundle
 
@@ -41,10 +41,11 @@ KEYGEN_ROUND = "keygen"
 
 @dataclass(frozen=True)
 class NotificationOutcome:
-    """Per-party notification bits; exactly the receivers end up with 1."""
+    """Per-party notification bits (exactly the receivers end up with 1) and
+    the dealt (target, dealer, holder) share table."""
 
     notified: tuple[int, ...]
-    transcript: tuple[Entry, ...]
+    shares: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def notification(roles: RoleAssignment, net: Network, rng: RngBundle) -> Notific
             else:
                 net.send_private(holder, target, bit, phase_partials)
     notified = np.bitwise_xor.reduce(partials, axis=1)
-    return NotificationOutcome(notified=tuple(int(b) for b in notified), transcript=net.transcript)
+    return NotificationOutcome(notified=tuple(int(b) for b in notified), shares=shares)
 
 
 def _coins(stream: np.random.Generator, rows: int):
@@ -203,7 +204,6 @@ def carve(
     bundle: RngBundle,
     *,
     withholding: frozenset[int] = frozenset(),
-    withholding_rng: np.random.Generator | None = None,
     outcomes: np.ndarray | None = None,
 ) -> Carving:
     """Carve the participants' GHZ state out of each row of a (rows, 2^n)
@@ -215,8 +215,8 @@ def carve(
     have odd parity, and the remaining qubits are put in participant order.
 
     ``withholding`` names bystanders that skip the measurement, keep their
-    qubit, and announce a coin instead, drawn from ``withholding_rng`` (or
-    their own stream). ``outcomes`` forces the measured bystanders' outcomes:
+    qubit, and announce a coin instead, drawn from the bundle's adversary
+    stream. ``outcomes`` forces the measured bystanders' outcomes:
     a (rows, n) array read by party, for enumerating branches; the forced
     rows draw no uniforms and raise ValueError on an impossible branch.
     """
@@ -231,7 +231,7 @@ def carve(
     remaining = list(range(roles.n))
     for party in bystanders:
         if party in withholding:
-            announced[:, party] = _coins(withholding_rng if withholding_rng is not None else bundle.party(party), rows)
+            announced[:, party] = _coins(bundle.adversary, rows)
             continue
         qubit = remaining.index(party)
         if outcomes is None:
@@ -261,7 +261,6 @@ def ame(
     rng: RngBundle,
     *,
     withholding: frozenset[int] = frozenset(),
-    withholding_rng: np.random.Generator | None = None,
     phase: str = "ame",
 ) -> AmeOutcome:
     """One anonymous multiparty entanglement round: the one-row case of
@@ -270,9 +269,7 @@ def ame(
     On a pure GHZ input the participants end up with a perfect (m+1)-party
     GHZ state in every branch.
     """
-    announced, _, corrected, carved = carve(
-        state.amplitudes[None], roles, rng, withholding=withholding, withholding_rng=withholding_rng
-    )
+    announced, _, corrected, carved = carve(state.amplitudes[None], roles, rng, withholding=withholding)
     bits = announced[0].tolist()
     net.broadcast_round({p: str(b) for p, b in enumerate(bits)}, phase=f"{phase}:announce", expected=range(roles.n))
     held_back = tuple(sorted(withholding))
@@ -346,14 +343,11 @@ def parity_round(
             bits[:, last] = bits.sum(axis=1) % 2
         elif bases is None:
             bits[:, column] = _coins(stream, rows)
-        # One basis for the whole column when every row agrees.
-        ys = np.count_nonzero(bits[:, column])
-        basis = Basis.X if ys == 0 else Basis.Y if ys == rows else np.where(bits[:, column] == 1, "Y", "X")
         qubit = remaining.index(holders[column])
         if outcomes is None:
-            results[:, column], prob, amps = _measure_kernel(amps, qubit, basis, u=stream.random(rows))
+            results[:, column], prob, amps = _measure_kernel(amps, qubit, bits[:, column], u=stream.random(rows))
         else:
-            results[:, column], prob, amps = _measure_kernel(amps, qubit, basis, outcomes=outcomes[:, column])
+            results[:, column], prob, amps = _measure_kernel(amps, qubit, bits[:, column], outcomes=outcomes[:, column])
         probability *= prob
         remaining.pop(qubit)
     return ParityRound(bits, results, placeholders, probability, _parity_test(bits.T, results.T))
@@ -459,12 +453,10 @@ def avka(
         raise ValueError(f"withholder {withholder} must be a non-participant")
 
     withholding = frozenset() if withholder is None else frozenset({withholder})
-    adversary_rng = rng.adversary if withholder is not None else None
-
     # Keygen readout: the participants in Z, then the withholder's guess.
     order = roles.participant_order
     readout_ops = "Z" * len(order) + ("" if withholder is None else withholder_basis.value)
-    readout_rngs = [rng.party(p) for p in order] + ([] if withholder is None else [adversary_rng])
+    readout_rngs = [rng.party(p) for p in order] + ([] if withholder is None else [rng.adversary])
 
     rounds: list[AvkaRound] = []
     keys: dict[int, list[str]] = {p: [] for p in order}
@@ -475,15 +467,7 @@ def avka(
         notification(roles, net, rng)
         for index in range(num_states):
             phase = f"round[{index}]"
-            carved = ame(
-                source(),
-                roles,
-                net,
-                rng,
-                withholding=withholding,
-                withholding_rng=adversary_rng,
-                phase=f"{phase}:ame",
-            )
+            carved = ame(source(), roles, net, rng, withholding=withholding, phase=f"{phase}:ame")
             keygen = int(rng.coin.random() < 1.0 / keygen_denom)
             net.broadcast_public(str(keygen), phase=f"{phase}:coin")
             if keygen:
@@ -497,7 +481,7 @@ def avka(
                 # Unscored bystander pairs; the withholder's comes from the adversary stream.
                 bystander_pairs = {}
                 for party in roles.non_participants:
-                    pair_rng = adversary_rng if party == withholder else rng.party(party)
+                    pair_rng = rng.adversary if party == withholder else rng.party(party)
                     pair = pair_rng.integers(0, 2, size=2)
                     bystander_pairs[party] = f"{pair[0]}{pair[1]}"
                 record = _verification_round(

@@ -185,19 +185,24 @@ def apply_rz(s: StateVector, qubit: int, theta: float) -> StateVector:
     return StateVector(s.n_qubits, t.reshape(-1))
 
 
-def _branch(z0: np.ndarray, z1: np.ndarray, basis: Basis, bit: int) -> np.ndarray:
+def _branch(z0: np.ndarray, z1: np.ndarray, phase, bit: int) -> np.ndarray:
     """Unnormalised ``bit`` branch of rows whose measured qubit splits into
     the (rows, 2^q, 2^(n-q-1)) halves ``z0``/``z1``, as a fresh
-    (rows, 2^(n-1)) array."""
+    (rows, 2^(n-1)) array: z0 or z1 for Z (``phase`` None), else
+    (z0 + phase z1)/sqrt(2) or (z0 - phase z1)/sqrt(2), with phase 1 for X (a
+    scalar X takes no multiply) and -1j for Y, one scalar or (rows, 1, 1)."""
     rows, _, tail = z0.shape
+    if phase is not None and (isinstance(phase, np.ndarray) or phase != 1):
+        z1 = phase * z1
     z0, z1 = z0.reshape(-1, tail), z1.reshape(-1, tail)  # 2-D views: cheaper elementwise loops
-    if basis is Basis.Z:
+    if phase is None:
         vec = (z1 if bit else z0).copy()
-    elif basis is Basis.X:
-        vec = (z0 - z1 if bit else z0 + z1) * _SQRT_HALF
     else:
-        vec = (z0 + 1j * z1 if bit else z0 - 1j * z1) * _SQRT_HALF
+        vec = (z0 - z1 if bit else z0 + z1) * _SQRT_HALF
     return vec.reshape(rows, -1)
+
+
+_PHASES = {Basis.X: 1, Basis.Y: -1j, Basis.Z: None}
 
 
 def _measure_kernel(
@@ -210,25 +215,34 @@ def _measure_kernel(
     """The single-qubit measurement kernel, applied to every row of a
     (shots, 2^n) amplitude array; ``measure`` is its one-row case.
 
-    ``basis`` is one Basis (or letter) for all rows or an array of basis
-    letters, one per row. Outcome 0 projects onto the +1 eigenvector: |+> for
-    X, (|0>+i|1>)/sqrt(2) for Y, |0> for Z. Row i gets outcome 0 iff
-    ``u[i]`` is below its outcome-0 probability, unless ``outcomes`` forces
-    the outcomes. Returns the outcomes, their Born probabilities and the kept
-    branches with the measured qubit removed, each normalised by its own norm
-    so rounding errors do not build up along a chain of measurements.
+    ``basis`` is one Basis (or letter) for all rows, or a (shots,) array of
+    Y bits, one per row: 0 measures X and 1 measures Y. Outcome 0 projects
+    onto the +1 eigenvector: |+> for X, (|0>+i|1>)/sqrt(2) for Y, |0> for Z.
+    Row i gets outcome 0 iff ``u[i]`` is below its outcome-0 probability,
+    unless ``outcomes`` forces the outcomes. Returns the outcomes, their Born
+    probabilities and the kept branches with the measured qubit removed, each
+    normalised by its own norm so rounding errors do not build up along a
+    chain of measurements.
     """
-    if isinstance(basis, str):
-        basis = Basis(basis)
-    if not isinstance(basis, Basis):
-        return _measure_by_basis(amps, qubit, np.asarray(basis), u, outcomes)
     shots, dim = amps.shape
     if not 0 <= qubit < dim.bit_length() - 1:
         raise IndexError(f"qubit {qubit} out of range for {dim.bit_length() - 1}-qubit state")
+    if isinstance(basis, (str, Basis)):
+        basis = Basis(basis)
+        phase = _PHASES[basis]
+    else:
+        ybits = np.asarray(basis)
+        if ybits.shape != (shots,):
+            raise ValueError(f"expected {shots} Y bits, got shape {ybits.shape}")
+        ys = ybits == 1
+        valid = ys | (ybits == 0)
+        if np.count_nonzero(valid) != shots:
+            raise ValueError(f"Y bits must be 0 or 1, got {ybits[~valid][0]}")
+        phase = np.where(ys, -1j, 1)[:, None, None]
     t = amps.reshape(shots, 1 << qubit, 2, -1)
     z0, z1 = t[:, :, 0], t[:, :, 1]
 
-    vec = _branch(z0, z1, basis, 0)
+    vec = _branch(z0, z1, phase, 0)
     prob = np.vecdot(vec, vec).real
     if outcomes is None:
         ones = u >= prob
@@ -242,45 +256,19 @@ def _measure_kernel(
     # The outcome-1 branch is built only for the rows that keep it.
     count = np.count_nonzero(ones)
     if count == shots:
-        vec = _branch(z0, z1, basis, 1)
+        vec = _branch(z0, z1, phase, 1)
         prob = np.vecdot(vec, vec).real
     elif count:
-        vec1 = _branch(z0[ones], z1[ones], basis, 1)
+        vec1 = _branch(z0[ones], z1[ones], phase if np.ndim(phase) == 0 else phase[ones], 1)
         vec[ones], prob[ones] = vec1, np.vecdot(vec1, vec1).real
     impossible = prob < _BRANCH_EPS
     if np.count_nonzero(impossible):
         i = int(np.argmax(impossible))
-        raise ValueError(f"branch (qubit={qubit}, basis={basis.value}, outcome={outcomes[i]}) has probability ~0")
+        name = basis.value if isinstance(basis, Basis) else "XY"[int(ys[i])]
+        raise ValueError(f"branch (qubit={qubit}, basis={name}, outcome={outcomes[i]}) has probability ~0")
     vec /= np.sqrt(prob)[:, None]
     _check_unit_norms(vec)
     return outcomes, prob, vec
-
-
-def _measure_by_basis(
-    amps: np.ndarray, qubit: int, bases: np.ndarray, u: np.ndarray | None, outcomes: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_measure_kernel`` with one basis letter per row: each basis's rows
-    go through the kernel as one group."""
-    shots, dim = amps.shape
-    out = (np.empty(shots, dtype=np.int8), np.empty(shots), np.empty((shots, dim // 2), dtype=complex))
-    covered = 0
-    for basis in Basis:
-        rows = bases == basis.value
-        count = np.count_nonzero(rows)
-        if count == shots:
-            return _measure_kernel(amps, qubit, basis, u, outcomes)
-        if count:
-            group = _measure_kernel(
-                amps[rows], qubit, basis,
-                None if u is None else u[rows],
-                None if outcomes is None else np.asarray(outcomes)[rows],
-            )
-            for whole, part in zip(out, group):
-                whole[rows] = part
-            covered += count
-    if covered != shots:
-        raise ValueError(f"bases must be X, Y or Z, got {sorted(set(bases.tolist()) - {'X', 'Y', 'Z'})}")
-    return out
 
 
 def measure(
@@ -296,25 +284,24 @@ def measure(
     return int(outcomes[0]), StateVector._checked(s.n_qubits - 1, post[0])
 
 
-def measure_string(s, ops, rngs: Sequence[np.random.Generator]):
-    """Measure qubit 0 once per operator column, on one state or a batch.
+def measure_string(s, ops: str, rngs: Sequence[np.random.Generator]):
+    """Measure qubit 0 once per character of ``ops`` (``X``, ``Y`` or
+    ``Z``), on one state or a batch.
 
     ``s`` is a StateVector or a (shots, 2^n) amplitude array of one state
-    per shot. ``ops`` is one operator string (``X``, ``Y`` or ``Z`` per
-    character) for every shot, or a (shots, m) array of basis letters, one
-    row per shot. Column i draws one uniform per shot from ``rngs[i]``.
-    Returns the outcome bits and the states of the qubits left unmeasured:
-    a tuple and a StateVector for a StateVector, a (shots, m) bit array and
-    a (shots, 2^(n-m)) amplitude array for a batch.
+    per shot; every shot is measured in the same bases. Column i draws one
+    uniform per shot from ``rngs[i]``. Returns the outcome bits and the
+    states of the qubits left unmeasured: a tuple and a StateVector for a
+    StateVector, a (shots, m) bit array and a (shots, 2^(n-m)) amplitude
+    array for a batch.
     """
     amps = s.amplitudes[None] if isinstance(s, StateVector) else s
     shots = len(amps)
-    columns = ops if isinstance(ops, str) else np.asarray(ops).T
-    bits = np.empty((shots, len(columns)), dtype=np.int8)
-    for i, (basis, rng) in enumerate(zip(columns, rngs, strict=True)):
+    bits = np.empty((shots, len(ops)), dtype=np.int8)
+    for i, (basis, rng) in enumerate(zip(ops, rngs, strict=True)):
         bits[:, i], _, amps = _measure_kernel(amps, 0, basis, u=rng.random(shots))
     if isinstance(s, StateVector):
-        return tuple(int(b) for b in bits[0]), StateVector._checked(s.n_qubits - len(columns), amps[0])
+        return tuple(int(b) for b in bits[0]), StateVector._checked(s.n_qubits - len(ops), amps[0])
     return bits, amps
 
 

@@ -16,6 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from anoncka.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
+from anoncka.netmodel import Network, RoleAssignment
+from anoncka.protocols import notification
+from anoncka.rng import RngBundle
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -257,6 +260,24 @@ def test_notify_demo_prints_table(tmp_path, capsys):
     dealer_rows = [r for r in rows if "(alice)" in r or r.strip()[0].isdigit()]
     parities = [int(r.split("|")[2].strip().split()[0]) for r in dealer_rows]
     assert parities == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("n, target", [(4, 2), (5, 3), (5, 0)])
+def test_notify_demo_table_matches_transcript_shares(tmp_path, capsys, n, target):
+    # The printed table is the dealt table: each (dealer, holder) cell equals
+    # the bits of that share's entry in the notification transcript.
+    cfg = {"n": n, "alice": 1, "receivers": [3], "target": target, "seed": 17}
+    code, out, _ = run_cli(capsys, "notify-demo", "--config", write_config(tmp_path, cfg))
+    assert code == EXIT_OK
+    rows = [line.split("|") for line in out.splitlines() if "|" in line and not line.startswith("dealer")]
+    printed = [cells[1].split() for cells in rows[:n]]
+    bundle = RngBundle.from_seed(17, n)
+    net = Network(n, bundle.network)
+    notification(RoleAssignment(n, 1, frozenset({3})), net, bundle)
+    shares = {(e.sender, e.receiver): e.bits for e in net.transcript if e.phase == f"notify[target={target}]:shares"}
+    assert printed == [[shares[dealer, holder] for holder in range(n)] for dealer in range(n)]
+    partials = [e.bits for e in net.transcript if e.phase == f"notify[target={target}]:partials"]
+    assert rows[n][1].split() == partials
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -298,7 +298,7 @@ def test_parity_test_check_survives_optimised_python():
 def test_aka_raises_when_notification_misses_a_receiver(monkeypatch):
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     net, bundle = fresh(28, 4)
-    wrong = protocols.NotificationOutcome(notified=(0, 1, 0, 0), transcript=())
+    wrong = protocols.NotificationOutcome(notified=(0, 1, 0, 0), shares=np.zeros((4, 4, 4), dtype=np.int8))
     monkeypatch.setattr(protocols, "notification", lambda *args: wrong)
     with pytest.raises(RuntimeError, match="exactly the chosen receivers"):
         aka(roles, [ghz_state(4)], net, bundle)

@@ -271,42 +271,25 @@ def test_batched_forced_branches_match_born_oracle(n):
     rng = np.random.default_rng(100 + n)
     shots = 24
     amps = np.vstack([random_state(n, rng).amplitudes for _ in range(shots)])
-    bases = rng.choice(["X", "Y", "Z"], size=shots)
+    ybits = rng.integers(0, 2, size=shots)
     forced = rng.integers(0, 2, size=shots)
     qubit = int(rng.integers(0, n))
-    outcomes, probs, post = qsim._measure_kernel(amps, qubit, bases, outcomes=forced)
-    assert np.array_equal(outcomes, forced)
-    assert post.shape == (shots, 2 ** (n - 1))
-    for row in range(shots):
-        expected = born_probabilities(amps[row], qubit, bases[row])[forced[row]]
-        assert probs[row] == pytest.approx(expected, abs=1e-12)
-        one_prob, one_post = project(qsim.StateVector(n, amps[row]), qubit, Basis(bases[row]), int(forced[row]))
-        assert one_prob == pytest.approx(probs[row], abs=1e-15)
-        assert np.allclose(one_post.amplitudes, post[row], atol=1e-15)
-    # sampled: outcome 0 exactly when the row's uniform is below its p0
-    u = rng.random(shots)
-    sampled, _, _ = qsim._measure_kernel(amps, qubit, bases, u=u)
-    p0 = np.array([born_probabilities(amps[row], qubit, bases[row])[0] for row in range(shots)])
-    assert np.array_equal(sampled == 0, u < p0)
-
-
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_batched_kernel_rejects_impossible_branches_and_bad_rows():
-    amps = np.vstack([qsim.ghz_state(2).amplitudes, qsim.basis_state(2, 0).amplitudes])
-    with pytest.raises(ValueError, match="probability"):
-        qsim._measure_kernel(amps, 0, "Z", outcomes=np.array([0, 1]))
-    # a sampled outcome whose branch has probability 1e-13
-    tiny = np.vstack([amps[0], [np.sqrt(1 - 1e-13), np.sqrt(1e-13), 0, 0]])
-    with pytest.raises(ValueError, match="probability"):
-        qsim._measure_kernel(tiny, 1, "Z", u=np.array([0.5, 1 - 1e-14]))
-    with pytest.raises(ValueError, match="outcome must be 0 or 1"):
-        qsim._measure_kernel(amps, 0, "Z", outcomes=np.array([0, 2]))
-    with pytest.raises(ValueError, match="X, Y or Z"):
-        qsim._measure_kernel(amps, 0, np.array(["X", "Q"]), outcomes=np.array([0, 0]))
-    bad = amps.copy()
-    bad[1, 0] = np.nan
-    with pytest.raises(ValueError, match="state norm nan"):
-        qsim._measure_kernel(bad, 0, "X", u=np.array([0.5, 0.5]))
+    # Per-row X/Y bits, then Z on every row.
+    for basis, letters in ((ybits, ["XY"[y] for y in ybits]), ("Z", ["Z"] * shots)):
+        outcomes, probs, post = qsim._measure_kernel(amps, qubit, basis, outcomes=forced)
+        assert np.array_equal(outcomes, forced)
+        assert post.shape == (shots, 2 ** (n - 1))
+        for row in range(shots):
+            expected = born_probabilities(amps[row], qubit, letters[row])[forced[row]]
+            assert probs[row] == pytest.approx(expected, abs=1e-12)
+            one_prob, one_post = project(qsim.StateVector(n, amps[row]), qubit, Basis(letters[row]), int(forced[row]))
+            assert one_prob == pytest.approx(probs[row], abs=1e-15)
+            assert np.allclose(one_post.amplitudes, post[row], atol=1e-15)
+        # sampled: outcome 0 exactly when the row's uniform is below its p0
+        u = rng.random(shots)
+        sampled, _, _ = qsim._measure_kernel(amps, qubit, basis, u=u)
+        p0 = np.array([born_probabilities(amps[row], qubit, letters[row])[0] for row in range(shots)])
+        assert np.array_equal(sampled == 0, u < p0)
 
 
 class _Fixed:
@@ -319,20 +302,69 @@ class _Fixed:
         return self.u
 
 
+def test_mixed_xy_batch_matches_one_state_reference_bit_for_bit():
+    # Rows of random, GHZ and rotated-GHZ states measured down to one qubit,
+    # each column with its own per-row Y bits: every row keeps the outcomes
+    # and the amplitude bytes of the one-state reference with the same uniforms.
+    rng = np.random.default_rng(21)
+    n = 5
+    states = [random_state(n, rng) for _ in range(8)]
+    states += [qsim.ghz_state(n)] * 4 + [qsim.rotated_ghz(n, float(t)) for t in rng.uniform(0, np.pi, 4)]
+    amps = np.vstack([s.amplitudes for s in states])
+    refs = [s.amplitudes for s in states]
+    for size in range(n, 1, -1):
+        ybits = rng.integers(0, 2, size=len(states))
+        u = rng.random(len(states))
+        qubit = int(rng.integers(0, size))
+        outcomes, _, amps = qsim._measure_kernel(amps, qubit, ybits, u=u)
+        for row, (y, uniform) in enumerate(zip(ybits, u)):
+            ref_bit, refs[row] = single_state_measure(refs[row], qubit, "XY"[y], _Fixed(uniform))
+            assert outcomes[row] == ref_bit
+            assert amps[row].tobytes() == refs[row].tobytes()
+    assert len(set(ybits.tolist())) == 2
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_batched_kernel_rejects_impossible_branches_and_bad_rows():
+    amps = np.vstack([qsim.ghz_state(2).amplitudes, qsim.basis_state(2, 0).amplitudes])
+    with pytest.raises(ValueError, match="probability"):
+        qsim._measure_kernel(amps, 0, "Z", outcomes=np.array([0, 1]))
+    # |+>|0> has no X outcome 1 on qubit 0: the per-row path names the row's basis
+    plus = np.vstack([amps[0], [SQRT_HALF, 0, SQRT_HALF, 0]])
+    with pytest.raises(ValueError, match=r"basis=X, outcome=1\) has probability"):
+        qsim._measure_kernel(plus, 0, np.array([1, 0]), outcomes=np.array([0, 1]))
+    # a sampled outcome whose branch has probability 1e-13
+    tiny = np.vstack([amps[0], [np.sqrt(1 - 1e-13), np.sqrt(1e-13), 0, 0]])
+    with pytest.raises(ValueError, match="probability"):
+        qsim._measure_kernel(tiny, 1, "Z", u=np.array([0.5, 1 - 1e-14]))
+    with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+        qsim._measure_kernel(amps, 0, "Z", outcomes=np.array([0, 2]))
+    with pytest.raises(ValueError, match="Y bits must be 0 or 1, got 2"):
+        qsim._measure_kernel(amps, 0, np.array([0, 2]), outcomes=np.array([0, 0]))
+    with pytest.raises(ValueError, match=r"expected 2 Y bits, got shape \(3,\)"):
+        qsim._measure_kernel(amps, 0, np.array([0, 1, 0]), u=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="'Q' is not a valid Basis"):
+        qsim._measure_kernel(amps, 0, "Q", outcomes=np.array([0, 0]))
+    bad = amps.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="state norm nan"):
+        qsim._measure_kernel(bad, 0, "X", u=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="state norm nan"):
+        qsim._measure_kernel(bad, 0, np.array([0, 1]), u=np.array([0.5, 0.5]))
+
+
 def test_batched_measure_string_matches_per_shot_readout():
-    # One ops string for all shots or a per-shot basis array: column i draws
-    # one uniform per shot from rngs[i], shot by shot as a one-shot readout would.
+    # One ops string for every shot: column i draws one uniform per shot from
+    # rngs[i], shot by shot as a one-shot readout would.
     rng = np.random.default_rng(7)
     states = [random_state(4, rng) for _ in range(6)]
-    ops = np.array([list(rng.choice(["X", "Y", "Z"], size=3)) for _ in states])
-    for batch_ops in ("XYZ", ops):
+    for ops in ("XYZ", "ZZZ"):
         rngs = [np.random.default_rng(10 + i) for i in range(3)]
-        bits, rest = qsim.measure_string(np.vstack([s.amplitudes for s in states]), batch_ops, rngs)
+        bits, rest = qsim.measure_string(np.vstack([s.amplitudes for s in states]), ops, rngs)
         uniforms = [np.random.default_rng(10 + i).random(len(states)) for i in range(3)]
         for shot, s in enumerate(states):
-            row_ops = batch_ops if isinstance(batch_ops, str) else "".join(batch_ops[shot])
             ref = s.amplitudes
-            for column, ch in enumerate(row_ops):
+            for column, ch in enumerate(ops):
                 ref_bit, ref = single_state_measure(ref, 0, ch, _Fixed(uniforms[column][shot]))
                 assert bits[shot, column] == ref_bit
             assert rest[shot].tobytes() == ref.tobytes()
