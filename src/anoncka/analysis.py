@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .netmodel import AdversaryView, RoleAssignment, check_coalition
-from .protocols import _check_notified, _parity_test, carve, deal_shares, parity_round
+from .protocols import _batches, _check_notified, _parity_test, carve, deal_shares, parity_round
 from .qsim import (
     NoiseEnsemble,
     StateVector,
@@ -39,20 +39,6 @@ from .rng import RngBundle
 REFERENCE_KEYGEN_RATE = 0.92974
 REFERENCE_VERIFICATION_RATE = 0.87178
 REFERENCE_FIDELITY = 0.81
-
-# Bytes per Monte Carlo batch: shots run 2^20 / (16 * 2^n) at a time (one
-# complex amplitude is 16 bytes) and notifications 2^20 / n^3 (one int8 per
-# share bit), so the batch arrays stay about 1 MB whatever the register size.
-_BATCH_BYTES = 2**20
-
-
-def _batches(trials: int, row_bytes: int):
-    """Shot counts of the batches that together run ``trials`` shots of
-    ``row_bytes`` bytes each."""
-    size = max(1, _BATCH_BYTES // row_bytes)
-    for start in range(0, trials, size):
-        yield min(size, trials - start)
-
 
 # --- acceptance bound ---------------------------------------------------------------
 

@@ -8,17 +8,19 @@
 * ``verification``   -- even-Y X/Y parity test of a shared GHZ state with a
                         designated verifier.
 * ``aka``            -- notification + repeated ame + Z-measurement, yielding
-                        a shared key (no verification).
+                        a shared key (no verification): ``avka`` with
+                        every round a keygen round.
 * ``avka``           -- verifiable variant: a public coin splits rounds into
                         verification and keygen rounds.
 
 Each quantum step has one implementation, which works on a (rows, 2^n)
 amplitude array of independent rounds through the measurement kernel:
 ``carve`` is the bystander step of ame and ``parity_round`` the parity test.
-``ame``, ``verification`` and the verification rounds of ``avka`` are their
-one-row case plus the round's broadcast on a ``Network``; the Monte Carlo in
-``analysis`` calls them with many rows, and exhaustive tests pass forced
-``outcomes``/``bases`` rows.
+``ame`` and ``verification`` are their one-row case plus the round's
+broadcast on a ``Network``. ``avka`` runs its rounds as rows, in batches of
+about 1 MB, then makes each round's broadcasts in round order; the Monte
+Carlo in ``analysis`` calls the steps with many rows, and exhaustive tests
+pass forced ``outcomes``/``bases`` rows.
 
 Party i holds qubit i of each source state. All participant-ordered tuples
 use Alice first, then receivers ascending.
@@ -27,7 +29,7 @@ use Alice first, then receivers ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +39,19 @@ from .rng import RngBundle
 
 VERIFICATION_ROUND = "verification"
 KEYGEN_ROUND = "keygen"
+
+# Bytes per batch of rows: rounds and shots run 2^20 / (16 * 2^n) at a time (one
+# complex amplitude is 16 bytes) and notifications 2^20 / n^3 (one int8 per share
+# bit), so the batch arrays stay about 1 MB whatever the register size.
+_BATCH_BYTES = 2**20
+
+
+def _batches(trials: int, row_bytes: int):
+    """Row counts of the batches that together run ``trials`` rows of
+    ``row_bytes`` bytes each."""
+    size = max(1, _BATCH_BYTES // row_bytes)
+    for start in range(0, trials, size):
+        yield min(size, trials - start)
 
 
 @dataclass(frozen=True)
@@ -50,17 +65,13 @@ class NotificationOutcome:
 
 @dataclass(frozen=True)
 class AmeOutcome:
-    """Result of one anonymous entanglement round.
-
-    ``participant_state`` holds the participants' qubits in participant order
-    (Alice first, receivers ascending); any withheld bystander qubits follow
-    in ascending party order (``held_back`` names them).
-    """
+    """Result of one anonymous entanglement round; ``participant_state``
+    holds the participants' qubits in participant order (Alice first,
+    receivers ascending)."""
 
     participant_state: StateVector
     announced_bits: tuple[int, ...]
     corrected: bool
-    held_back: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -259,9 +270,6 @@ def ame(
     roles: RoleAssignment,
     net: Network,
     rng: RngBundle,
-    *,
-    withholding: frozenset[int] = frozenset(),
-    phase: str = "ame",
 ) -> AmeOutcome:
     """One anonymous multiparty entanglement round: the one-row case of
     ``carve``, then everyone broadcasts its bit in random order.
@@ -269,15 +277,13 @@ def ame(
     On a pure GHZ input the participants end up with a perfect (m+1)-party
     GHZ state in every branch.
     """
-    announced, _, corrected, carved = carve(state.amplitudes[None], roles, rng, withholding=withholding)
+    announced, _, corrected, carved = carve(state.amplitudes[None], roles, rng)
     bits = announced[0].tolist()
-    net.broadcast_round({p: str(b) for p, b in enumerate(bits)}, phase=f"{phase}:announce", expected=range(roles.n))
-    held_back = tuple(sorted(withholding))
+    net.broadcast_round({p: str(b) for p, b in enumerate(bits)}, phase="ame:announce", expected=range(roles.n))
     return AmeOutcome(
-        participant_state=StateVector._checked(roles.m + 1 + len(held_back), carved[0]),
+        participant_state=StateVector._checked(roles.m + 1, carved[0]),
         announced_bits=tuple(bits),
         corrected=bool(corrected[0]),
-        held_back=held_back,
     )
 
 
@@ -353,28 +359,12 @@ def parity_round(
     return ParityRound(bits, results, placeholders, probability, _parity_test(bits.T, results.T))
 
 
-def _verification_round(
-    state: StateVector,
-    holders: tuple[int, ...],
-    verifier: int,
-    net: Network,
-    rng: RngBundle,
-    *,
-    phase: str,
-    extra_announcements: Mapping[int, str] | None = None,
-) -> VerificationRecord:
-    """The one-row case of ``parity_round``, then one broadcast round: every
-    holder but the verifier announces (basis, outcome), the verifier its
-    placeholders. ``extra_announcements`` share the round but are not
-    scored."""
-    bits, results, placeholders, _, accepted = parity_round(state.amplitudes[None], holders, verifier, rng)
-    bits, results, pair = bits[0].tolist(), results[0].tolist(), placeholders[0].tolist()
-    announcements = {p: f"{b}{o}" for p, b, o in zip(holders, bits, results) if p != verifier}
+def _test_announcements(holders, verifier: int, bases, outcomes, pair) -> dict[int, str]:
+    """A parity test's broadcast: every holder but the verifier announces
+    (basis, outcome), the verifier its placeholder pair."""
+    announcements = {p: f"{b}{o}" for p, b, o in zip(holders, bases, outcomes) if p != verifier}
     announcements[verifier] = f"{pair[0]}{pair[1]}"
-    announcements.update(extra_announcements or {})
-    # Every party named here must announce; a Network that drops one aborts.
-    net.broadcast_round(announcements, phase=f"{phase}:announce", expected=tuple(announcements))
-    return VerificationRecord(basis_bits=tuple(bits), outcomes=tuple(results), accepted=bool(accepted[0]))
+    return announcements
 
 
 def verification(
@@ -382,10 +372,9 @@ def verification(
     verifier: int,
     net: Network,
     rng: RngBundle,
-    *,
-    phase: str = "verify",
 ) -> VerificationRecord:
-    """Verify a k-party state against the GHZ parity correlations.
+    """Verify a k-party state against the GHZ parity correlations: the
+    one-row case of ``parity_round``, then one broadcast round.
 
     Parties are the qubit indices 0..k-1. Everyone but the verifier draws a
     basis bit (0 -> X, 1 -> Y), measures, and broadcasts (basis, outcome);
@@ -397,7 +386,14 @@ def verification(
     k = state.n_qubits
     if not 0 <= verifier < k:
         raise IndexError(f"verifier {verifier} out of range for a {k}-qubit state")
-    return _verification_round(state, tuple(range(k)), verifier, net, rng, phase=phase)
+    bits, results, placeholders, _, accepted = parity_round(state.amplitudes[None], tuple(range(k)), verifier, rng)
+    bits, results = bits[0].tolist(), results[0].tolist()
+    net.broadcast_round(
+        _test_announcements(range(k), verifier, bits, results, placeholders[0].tolist()),
+        phase="verify:announce",
+        expected=range(k),
+    )
+    return VerificationRecord(basis_bits=tuple(bits), outcomes=tuple(results), accepted=bool(accepted[0]))
 
 
 def aka(
@@ -406,21 +402,11 @@ def aka(
     net: Network,
     rng: RngBundle,
 ) -> dict[int, str]:
-    """Unverified anonymous key agreement.
-
-    Runs notification once, then one ame round per source state, then the
-    participants Z-measure. Returns each participant's key string.
-    """
-    _check_notified(roles, notification(roles, net, rng).notified)
-    order = roles.participant_order
-    readout_rngs = [rng.party(p) for p in order]
-    keys: dict[int, list[str]] = {p: [] for p in order}
-    for index, source_state in enumerate(states):
-        carved = ame(source_state, roles, net, rng, phase=f"round[{index}]:ame")
-        bits, _ = measure_string(carved.participant_state, "Z" * len(order), readout_rngs)
-        for party, bit in zip(order, bits):
-            keys[party].append(str(bit))
-    return {p: "".join(bits) for p, bits in keys.items()}
+    """Unverified anonymous key agreement: notification, then per source
+    state an ame round and a Z readout. This is ``avka`` with every round a
+    keygen round, so the transcript holds one public coin per round, always
+    1. Returns each participant's key string; an aborted round ends the keys."""
+    return avka(roles, len(states), 1, iter(states).__next__, net, rng).key_bits
 
 
 def avka(
@@ -441,6 +427,12 @@ def avka(
     verdict; keygen rounds append one bit to every participant's key. The
     run validates iff nothing aborted and every verification round accepted.
 
+    The rounds run as rows, in batches of about 1 MB: one ``carve`` per
+    batch, one array of coins, one Z readout of the keygen rows and one
+    ``parity_round`` on the verification rows. Then each round makes its
+    broadcasts in round order, as the per-party ``ame`` and ``verification``
+    do; a round that aborts ends the run.
+
     ``withholder`` injects a bystander that skips its ame measurement and
     later measures its kept qubit in ``withholder_basis`` during keygen
     rounds (its randomness comes from the bundle's adversary stream).
@@ -455,40 +447,55 @@ def avka(
     withholding = frozenset() if withholder is None else frozenset({withholder})
     # Keygen readout: the participants in Z, then the withholder's guess.
     order = roles.participant_order
-    readout_ops = "Z" * len(order) + ("" if withholder is None else withholder_basis.value)
+    m1 = len(order)
+    readout_ops = "Z" * m1 + ("" if withholder is None else withholder_basis.value)
     readout_rngs = [rng.party(p) for p in order] + ([] if withholder is None else [rng.adversary])
+    # Unscored bystander pairs of the verification rounds; the withholder's
+    # come from the adversary stream.
+    pair_rngs = {p: rng.adversary if p == withholder else rng.party(p) for p in sorted(roles.non_participants)}
 
     rounds: list[AvkaRound] = []
-    keys: dict[int, list[str]] = {p: [] for p in order}
-    guesses: list[str] = []
+    guesses: list[int] = []
     aborted = False
-
+    done = 0
     try:
-        notification(roles, net, rng)
-        for index in range(num_states):
-            phase = f"round[{index}]"
-            carved = ame(source(), roles, net, rng, withholding=withholding, phase=f"{phase}:ame")
-            keygen = int(rng.coin.random() < 1.0 / keygen_denom)
-            net.broadcast_public(str(keygen), phase=f"{phase}:coin")
-            if keygen:
-                bits, _ = measure_string(carved.participant_state, readout_ops, readout_rngs)
-                for party, bit in zip(order, bits):
-                    keys[party].append(str(bit))
-                if withholder is not None:
-                    guesses.append(str(bits[-1]))
-                rounds.append(AvkaRound(KEYGEN_ROUND, keygen_bits=bits[: len(order)]))
-            else:
-                # Unscored bystander pairs; the withholder's comes from the adversary stream.
-                bystander_pairs = {}
-                for party in roles.non_participants:
-                    pair_rng = rng.adversary if party == withholder else rng.party(party)
-                    pair = pair_rng.integers(0, 2, size=2)
-                    bystander_pairs[party] = f"{pair[0]}{pair[1]}"
-                record = _verification_round(
-                    carved.participant_state, order, roles.alice, net, rng,
-                    phase=f"{phase}:verify", extra_announcements=bystander_pairs,
+        _check_notified(roles, notification(roles, net, rng).notified)
+        for size in _batches(num_states, 16 * 2**roles.n):
+            # ``index`` is always the round being run; failure records read it.
+            rows = []
+            for index in range(done, done + size):
+                rows.append(source().amplitudes)
+            # One row goes in uncopied; no batch's rows outlive its carve.
+            rows = rows[0][None] if size == 1 else np.array(rows)
+            announced, _, _, carved = carve(rows, roles, rng, withholding=withholding)
+            keygen = rng.coin.random(size) < 1.0 / keygen_denom
+            keygen_rows = np.count_nonzero(keygen)
+            readouts = tests = iter(())
+            if keygen_rows:
+                readouts = iter(measure_string(carved[keygen], readout_ops, readout_rngs)[0].tolist())
+            if keygen_rows < size:
+                tested = carved[~keygen]
+                pairs = [stream.integers(0, 2, size=(len(tested), 2)).tolist() for stream in pair_rngs.values()]
+                test = parity_round(tested, order, roles.alice, rng)
+                tests = zip(
+                    test.bases.tolist(), test.outcomes.tolist(), test.placeholders.tolist(), test.accepted.tolist(), *pairs
                 )
-                rounds.append(AvkaRound(VERIFICATION_ROUND, verification=record))
+            for index, row, is_keygen in zip(range(done, done + size), announced.tolist(), keygen.tolist()):
+                phase = f"round[{index}]"
+                net.broadcast_round(dict(enumerate(map(str, row))), phase=f"{phase}:ame:announce", expected=range(roles.n))
+                net.broadcast_public(str(int(is_keygen)), phase=f"{phase}:coin")
+                if is_keygen:
+                    readout = next(readouts)
+                    guesses += readout[m1:]
+                    rounds.append(AvkaRound(KEYGEN_ROUND, keygen_bits=tuple(readout[:m1])))
+                else:
+                    bases, outcomes, pair, accepted, *bystander_pairs = next(tests)
+                    announcements = _test_announcements(order, roles.alice, bases, outcomes, pair)
+                    announcements.update((p, f"{a}{b}") for p, (a, b) in zip(pair_rngs, bystander_pairs))
+                    net.broadcast_round(announcements, phase=f"{phase}:verify:announce", expected=tuple(announcements))
+                    record = VerificationRecord(basis_bits=tuple(bases), outcomes=tuple(outcomes), accepted=accepted)
+                    rounds.append(AvkaRound(VERIFICATION_ROUND, verification=record))
+            done += size
     except ChannelAbort:
         aborted = True
 
@@ -497,8 +504,8 @@ def avka(
     )
     return AvkaResult(
         rounds=tuple(rounds),
-        key_bits={p: "".join(bits) for p, bits in keys.items()},
+        key_bits={p: "".join(str(r.keygen_bits[i]) for r in rounds if r.keygen_bits) for i, p in enumerate(order)},
         aborted=aborted,
         validated=validated,
-        withholder_guess="".join(guesses),
+        withholder_guess="".join(map(str, guesses)),
     )

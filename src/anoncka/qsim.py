@@ -249,6 +249,8 @@ def _measure_kernel(
         outcomes = ones.view(np.int8)
     else:
         outcomes = np.asarray(outcomes)
+        if outcomes.shape != (shots,):
+            raise ValueError(f"expected {shots} outcomes, got shape {outcomes.shape}")
         ones = outcomes == 1
         valid = ones | (outcomes == 0)
         if np.count_nonzero(valid) != shots:

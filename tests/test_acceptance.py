@@ -31,7 +31,7 @@ from anoncka.analysis import (
 )
 from anoncka.cli import main as cli_main
 from anoncka.netmodel import Network, RoleAssignment
-from anoncka.protocols import KEYGEN_ROUND, VERIFICATION_ROUND, avka, carve, notification, verification
+from anoncka.protocols import KEYGEN_ROUND, VERIFICATION_ROUND, avka, carve, notification, parity_round
 from anoncka.qsim import Basis, ghz_state
 from anoncka.rng import RngBundle
 
@@ -114,11 +114,8 @@ def test_criterion_3_verification_oracle_equivalence():
         for name, (state, closed_form) in cases.items():
             oracle = exact_verification_acceptance(qsim.density_from_pure(state).entries)
             assert oracle == pytest.approx(closed_form, abs=1e-12)
-            hits = 0
-            for _ in range(trials):
-                net = Network(k, bundle.network)
-                hits += verification(state, 0, net, bundle).accepted
-            rate = hits / trials
+            shots = np.broadcast_to(state.amplitudes, (trials, 2**k))
+            rate = np.count_nonzero(parity_round(shots, tuple(range(k)), 0, bundle).accepted) / trials
             stderr = np.sqrt(max(oracle * (1 - oracle), 1e-12) / trials)
             if name == "ghz":
                 case_ok = rate == 1.0  # exact: every run must accept

@@ -25,7 +25,7 @@ from anoncka.analysis import (
     verification_success,
 )
 from anoncka.netmodel import Network, RoleAssignment, extract_view
-from anoncka import analysis
+from anoncka import protocols
 from anoncka.protocols import ame, avka, notification
 from anoncka.qsim import ghz_state
 from anoncka.rng import RngBundle
@@ -179,7 +179,7 @@ AME_ROLES = [
 def test_ame_view_keys_match_the_per_party_transcript(roles, batch_runs, monkeypatch):
     # batch_runs=7 makes the sampler run in chunks of 7 runs
     if batch_runs is not None:
-        monkeypatch.setattr(analysis, "_BATCH_BYTES", batch_runs * 16 * 2**roles.n)
+        monkeypatch.setattr(protocols, "_BATCH_BYTES", batch_runs * 16 * 2**roles.n)
     trials = 300
     for index, coalition in enumerate(coalitions(roles.n, roles.alice)):
         seed = 40 + index
@@ -213,7 +213,7 @@ def assert_notification_keys_match(roles, coalition, raw, projected, views):
 def test_notification_view_keys_match_the_per_party_transcript(roles, batch_runs, monkeypatch):
     # even n: one (runs, n, n) draw per dealer equals one (1, n, n) draw per run
     if batch_runs is not None:
-        monkeypatch.setattr(analysis, "_BATCH_BYTES", batch_runs * roles.n**3)
+        monkeypatch.setattr(protocols, "_BATCH_BYTES", batch_runs * roles.n**3)
     trials = 40
     for index, coalition in enumerate(coalitions(roles.n, roles.alice)):
         seed = 50 + index

@@ -1,12 +1,17 @@
 """The benchmark's tracer (``perfbench/tracer.py``) looks the functions it
-times up by name; a rename in the package would break the benchmark."""
+times up by name, and its failure records read the round number from
+``avka``'s frame; a rename in the package would break the benchmark."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 import anoncka
 from anoncka import protocols, qsim
+from anoncka.netmodel import Network, RoleAssignment
+from anoncka.rng import RngBundle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,3 +34,25 @@ def test_benchmark_tracer_wraps_and_restores_the_traced_functions(monkeypatch):
     finally:
         undo()
     assert traced() == originals
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_failure_records_name_the_avka_round(rows, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import describe_exception
+
+    monkeypatch.setattr(protocols, "_BATCH_BYTES", rows * 16 * 2**4)  # ``rows`` rounds per batch at n=4
+    calls = 0
+
+    def source():
+        nonlocal calls
+        calls += 1
+        if calls == 6:
+            raise ValueError("source failed")
+        return qsim.ghz_state(4)
+
+    roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
+    bundle = RngBundle.from_seed(5, 4)
+    with pytest.raises(ValueError, match="source failed") as info:
+        protocols.avka(roles, 10, 2, source, Network(4, bundle.network), bundle)
+    assert describe_exception(info.value)["round"] == 5

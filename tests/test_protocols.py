@@ -98,7 +98,6 @@ def test_ame_all_parties_participants():
     net, bundle = fresh(1, 3)
     out = ame(ghz_state(3), roles, net, bundle)
     assert out.corrected is False
-    assert out.held_back == ()
     assert np.array_equal(out.participant_state.amplitudes, ghz_state(3).amplitudes)
 
 
@@ -440,6 +439,42 @@ def test_avka_abort_recorded():
     result = avka(roles, 20, 2, lambda: ghz_state(4), net, bundle)
     assert result.aborted and not result.validated
     assert len(result.rounds) == 5
+
+
+@pytest.mark.parametrize("withholder", [None, 3])
+def test_avka_records_match_the_transcript_across_batches(withholder, monkeypatch):
+    # three rounds per batch at n=4, so batches hold both round types and end mid-run
+    monkeypatch.setattr(protocols, "_BATCH_BYTES", 3 * 16 * 2**4)
+    roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
+    net, bundle = fresh(30, 4)
+    result = avka(roles, 10, 2, lambda: ghz_state(4), net, bundle, withholder=withholder)
+    types = [r.round_type for r in result.rounds]
+    assert len(types) == 10 and KEYGEN_ROUND in types and VERIFICATION_ROUND in types
+
+    expected = []
+    for index, round_ in enumerate(result.rounds):
+        expected += [f"round[{index}]:ame:announce", f"round[{index}]:coin"]
+        expected += [f"round[{index}]:verify:announce"] if round_.round_type == VERIFICATION_ROUND else []
+    assert list(dict.fromkeys(e.phase for e in net.transcript if e.phase.startswith("round["))) == expected
+
+    for index, round_ in enumerate(result.rounds):
+        entries = [e for e in net.transcript if e.phase.startswith(f"round[{index}]:")]
+        is_keygen = round_.round_type == KEYGEN_ROUND
+        assert [e.bits for e in entries if e.phase.endswith(":coin")] == [str(int(is_keygen))]
+        if is_keygen:
+            assert round_.verification is None and len(round_.keygen_bits) == roles.m + 1
+            continue
+        record = round_.verification
+        announced = {e.sender: e.bits for e in entries if e.phase.endswith(":verify:announce")}
+        assert sorted(announced) == list(range(4))
+        pairs = [f"{b}{o}" for b, o in zip(record.basis_bits, record.outcomes)]
+        assert [announced[p] for p in roles.participant_order[1:]] == pairs[1:]
+
+    keygen = [r for r in result.rounds if r.round_type == KEYGEN_ROUND]
+    assert set(result.key_bits.values()) == {"".join(str(r.keygen_bits[0]) for r in keygen)}
+    if withholder is not None:
+        # a Z guess on the kept qubit reads the key exactly
+        assert result.withholder_guess == result.key_bits[0]
 
 
 def test_avka_verification_round_has_all_announcers():

@@ -343,6 +343,8 @@ def test_batched_kernel_rejects_impossible_branches_and_bad_rows():
         qsim._measure_kernel(amps, 0, np.array([0, 2]), outcomes=np.array([0, 0]))
     with pytest.raises(ValueError, match=r"expected 2 Y bits, got shape \(3,\)"):
         qsim._measure_kernel(amps, 0, np.array([0, 1, 0]), u=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"expected 2 outcomes, got shape \(3,\)"):
+        qsim._measure_kernel(amps, 0, "Z", outcomes=np.array([0, 1, 0]))
     with pytest.raises(ValueError, match="'Q' is not a valid Basis"):
         qsim._measure_kernel(amps, 0, "Q", outcomes=np.array([0, 0]))
     bad = amps.copy()
