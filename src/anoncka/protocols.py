@@ -168,27 +168,20 @@ def notification(roles: RoleAssignment, net: Network, rng: RngBundle) -> Notific
     with even parity, except Alice, whose row parity encodes whether i is a
     receiver. Each party then returns the XOR of the column it received to
     party i, who recovers the membership bit exactly. This is the one-run
-    case of ``deal_shares``; it records the dealt table on ``net``.
+    case of ``deal_shares``; it records on ``net`` one block per target for
+    the dealt table (dealer-major, kept shares on the diagonal) and one for
+    the returned partials.
     """
     n = roles.n
     (shares,) = deal_shares(roles, rng, 1)
     partials = np.bitwise_xor.reduce(shares, axis=1)
+    parties = np.arange(n)
+    dealers, holders = np.repeat(parties, n), np.tile(parties, n)
+    diagonal = dealers == holders
     for target in range(n):
-        phase_shares = f"notify[target={target}]:shares"
-        for dealer in range(n):
-            for holder in range(n):
-                bit = str(shares[target, dealer, holder])
-                if holder == dealer:
-                    net.keep_share(dealer, bit, phase_shares)
-                else:
-                    net.send_private(dealer, holder, bit, phase_shares)
-        phase_partials = f"notify[target={target}]:partials"
-        for holder in range(n):
-            bit = str(partials[target, holder])
-            if holder == target:
-                net.keep_share(holder, bit, phase_partials)
-            else:
-                net.send_private(holder, target, bit, phase_partials)
+        phase = f"notify[target={target}]"
+        net.send_block(dealers, holders, shares[target], f"{phase}:shares", kept=diagonal)
+        net.send_block(parties, np.full(n, target), partials[target], f"{phase}:partials", kept=parties == target)
     notified = np.bitwise_xor.reduce(partials, axis=1)
     return NotificationOutcome(notified=tuple(int(b) for b in notified), shares=shares)
 

@@ -283,3 +283,36 @@ def key_rate(results, num_states: int, keygen_denom: int) -> KeyRateReport:
         tolerance=tolerance,
         num_trials=len(results),
     )
+
+
+def notify_by_message(net, shares: np.ndarray) -> None:
+    """Record a dealt (target, dealer, holder) share table on ``net`` one
+    message at a time, in the loop order the per-message notification used:
+    per target, the shares dealer-major, then each holder's partial to the
+    target; a party's own share or partial goes through ``keep_share``."""
+    n = len(shares)
+    partials = np.bitwise_xor.reduce(shares, axis=1)
+    for target in range(n):
+        phase = f"notify[target={target}]:shares"
+        for dealer in range(n):
+            for holder in range(n):
+                bit = str(shares[target, dealer, holder])
+                if holder == dealer:
+                    net.keep_share(dealer, bit, phase)
+                else:
+                    net.send_private(dealer, holder, bit, phase)
+        phase = f"notify[target={target}]:partials"
+        for holder in range(n):
+            bit = str(partials[target, holder])
+            if holder == target:
+                net.keep_share(holder, bit, phase)
+            else:
+                net.send_private(holder, target, bit, phase)
+
+
+def visible_by_filter(entries, coalition) -> tuple:
+    """The entries a coalition sees, by the per-entry filter: every
+    broadcast and every private message with an endpoint in ``coalition``."""
+    return tuple(
+        e for e in entries if e.kind == "broadcast" or e.sender in coalition or e.receiver in coalition
+    )

@@ -56,6 +56,27 @@ def test_run_pure_source_validates(tmp_path, capsys):
     assert len(lengths) == 1
 
 
+@pytest.mark.parametrize("n, receivers", [(5, [1]), (6, [2, 4])])
+def test_run_view_entries_count_every_visible_message(tmp_path, capsys, n, receivers):
+    # the coalition is every bystander, so only the h participants are honest:
+    # it sees (n+1)(n^2 - h^2) notification messages, the n announcements and
+    # the coin of each of the L rounds, and n more per verification round
+    honest = 1 + len(receivers)
+    bystanders = [p for p in range(1, n) if p not in receivers]
+    length = 12
+    cfg = write_config(
+        tmp_path,
+        {**BASE_RUN, "n": n, "receivers": receivers, "L": length, "D": 2,
+         "adversary": {"kind": "honest_curious", "coalition": bystanders}},
+    )
+    code, out, _ = run_cli(capsys, "run", "--config", cfg)
+    payload = json.loads(out)
+    verify_rounds = payload["round_types"].count("verification")
+    assert code == EXIT_OK and 0 < verify_rounds < length
+    expected = (n + 1) * (n**2 - honest**2) + (n + 1) * length + n * verify_rounds
+    assert payload["adversary"]["view_entries"] == expected
+
+
 def test_run_dishonest_ghz_minus_rejected(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from anoncka import netmodel
 from anoncka.netmodel import ChannelAbort, Network, ProtocolError, RoleAssignment, extract_view
-from anoncka.protocols import notification
+from anoncka.protocols import avka, notification
+from anoncka.qsim import ghz_state
 from anoncka.rng import RngBundle
+from oracles import notify_by_message, visible_by_filter
 
 
 def test_role_assignment_validation():
@@ -37,6 +40,20 @@ def test_send_private_counts_bits():
     assert net.counters.private_bits_sent == 4
 
 
+BAD_BLOCKS = [
+    # (senders, receivers, bits, kept)
+    ([0, 1, 3], [1, 2, 0], np.array([0, 1, 1]), False),  # party out of range
+    ([0, 1, 2], [1, -1, 0], np.array([0, 1, 1]), False),  # negative party
+    ([0, 1, 2], [1, 2, 0], np.array([0, 2, 1]), False),  # a bit of 2
+    ([0, 1, 2], [1, 2, 0], np.array([0, -1, 1]), False),  # a bit of -1
+    ([0, 1, 2], [1, 1, 0], np.array([0, 1, 1]), False),  # self-send, no kept share
+    ([0, 1, 2], [0, 1, 0], np.array([0, 1, 1]), [True, False, False]),  # self-send off the kept diagonal
+    ([0, 1, 2], [0, 2, 2], np.array([0, 1, 1]), True),  # kept share that goes to another party
+    ([0, 1, 2], [1, 2, 0], np.array([0, 1]), False),  # one payload short
+    ([0, 1], [1, 2], ["1", "10x"], False),  # not a bit string
+]
+
+
 def test_send_private_rejects_self_and_bad_parties():
     net = Network(3, np.random.default_rng(0))
     with pytest.raises(ProtocolError):
@@ -45,6 +62,13 @@ def test_send_private_rejects_self_and_bad_parties():
         net.send_private(0, 3, "0", "p")
     with pytest.raises(ProtocolError):
         net.send_private(0, 1, "abc", "p")
+    net.send_private(0, 1, "1", "accepted")
+    for senders, receivers, bits, kept in BAD_BLOCKS:
+        with pytest.raises(ProtocolError):
+            net.send_block(senders, receivers, bits, "p", kept=kept)
+    # a rejected call records nothing
+    assert [e.phase for e in net.transcript] == ["accepted"]
+    assert net.counters.private_bits_sent == 1
 
 
 def test_notification_bit_count_n4():
@@ -146,6 +170,38 @@ def test_notification_coalition_view_rows():
         sent = {e.receiver for e in entries if e.sender == k}
         assert received == set(range(4))
         assert sent == set(range(4))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_notification_blocks_equal_the_per_message_transcript(n):
+    roles = RoleAssignment(n=n, alice=n - 1, receivers=frozenset(range(0, n - 1, 2)))
+    bundle = RngBundle.from_seed(60 + n, n)
+    net = Network(n, bundle.network)
+    out = notification(roles, net, bundle)
+    reference = Network(n, np.random.default_rng(0))
+    notify_by_message(reference, out.shares)
+    assert len(net.transcript) == len(reference.transcript) == n**3 + n**2
+    assert net.transcript == reference.transcript
+    assert tuple(net.transcript) == tuple(reference.transcript)
+    assert net.counters == reference.counters
+
+
+def test_views_equal_the_per_entry_filter_for_every_coalition():
+    # one transcript with a notification, avka rounds of both types and a
+    # withholder's coin announcements
+    n = 5
+    roles = RoleAssignment(n=n, alice=1, receivers=frozenset({3}))
+    bundle = RngBundle.from_seed(21, n)
+    net = Network(n, bundle.network)
+    result = avka(roles, 12, 2, lambda: ghz_state(n), net, bundle, withholder=4)
+    assert {r.round_type for r in result.rounds} == {"keygen", "verification"}
+    entries = tuple(net.transcript)
+    for size in range(n - 1):
+        for coalition in itertools.combinations(range(n), size):
+            view = extract_view(net.transcript, coalition, n)
+            expected = visible_by_filter(entries, coalition)
+            assert len(view.visible_entries) == len(expected)
+            assert view.visible_entries == expected
 
 
 def test_view_monotonicity():

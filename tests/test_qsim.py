@@ -548,14 +548,9 @@ def test_sampled_z_statistics_match_density_diagonal():
     rho = qsim.density_from_ensemble(ensemble)
     rng = np.random.default_rng(7)
     draws = 100_000
-    counts = np.zeros(16)
-    for _ in range(draws):
-        state = qsim.sample_ensemble(ensemble, rng)
-        bits = []
-        for _ in range(4):
-            out, state = qsim.measure(state, 0, Basis.Z, rng)
-            bits.append(out)
-        counts[int("".join(map(str, bits)), 2)] += 1
+    amps = qsim.sample_ensemble(ensemble, rng, draws)
+    bits, _ = qsim.measure_string(amps, "ZZZZ", [rng] * 4)
+    counts = np.bincount(bits.astype(np.int64) @ (1 << np.arange(3, -1, -1)), minlength=16)
     freqs = counts / draws
     diag = np.diag(rho.entries).real
     stderr = np.sqrt(diag * (1 - diag) / draws)
