@@ -16,6 +16,7 @@ Conventions, fixed across the whole package:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,8 +112,12 @@ def basis_state(n: int, index: int) -> StateVector:
     return StateVector(n, amps)
 
 
+@functools.cache
 def ghz_state(n: int) -> StateVector:
-    """The n-qubit GHZ state, equal superposition of all-zeros and all-ones."""
+    """The n-qubit GHZ state, equal superposition of all-zeros and all-ones.
+
+    Built once per n and shared: a StateVector is frozen and its amplitudes
+    are read-only. A bad n raises on every call."""
     if not 1 <= n <= MAX_QUBITS:
         raise SizeError(f"n must be in [1, {MAX_QUBITS}], got {n}")
     amps = np.zeros(2**n, dtype=complex)
@@ -185,12 +190,13 @@ def apply_rz(s: StateVector, qubit: int, theta: float) -> StateVector:
     return StateVector(s.n_qubits, t.reshape(-1))
 
 
-def _branch(z0: np.ndarray, z1: np.ndarray, phase, bit: int) -> np.ndarray:
+def _branch(z0: np.ndarray, z1: np.ndarray, phase, bit: int, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised ``bit`` branch of rows whose measured qubit splits into
-    the (rows, 2^q, 2^(n-q-1)) halves ``z0``/``z1``, as a fresh
-    (rows, 2^(n-1)) array: z0 or z1 for Z (``phase`` None), else
-    (z0 + phase z1)/sqrt(2) or (z0 - phase z1)/sqrt(2), with phase 1 for X (a
-    scalar X takes no multiply) and -1j for Y, one scalar or (rows, 1, 1)."""
+    the (rows, 2^q, 2^(n-q-1)) halves ``z0``/``z1``, as a (rows, 2^(n-1))
+    array: z0 or z1 for Z (``phase`` None), else (z0 + phase z1)/sqrt(2) or
+    (z0 - phase z1)/sqrt(2), with phase 1 for X (a scalar X takes no
+    multiply) and -1j for Y, one scalar or (rows, 1, 1). An X/Y branch is
+    written into ``out`` when one is given; every other branch is fresh."""
     rows, _, tail = z0.shape
     if phase is not None and (isinstance(phase, np.ndarray) or phase != 1):
         z1 = phase * z1
@@ -198,7 +204,8 @@ def _branch(z0: np.ndarray, z1: np.ndarray, phase, bit: int) -> np.ndarray:
     if phase is None:
         vec = (z1 if bit else z0).copy()
     else:
-        vec = (z0 - z1 if bit else z0 + z1) * _SQRT_HALF
+        vec = (np.subtract if bit else np.add)(z0, z1, out=None if out is None else out.reshape(-1, tail))
+        vec *= _SQRT_HALF
     return vec.reshape(rows, -1)
 
 
@@ -221,8 +228,12 @@ def _measure_kernel(
     Row i gets outcome 0 iff ``u[i]`` is below its outcome-0 probability,
     unless ``outcomes`` forces the outcomes. Returns the outcomes, their Born
     probabilities and the kept branches with the measured qubit removed, each
-    normalised by its own norm so rounding errors do not build up along a
-    chain of measurements.
+    normalised by its own norm c so rounding errors do not build up along a
+    chain of measurements. The normalisation multiplies by the complex
+    reciprocal (1/c, -0.0): numpy divides a + bi by a real c as
+    ((a + b*0)/c, (b - a*0)/c), and the multiply gives those bits, signed
+    zeros included, in a cheaper loop. When every row keeps outcome 1, the
+    X/Y branch is built in the outcome-0 branch's buffer.
     """
     shots, dim = amps.shape
     if not 0 <= qubit < dim.bit_length() - 1:
@@ -258,7 +269,7 @@ def _measure_kernel(
     # The outcome-1 branch is built only for the rows that keep it.
     count = np.count_nonzero(ones)
     if count == shots:
-        vec = _branch(z0, z1, phase, 1)
+        vec = _branch(z0, z1, phase, 1, out=vec)
         prob = np.vecdot(vec, vec).real
     elif count:
         vec1 = _branch(z0[ones], z1[ones], phase if np.ndim(phase) == 0 else phase[ones], 1)
@@ -268,7 +279,7 @@ def _measure_kernel(
         i = int(np.argmax(impossible))
         name = basis.value if isinstance(basis, Basis) else "XY"[int(ys[i])]
         raise ValueError(f"branch (qubit={qubit}, basis={name}, outcome={outcomes[i]}) has probability ~0")
-    vec /= np.sqrt(prob)[:, None]
+    vec *= np.reciprocal(np.sqrt(prob), dtype=complex)[:, None]
     _check_unit_norms(vec)
     return outcomes, prob, vec
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -430,3 +431,44 @@ def test_mutated_sample_configs_never_raise(data, tmp_path):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = main([CONFIG_COMMANDS[name], "--config", write_config(tmp_path, cfg)])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_REJECTED)
+
+
+# The avka-n16 benchmark workload's run: n=16, D=4, honest-but-curious coalition {3..15}.
+N16_RUN = {
+    "n": 16,
+    "alice": 0,
+    "receivers": [1, 2],
+    "L": 16,
+    "D": 4,
+    "noise": {"model": "pure"},
+    "adversary": {"kind": "honest_curious", "coalition": list(range(3, 16))},
+    "seed": 5,
+}
+# (exit code, md5 of stdout) of each sample config and of N16_RUN.
+PINNED_STDOUT = {
+    "theorem1.json": (EXIT_OK, "48310bbf36dbac6b45d10e8026f2fa6a"),
+    "anonymity.json": (EXIT_OK, "080f80ca6201c152e18e6a7709c14872"),
+    "experiment.json": (EXIT_OK, "92a02081d0e73b6dda69447b76d913d6"),
+    "notify_demo.json": (EXIT_OK, "9ac4cc7129636ba945d1b327622b893e"),
+    "run.json": (EXIT_OK, "c2e5eae0c3d9f32a722aac62ba9d7f95"),
+    "run_withholding.json": (EXIT_REJECTED, "4eafba46624f64f6755ae6fdc07bf9a7"),
+    "n16": (EXIT_OK, "4619c8878620a8be65c02748d4b0638e"),
+}
+
+
+def test_sample_config_stdout_digests_are_pinned(tmp_path):
+    """Same seed, same bytes: every sample config and one n=16 run print
+    exactly the stdout pinned in PINNED_STDOUT, with the pinned exit code.
+
+    A change that alters RNG consumption (and so the printed numbers)
+    updates the table and lists the changed outputs and fields in
+    CHANGES.md; a speed-up never changes it."""
+    runs = {name: (command, str(REPO / "configs" / name)) for name, command in CONFIG_COMMANDS.items()}
+    runs["n16"] = ("run", write_config(tmp_path, N16_RUN))
+    seen = {}
+    for name, (command, path) in runs.items():
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", path])
+        seen[name] = (code, hashlib.md5(sink.getvalue().encode()).hexdigest())
+    assert seen == PINNED_STDOUT

@@ -63,6 +63,23 @@ def test_ghz_size_errors(n):
         qsim.ghz_state(n)
 
 
+def test_ghz_state_is_one_shared_read_only_state():
+    s = qsim.ghz_state(5)
+    assert qsim.ghz_state(5) is s
+    assert not s.amplitudes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        s.amplitudes[0] = 0.0
+    before = s.amplitudes.tobytes()
+    qsim.rotated_ghz(5, 1.0)
+    qsim.apply_rz(s, 3, 0.7)
+    qsim.apply_pauli_x(s, 2)
+    assert s.amplitudes.tobytes() == before
+    assert qsim.ghz_state(5).amplitudes.tobytes() == before
+    for _ in range(2):  # a bad n is not cached
+        with pytest.raises(qsim.SizeError):
+            qsim.ghz_state(17)
+
+
 def test_statevector_rejects_bad_norm():
     with pytest.raises(ValueError, match="norm"):
         qsim.StateVector(1, np.array([1.0, 1.0]))
@@ -322,6 +339,55 @@ def test_mixed_xy_batch_matches_one_state_reference_bit_for_bit():
             assert outcomes[row] == ref_bit
             assert amps[row].tobytes() == refs[row].tobytes()
     assert len(set(ybits.tolist())) == 2
+
+
+@pytest.mark.parametrize("rows", [1, 64])
+def test_kernel_normalisation_multiply_keeps_the_division_bits(rows):
+    # _measure_kernel normalises by multiplying each row by the complex
+    # reciprocal (1/c, -0.0) of its real norm c. numpy divides by a real c as
+    # ((a + b*0)/c, (b - a*0)/c), and the multiply by (1/c, -0.0) gives the
+    # same bits, signed zeros included. If a numpy release changes either
+    # loop, this fails here, before the bit-for-bit kernel tests do.
+    rng = np.random.default_rng(rows)
+    p = rng.uniform(1e-3, 1.0, size=rows)
+    recip = np.reciprocal(np.sqrt(p), dtype=complex)
+    assert np.all(np.signbit(recip.imag))
+    for cols in (4, 7, 64, 1000):
+        shape = (rows, cols)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for part in (v.real, v.imag):  # about a third of each part becomes +0 or -0
+            part[...] = np.where(rng.random(shape) < 0.35, np.where(rng.random(shape) < 0.5, 0.0, -0.0), part)
+        v[:, :4] = [complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+        divided = v / np.sqrt(p)[:, None]
+        multiplied = v * recip[:, None]
+        assert multiplied.tobytes() == divided.tobytes()
+
+
+@pytest.mark.parametrize("basis", ["ybits", "X", "Y"])
+def test_all_outcome_one_batch_matches_one_state_reference_bit_for_bit(basis):
+    # Uniforms above every row's p0 send the whole batch down the outcome-1
+    # branch, which the kernel builds in its branch-0 buffer; the caller's
+    # array stays untouched and every row matches the one-state reference.
+    rng = np.random.default_rng(41)
+    n = 5
+    states = [random_state(n, rng) for _ in range(6)]
+    states += [qsim.rotated_ghz(n, float(t)) for t in rng.uniform(0.1, np.pi, 4)]
+    amps = np.vstack([s.amplitudes for s in states])
+    refs = [s.amplitudes for s in states]
+    for size in range(n, 1, -1):
+        qubit = int(rng.integers(0, size))
+        ybits = rng.integers(0, 2, size=len(states)) if basis == "ybits" else np.full(len(states), "XY".index(basis))
+        p0 = np.array([born_probabilities(ref, qubit, "XY"[y])[0] for ref, y in zip(refs, ybits)])
+        u = p0 + (1.0 - p0) * rng.uniform(0.01, 0.99, size=len(states))
+        before = amps.tobytes()
+        outcomes, _, post = qsim._measure_kernel(amps, qubit, ybits if basis == "ybits" else basis, u=u)
+        assert amps.tobytes() == before
+        assert np.all(outcomes == 1)
+        for row, (y, uniform) in enumerate(zip(ybits, u)):
+            ref_bit, refs[row] = single_state_measure(refs[row], qubit, "XY"[y], _Fixed(uniform))
+            assert ref_bit == 1
+            assert post[row].tobytes() == refs[row].tobytes()
+        amps = post
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
