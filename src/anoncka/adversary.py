@@ -17,12 +17,12 @@ honest run and its honest-curious twin consume identical honest draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, replace
+from typing import Union
 
 from .netmodel import AdversaryView, Network, RoleAssignment, check_coalition, extract_view
 from .protocols import AvkaResult, avka
-from .qsim import Basis, NoiseEnsemble, StateVector, ghz_state, sample_ensemble
+from .qsim import Basis, NoiseEnsemble, StateVector, ghz_state
 from .rng import RngBundle
 
 
@@ -59,28 +59,6 @@ class AdversaryRun:
     adversary_key_guess: str
 
 
-def _check_strategy(roles: RoleAssignment, strategy: AdversaryStrategy) -> None:
-    if isinstance(strategy, HonestCurious):
-        if roles.alice in strategy.coalition:
-            raise ConfigurationError("coalition must exclude Alice (her knowledge is trivial)")
-        try:
-            check_coalition(strategy.coalition, roles.n)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
-    elif isinstance(strategy, WithholdingAgent):
-        if strategy.party not in roles.non_participants:
-            raise ConfigurationError(
-                f"withholding agent {strategy.party} must be a non-participant"
-            )
-    elif isinstance(strategy, DishonestSource):
-        gen = strategy.generator
-        size = gen.n_qubits if isinstance(gen, (NoiseEnsemble, StateVector)) else None
-        if size != roles.n:
-            raise ConfigurationError(f"dishonest source emits {size}-qubit states for n={roles.n}")
-    else:
-        raise ConfigurationError(f"unknown strategy {strategy!r}")
-
-
 def run_with_adversary(
     roles: RoleAssignment,
     num_states: int,
@@ -88,40 +66,47 @@ def run_with_adversary(
     strategy: AdversaryStrategy,
     net: Network,
     rng: RngBundle,
-    source: Callable[[], StateVector] | None = None,
+    source: StateVector | NoiseEnsemble | None = None,
 ) -> AdversaryRun:
     """Execute a verifiable key agreement run with one adversary injected.
 
     ``source`` is the honest source (pure GHZ by default); a DishonestSource
-    strategy replaces it. Returns the protocol result, the adversary's view
-    of the transcript, and its key guess (empty unless withholding).
+    strategy replaces it, and a dishonest mixture draws from the adversary
+    stream. Returns the protocol result, the adversary's view of the
+    transcript, and its key guess (empty unless withholding). A strategy
+    inconsistent with ``roles`` raises ConfigurationError before any round.
     """
-    _check_strategy(roles, strategy)
-    if source is None:
-        source = lambda: ghz_state(roles.n)
-
     withholder = None
     withholder_basis = Basis.Z
     coalition: frozenset[int] = frozenset()
 
     if isinstance(strategy, HonestCurious):
         coalition = strategy.coalition
+        if roles.alice in coalition:
+            raise ConfigurationError("coalition must exclude Alice (her knowledge is trivial)")
+        try:
+            check_coalition(coalition, roles.n)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
     elif isinstance(strategy, WithholdingAgent):
+        if strategy.party not in roles.non_participants:
+            raise ConfigurationError(f"withholding agent {strategy.party} must be a non-participant")
         withholder = strategy.party
         withholder_basis = strategy.later_basis
         coalition = frozenset({strategy.party})
     elif isinstance(strategy, DishonestSource):
-        gen = strategy.generator
-        if isinstance(gen, StateVector):
-            source = lambda: gen
-        else:
-            source = lambda: sample_ensemble(gen, rng.adversary)
+        source = strategy.generator
+        if source.n_qubits != roles.n:
+            raise ConfigurationError(f"dishonest source emits {source.n_qubits}-qubit states for n={roles.n}")
+        rng = replace(rng, source=rng.adversary)
+    else:
+        raise ConfigurationError(f"unknown strategy {strategy!r}")
 
     result = avka(
         roles,
         num_states,
         keygen_denom,
-        source,
+        ghz_state(roles.n) if source is None else source,
         net,
         rng,
         withholder=withholder,

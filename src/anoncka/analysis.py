@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .netmodel import AdversaryView, RoleAssignment, check_coalition
-from .protocols import _batches, _check_notified, _parity_test, carve, deal_shares, parity_round
+from .protocols import _batches, _check_notified, _parity_test, _rows, carve, deal_shares, parity_round
 from .qsim import (
     NoiseEnsemble,
     StateVector,
@@ -97,10 +97,7 @@ def check_theorem1(
         eps = min(1.0, max(0.0, ghz_trace_distance(entry)))
         accepted = 0
         for shots in _batches(trials, 16 * 2**k):
-            if isinstance(entry, NoiseEnsemble):
-                amps = sample_ensemble(entry, bundle.source, shots)
-            else:
-                amps = np.broadcast_to(entry.amplitudes, (shots, 2**k))
+            amps = _rows(entry, bundle.source, shots)
             accepted += int(parity_round(amps, tuple(range(k)), 0, bundle).accepted.sum())
         rate = accepted / trials
         stderr = float(np.sqrt(rate * (1.0 - rate) / trials))

@@ -49,7 +49,6 @@ from .qsim import (
     ghz_state,
     local_correct_ghz_prime,
     rotated_ghz,
-    sample_ensemble,
     werner_ghz,
     werner_p_for_fidelity,
 )
@@ -131,26 +130,21 @@ def _werner(n: int, fidelity: float, ghz: StateVector | None = None) -> NoiseEns
         raise CliError(str(exc)) from exc
 
 
-def _make_source(cfg: dict, roles: RoleAssignment, bundle: RngBundle):
+def _make_source(cfg: dict, roles: RoleAssignment) -> StateVector | NoiseEnsemble:
     noise = cfg.get("noise", {"model": "pure"})
     if not isinstance(noise, dict):
         raise CliError("config key 'noise' must be an object")
     model = noise.get("model", "pure")
     if model == "pure":
-        state = ghz_state(roles.n)
-        return lambda: state
+        return ghz_state(roles.n)
     if model == "werner":
-        ensemble = _werner(roles.n, _require(noise, "fidelity", float))
-        return lambda: sample_ensemble(ensemble, bundle.source)
+        return _werner(roles.n, _require(noise, "fidelity", float))
     if model == "ghz_prime":
         if roles.n != 4:
             raise CliError("noise model 'ghz_prime' needs n=4")
         base = local_correct_ghz_prime(ghz_prime_state())
         fidelity = _require(noise, "fidelity", float) if "fidelity" in noise else 1.0
-        if fidelity == 1.0:
-            return lambda: base
-        ensemble = _werner(4, fidelity, base)
-        return lambda: sample_ensemble(ensemble, bundle.source)
+        return base if fidelity == 1.0 else _werner(4, fidelity, base)
     raise CliError(f"unknown noise model {model!r}")
 
 
@@ -199,13 +193,13 @@ def cmd_run(cfg: dict, fmt: str) -> int:
     num_states = _require(cfg, "L", int, lambda v: v >= 0)
     bundle = RngBundle.from_seed(seed, roles.n)
     net = Network(roles.n, bundle.network)
-    source = _make_source(cfg, roles, bundle)
+    source = _make_source(cfg, roles)
     strategy = _make_strategy(cfg, roles)
 
     if cfg.get("D") is None:
         if strategy is not None:
             raise CliError("adversary strategies need the verifiable variant (set D)")
-        keys = aka(roles, [source() for _ in range(num_states)], net, bundle)
+        keys = aka(roles, num_states, source, net, bundle)
         _emit(
             {
                 "command": "aka",

@@ -29,12 +29,12 @@ use Alice first, then receivers ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .netmodel import ChannelAbort, Network, RoleAssignment
-from .qsim import Basis, StateVector, _measure_kernel, measure_string
+from .qsim import Basis, NoiseEnsemble, StateVector, _measure_kernel, measure_string, sample_ensemble
 from .rng import RngBundle
 
 VERIFICATION_ROUND = "verification"
@@ -52,6 +52,15 @@ def _batches(trials: int, row_bytes: int):
     size = max(1, _BATCH_BYTES // row_bytes)
     for start in range(0, trials, size):
         yield min(size, trials - start)
+
+
+def _rows(source: StateVector | NoiseEnsemble, stream: np.random.Generator, shots: int) -> np.ndarray:
+    """``shots`` states of a source as a (shots, 2^n) amplitude array: a pure
+    state is its one read-only row repeated, with no draws; a mixture draws
+    one uniform per row from ``stream``."""
+    if isinstance(source, StateVector):
+        return np.broadcast_to(source.amplitudes, (shots, source.amplitudes.size))
+    return sample_ensemble(source, stream, shots)
 
 
 @dataclass(frozen=True)
@@ -391,7 +400,8 @@ def verification(
 
 def aka(
     roles: RoleAssignment,
-    states: list[StateVector],
+    num_states: int,
+    source: StateVector | NoiseEnsemble,
     net: Network,
     rng: RngBundle,
 ) -> dict[int, str]:
@@ -399,14 +409,14 @@ def aka(
     state an ame round and a Z readout. This is ``avka`` with every round a
     keygen round, so the transcript holds one public coin per round, always
     1. Returns each participant's key string; an aborted round ends the keys."""
-    return avka(roles, len(states), 1, iter(states).__next__, net, rng).key_bits
+    return avka(roles, num_states, 1, source, net, rng).key_bits
 
 
 def avka(
     roles: RoleAssignment,
     num_states: int,
     keygen_denom: int,
-    source: Callable[[], StateVector],
+    source: StateVector | NoiseEnsemble,
     net: Network,
     rng: RngBundle,
     *,
@@ -415,16 +425,17 @@ def avka(
 ) -> AvkaResult:
     """Anonymous verifiable key agreement.
 
-    Per source state: run ame, then a public coin with P(keygen) =
+    Per state of ``source`` (a pure state, or a mixture drawn from the
+    bundle's source stream): run ame, then a public coin with P(keygen) =
     1/keygen_denom picks the round type. Verification rounds feed Alice's
     verdict; keygen rounds append one bit to every participant's key. The
     run validates iff nothing aborted and every verification round accepted.
 
-    The rounds run as rows, in batches of about 1 MB: one ``carve`` per
-    batch, one array of coins, one Z readout of the keygen rows and one
-    ``parity_round`` on the verification rows. Then each round makes its
-    broadcasts in round order, as the per-party ``ame`` and ``verification``
-    do; a round that aborts ends the run.
+    The rounds run as rows, in batches of about 1 MB: one draw of source
+    states and one ``carve`` per batch, one array of coins, one Z readout of
+    the keygen rows and one ``parity_round`` on the verification rows. Then
+    each round makes its broadcasts in round order, as the per-party ``ame``
+    and ``verification`` do; a round that aborts ends the run.
 
     ``withholder`` injects a bystander that skips its ame measurement and
     later measures its kept qubit in ``withholder_basis`` during keygen
@@ -454,13 +465,10 @@ def avka(
     try:
         _check_notified(roles, notification(roles, net, rng).notified)
         for size in _batches(num_states, 16 * 2**roles.n):
-            # ``index`` is always the round being run; failure records read it.
-            rows = []
-            for index in range(done, done + size):
-                rows.append(source().amplitudes)
-            # One row goes in uncopied; no batch's rows outlive its carve.
-            rows = rows[0][None] if size == 1 else np.array(rows)
-            announced, _, _, carved = carve(rows, roles, rng, withholding=withholding)
+            # Failure records read ``index``: the batch's first round until
+            # its broadcasts start, then the round being broadcast.
+            index = done
+            announced, _, _, carved = carve(_rows(source, rng.source, size), roles, rng, withholding=withholding)
             keygen = rng.coin.random(size) < 1.0 / keygen_denom
             keygen_rows = np.count_nonzero(keygen)
             readouts = tests = iter(())

@@ -297,24 +297,17 @@ def measure(
     return int(outcomes[0]), StateVector._checked(s.n_qubits - 1, post[0])
 
 
-def measure_string(s, ops: str, rngs: Sequence[np.random.Generator]):
-    """Measure qubit 0 once per character of ``ops`` (``X``, ``Y`` or
-    ``Z``), on one state or a batch.
-
-    ``s`` is a StateVector or a (shots, 2^n) amplitude array of one state
-    per shot; every shot is measured in the same bases. Column i draws one
-    uniform per shot from ``rngs[i]``. Returns the outcome bits and the
-    states of the qubits left unmeasured: a tuple and a StateVector for a
-    StateVector, a (shots, m) bit array and a (shots, 2^(n-m)) amplitude
-    array for a batch.
+def measure_string(amps: np.ndarray, ops: str, rngs: Sequence[np.random.Generator]):
+    """Measure qubit 0 of every row of a (shots, 2^n) amplitude array once
+    per character of ``ops`` (``X``, ``Y`` or ``Z``); every shot is measured
+    in the same bases. Column i draws one uniform per shot from ``rngs[i]``.
+    Returns the (shots, m) outcome bits and the (shots, 2^(n-m)) states of
+    the qubits left unmeasured.
     """
-    amps = s.amplitudes[None] if isinstance(s, StateVector) else s
     shots = len(amps)
     bits = np.empty((shots, len(ops)), dtype=np.int8)
     for i, (basis, rng) in enumerate(zip(ops, rngs, strict=True)):
         bits[:, i], _, amps = _measure_kernel(amps, 0, basis, u=rng.random(shots))
-    if isinstance(s, StateVector):
-        return tuple(int(b) for b in bits[0]), StateVector._checked(s.n_qubits - len(ops), amps[0])
     return bits, amps
 
 
@@ -384,20 +377,18 @@ def density_from_ensemble(e: NoiseEnsemble) -> DensityMatrix:
     return DensityMatrix(e.n_qubits, mat)
 
 
-def sample_ensemble(e: NoiseEnsemble, rng: np.random.Generator, shots: int | None = None):
-    """Draw pure states of the mixture, one uniform ``u`` per state.
+def sample_ensemble(e: NoiseEnsemble, rng: np.random.Generator, shots: int) -> np.ndarray:
+    """Draw ``shots`` pure states of the mixture as a (shots, 2^n) array of
+    one state per row, one uniform ``u`` per state.
 
     The states are laid out on [0, 1) in the order coherent state, then basis
     states 0 .. 2^n - 1: ``u < p`` gives the coherent state, otherwise the
-    basis state in whose (1 - p)/2^n slice ``u`` falls. Returns one
-    StateVector, or with ``shots`` a (shots, 2^n) array of one state per row.
+    basis state in whose (1 - p)/2^n slice ``u`` falls.
     """
-    u = rng.random(1 if shots is None else shots)
+    u = rng.random(shots)
     noise = u >= e.p
     dim = 2**e.n_qubits
     index = np.minimum(((u[noise] - e.p) / ((1.0 - e.p) / dim)).astype(np.int64), dim - 1)
-    if shots is None:
-        return basis_state(e.n_qubits, int(index[0])) if noise[0] else e.coherent
     amps = np.zeros((shots, dim), dtype=complex)
     amps[~noise] = e.coherent.amplitudes
     amps[np.flatnonzero(noise), index] = 1.0

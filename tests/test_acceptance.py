@@ -151,7 +151,7 @@ def test_criterion_5_key_rate():
     for seed in range(trials):
         bundle = RngBundle.from_seed(50_000 + seed, 4)
         net = Network(4, bundle.network)
-        results.append(avka(roles, num_states, denom, lambda: ghz_state(4), net, bundle))
+        results.append(avka(roles, num_states, denom, ghz_state(4), net, bundle))
     rep = key_rate(results, num_states, denom)
     assert all(r.validated for r in results)
 
@@ -159,7 +159,7 @@ def test_criterion_5_key_rate():
     for seed in range(10):
         bundle = RngBundle.from_seed(60_000 + seed, 4)
         net = Network(4, bundle.network)
-        exact.append(avka(roles, 100, 1, lambda: ghz_state(4), net, bundle))
+        exact.append(avka(roles, 100, 1, ghz_state(4), net, bundle))
     exact_rep = key_rate(exact, 100, 1)
     ok = rep.within_ci and exact_rep.empirical_rate == 100.0 and exact_rep.within_ci
     report(

@@ -47,7 +47,7 @@ def test_honest_curious_changes_nothing():
 
     bundle = RngBundle.from_seed(5, 4)
     net = Network(4, bundle.network)
-    honest = avka(ROLES, 40, 2, lambda: ghz_state(4), net, bundle)
+    honest = avka(ROLES, 40, 2, ghz_state(4), net, bundle)
     assert watched == honest
 
 

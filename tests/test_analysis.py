@@ -370,7 +370,7 @@ def run_avka(seed: int, num_states: int, denom: int):
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     bundle = RngBundle.from_seed(seed, 4)
     net = Network(4, bundle.network)
-    return avka(roles, num_states, denom, lambda: ghz_state(4), net, bundle)
+    return avka(roles, num_states, denom, ghz_state(4), net, bundle)
 
 
 def test_key_rate_denominator_one_exact():

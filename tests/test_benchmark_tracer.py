@@ -38,21 +38,38 @@ def test_benchmark_tracer_wraps_and_restores_the_traced_functions(monkeypatch):
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_failure_records_name_the_avka_round(rows, monkeypatch):
+    """A failure while a batch is carved names the batch's first round; a
+    failure in a round's broadcasts names that round."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import describe_exception
 
     monkeypatch.setattr(protocols, "_BATCH_BYTES", rows * 16 * 2**4)  # ``rows`` rounds per batch at n=4
-    calls = 0
-
-    def source():
-        nonlocal calls
-        calls += 1
-        if calls == 6:
-            raise ValueError("source failed")
-        return qsim.ghz_state(4)
-
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
-    bundle = RngBundle.from_seed(5, 4)
-    with pytest.raises(ValueError, match="source failed") as info:
-        protocols.avka(roles, 10, 2, source, Network(4, bundle.network), bundle)
-    assert describe_exception(info.value)["round"] == 5
+
+    def failing_run(fail):
+        bundle = RngBundle.from_seed(5, 4)
+        net = Network(4, bundle.network)
+        with monkeypatch.context() as patch:
+            fail(patch)
+            with pytest.raises(ValueError, match="injected") as info:
+                protocols.avka(roles, 10, 2, qsim.ghz_state(4), net, bundle)
+        return describe_exception(info.value)["round"]
+
+    carve, carves = protocols.carve, []
+
+    def third_carve_fails(*args, **kwargs):
+        carves.append(None)
+        if len(carves) == 3:
+            raise ValueError("injected")
+        return carve(*args, **kwargs)
+
+    assert failing_run(lambda patch: patch.setattr(protocols, "carve", third_carve_fails)) == 2 * rows
+
+    broadcast = Network.broadcast_round
+
+    def round_5_fails(self, *args, **kwargs):
+        if kwargs["phase"].startswith("round[5]"):
+            raise ValueError("injected")
+        return broadcast(self, *args, **kwargs)
+
+    assert failing_run(lambda patch: patch.setattr(Network, "broadcast_round", round_5_fails)) == 5

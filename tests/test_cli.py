@@ -147,6 +147,22 @@ def test_run_werner_noise_beyond_ten_qubits(cfg, tmp_path, capsys):
     assert payload["num_rounds"] == cfg["L"]
 
 
+def test_unverified_run_draws_its_source_states_per_batch(tmp_path, capsys):
+    # Built before the first round, the source's 2000 draws hold about 1000
+    # noise basis states of 2^10 amplitudes (16 KB each): a 22 MB peak. Drawn
+    # per batch of about 1 MB, the peak stays near 6 MB.
+    cfg = {"n": 10, "alice": 0, "receivers": [1, 2], "L": 2000, "noise": {"model": "werner", "fidelity": 0.5}, "seed": 3}
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert len(json.loads(out)["keys"]["0"]) == 2000
+    assert peak < 10 * 2**20
+
+
 def test_theorem1_csv_rows(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -444,7 +460,31 @@ N16_RUN = {
     "adversary": {"kind": "honest_curious", "coalition": list(range(3, 16))},
     "seed": 5,
 }
-# (exit code, md5 of stdout) of each sample config and of N16_RUN.
+# Source paths no sample config takes: a Werner source without D, a dishonest
+# Werner mixture (drawn from the adversary stream), and a noisy GHZ' source.
+SOURCE_RUNS = {
+    "werner_aka": {"n": 6, "alice": 0, "receivers": [1, 3], "L": 300, "noise": {"model": "werner", "fidelity": 0.7}, "seed": 4},
+    "dishonest_werner": {
+        "n": 5,
+        "alice": 0,
+        "receivers": [1],
+        "L": 150,
+        "D": 2,
+        "adversary": {"kind": "dishonest_source", "state": "werner", "fidelity": 0.75},
+        "seed": 11,
+    },
+    "ghz_prime_werner": {
+        "n": 4,
+        "alice": 0,
+        "receivers": [1, 2],
+        "L": 150,
+        "D": 2,
+        "noise": {"model": "ghz_prime", "fidelity": 0.85},
+        "adversary": {"kind": "honest_curious", "coalition": [3]},
+        "seed": 13,
+    },
+}
+# (exit code, md5 of stdout) of each sample config, of N16_RUN and of SOURCE_RUNS.
 PINNED_STDOUT = {
     "theorem1.json": (EXIT_OK, "48310bbf36dbac6b45d10e8026f2fa6a"),
     "anonymity.json": (EXIT_OK, "080f80ca6201c152e18e6a7709c14872"),
@@ -453,18 +493,24 @@ PINNED_STDOUT = {
     "run.json": (EXIT_OK, "c2e5eae0c3d9f32a722aac62ba9d7f95"),
     "run_withholding.json": (EXIT_REJECTED, "4eafba46624f64f6755ae6fdc07bf9a7"),
     "n16": (EXIT_OK, "4619c8878620a8be65c02748d4b0638e"),
+    "werner_aka": (EXIT_OK, "f66e3c88ac0f350f7a45c3f661374503"),
+    "dishonest_werner": (EXIT_REJECTED, "2ce639e18f0364c0c9017b8e6c522e87"),
+    "ghz_prime_werner": (EXIT_REJECTED, "0680b26a33108373f72aeda5e17f225e"),
 }
 
 
 def test_sample_config_stdout_digests_are_pinned(tmp_path):
-    """Same seed, same bytes: every sample config and one n=16 run print
-    exactly the stdout pinned in PINNED_STDOUT, with the pinned exit code.
+    """Same seed, same bytes: every sample config, one n=16 run and the
+    SOURCE_RUNS print exactly the stdout pinned in PINNED_STDOUT, with the
+    pinned exit code.
 
     A change that alters RNG consumption (and so the printed numbers)
     updates the table and lists the changed outputs and fields in
     CHANGES.md; a speed-up never changes it."""
     runs = {name: (command, str(REPO / "configs" / name)) for name, command in CONFIG_COMMANDS.items()}
     runs["n16"] = ("run", write_config(tmp_path, N16_RUN))
+    for name, cfg in SOURCE_RUNS.items():
+        runs[name] = ("run", write_config(tmp_path, cfg, f"{name}.json"))
     seen = {}
     for name, (command, path) in runs.items():
         sink = io.StringIO()

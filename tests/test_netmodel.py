@@ -193,7 +193,7 @@ def test_views_equal_the_per_entry_filter_for_every_coalition():
     roles = RoleAssignment(n=n, alice=1, receivers=frozenset({3}))
     bundle = RngBundle.from_seed(21, n)
     net = Network(n, bundle.network)
-    result = avka(roles, 12, 2, lambda: ghz_state(n), net, bundle, withholder=4)
+    result = avka(roles, 12, 2, ghz_state(n), net, bundle, withholder=4)
     assert {r.round_type for r in result.rounds} == {"keygen", "verification"}
     entries = tuple(net.transcript)
     for size in range(n - 1):

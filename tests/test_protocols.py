@@ -300,7 +300,7 @@ def test_aka_raises_when_notification_misses_a_receiver(monkeypatch):
     wrong = protocols.NotificationOutcome(notified=(0, 1, 0, 0), shares=np.zeros((4, 4, 4), dtype=np.int8))
     monkeypatch.setattr(protocols, "notification", lambda *args: wrong)
     with pytest.raises(RuntimeError, match="exactly the chosen receivers"):
-        aka(roles, [ghz_state(4)], net, bundle)
+        aka(roles, 1, ghz_state(4), net, bundle)
 
 
 def test_keygen_on_ghz_bits_agree_and_are_uniform():
@@ -308,16 +308,17 @@ def test_keygen_on_ghz_bits_agree_and_are_uniform():
     ones = 0
     rounds = 10_000
     for _ in range(rounds):
-        bits, _ = qsim.measure_string(ghz_state(3), "ZZZ", [rng] * 3)
+        bits = qsim.measure_string(ghz_state(3).amplitudes[None], "ZZZ", [rng] * 3)[0][0].tolist()
         assert len(set(bits)) == 1
         ones += bits[0]
     assert ones / rounds == pytest.approx(0.5, abs=4 * np.sqrt(0.25 / rounds))
 
 
 def test_keygen_on_basis_state_deterministic():
-    bits, rest = qsim.measure_string(qsim.basis_state(3, 0b010), "ZZ", [np.random.default_rng(15)] * 2)
-    assert bits == (0, 1)
-    assert rest.n_qubits == 1 and abs(rest.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
+    state = qsim.basis_state(3, 0b010)
+    bits, rest = qsim.measure_string(state.amplitudes[None], "ZZ", [np.random.default_rng(15)] * 2)
+    assert bits[0].tolist() == [0, 1]
+    assert rest.shape == (1, 2) and abs(rest[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_keygen_classical_mixture_mimics_ghz():
@@ -326,7 +327,7 @@ def test_keygen_classical_mixture_mimics_ghz():
     rounds = 4000
     for _ in range(rounds):
         state = qsim.basis_state(3, 0 if rng.random() < 0.5 else 7)
-        bits, _ = qsim.measure_string(state, "ZZZ", [rng] * 3)
+        bits = qsim.measure_string(state.amplitudes[None], "ZZZ", [rng] * 3)[0][0].tolist()
         assert len(set(bits)) == 1
         ones += bits[0]
     assert ones / rounds == pytest.approx(0.5, abs=4 * np.sqrt(0.25 / rounds))
@@ -338,14 +339,14 @@ def test_keygen_classical_mixture_mimics_ghz():
 def test_aka_zero_states_empty_keys():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     net, bundle = fresh(17, 4)
-    keys = aka(roles, [], net, bundle)
+    keys = aka(roles, 0, ghz_state(4), net, bundle)
     assert keys == {0: "", 1: "", 2: ""}
 
 
 def test_aka_perfect_source_identical_keys():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     net, bundle = fresh(18, 4)
-    keys = aka(roles, [ghz_state(4)] * 100, net, bundle)
+    keys = aka(roles, 100, ghz_state(4), net, bundle)
     values = set(keys.values())
     assert len(values) == 1
     bits = values.pop()
@@ -361,8 +362,7 @@ def test_aka_werner_disagreement_matches_prediction():
     ensemble = qsim.werner_ghz(4, p)
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     net, bundle = fresh(19, 4)
-    states = [qsim.sample_ensemble(ensemble, bundle.source) for _ in range(rounds)]
-    keys = aka(roles, states, net, bundle)
+    keys = aka(roles, rounds, ensemble, net, bundle)
     a, b = keys[0], keys[1]
     rate = sum(x != y for x, y in zip(a, b)) / rounds
     expected = (1 - p) / 2
@@ -375,7 +375,7 @@ def test_aka_werner_disagreement_matches_prediction():
 def test_avka_denominator_one_is_all_keygen():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     net, bundle = fresh(20, 4)
-    result = avka(roles, 50, 1, lambda: ghz_state(4), net, bundle)
+    result = avka(roles, 50, 1, ghz_state(4), net, bundle)
     assert all(r.round_type == KEYGEN_ROUND for r in result.rounds)
     assert all(len(bits) == 50 for bits in result.key_bits.values())
     assert result.validated and not result.aborted
@@ -384,7 +384,7 @@ def test_avka_denominator_one_is_all_keygen():
 def test_avka_round_types_follow_coin_transcript():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     net, bundle = fresh(21, 4)
-    result = avka(roles, 80, 3, lambda: ghz_state(4), net, bundle)
+    result = avka(roles, 80, 3, ghz_state(4), net, bundle)
     coins = [e.bits for e in net.transcript if e.phase.endswith(":coin")]
     assert len(coins) == 80
     for coin, round_ in zip(coins, result.rounds):
@@ -396,7 +396,7 @@ def test_avka_round_types_follow_coin_transcript():
 def test_avka_perfect_source_validates_and_keys_agree():
     roles = RoleAssignment(n=5, alice=2, receivers=frozenset({0, 4}))
     net, bundle = fresh(22, 5)
-    result = avka(roles, 60, 3, lambda: ghz_state(5), net, bundle)
+    result = avka(roles, 60, 3, ghz_state(5), net, bundle)
     assert result.validated
     assert all(r.verification.accepted for r in result.rounds if r.round_type == VERIFICATION_ROUND)
     assert len(set(result.key_bits.values())) == 1
@@ -406,7 +406,7 @@ def test_avka_ghz_minus_source_rejected_every_round():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     net, bundle = fresh(23, 4)
     bad = qsim.rotated_ghz(4, np.pi)
-    result = avka(roles, 40, 2, lambda: bad, net, bundle)
+    result = avka(roles, 40, 2, bad, net, bundle)
     verifications = [r for r in result.rounds if r.round_type == VERIFICATION_ROUND]
     assert verifications and all(not r.verification.accepted for r in verifications)
     assert not result.validated
@@ -417,7 +417,7 @@ def test_avka_rotated_source_rejection_rate():
     theta = np.pi / 3
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     net, bundle = fresh(24, 4)
-    result = avka(roles, 200, 2, lambda: qsim.rotated_ghz(4, theta), net, bundle)
+    result = avka(roles, 200, 2, qsim.rotated_ghz(4, theta), net, bundle)
     verifications = [r for r in result.rounds if r.round_type == VERIFICATION_ROUND]
     failed = sum(not r.verification.accepted for r in verifications) / len(verifications)
     assert failed == pytest.approx(0.25, abs=0.05 + 4 * np.sqrt(0.25 * 0.75 / len(verifications)))
@@ -436,7 +436,7 @@ def test_avka_abort_recorded():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     bundle = RngBundle.from_seed(25, 4)
     net = DropOnce(4, bundle.network)
-    result = avka(roles, 20, 2, lambda: ghz_state(4), net, bundle)
+    result = avka(roles, 20, 2, ghz_state(4), net, bundle)
     assert result.aborted and not result.validated
     assert len(result.rounds) == 5
 
@@ -447,7 +447,7 @@ def test_avka_records_match_the_transcript_across_batches(withholder, monkeypatc
     monkeypatch.setattr(protocols, "_BATCH_BYTES", 3 * 16 * 2**4)
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     net, bundle = fresh(30, 4)
-    result = avka(roles, 10, 2, lambda: ghz_state(4), net, bundle, withholder=withholder)
+    result = avka(roles, 10, 2, ghz_state(4), net, bundle, withholder=withholder)
     types = [r.round_type for r in result.rounds]
     assert len(types) == 10 and KEYGEN_ROUND in types and VERIFICATION_ROUND in types
 
@@ -480,7 +480,7 @@ def test_avka_records_match_the_transcript_across_batches(withholder, monkeypatc
 def test_avka_verification_round_has_all_announcers():
     roles = RoleAssignment(n=5, alice=0, receivers=frozenset({1, 2}))
     net, bundle = fresh(26, 5)
-    avka(roles, 30, 2, lambda: ghz_state(5), net, bundle)
+    avka(roles, 30, 2, ghz_state(5), net, bundle)
     rounds = {e.phase for e in net.transcript if e.phase.endswith("verify:announce")}
     assert rounds
     for phase in rounds:
@@ -492,8 +492,8 @@ def test_avka_parameter_validation():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
     net, bundle = fresh(27, 4)
     with pytest.raises(ValueError):
-        avka(roles, -1, 2, lambda: ghz_state(4), net, bundle)
+        avka(roles, -1, 2, ghz_state(4), net, bundle)
     with pytest.raises(ValueError):
-        avka(roles, 5, 0, lambda: ghz_state(4), net, bundle)
+        avka(roles, 5, 0, ghz_state(4), net, bundle)
     with pytest.raises(ValueError):
-        avka(roles, 5, 2, lambda: ghz_state(4), net, bundle, withholder=1)
+        avka(roles, 5, 2, ghz_state(4), net, bundle, withholder=1)
