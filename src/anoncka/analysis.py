@@ -19,7 +19,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .netmodel import AdversaryView, RoleAssignment, check_coalition
-from .protocols import _batches, _check_notified, _parity_test, _rows, carve, deal_shares, parity_round
+from .protocols import _BATCH_BYTES, _batches, _check_notified, _parity_test, _rows, carve, deal_shares
+from .protocols import ParityDraws, parity_draws, parity_measure
 from .qsim import (
     NoiseEnsemble,
     StateVector,
@@ -46,7 +47,8 @@ REFERENCE_FIDELITY = 0.81
 @dataclass(frozen=True)
 class BoundCheck:
     """Monte Carlo acceptance rate of the verification test against the
-    1 - eps^2/2 bound, with 4-sigma slack on the estimate."""
+    1 - eps^2/2 bound; ``stderr`` is the estimate's plug-in standard error,
+    while ``satisfied`` allows four standard errors of a rate at the bound."""
 
     epsilon: float
     accept_rate: float
@@ -78,9 +80,10 @@ def check_theorem1(
     party 0 as verifier, and flag whether the acceptance rate stays below
     1 - eps^2/2 within four standard errors.
 
-    The shots run in batches through ``parity_round``; each party draws
-    from its own stream of one bundle spawned from ``rng``, mixture draws
-    come from the bundle's source stream.
+    The shots are drawn per state in batches, as ``parity_round`` draws
+    them (each party from its own stream of one bundle spawned from ``rng``,
+    mixtures from its source stream), and queue across states up to about
+    1 MB of rows; then one ``parity_measure`` runs the whole queue.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -91,27 +94,33 @@ def check_theorem1(
         raise ValueError(f"state family spans register sizes {sorted(sizes)}")
     k = sizes.pop()
 
-    checks = []
     bundle = RngBundle.from_generator(rng, k)
-    for entry in state_family:
-        eps = min(1.0, max(0.0, ghz_trace_distance(entry)))
-        accepted = 0
+    holders, budget = tuple(range(k)), max(1, _BATCH_BYTES // (16 * 2**k))
+    accepted = np.zeros(len(state_family), dtype=np.int64)
+    owners, amps, draws = [], [], []  # the queued batches, drawn but not yet measured
+
+    def measure():
+        rows = amps[0] if len(amps) == 1 else np.concatenate(amps)
+        drawn = ParityDraws(*map(np.concatenate, zip(*draws)))
+        np.add.at(accepted, np.concatenate(owners), parity_measure(rows, holders, 0, drawn).accepted)
+        owners.clear(), amps.clear(), draws.clear()
+
+    for index, entry in enumerate(state_family):
         for shots in _batches(trials, 16 * 2**k):
-            amps = _rows(entry, bundle.source, shots)
-            accepted += int(parity_round(amps, tuple(range(k)), 0, bundle).accepted.sum())
-        rate = accepted / trials
+            if owners and sum(map(len, owners)) + shots > budget:
+                measure()
+            owners.append(np.full(shots, index))
+            amps.append(_rows(entry, bundle.source, shots))
+            draws.append(parity_draws(holders, 0, bundle, shots))
+    measure()
+
+    checks = []
+    for entry, hits in zip(state_family, accepted.tolist()):
+        eps = min(1.0, max(0.0, ghz_trace_distance(entry)))
+        rate, bound = hits / trials, 1.0 - eps**2 / 2.0
         stderr = float(np.sqrt(rate * (1.0 - rate) / trials))
-        bound = 1.0 - eps**2 / 2.0
-        checks.append(
-            BoundCheck(
-                epsilon=eps,
-                accept_rate=rate,
-                stderr=stderr,
-                bound=bound,
-                satisfied=rate <= bound + 4.0 * stderr,
-                trials=trials,
-            )
-        )
+        satisfied = rate <= bound + 4.0 * math.sqrt(bound * (1.0 - bound) / trials)
+        checks.append(BoundCheck(eps, rate, stderr, bound, satisfied, trials))
     return checks
 
 

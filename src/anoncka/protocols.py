@@ -304,6 +304,14 @@ def _parity_test(basis_bits, outcomes):
     return sum(outcomes) % 2 == (y_count // 2) % 2
 
 
+class ParityDraws(NamedTuple):
+    """A parity test's draws on a batch of rounds, as ``ParityRound``."""
+
+    bases: np.ndarray  # (rows, k) int8: 0 -> X, 1 -> Y, with the verifier's reset bit
+    uniforms: np.ndarray | None  # (rows, k) measurement uniforms; None when outcomes are forced
+    placeholders: np.ndarray  # (rows, 2): the pair the verifier announces
+
+
 class ParityRound(NamedTuple):
     """The parity test on a batch of rounds, one row per round; columns
     follow the holders."""
@@ -315,50 +323,70 @@ class ParityRound(NamedTuple):
     accepted: np.ndarray  # (rows,) bool verdicts of ``_parity_test``
 
 
-def parity_round(
-    amps: np.ndarray,
-    holders: tuple[int, ...],
-    verifier: int,
-    bundle: RngBundle,
-    *,
-    bases: np.ndarray | None = None,
-    outcomes: np.ndarray | None = None,
-) -> ParityRound:
-    """The even-Y X/Y parity test on each row of a (rows, 2^q) amplitude
-    array in which party ``holders[i]`` holds qubit i.
+def parity_draws(
+    holders: tuple[int, ...], verifier: int, bundle: RngBundle, rows: int, *, bases=None, uniforms: bool = True
+) -> ParityDraws:
+    """The draws of ``rows`` parity tests; none depends on the state.
 
     Every holder but the verifier, in ``holders`` order, draws one basis bit
-    per row (0 -> X, 1 -> Y) and one uniform per row from its own stream, and
-    measures. The verifier draws its placeholder pair, resets its basis bit
-    so each row's Y count is even, and measures last. Qubits past the holders
-    (kept by a withholder) stay unmeasured.
-
-    ``bases`` and ``outcomes`` force the draws with (rows, k) arrays by holder
-    position (the verifier's basis column is ignored), for enumerating
-    branches; a forced impossible branch raises ValueError.
+    per row (0 -> X, 1 -> Y), then one uniform per row, from its own stream.
+    The verifier draws its placeholder pair, then its uniforms, and resets
+    its basis bit so each row's Y count is even. Forced ``bases`` skip the
+    coins and ``uniforms=False`` the uniforms.
     """
-    rows, k = len(amps), len(holders)
+    k = len(holders)
     bits = np.empty((rows, k), dtype=np.int8) if bases is None else np.array(bases, dtype=np.int8)
-    results = np.empty((rows, k), dtype=np.int8)
-    probability = np.ones(rows)
-    remaining = list(holders)
+    draws = np.empty((rows, k)) if uniforms else None
     last = holders.index(verifier)
     for column in (*(c for c in range(k) if c != last), last):
         stream = bundle.party(holders[column])
         if column == last:
             placeholders = stream.integers(0, 2, size=(rows, 2))
-            bits[:, last] = 0
-            bits[:, last] = bits.sum(axis=1) % 2
         elif bases is None:
             bits[:, column] = _coins(stream, rows)
+        if uniforms:
+            draws[:, column] = stream.random(rows)
+    bits[:, last] = 0
+    bits[:, last] = bits.sum(axis=1) % 2
+    return ParityDraws(bits, draws, placeholders)
+
+
+def parity_measure(
+    amps: np.ndarray, holders: tuple[int, ...], verifier: int, draws: ParityDraws, *, outcomes=None
+) -> ParityRound:
+    """The parity test with ``draws`` on each row of ``amps``, as in
+    ``parity_round``: the holders measure in ``holders`` order, the verifier
+    last, and qubits past the holders (kept by a withholder) stay unmeasured.
+    """
+    bits, uniforms, placeholders = draws
+    rows, k = len(amps), len(holders)
+    results = np.empty((rows, k), dtype=np.int8)
+    probability = np.ones(rows)
+    remaining = list(holders)
+    last = holders.index(verifier)
+    for column in (*(c for c in range(k) if c != last), last):
         qubit = remaining.index(holders[column])
         if outcomes is None:
-            results[:, column], prob, amps = _measure_kernel(amps, qubit, bits[:, column], u=stream.random(rows))
+            results[:, column], prob, amps = _measure_kernel(amps, qubit, bits[:, column], u=uniforms[:, column])
         else:
             results[:, column], prob, amps = _measure_kernel(amps, qubit, bits[:, column], outcomes=outcomes[:, column])
         probability *= prob
         remaining.pop(qubit)
     return ParityRound(bits, results, placeholders, probability, _parity_test(bits.T, results.T))
+
+
+def parity_round(
+    amps: np.ndarray, holders: tuple[int, ...], verifier: int, bundle: RngBundle, *, bases=None, outcomes=None
+) -> ParityRound:
+    """The even-Y X/Y parity test on each row of a (rows, 2^q) amplitude
+    array in which party ``holders[i]`` holds qubit i: ``parity_draws``, then
+    ``parity_measure``. ``bases`` and ``outcomes`` force the draws with
+    (rows, k) arrays by holder position (the verifier's basis column is
+    ignored), for enumerating branches; a forced impossible branch raises
+    ValueError.
+    """
+    draws = parity_draws(holders, verifier, bundle, len(amps), bases=bases, uniforms=outcomes is None)
+    return parity_measure(amps, holders, verifier, draws, outcomes=outcomes)
 
 
 def _test_announcements(holders, verifier: int, bases, outcomes, pair) -> dict[int, str]:

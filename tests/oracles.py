@@ -316,3 +316,27 @@ def visible_by_filter(entries, coalition) -> tuple:
     return tuple(
         e for e in entries if e.kind == "broadcast" or e.sender in coalition or e.receiver in coalition
     )
+
+
+def theorem1_state_by_state(state_family, trials: int, bundle) -> list:
+    """The Monte Carlo of ``check_theorem1`` as one loop per state, the way
+    it ran before shots of several states shared one measurement: per state
+    and per batch, one draw of source rows and one ``parity_round`` with
+    party 0 as verifier. This is a reference for the batching, not an
+    independent oracle; it leaves ``bundle``'s streams where that loop does."""
+    from anoncka.analysis import BoundCheck
+    from anoncka.protocols import _batches, _rows, parity_round
+    from anoncka.qsim import ghz_trace_distance
+
+    k = state_family[0].n_qubits
+    checks = []
+    for entry in state_family:
+        hits = 0
+        for shots in _batches(trials, 16 * 2**k):
+            hits += int(np.count_nonzero(parity_round(_rows(entry, bundle.source, shots), tuple(range(k)), 0, bundle).accepted))
+        eps = min(1.0, max(0.0, ghz_trace_distance(entry)))
+        rate, bound = hits / trials, 1.0 - eps**2 / 2.0
+        stderr = float(np.sqrt(rate * (1.0 - rate) / trials))
+        satisfied = rate <= bound + 4.0 * float(np.sqrt(bound * (1.0 - bound) / trials))
+        checks.append(BoundCheck(eps, rate, stderr, bound, satisfied, trials))
+    return checks

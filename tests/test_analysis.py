@@ -3,10 +3,12 @@ table-top demonstration."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from anoncka import qsim
+from anoncka import analysis, qsim
 from anoncka.analysis import (
     CONFIG_LABELS,
     CONFIG_SLOTS,
@@ -36,6 +38,7 @@ from oracles import (
     key_rate,
     keygen_success_probability,
     notification_view_keys,
+    theorem1_state_by_state,
 )
 
 
@@ -109,6 +112,66 @@ def test_check_theorem1_across_many_batches_at_ten_qubits():
     exact = (1 + np.cos(theta)) / 2
     assert check.epsilon == pytest.approx(np.sin(theta / 2), abs=1e-9)
     assert check.accept_rate == pytest.approx(exact, abs=4 * np.sqrt(exact * (1 - exact) / trials))
+
+
+def _family(k: int, thetas, ps):
+    return [qsim.rotated_ghz(k, t) for t in thetas] + [qsim.werner_ghz(k, p) for p in ps]
+
+
+def _streams(bundle: RngBundle) -> list:
+    return [g.bit_generator.state for g in (*bundle.parties, bundle.network, bundle.coin, bundle.source, bundle.adversary)]
+
+
+@pytest.mark.parametrize(
+    "k, trials, family",
+    [
+        (2, 700, _family(2, (0.0, 0.7, 2.0, np.pi), (1.0, 0.9, 0.4))),  # many states per measurement
+        (4, 300, _family(4, (0.3, 1.1, 2.6), (0.8, 0.3))),
+        (10, 150, _family(10, (0.0, 1.0, 2.5), (0.9, 0.5))),  # batches of 64, 64 and 22 per state
+        (10, 20, _family(10, (0.2, 0.9, 1.7, 2.4), (0.7, 0.2))),  # remainders of three states merge
+        (3, 1, _family(3, (0.0, 1.2, 2.2), (0.6, 0.1))),  # one shot: scalar coins
+    ],
+    ids=["k2-many-states", "k4", "k10-split", "k10-merge", "one-shot"],
+)
+def test_check_theorem1_matches_one_parity_round_per_state_bit_for_bit(monkeypatch, k, trials, family):
+    bundles = []
+    spawn = RngBundle.from_generator
+    monkeypatch.setattr(RngBundle, "from_generator", staticmethod(lambda rng, n: bundles.append(spawn(rng, n)) or bundles[-1]))
+    checks = check_theorem1(family, trials, np.random.default_rng(70 + k))
+    reference = spawn(np.random.default_rng(70 + k), k)
+    assert checks == theorem1_state_by_state(family, trials, reference)
+    assert _streams(bundles[0]) == _streams(reference)
+
+
+def test_all_accepting_small_angle_satisfies_the_bound():
+    # eps = sin(0.01) and P(accept) = 0.99995: every one of 100 shots accepts,
+    # a rate above the bound but well within four standard errors of it.
+    (check,) = check_theorem1([qsim.rotated_ghz(4, 0.02)], 100, np.random.default_rng(7))
+    assert check.accept_rate == 1.0 and check.stderr == 0.0
+    assert check.epsilon > 0 and check.accept_rate > check.bound
+    assert check.satisfied
+
+
+def test_all_accepting_run_above_a_low_bound_is_a_violation(monkeypatch):
+    # GHZ accepts every shot; claimed at eps 0.9, its bound is 0.595.
+    monkeypatch.setattr(analysis, "ghz_trace_distance", lambda entry: 0.9)
+    (check,) = check_theorem1([ghz_state(4)], 200, np.random.default_rng(8))
+    assert check.accept_rate == 1.0 and check.bound == pytest.approx(0.595)
+    assert not check.satisfied
+
+
+def test_check_theorem1_queue_stays_within_its_row_budget():
+    # At k=12 a batch is 16 shots of 64 KB, about 1 MB. Ten Werner states of
+    # 64 shots would hold 40 MB if every drawn batch queued before measuring.
+    family = [qsim.werner_ghz(12, p) for p in np.linspace(0.1, 0.9, 10)]
+    tracemalloc.start()
+    try:
+        checks = check_theorem1(family, 64, np.random.default_rng(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checks) == 10
+    assert peak < 6 * 2**20
 
 
 def test_monte_carlo_needs_a_trial():

@@ -484,7 +484,20 @@ SOURCE_RUNS = {
         "seed": 13,
     },
 }
-# (exit code, md5 of stdout) of each sample config, of N16_RUN and of SOURCE_RUNS.
+# theorem1 grids whose shots span several batches per state at k=10 and
+# several states per batch at k=2; no row with eps > 0 accepts every shot.
+THEOREM1_RUNS = {
+    "theorem1_k10": {"n": 10, "trials": 150, "seed": 23, "theta_grid": [0.0, 1.0, 2.5], "fidelity_grid": [1.0, 0.6]},
+    "theorem1_k2": {
+        "n": 2,
+        "trials": 1000,
+        "seed": 29,
+        "theta_grid": [0.0, 0.6, 0.9, 1.2, 1.5, 1.8, 2.1, 2.4, 2.7, 3.14159265],
+        "fidelity_grid": [1.0, 0.9, 0.8, 0.7, 0.6, 0.5],
+    },
+}
+# (exit code, md5 of stdout) of each sample config, of N16_RUN, of SOURCE_RUNS
+# and of THEOREM1_RUNS.
 PINNED_STDOUT = {
     "theorem1.json": (EXIT_OK, "48310bbf36dbac6b45d10e8026f2fa6a"),
     "anonymity.json": (EXIT_OK, "080f80ca6201c152e18e6a7709c14872"),
@@ -496,13 +509,15 @@ PINNED_STDOUT = {
     "werner_aka": (EXIT_OK, "f66e3c88ac0f350f7a45c3f661374503"),
     "dishonest_werner": (EXIT_REJECTED, "2ce639e18f0364c0c9017b8e6c522e87"),
     "ghz_prime_werner": (EXIT_REJECTED, "0680b26a33108373f72aeda5e17f225e"),
+    "theorem1_k10": (EXIT_OK, "5169d17e7ccf8746828dd1b9c7d4c650"),
+    "theorem1_k2": (EXIT_OK, "1b36ce4264f8ee772f366d102d97c2dd"),
 }
 
 
 def test_sample_config_stdout_digests_are_pinned(tmp_path):
-    """Same seed, same bytes: every sample config, one n=16 run and the
-    SOURCE_RUNS print exactly the stdout pinned in PINNED_STDOUT, with the
-    pinned exit code.
+    """Same seed, same bytes: every sample config, one n=16 run, the
+    SOURCE_RUNS and the THEOREM1_RUNS print exactly the stdout pinned in
+    PINNED_STDOUT, with the pinned exit code.
 
     A change that alters RNG consumption (and so the printed numbers)
     updates the table and lists the changed outputs and fields in
@@ -511,6 +526,8 @@ def test_sample_config_stdout_digests_are_pinned(tmp_path):
     runs["n16"] = ("run", write_config(tmp_path, N16_RUN))
     for name, cfg in SOURCE_RUNS.items():
         runs[name] = ("run", write_config(tmp_path, cfg, f"{name}.json"))
+    for name, cfg in THEOREM1_RUNS.items():
+        runs[name] = ("theorem1", write_config(tmp_path, cfg, f"{name}.json"))
     seen = {}
     for name, (command, path) in runs.items():
         sink = io.StringIO()
