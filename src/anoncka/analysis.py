@@ -57,16 +57,6 @@ class BoundCheck:
     satisfied: bool
     trials: int
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "accept_rate": self.accept_rate,
-            "stderr": self.stderr,
-            "bound": self.bound,
-            "satisfied": self.satisfied,
-            "trials": self.trials,
-        }
-
 
 def check_theorem1(
     state_family: Sequence[Union[StateVector, NoiseEnsemble]],
@@ -287,17 +277,6 @@ class TvdEstimate:
     raw_tvd: float
     null_mean: float
     projected: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "tvd": self.tvd,
-            "stderr": self.stderr,
-            "trials_per_hypothesis": self.trials_per_hypothesis,
-            "guessing_bound": self.guessing_bound,
-            "raw_tvd": self.raw_tvd,
-            "null_mean": self.null_mean,
-            "projected": self.projected,
-        }
 
 
 def estimate_anonymity_tvd(

@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Any, Callable
 
 import numpy as np
@@ -104,8 +105,17 @@ def _require_list(cfg: dict, key: str, kind: type, default: list | None = None) 
     return values
 
 
+def _size_from(cfg: dict, least: int) -> int:
+    """Config key ``n``, the network size: least <= n <= MAX_QUBITS, the
+    statevector simulator's limit, which every command keeps."""
+    n = _require(cfg, "n", int)
+    if not least <= n <= MAX_QUBITS:
+        raise CliError(f"config key 'n' must satisfy {least} <= n <= {MAX_QUBITS}, got {n}")
+    return n
+
+
 def _roles_from(cfg: dict) -> RoleAssignment:
-    n = _require(cfg, "n", int, lambda v: v >= 1)
+    n = _size_from(cfg, 1)
     alice = _require(cfg, "alice", int)
     receivers = _require_list(cfg, "receivers", int)
     try:
@@ -184,11 +194,7 @@ def _dishonest_generator(spec: dict, n: int) -> StateVector | NoiseEnsemble:
 
 
 def cmd_run(cfg: dict, fmt: str) -> int:
-    if fmt != "json":
-        raise CliError("command 'run' only supports --format json")
     roles = _roles_from(cfg)
-    if roles.n > MAX_QUBITS:
-        raise CliError(f"statevector simulation needs n <= {MAX_QUBITS}, got {roles.n}")
     seed = _seed_from(cfg)
     num_states = _require(cfg, "L", int, lambda v: v >= 0)
     bundle = RngBundle.from_seed(seed, roles.n)
@@ -237,11 +243,7 @@ def cmd_run(cfg: dict, fmt: str) -> int:
 def cmd_theorem1(cfg: dict, fmt: str) -> int:
     seed = _seed_from(cfg)
     trials = _require(cfg, "trials", int, lambda v: v >= 1)
-    k = cfg.get("n", 4)
-    if not isinstance(k, int) or k < 2:
-        raise CliError("config key 'n' must be an integer >= 2")
-    if k > MAX_QUBITS:
-        raise CliError(f"statevector simulation needs n <= {MAX_QUBITS}, got {k}")
+    k = _size_from({"n": 4, **cfg}, 2)
     theta_grid = _require_list(cfg, "theta_grid", float, default=[])
     fidelity_grid = _require_list(cfg, "fidelity_grid", float, default=[])
     family: list[StateVector | NoiseEnsemble] = [rotated_ghz(k, float(t)) for t in theta_grid]
@@ -251,16 +253,14 @@ def cmd_theorem1(cfg: dict, fmt: str) -> int:
     if fmt == "csv":
         sys.stdout.write(bound_checks_to_csv(checks))
     else:
-        _emit({"command": "theorem1", "checks": [c.to_dict() for c in checks], "seed": seed})
+        _emit({"command": "theorem1", "checks": [asdict(c) for c in checks], "seed": seed})
     return EXIT_OK
 
 
 def cmd_anonymity(cfg: dict, fmt: str) -> int:
-    if fmt != "json":
-        raise CliError("command 'anonymity' only supports --format json")
     seed = _seed_from(cfg)
     trials = _require(cfg, "trials", int, lambda v: v >= 2)
-    n = _require(cfg, "n", int, lambda v: v >= 2)
+    n = _size_from(cfg, 2)
     protocol = _require(cfg, "protocol", str, lambda v: v in ("ame", "notification"))
     coalition = frozenset(_require_list(cfg, "coalition", int))
 
@@ -276,7 +276,7 @@ def cmd_anonymity(cfg: dict, fmt: str) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    payload = estimate.to_dict()
+    payload = asdict(estimate)
     payload.update({"command": "anonymity", "protocol": protocol, "seed": seed})
     _emit(payload)
     return EXIT_OK
@@ -308,8 +308,6 @@ def cmd_experiment(cfg: dict, fmt: str) -> int:
 
 
 def cmd_notify_demo(cfg: dict, fmt: str) -> int:
-    if fmt != "json":
-        raise CliError("command 'notify-demo' only supports --format json (table on stdout)")
     roles = _roles_from(cfg)
     seed = _seed_from(cfg)
     target = cfg.get("target")
@@ -338,36 +336,37 @@ def cmd_notify_demo(cfg: dict, fmt: str) -> int:
     return EXIT_OK
 
 
+# name: (handler, *the formats it prints); the first format is the default.
 COMMANDS = {
-    "run": cmd_run,
-    "theorem1": cmd_theorem1,
-    "anonymity": cmd_anonymity,
-    "experiment": cmd_experiment,
-    "notify-demo": cmd_notify_demo,
+    "run": (cmd_run, "json"),
+    "theorem1": (cmd_theorem1, "csv", "json"),
+    "anonymity": (cmd_anonymity, "json"),
+    "experiment": (cmd_experiment, "json", "csv"),
+    "notify-demo": (cmd_notify_demo, "json"),
 }
 
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="anoncka", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-    return parser
+_PARSER = _Parser(prog="anoncka", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True, help="path to the JSON run configuration")
+_PARSER.add_argument("--seed", type=int, default=None, help="override the config seed")
+_PARSER.add_argument(
+    "--format",
+    help="; ".join(f"{name}: {' or '.join(formats)}" for name, (_, *formats) in COMMANDS.items())
+    + " (the first is the default)",
+)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
+        handler, *formats = COMMANDS[args.command]
+        fmt = formats[0] if args.format is None else args.format
+        if fmt not in formats:
+            raise CliError(f"command {args.command!r} only supports --format {' or '.join(formats)}")
         cfg = _load_config(args.config)
         if args.seed is not None:
             cfg = {**cfg, "seed": args.seed}
-        fmt = args.format
-        if fmt is None:
-            fmt = "csv" if args.command == "theorem1" else "json"
-        return COMMANDS[args.command](cfg, fmt)
+        return handler(cfg, fmt)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

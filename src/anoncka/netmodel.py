@@ -158,18 +158,6 @@ class Transcript(Sequence):
             len(b.sender) if m is None else int(np.count_nonzero(m)) for b, m in zip(self._blocks, self._masks)
         )
 
-    @classmethod
-    def of(cls, entries: Iterable[Entry]) -> Transcript:
-        """A transcript holding ``entries``, one block per record."""
-        if isinstance(entries, Transcript):
-            return entries
-        return cls(
-            _Block(e.phase, e.kind, [e.sender], None, [e.bits], [e.position])
-            if e.kind == BROADCAST
-            else _Block(e.phase, e.kind, np.array([e.sender]), np.array([e.receiver]), np.array([e.bits]), None)
-            for e in entries
-        )
-
     @cached_property
     def entries(self) -> tuple[Entry, ...]:
         return tuple(chain.from_iterable(b.entries(m) for b, m in zip(self._blocks, self._masks)))
@@ -320,14 +308,11 @@ class Network:
 class AdversaryView:
     """Everything a coalition observes: all broadcasts plus private messages
     with an endpoint inside the coalition. Honest-to-honest private traffic is
-    never included. ``visible_entries`` may be given as any iterable of
-    entries; it is held as a ``Transcript``."""
+    never included. ``extract_view`` gives ``visible_entries`` as a
+    ``Transcript``; any sequence of entries is held as given."""
 
     coalition: frozenset[int]
-    visible_entries: Transcript
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "visible_entries", Transcript.of(self.visible_entries))
+    visible_entries: Sequence[Entry]
 
 
 def check_coalition(coalition: Iterable[int], n: int) -> frozenset[int]:
@@ -341,13 +326,11 @@ def check_coalition(coalition: Iterable[int], n: int) -> frozenset[int]:
     return members
 
 
-def extract_view(
-    transcript: Iterable[Entry], coalition: Iterable[int], n: int
-) -> AdversaryView:
+def extract_view(transcript: Transcript, coalition: Iterable[int], n: int) -> AdversaryView:
     """Filter the transcript of an n-party network down to what
     ``coalition`` can see, by masks over its sender and receiver columns."""
     members = check_coalition(coalition, n)
-    return AdversaryView(coalition=members, visible_entries=Transcript.of(transcript).seen_by(members, n))
+    return AdversaryView(coalition=members, visible_entries=transcript.seen_by(members, n))
 
 
 def transcript_to_jsonl(transcript: Iterable[Entry]) -> str:

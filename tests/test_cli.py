@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -383,6 +384,9 @@ def run_cli_process(*argv, hash_seed="0"):
         ("run", {**BASE_RUN, "seed": -1}),
         ("theorem1", {"n": 4, "trials": 10, "seed": -1, "theta_grid": [0.3]}),
         ("notify-demo", {"n": 4, "alice": 0, "receivers": [2], "target": True, "seed": 31}),
+        ("notify-demo", {"n": 17, "alice": 0, "receivers": [2], "seed": 31}),
+        ("anonymity", {**ANON_CFG, "n": 17}),
+        ("anonymity", {**ANON_CFG, "protocol": "notification", "n": 17}),
     ],
 )
 def test_malformed_config_is_usage_error_without_traceback(command, cfg, tmp_path):
@@ -390,6 +394,55 @@ def test_malformed_config_is_usage_error_without_traceback(command, cfg, tmp_pat
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+# command: (a small config, the formats it prints, the default first)
+FORMAT_RUNS = {
+    "run": ({**BASE_RUN, "L": 8}, ("json",)),
+    "theorem1": ({"n": 3, "trials": 20, "seed": 4, "theta_grid": [0.3]}, ("csv", "json")),
+    "anonymity": ({**ANON_CFG, "trials": 40}, ("json",)),
+    "experiment": ({"fidelity": 0.9, "trials": 10, "seed": 6}, ("json", "csv")),
+    "notify-demo": ({"n": 4, "alice": 0, "receivers": [2], "seed": 9}, ("json",)),
+}
+
+
+def printed_format(out: str) -> str:
+    try:
+        json.loads(out)
+        return "json"
+    except ValueError:
+        return "csv" if "," in out.splitlines()[0] else "table"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", None])
+@pytest.mark.parametrize("command", FORMAT_RUNS)
+def test_format_flag_per_command(command, fmt, tmp_path, capsys):
+    cfg, formats = FORMAT_RUNS[command]
+    flag = [] if fmt is None else ["--format", fmt]
+    if fmt is None or fmt in formats:
+        code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, cfg), *flag)
+        assert (code, err) == (EXIT_OK, "")
+        # notify-demo's one format is its share table
+        assert printed_format(out) == ("table" if command == "notify-demo" else fmt or formats[0])
+    else:
+        # the format is checked before the config is read
+        code, out, err = run_cli(capsys, command, "--config", "/nonexistent/cfg.json", *flag)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: command '{command}' only supports --format {' or '.join(formats)}\n"
+
+
+def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cfg = write_config(tmp_path, FORMAT_RUNS["notify-demo"][0])
+    assert [run_cli(capsys, "notify-demo", "--config", cfg)[0] for _ in range(2)] == [EXIT_OK, EXIT_OK]
+    assert built == []
 
 
 def test_anonymity_output_independent_of_hash_seed():
