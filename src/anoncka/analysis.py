@@ -100,7 +100,8 @@ def check_theorem1(
             if owners and sum(map(len, owners)) + shots > budget:
                 measure()
             owners.append(np.full(shots, index))
-            amps.append(_rows(entry, bundle.source, shots))
+            states, rows = _rows(entry, bundle.source, shots)
+            amps.append(states if rows is None else np.broadcast_to(states, (shots, states.shape[1])))  # one pure state
             draws.append(parity_draws(holders, 0, bundle, shots))
     measure()
 

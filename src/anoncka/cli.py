@@ -105,6 +105,14 @@ def _require_list(cfg: dict, key: str, kind: type, default: list | None = None) 
     return values
 
 
+def _parties(cfg: dict, key: str) -> frozenset[int]:
+    """Config key ``key``: a list of parties, none named twice."""
+    parties = _require_list(cfg, key, int)
+    if repeated := [p for i, p in enumerate(parties) if p in parties[:i]]:
+        raise CliError(f"config key {key!r} names party {repeated[0]} more than once")
+    return frozenset(parties)
+
+
 def _size_from(cfg: dict, least: int) -> int:
     """Config key ``n``, the network size: least <= n <= MAX_QUBITS, the
     statevector simulator's limit, which every command keeps."""
@@ -117,9 +125,9 @@ def _size_from(cfg: dict, least: int) -> int:
 def _roles_from(cfg: dict) -> RoleAssignment:
     n = _size_from(cfg, 1)
     alice = _require(cfg, "alice", int)
-    receivers = _require_list(cfg, "receivers", int)
+    receivers = _parties(cfg, "receivers")
     try:
-        return RoleAssignment(n=n, alice=alice, receivers=frozenset(receivers))
+        return RoleAssignment(n=n, alice=alice, receivers=receivers)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -166,7 +174,7 @@ def _make_strategy(cfg: dict, roles: RoleAssignment) -> adv.AdversaryStrategy | 
         raise CliError("config key 'adversary' must be an object")
     kind = spec.get("kind")
     if kind == "honest_curious":
-        return adv.HonestCurious(coalition=frozenset(_require_list(spec, "coalition", int)))
+        return adv.HonestCurious(coalition=_parties(spec, "coalition"))
     if kind == "withholding":
         party = _require(spec, "party", int)
         basis = spec.get("basis", "Z")
@@ -262,7 +270,7 @@ def cmd_anonymity(cfg: dict, fmt: str) -> int:
     trials = _require(cfg, "trials", int, lambda v: v >= 2)
     n = _size_from(cfg, 2)
     protocol = _require(cfg, "protocol", str, lambda v: v in ("ame", "notification"))
-    coalition = frozenset(_require_list(cfg, "coalition", int))
+    coalition = _parties(cfg, "coalition")
 
     def hyp(key: str) -> RoleAssignment:
         spec = _require(cfg, key, dict)

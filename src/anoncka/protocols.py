@@ -17,10 +17,12 @@ Each quantum step has one implementation, which works on a (rows, 2^n)
 amplitude array of independent rounds through the measurement kernel:
 ``carve`` is the bystander step of ame and ``parity_round`` the parity test.
 ``ame`` and ``verification`` are their one-row case plus the round's
-broadcast on a ``Network``. ``avka`` runs its rounds as rows, in batches of
-about 1 MB, then makes each round's broadcasts in round order; the Monte
-Carlo in ``analysis`` calls the steps with many rows, and exhaustive tests
-pass forced ``outcomes``/``bases`` rows.
+broadcast on a ``Network``. ``avka`` draws its rounds in batches of about
+1 MB and queues consecutive batches up to that size; a queue is one carve,
+one Z readout and one parity test, then each round's broadcasts in round
+order. A pure source is one state for a whole queue, carved as one tree
+(``carve``'s ``index``). The Monte Carlo in ``analysis`` calls the steps
+with many rows, and exhaustive tests pass forced ``outcomes``/``bases`` rows.
 
 Party i holds qubit i of each source state. All participant-ordered tuples
 use Alice first, then receivers ascending.
@@ -29,7 +31,7 @@ use Alice first, then receivers ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,13 +56,26 @@ def _batches(trials: int, row_bytes: int):
         yield min(size, trials - start)
 
 
-def _rows(source: StateVector | NoiseEnsemble, stream: np.random.Generator, shots: int) -> np.ndarray:
-    """``shots`` states of a source as a (shots, 2^n) amplitude array: a pure
-    state is its one read-only row repeated, with no draws; a mixture draws
-    one uniform per row from ``stream``."""
+def _queues(trials: int, state_bytes: int, round_bytes: int, pure: bool) -> list[list[int]]:
+    """``_batches(trials, state_bytes)`` in queues: a batch joins while the
+    queue's distinct states (one if ``pure``, else one per round) and its
+    ``round_bytes`` per round each stay within ``_BATCH_BYTES``."""
+    queues: list[list[int]] = []
+    for size in _batches(trials, state_bytes):
+        if not queues or (sum(queues[-1]) + size) * max(round_bytes, 0 if pure else state_bytes) > _BATCH_BYTES:
+            queues.append([])
+        queues[-1].append(size)
+    return queues
+
+
+def _rows(source: StateVector | NoiseEnsemble, stream: np.random.Generator, shots: int):
+    """``shots`` states of a source as (states, index), draw i being the
+    amplitude row ``states[index[i]]``: a pure state is its one read-only
+    row for every draw, with no draws; a mixture draws one uniform per row
+    from ``stream`` and gives each draw its own row (index None)."""
     if isinstance(source, StateVector):
-        return np.broadcast_to(source.amplitudes, (shots, source.amplitudes.size))
-    return sample_ensemble(source, stream, shots)
+        return source.amplitudes[None], np.zeros(shots, dtype=np.intp)
+    return sample_ensemble(source, stream, shots), None
 
 
 @dataclass(frozen=True)
@@ -211,6 +226,23 @@ class Carving(NamedTuple):
     carved: np.ndarray  # (rows, 2^(m+1+w)) participants' qubits, then the w withheld
 
 
+def carve_draws(roles: RoleAssignment, bundle: RngBundle, rows: int, withholding=frozenset(), *, uniforms=True):
+    """The draws of ``rows`` carves as (rows, n) arrays by party, int8 coins
+    and uniforms (None if not ``uniforms``): bystanders in ascending order
+    draw a uniform per row from their stream, or, withholding, a coin from
+    the adversary stream; then every participant draws a coin per row."""
+    coins = np.zeros((rows, roles.n), dtype=np.int8)
+    draws = np.zeros((rows, roles.n)) if uniforms else None
+    for party in sorted(roles.non_participants):
+        if party in withholding:
+            coins[:, party] = _coins(bundle.adversary, rows)
+        elif uniforms:
+            draws[:, party] = bundle.party(party).random(rows)
+    for party in roles.participant_order:
+        coins[:, party] = _coins(bundle.party(party), rows)
+    return coins, draws
+
+
 def carve(
     amps: np.ndarray,
     roles: RoleAssignment,
@@ -218,48 +250,54 @@ def carve(
     *,
     withholding: frozenset[int] = frozenset(),
     outcomes: np.ndarray | None = None,
+    index: np.ndarray | None = None,
+    draws: Sequence[np.ndarray] | None = None,
 ) -> Carving:
     """Carve the participants' GHZ state out of each row of a (rows, 2^n)
     amplitude array.
 
-    Bystanders in ascending order X-measure their qubit, each drawing one
-    uniform per row from its own stream; then every participant draws one
-    coin per row. Alice's qubit takes a Z in the rows whose bystander bits
-    have odd parity, and the remaining qubits are put in participant order.
+    The ``carve_draws`` come first, unless given as ``draws``. Bystanders in
+    ascending order X-measure their qubit with their uniforms. Alice's qubit
+    takes a Z in the rows whose bystander bits have odd parity, and the
+    remaining qubits are put in participant order.
 
     ``withholding`` names bystanders that skip the measurement, keep their
     qubit, and announce a coin instead, drawn from the bundle's adversary
     stream. ``outcomes`` forces the measured bystanders' outcomes:
     a (rows, n) array read by party, for enumerating branches; the forced
     rows draw no uniforms and raise ValueError on an impossible branch.
+    ``index`` makes the rows distinct states, round i carving
+    ``amps[index[i]]``: each measurement runs once per state and outcome
+    (``qsim._measure_kernel``), so a pure source's rounds are one tree.
     """
-    rows, dim = amps.shape
+    dim = amps.shape[1]
     if dim != 2**roles.n:
         raise ValueError(f"state has {dim.bit_length() - 1} qubits but the network has {roles.n} parties")
     if not withholding <= roles.non_participants:
         raise ValueError("only non-participants can withhold their measurement")
+    rows = len(amps) if index is None else len(index)
+    coins, uniforms = draws or carve_draws(roles, bundle, rows, withholding, uniforms=outcomes is None)
     bystanders = sorted(roles.non_participants)
-    announced = np.zeros((rows, roles.n), dtype=np.int8)
+    announced = coins.copy()
     probability = np.ones(rows)
     remaining = list(range(roles.n))
     for party in bystanders:
         if party in withholding:
-            announced[:, party] = _coins(bundle.adversary, rows)
             continue
         qubit = remaining.index(party)
-        if outcomes is None:
-            announced[:, party], prob, amps = _measure_kernel(amps, qubit, Basis.X, u=bundle.party(party).random(rows))
+        forced = {"u": uniforms[:, party]} if outcomes is None else {"outcomes": outcomes[:, party]}
+        if index is None:
+            announced[:, party], prob, amps = _measure_kernel(amps, qubit, Basis.X, **forced)
         else:
-            announced[:, party], prob, amps = _measure_kernel(amps, qubit, Basis.X, outcomes=outcomes[:, party])
+            announced[:, party], prob, amps, index = _measure_kernel(amps, qubit, Basis.X, index=index, **forced)
         probability *= prob
         remaining.pop(qubit)
-    # The participants' columns are still 0, so this is the bystanders' parity.
-    corrected = np.bitwise_xor.reduce(announced, axis=1) == 1
-    for party in roles.participant_order:
-        announced[:, party] = _coins(bundle.party(party), rows)
+    corrected = np.bitwise_xor.reduce(announced[:, bystanders], axis=1) == 1
 
     order = [remaining.index(p) for p in (*roles.participant_order, *sorted(withholding))]
-    carved = amps.reshape(rows, *[2] * len(order)).transpose(0, *(q + 1 for q in order)).reshape(rows, -1)
+    states = len(amps)
+    carved = amps.reshape(states, *[2] * len(order)).transpose(0, *(q + 1 for q in order)).reshape(states, -1)
+    carved = carved if index is None else carved[index]
     if np.count_nonzero(corrected):
         # Alice's qubit is now qubit 0: Z negates the second half of a row.
         carved = carved.copy()
@@ -459,11 +497,14 @@ def avka(
     verdict; keygen rounds append one bit to every participant's key. The
     run validates iff nothing aborted and every verification round accepted.
 
-    The rounds run as rows, in batches of about 1 MB: one draw of source
-    states and one ``carve`` per batch, one array of coins, one Z readout of
-    the keygen rows and one ``parity_round`` on the verification rows. Then
-    each round makes its broadcasts in round order, as the per-party ``ame``
-    and ``verification`` do; a round that aborts ends the run.
+    The rounds run as rows. Their draws come in batches of about 1 MB, each
+    made as if the batch ran alone; consecutive batches queue while the
+    queue's distinct states and per-round arrays each stay within that size.
+    A queue makes one ``carve`` (a pure source is one state, carved as one
+    tree), one Z readout of the keygen rows and one ``parity_measure`` on
+    the verification rows. Then each round makes its broadcasts in round
+    order, as the per-party ``ame`` and ``verification`` do; a round that
+    aborts ends the run (its queue's later rounds are drawn by then).
 
     ``withholder`` injects a bystander that skips its ame measurement and
     later measures its kept qubit in ``withholder_basis`` during keygen
@@ -485,30 +526,38 @@ def avka(
     # Unscored bystander pairs of the verification rounds; the withholder's
     # come from the adversary stream.
     pair_rngs = {p: rng.adversary if p == withholder else rng.party(p) for p in sorted(roles.non_participants)}
+    # A queued round holds its carved row and about six 8-byte draws per party.
+    round_bytes = 16 * 2 ** (m1 + len(withholding)) + 48 * roles.n
 
     rounds: list[AvkaRound] = []
     guesses: list[int] = []
-    aborted = False
-    done = 0
+    aborted, done = False, 0
     try:
         _check_notified(roles, notification(roles, net, rng).notified)
-        for size in _batches(num_states, 16 * 2**roles.n):
-            # Failure records read ``index``: the batch's first round until
+        for sizes in _queues(num_states, 16 * 2**roles.n, round_bytes, isinstance(source, StateVector)):
+            # Failure records read ``index``: the queue's first round until
             # its broadcasts start, then the round being broadcast.
             index = done
-            announced, _, _, carved = carve(_rows(source, rng.source, size), roles, rng, withholding=withholding)
-            keygen = rng.coin.random(size) < 1.0 / keygen_denom
-            keygen_rows = np.count_nonzero(keygen)
+            size = sum(sizes)
+            states, rows = _rows(source, rng.source, size)
+            batches, verifying = [], []
+            for batch in sizes:  # every draw of each batch, in the order of a batch run alone
+                carve_drawn = carve_draws(roles, rng, batch, withholding)
+                keygen = rng.coin.random(batch) < 1.0 / keygen_denom
+                tested = batch - np.count_nonzero(keygen)
+                batches.append((*carve_drawn, keygen, np.column_stack([s.random(batch - tested) for s in readout_rngs])))
+                if tested:
+                    pairs = [stream.integers(0, 2, size=(tested, 2)) for stream in pair_rngs.values()]
+                    verifying.append((*parity_draws(order, roles.alice, rng, tested), *pairs))
+            *carve_drawn, keygen, readout = map(np.concatenate, zip(*batches))
+            announced, _, _, carved = carve(states, roles, rng, withholding=withholding, index=rows, draws=carve_drawn)
             readouts = tests = iter(())
-            if keygen_rows:
-                readouts = iter(measure_string(carved[keygen], readout_ops, readout_rngs)[0].tolist())
-            if keygen_rows < size:
-                tested = carved[~keygen]
-                pairs = [stream.integers(0, 2, size=(len(tested), 2)).tolist() for stream in pair_rngs.values()]
-                test = parity_round(tested, order, roles.alice, rng)
-                tests = zip(
-                    test.bases.tolist(), test.outcomes.tolist(), test.placeholders.tolist(), test.accepted.tolist(), *pairs
-                )
+            if len(readout):
+                readouts = iter(measure_string(carved[keygen], readout_ops, uniforms=readout)[0].tolist())
+            if verifying:
+                bases, uniforms, placeholders, *pairs = map(np.concatenate, zip(*verifying))
+                test = parity_measure(carved[~keygen], order, roles.alice, ParityDraws(bases, uniforms, placeholders))
+                tests = zip(*(c.tolist() for c in (test.bases, test.outcomes, test.placeholders, test.accepted, *pairs)))
             for index, row, is_keygen in zip(range(done, done + size), announced.tolist(), keygen.tolist()):
                 phase = f"round[{index}]"
                 net.broadcast_round(dict(enumerate(map(str, row))), phase=f"{phase}:ame:announce", expected=range(roles.n))

@@ -190,22 +190,25 @@ def apply_rz(s: StateVector, qubit: int, theta: float) -> StateVector:
     return StateVector(s.n_qubits, t.reshape(-1))
 
 
-def _branch(z0: np.ndarray, z1: np.ndarray, phase, bit: int, out: np.ndarray | None = None) -> np.ndarray:
+def _branch(z0: np.ndarray, z1: np.ndarray, phase, bit: int, out: np.ndarray | None = None, where=True) -> np.ndarray:
     """Unnormalised ``bit`` branch of rows whose measured qubit splits into
     the (rows, 2^q, 2^(n-q-1)) halves ``z0``/``z1``, as a (rows, 2^(n-1))
     array: z0 or z1 for Z (``phase`` None), else (z0 + phase z1)/sqrt(2) or
     (z0 - phase z1)/sqrt(2), with phase 1 for X (a scalar X takes no
-    multiply) and -1j for Y, one scalar or (rows, 1, 1). An X/Y branch is
-    written into ``out`` when one is given; every other branch is fresh."""
-    rows, _, tail = z0.shape
+    multiply) and -1j for Y, one scalar or (rows, 1, 1). The branch is
+    written into ``out`` when one is given, only in the rows a (rows,) bool
+    ``where`` selects, else into a fresh array."""
+    rows, blocks, tail = z0.shape
     if phase is not None and (isinstance(phase, np.ndarray) or phase != 1):
         z1 = phase * z1
     z0, z1 = z0.reshape(-1, tail), z1.reshape(-1, tail)  # 2-D views: cheaper elementwise loops
-    if phase is None:
-        vec = (z1 if bit else z0).copy()
+    out = None if out is None else out.reshape(-1, tail)
+    where = np.repeat(where, blocks)[:, None] if np.ndim(where) else where
+    if phase is None:  # positive copies every bit into ``out``, signed zeros and NaNs included
+        vec = (z1 if bit else z0).copy() if out is None else np.positive(z1 if bit else z0, out=out, where=where)
     else:
-        vec = (np.subtract if bit else np.add)(z0, z1, out=None if out is None else out.reshape(-1, tail))
-        vec *= _SQRT_HALF
+        vec = (np.subtract if bit else np.add)(z0, z1, out=out, where=where)
+        np.multiply(vec, _SQRT_HALF, out=vec, where=where)
     return vec.reshape(rows, -1)
 
 
@@ -218,7 +221,8 @@ def _measure_kernel(
     basis,
     u: np.ndarray | None = None,
     outcomes: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    index: np.ndarray | None = None,
+):
     """The single-qubit measurement kernel, applied to every row of a
     (shots, 2^n) amplitude array; ``measure`` is its one-row case.
 
@@ -233,7 +237,14 @@ def _measure_kernel(
     reciprocal (1/c, -0.0): numpy divides a + bi by a real c as
     ((a + b*0)/c, (b - a*0)/c), and the multiply gives those bits, signed
     zeros included, in a cheaper loop. When every row keeps outcome 1, the
-    X/Y branch is built in the outcome-0 branch's buffer.
+    branch is built in the outcome-0 branch's buffer.
+
+    ``index`` (one Basis only) makes the rows distinct states, each drawn at
+    least once: draw i measures ``amps[index[i]]``, with ``u``/``outcomes``
+    per draw. Branch 0 and its probability are computed once per state. A
+    state keeps its row for the outcome its draws take, and adds its outcome-1
+    branch as a row when they take both (at most draws - states do). The call
+    also returns each draw's row; every draw matches a one-row call bit for bit.
     """
     shots, dim = amps.shape
     if not 0 <= qubit < dim.bit_length() - 1:
@@ -241,6 +252,8 @@ def _measure_kernel(
     if isinstance(basis, (str, Basis)):
         basis = Basis(basis)
         phase = _PHASES[basis]
+    elif index is not None:
+        raise ValueError("an index needs one basis for every draw")
     else:
         ybits = np.asarray(basis)
         if ybits.shape != (shots,):
@@ -252,36 +265,54 @@ def _measure_kernel(
         phase = np.where(ys, -1j, 1)[:, None, None]
     t = amps.reshape(shots, 1 << qubit, 2, -1)
     z0, z1 = t[:, :, 0], t[:, :, 1]
+    draws = shots if index is None else len(index)
+    buffer = None if index is None else np.empty((shots + min(shots, max(draws - shots, 0)), dim // 2), dtype=complex)
 
-    vec = _branch(z0, z1, phase, 0)
+    vec = _branch(z0, z1, phase, 0, out=None if buffer is None else buffer[:shots])
     prob = np.vecdot(vec, vec).real
     if outcomes is None:
-        ones = u >= prob
+        ones = u >= (prob if index is None else prob[index])
         outcomes = ones.view(np.int8)
     else:
         outcomes = np.asarray(outcomes)
-        if outcomes.shape != (shots,):
-            raise ValueError(f"expected {shots} outcomes, got shape {outcomes.shape}")
+        if outcomes.shape != (draws,):
+            raise ValueError(f"expected {draws} outcomes, got shape {outcomes.shape}")
         ones = outcomes == 1
         valid = ones | (outcomes == 0)
-        if np.count_nonzero(valid) != shots:
+        if np.count_nonzero(valid) != draws:
             raise ValueError(f"outcome must be 0 or 1, got {outcomes[~valid][0]}")
-    # The outcome-1 branch is built only for the rows that keep it.
-    count = np.count_nonzero(ones)
-    if count == shots:
-        vec = _branch(z0, z1, phase, 1, out=vec)
-        prob = np.vecdot(vec, vec).real
-    elif count:
-        vec1 = _branch(z0[ones], z1[ones], phase if np.ndim(phase) == 0 else phase[ones], 1)
-        vec[ones], prob[ones] = vec1, np.vecdot(vec1, vec1).real
-    impossible = prob < _BRANCH_EPS
+    if index is None:
+        # The outcome-1 branch is built only for the rows that keep it.
+        count = np.count_nonzero(ones)
+        if count == shots:
+            vec = _branch(z0, z1, phase, 1, out=vec)
+            prob = np.vecdot(vec, vec).real
+        elif count:
+            vec1 = _branch(z0[ones], z1[ones], phase if np.ndim(phase) == 0 else phase[ones], 1)
+            vec[ones], prob[ones] = vec1, np.vecdot(vec1, vec1).real
+    else:
+        reached = np.zeros((2, shots), dtype=bool)
+        reached[outcomes, index] = True
+        if np.count_nonzero(reached[0] | reached[1]) != shots:
+            raise ValueError("every state needs at least one draw")
+        split, alone = np.flatnonzero(reached[0] & reached[1]), reached[1] & ~reached[0]
+        if np.count_nonzero(alone):  # built in those states' rows, with no copies of z0, z1
+            prob = np.vecdot(_branch(z0, z1, phase, 1, out=vec, where=alone), vec).real
+        row1 = np.arange(shots)  # each state's outcome-1 row; a split adds one after the states
+        row1[split] = shots + np.arange(len(split))
+        vec, index = buffer[: shots + len(split)], np.where(ones, row1[index], index)
+        for row, state in enumerate(split.tolist(), shots):
+            _branch(z0[state : state + 1], z1[state : state + 1], phase, 1, out=vec[row : row + 1])
+        prob = np.concatenate((prob, np.vecdot(vec[shots:], vec[shots:]).real))
+    drawn = prob if index is None else prob[index]
+    impossible = drawn < _BRANCH_EPS
     if np.count_nonzero(impossible):
         i = int(np.argmax(impossible))
         name = basis.value if isinstance(basis, Basis) else "XY"[int(ys[i])]
         raise ValueError(f"branch (qubit={qubit}, basis={name}, outcome={outcomes[i]}) has probability ~0")
     vec *= np.reciprocal(np.sqrt(prob), dtype=complex)[:, None]
     _check_unit_norms(vec)
-    return outcomes, prob, vec
+    return (outcomes, drawn, vec) if index is None else (outcomes, drawn, vec, index)
 
 
 def measure(
@@ -297,17 +328,18 @@ def measure(
     return int(outcomes[0]), StateVector._checked(s.n_qubits - 1, post[0])
 
 
-def measure_string(amps: np.ndarray, ops: str, rngs: Sequence[np.random.Generator]):
+def measure_string(amps: np.ndarray, ops: str, rngs: Sequence[np.random.Generator] = (), *, uniforms=None):
     """Measure qubit 0 of every row of a (shots, 2^n) amplitude array once
     per character of ``ops`` (``X``, ``Y`` or ``Z``); every shot is measured
-    in the same bases. Column i draws one uniform per shot from ``rngs[i]``.
+    in the same bases. Column i draws one uniform per shot from ``rngs[i]``,
+    or reads column i of ``uniforms``, a (shots, m) array drawn earlier.
     Returns the (shots, m) outcome bits and the (shots, 2^(n-m)) states of
     the qubits left unmeasured.
     """
     shots = len(amps)
     bits = np.empty((shots, len(ops)), dtype=np.int8)
-    for i, (basis, rng) in enumerate(zip(ops, rngs, strict=True)):
-        bits[:, i], _, amps = _measure_kernel(amps, 0, basis, u=rng.random(shots))
+    for i, (basis, draws) in enumerate(zip(ops, rngs if uniforms is None else uniforms.T, strict=True)):
+        bits[:, i], _, amps = _measure_kernel(amps, 0, basis, u=draws.random(shots) if uniforms is None else draws)
     return bits, amps
 
 

@@ -333,10 +333,89 @@ def theorem1_state_by_state(state_family, trials: int, bundle) -> list:
     for entry in state_family:
         hits = 0
         for shots in _batches(trials, 16 * 2**k):
-            hits += int(np.count_nonzero(parity_round(_rows(entry, bundle.source, shots), tuple(range(k)), 0, bundle).accepted))
+            states, rows = _rows(entry, bundle.source, shots)
+            amps = states if rows is None else states[rows]
+            hits += int(np.count_nonzero(parity_round(amps, tuple(range(k)), 0, bundle).accepted))
         eps = min(1.0, max(0.0, ghz_trace_distance(entry)))
         rate, bound = hits / trials, 1.0 - eps**2 / 2.0
         stderr = float(np.sqrt(rate * (1.0 - rate) / trials))
         satisfied = rate <= bound + 4.0 * float(np.sqrt(bound * (1.0 - bound) / trials))
         checks.append(BoundCheck(eps, rate, stderr, bound, satisfied, trials))
     return checks
+
+
+def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, rng, *, withholder=None, withholder_basis=None):
+    """``protocols.avka`` as it ran before batches were queued: per batch of
+    rounds, one draw of source rows, one ``carve`` of one row per round, one
+    array of coins, one Z readout and one ``parity_round``, then the rounds'
+    broadcasts. This is a reference for the queue, not an independent
+    oracle; it leaves ``rng``'s streams and ``net`` where that loop does."""
+    from anoncka.netmodel import ChannelAbort
+    from anoncka.protocols import (
+        KEYGEN_ROUND,
+        VERIFICATION_ROUND,
+        AvkaResult,
+        AvkaRound,
+        VerificationRecord,
+        _batches,
+        _check_notified,
+        _rows,
+        _test_announcements,
+        carve,
+        notification,
+        parity_round,
+    )
+    from anoncka.qsim import Basis, measure_string
+
+    withholding = frozenset() if withholder is None else frozenset({withholder})
+    order = roles.participant_order
+    m1 = len(order)
+    readout_ops = "Z" * m1 + ("" if withholder is None else (withholder_basis or Basis.Z).value)
+    readout_rngs = [rng.party(p) for p in order] + ([] if withholder is None else [rng.adversary])
+    pair_rngs = {p: rng.adversary if p == withholder else rng.party(p) for p in sorted(roles.non_participants)}
+
+    rounds, guesses, aborted, done = [], [], False, 0
+    try:
+        _check_notified(roles, notification(roles, net, rng).notified)
+        for size in _batches(num_states, 16 * 2**roles.n):
+            states, rows = _rows(source, rng.source, size)
+            announced, _, _, carved = carve(states if rows is None else states[rows], roles, rng, withholding=withholding)
+            keygen = rng.coin.random(size) < 1.0 / keygen_denom
+            keygen_rows = np.count_nonzero(keygen)
+            readouts = tests = iter(())
+            if keygen_rows:
+                readouts = iter(measure_string(carved[keygen], readout_ops, readout_rngs)[0].tolist())
+            if keygen_rows < size:
+                tested = carved[~keygen]
+                pairs = [stream.integers(0, 2, size=(len(tested), 2)).tolist() for stream in pair_rngs.values()]
+                test = parity_round(tested, order, roles.alice, rng)
+                tests = zip(
+                    test.bases.tolist(), test.outcomes.tolist(), test.placeholders.tolist(), test.accepted.tolist(), *pairs
+                )
+            for index, row, is_keygen in zip(range(done, done + size), announced.tolist(), keygen.tolist()):
+                phase = f"round[{index}]"
+                net.broadcast_round(dict(enumerate(map(str, row))), phase=f"{phase}:ame:announce", expected=range(roles.n))
+                net.broadcast_public(str(int(is_keygen)), phase=f"{phase}:coin")
+                if is_keygen:
+                    readout = next(readouts)
+                    guesses += readout[m1:]
+                    rounds.append(AvkaRound(KEYGEN_ROUND, keygen_bits=tuple(readout[:m1])))
+                else:
+                    bases, outcomes, pair, accepted, *bystander_pairs = next(tests)
+                    announcements = _test_announcements(order, roles.alice, bases, outcomes, pair)
+                    announcements.update((p, f"{a}{b}") for p, (a, b) in zip(pair_rngs, bystander_pairs))
+                    net.broadcast_round(announcements, phase=f"{phase}:verify:announce", expected=tuple(announcements))
+                    record = VerificationRecord(basis_bits=tuple(bases), outcomes=tuple(outcomes), accepted=accepted)
+                    rounds.append(AvkaRound(VERIFICATION_ROUND, verification=record))
+            done += size
+    except ChannelAbort:
+        aborted = True
+
+    validated = not aborted and all(r.verification.accepted for r in rounds if r.round_type == VERIFICATION_ROUND)
+    return AvkaResult(
+        rounds=tuple(rounds),
+        key_bits={p: "".join(str(r.keygen_bits[i]) for r in rounds if r.keygen_bits) for i, p in enumerate(order)},
+        aborted=aborted,
+        validated=validated,
+        withholder_guess="".join(map(str, guesses)),
+    )

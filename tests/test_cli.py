@@ -396,6 +396,24 @@ def test_malformed_config_is_usage_error_without_traceback(command, cfg, tmp_pat
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command,cfg,key,party",
+    [
+        ("run", {**BASE_RUN, "receivers": [1, 1]}, "receivers", 1),
+        ("run", {**BASE_RUN, "n": 6, "adversary": {"kind": "honest_curious", "coalition": [3, 3, 4]}}, "coalition", 3),
+        ("notify-demo", {"n": 4, "alice": 0, "receivers": [2, 3, 2], "seed": 9}, "receivers", 2),
+        ("anonymity", {**ANON_CFG, "coalition": [3, 3]}, "coalition", 3),
+        ("anonymity", {**ANON_CFG, "hypothesis_b": {"alice": 1, "receivers": [0, 2, 0]}}, "receivers", 0),
+    ],
+)
+def test_repeated_party_is_usage_error(command, cfg, key, party, tmp_path, capsys):
+    """A party named twice is an error, not silently counted once."""
+    code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, cfg))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: config key '{key}' names party {party} more than once\n"
+
+
 # command: (a small config, the formats it prints, the default first)
 FORMAT_RUNS = {
     "run": ({**BASE_RUN, "L": 8}, ("json",)),
@@ -537,6 +555,22 @@ SOURCE_RUNS = {
         "seed": 13,
     },
 }
+# avka queues: an n=14 pure source with a withholder, whose four-round batches
+# are carved together, and an n=16 Werner mixture, whose one-round batches are
+# carved one by one.
+QUEUE_RUNS = {
+    "n14_withholding": {
+        "n": 14,
+        "alice": 0,
+        "receivers": [2, 9],
+        "L": 40,
+        "D": 2,
+        "noise": {"model": "pure"},
+        "adversary": {"kind": "withholding", "party": 5, "basis": "X"},
+        "seed": 31,
+    },
+    "n16_werner": {"n": 16, "alice": 0, "receivers": [1, 2], "L": 12, "D": 3, "noise": {"model": "werner", "fidelity": 0.8}, "seed": 37},
+}
 # theorem1 grids whose shots span several batches per state at k=10 and
 # several states per batch at k=2; no row with eps > 0 accepts every shot.
 THEOREM1_RUNS = {
@@ -549,8 +583,8 @@ THEOREM1_RUNS = {
         "fidelity_grid": [1.0, 0.9, 0.8, 0.7, 0.6, 0.5],
     },
 }
-# (exit code, md5 of stdout) of each sample config, of N16_RUN, of SOURCE_RUNS
-# and of THEOREM1_RUNS.
+# (exit code, md5 of stdout) of each sample config, of N16_RUN, of SOURCE_RUNS,
+# of THEOREM1_RUNS and of QUEUE_RUNS.
 PINNED_STDOUT = {
     "theorem1.json": (EXIT_OK, "48310bbf36dbac6b45d10e8026f2fa6a"),
     "anonymity.json": (EXIT_OK, "080f80ca6201c152e18e6a7709c14872"),
@@ -564,13 +598,15 @@ PINNED_STDOUT = {
     "ghz_prime_werner": (EXIT_REJECTED, "0680b26a33108373f72aeda5e17f225e"),
     "theorem1_k10": (EXIT_OK, "5169d17e7ccf8746828dd1b9c7d4c650"),
     "theorem1_k2": (EXIT_OK, "1b36ce4264f8ee772f366d102d97c2dd"),
+    "n14_withholding": (EXIT_REJECTED, "1ac87ca9036ecf7d132d8b687f83ef06"),
+    "n16_werner": (EXIT_REJECTED, "f80dd32650b93fb2f52000624d7699b5"),
 }
 
 
 def test_sample_config_stdout_digests_are_pinned(tmp_path):
     """Same seed, same bytes: every sample config, one n=16 run, the
-    SOURCE_RUNS and the THEOREM1_RUNS print exactly the stdout pinned in
-    PINNED_STDOUT, with the pinned exit code.
+    SOURCE_RUNS, the THEOREM1_RUNS and the QUEUE_RUNS print exactly the
+    stdout pinned in PINNED_STDOUT, with the pinned exit code.
 
     A change that alters RNG consumption (and so the printed numbers)
     updates the table and lists the changed outputs and fields in
@@ -581,6 +617,8 @@ def test_sample_config_stdout_digests_are_pinned(tmp_path):
         runs[name] = ("run", write_config(tmp_path, cfg, f"{name}.json"))
     for name, cfg in THEOREM1_RUNS.items():
         runs[name] = ("theorem1", write_config(tmp_path, cfg, f"{name}.json"))
+    for name, cfg in QUEUE_RUNS.items():
+        runs[name] = ("run", write_config(tmp_path, cfg, f"{name}.json"))
     seen = {}
     for name, (command, path) in runs.items():
         sink = io.StringIO()

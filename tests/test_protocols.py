@@ -29,6 +29,7 @@ from anoncka.qsim import ghz_state
 from anoncka.rng import RngBundle
 
 from oracles import (
+    avka_batch_by_batch,
     branch_probability,
     enumerate_notification_tables,
     even_y_settings,
@@ -475,6 +476,39 @@ def test_avka_records_match_the_transcript_across_batches(withholder, monkeypatc
     if withholder is not None:
         # a Z guess on the kept qubit reads the key exactly
         assert result.withholder_guess == result.key_bits[0]
+
+
+# name: (n, receivers, rounds per batch or None for the default, withholder,
+# Werner source, L, D, seed)
+AVKA_REFERENCE_RUNS = {
+    "n4_one_round_batches": (4, (1, 2), 1, None, False, 12, 2, 30),
+    "n4_three_round_batches": (4, (1, 2), 3, None, False, 10, 2, 31),
+    "n4_one_round_batches_withholding": (4, (1, 2), 1, 3, False, 12, 2, 32),
+    "n4_three_round_batches_withholding": (4, (1, 2), 3, 3, False, 10, 2, 33),
+    "n5_werner": (5, (2,), None, None, True, 200, 3, 34),
+    "n8_queued_eight_round_batches": (8, (1, 5), 8, None, False, 150, 3, 35),
+    "n13_withholding": (13, (1, 2), None, 7, False, 40, 2, 36),
+    "n16_run": (16, (1, 2), None, None, False, 16, 4, 5),
+}
+
+
+@pytest.mark.parametrize("name", AVKA_REFERENCE_RUNS)
+def test_avka_matches_the_batch_by_batch_reference(name, monkeypatch):
+    # Queued batches make the same draws and records as batches run one by one.
+    n, receivers, batch_rows, withholder, werner, num_states, denom, seed = AVKA_REFERENCE_RUNS[name]
+    if batch_rows is not None:
+        monkeypatch.setattr(protocols, "_BATCH_BYTES", batch_rows * 16 * 2**n)
+    roles = RoleAssignment(n=n, alice=0, receivers=frozenset(receivers))
+    source = qsim.werner_ghz(n, 0.7) if werner else ghz_state(n)
+    seen = []
+    for run in (avka, avka_batch_by_batch):
+        net, bundle = fresh(seed, n)
+        result = run(roles, num_states, denom, source, net, bundle, withholder=withholder, withholder_basis=qsim.Basis.X)
+        streams = (*bundle.parties, bundle.network, bundle.coin, bundle.source, bundle.adversary)
+        seen.append((result, tuple(net.transcript), net.counters, [s.bit_generator.state for s in streams]))
+    assert seen[0] == seen[1]
+    types = {r.round_type for r in seen[0][0].rounds}
+    assert types == {KEYGEN_ROUND, VERIFICATION_ROUND}
 
 
 def test_avka_verification_round_has_all_announcers():

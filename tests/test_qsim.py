@@ -421,6 +421,82 @@ def test_batched_kernel_rejects_impossible_branches_and_bad_rows():
         qsim._measure_kernel(bad, 0, np.array([0, 1]), u=np.array([0.5, 0.5]))
 
 
+def indexed_matches_one_call_per_draw(states, index, basis, levels, rng, forced=None):
+    """Measure ``states`` through ``index`` down ``levels`` qubits, each
+    draw next to its own chain of one-row calls with the same uniform or
+    forced outcome: outcomes, probabilities and kept bytes agree. Returns
+    the number of kept rows after each level."""
+    refs = [states[s][None] for s in index.tolist()]
+    kept = []
+    for level in range(levels):
+        qubit = int(rng.integers(0, states.shape[1].bit_length() - 1))
+        draws = {"u": rng.random(len(index))} if forced is None else {"outcomes": forced[level]}
+        outcomes, probs, states, index = qsim._measure_kernel(states, qubit, basis, index=index, **draws)
+        for i, ref in enumerate(refs):
+            one = {key: value[i : i + 1] for key, value in draws.items()}
+            ref_outcome, ref_prob, refs[i] = qsim._measure_kernel(ref, qubit, basis, **one)
+            assert outcomes[i] == ref_outcome[0]
+            assert probs[i : i + 1].tobytes() == ref_prob.tobytes()
+            assert states[index[i]].tobytes() == refs[i][0].tobytes()
+        kept.append(len(states))
+    return kept
+
+
+@pytest.mark.parametrize("basis", ["X", "Y", "Z"])
+def test_indexed_kernel_matches_one_call_per_draw_bit_for_bit(basis):
+    # Distinct states drawn several times each: parents shared by draws that
+    # take both outcomes keep one row per outcome, and every draw's row,
+    # outcome and probability are those of a one-row call on its own state.
+    rng = np.random.default_rng(61)
+    n = 5
+    # a GHZ row loses its outcome-1 branch after a forced Z outcome 0
+    last = random_state(n, rng) if basis == "Z" else qsim.rotated_ghz(n, 0.4)
+    states = np.vstack([random_state(n, rng).amplitudes for _ in range(3)] + [last.amplitudes])
+    index = np.array([0, 1, 1, 1, 2, 3, 3, 3, 3, 3, 3, 3, 3, 0, 2, 3])
+    kept = indexed_matches_one_call_per_draw(states, index, basis, n - 1, rng)
+    assert kept[0] > len(states) and kept[-1] <= len(index)
+    # Forced outcomes, per level: all 0; all 1 (built in place); state 3
+    # splits while state 1 keeps outcome 1 alone; alternating draws.
+    alternating = np.arange(len(index)) % 2
+    forced = [0 * alternating, 1 + 0 * alternating, np.where(index == 1, 1, np.where(index == 3, alternating, 0)), alternating]
+    kept = indexed_matches_one_call_per_draw(states, index, basis, n - 1, rng, forced=forced)
+    assert kept[:2] == [len(states), len(states)] and kept[2] > len(states)
+
+
+def test_indexed_kernel_leaves_a_read_only_source_untouched():
+    # A pure source is one read-only row drawn by every round; a read-only
+    # broadcast of it may also stand for several states.
+    ghz = qsim.ghz_state(6).amplitudes
+    before = ghz.tobytes()
+    rng = np.random.default_rng(62)
+    kept = indexed_matches_one_call_per_draw(ghz[None], np.zeros(24, dtype=np.intp), "X", 5, rng)
+    assert kept[0] == 2
+    broadcast = np.broadcast_to(ghz, (3, ghz.size))
+    indexed_matches_one_call_per_draw(broadcast, np.arange(24) % 3, "Y", 5, rng)
+    assert ghz.tobytes() == before and not ghz.flags.writeable
+
+
+def test_indexed_kernel_checks_only_the_branches_drawn():
+    zero = qsim.basis_state(2, 0).amplitudes
+    states = np.vstack([zero, qsim.basis_state(2, 3).amplitudes])
+    index = np.array([0, 1, 0, 1])
+    # outcome 1 of |00> and outcome 0 of |11> have probability 0 but no draw takes them
+    outcomes, probs, kept, rows = qsim._measure_kernel(states, 0, "Z", outcomes=np.array([0, 1, 0, 1]), index=index)
+    assert probs.tolist() == [1.0, 1.0, 1.0, 1.0] and rows.tolist() == [0, 1, 0, 1]
+    _, _, kept, _ = qsim._measure_kernel(states, 0, "Z", u=np.array([0.3, 0.3, 0.99, 0.99]), index=index)
+    assert kept.tolist() == [[1, 0], [0, 1]]
+    # a drawn impossible branch raises the message of a one-row call
+    with pytest.raises(ValueError) as one_row:
+        qsim._measure_kernel(zero[None], 0, "Z", outcomes=np.array([1]))
+    with pytest.raises(ValueError) as indexed:
+        qsim._measure_kernel(states, 0, "Z", outcomes=np.array([0, 1, 1, 1]), index=index)
+    assert str(indexed.value) == str(one_row.value) == "branch (qubit=0, basis=Z, outcome=1) has probability ~0"
+    with pytest.raises(ValueError, match="one basis for every draw"):
+        qsim._measure_kernel(states, 0, np.array([0, 1]), u=np.full(4, 0.5), index=index)
+    with pytest.raises(ValueError, match="every state needs at least one draw"):
+        qsim._measure_kernel(states, 0, "Z", outcomes=np.array([0, 0]), index=np.array([0, 0]))
+
+
 def test_batched_measure_string_matches_per_shot_readout():
     # One ops string for every shot: column i draws one uniform per shot from
     # rngs[i], shot by shot as a one-shot readout would.
