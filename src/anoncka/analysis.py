@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .netmodel import AdversaryView, RoleAssignment, check_coalition
-from .protocols import _BATCH_BYTES, _batches, _check_notified, _parity_test, _rows, carve, deal_shares
+from .protocols import _batches, _check_notified, _parity_test, _queued, _rows, carve, deal_shares
 from .protocols import ParityDraws, parity_draws, parity_measure
 from .qsim import (
     NoiseEnsemble,
@@ -72,8 +72,8 @@ def check_theorem1(
 
     The shots are drawn per state in batches, as ``parity_round`` draws
     them (each party from its own stream of one bundle spawned from ``rng``,
-    mixtures from its source stream), and queue across states up to about
-    1 MB of rows; then one ``parity_measure`` runs the whole queue.
+    mixtures from its source stream), and queued across states; one
+    ``parity_measure`` runs each queue's rows, ``states[index]``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -85,25 +85,15 @@ def check_theorem1(
     k = sizes.pop()
 
     bundle = RngBundle.from_generator(rng, k)
-    holders, budget = tuple(range(k)), max(1, _BATCH_BYTES // (16 * 2**k))
+    holders = tuple(range(k))
     accepted = np.zeros(len(state_family), dtype=np.int64)
-    owners, amps, draws = [], [], []  # the queued batches, drawn but not yet measured
-
-    def measure():
-        rows = amps[0] if len(amps) == 1 else np.concatenate(amps)
-        drawn = ParityDraws(*map(np.concatenate, zip(*draws)))
-        np.add.at(accepted, np.concatenate(owners), parity_measure(rows, holders, 0, drawn).accepted)
-        owners.clear(), amps.clear(), draws.clear()
-
-    for index, entry in enumerate(state_family):
-        for shots in _batches(trials, 16 * 2**k):
-            if owners and sum(map(len, owners)) + shots > budget:
-                measure()
-            owners.append(np.full(shots, index))
-            states, rows = _rows(entry, bundle.source, shots)
-            amps.append(states if rows is None else np.broadcast_to(states, (shots, states.shape[1])))  # one pure state
-            draws.append(parity_draws(holders, 0, bundle, shots))
-    measure()
+    done = 0
+    # A queued shot holds its gathered row and two 8-byte draws per holder.
+    for states, index, sizes in _queued(((entry, trials) for entry in state_family), bundle.source, 16 * 2**k + 16 * k):
+        drawn = ParityDraws(*map(np.concatenate, zip(*(parity_draws(holders, 0, bundle, shots) for shots in sizes))))
+        verdicts = parity_measure(states[index], holders, 0, drawn).accepted
+        np.add.at(accepted, np.arange(done, done + len(index)) // trials, verdicts)
+        done += len(index)
 
     checks = []
     for entry, hits in zip(state_family, accepted.tolist()):
@@ -132,13 +122,6 @@ def bound_checks_to_csv(checks: Sequence[BoundCheck]) -> str:
 ViewSampler = Callable[[RoleAssignment, frozenset[int], int, RngBundle], tuple[np.ndarray, np.ndarray]]
 
 
-def _chunked(sample_chunk: Callable[[int], tuple[np.ndarray, np.ndarray]], trials: int, row_bytes: int):
-    """Run a sampler's chunk function over the batches of ``trials`` runs
-    and join the keys."""
-    raw, projected = zip(*(sample_chunk(size) for size in _batches(trials, row_bytes)))
-    return np.concatenate(raw), np.concatenate(projected)
-
-
 def _bit_keys(bits: np.ndarray) -> np.ndarray:
     """One key per row of a (rows, width) 0/1 array: the row packed by
     ``np.packbits`` into a void scalar of at least one byte."""
@@ -164,22 +147,24 @@ def ame_views(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coalition views of ``trials`` ame rounds on a fresh pure GHZ state.
 
-    The runs go through ``carve`` as rows and draw what ``ame`` draws run
-    by run; then the network stream permutes the announcement order. Every
-    announcement is broadcast, so any coalition sees the whole round: the
-    raw key packs the order's Lehmer rank and the n announced bits into one
-    int64 (n! 2^n < 2^63 up to n = 16), the projection is the XOR of the bits.
+    Each chunk of about 1 MB of runs is one ``carve`` tree, drawing what
+    ``ame`` draws run by run; the network stream permutes the announcement
+    order. Every announcement is broadcast, so any coalition sees the whole
+    round: the raw key packs the order's Lehmer rank and the n announced bits
+    into one int64 (n! 2^n < 2^63 up to n = 16), the projection their XOR.
     """
     n = roles.n
-    ghz = ghz_state(n).amplitudes
+    ghz = ghz_state(n)
 
     def chunk(size: int):
-        bits = carve(np.broadcast_to(ghz, (size, ghz.size)), roles, bundle).announced
+        bits = carve(*_rows(ghz, bundle.source, size), roles, bundle).announced
         order = bundle.network.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
         raw = _permutation_ranks(order) << n | bits @ (1 << np.arange(n - 1, -1, -1))
         return raw, bits.sum(axis=1) % 2
 
-    return _chunked(chunk, trials, 16 * 2**n)
+    # A run holds its carved row and about four 8-byte entries per party.
+    raw, projected = zip(*map(chunk, _batches(trials, 16 * 2 ** (roles.m + 1) + 32 * n)))
+    return np.concatenate(raw), np.concatenate(projected)
 
 
 def notification_views(
@@ -207,7 +192,8 @@ def notification_views(
         parities = np.bitwise_xor.reduceat(messages & visible, [0, n * n], axis=2)
         return _bit_keys(messages[:, visible]), _bit_keys(parities)
 
-    return _chunked(chunk, trials, n**3)
+    raw, projected = zip(*map(chunk, _batches(trials, n**3)))
+    return np.concatenate(raw), np.concatenate(projected)
 
 
 def serialize_view(view: AdversaryView) -> str:
@@ -514,7 +500,7 @@ def reproduce_experiment(
     def hits(ops: str, success: Callable[[np.ndarray], np.ndarray]) -> int:
         """Successful shots out of ``trials``, each on a fresh draw of the source."""
         return sum(
-            int(success(measure_string(sample_ensemble(ensemble, rng, shots), ops, [rng] * len(ops))[0]).sum())
+            int(success(measure_string(np.take(*sample_ensemble(ensemble, rng, shots), axis=0), ops, [rng] * len(ops))[0]).sum())
             for shots in _batches(trials, 16 * 2**4)
         )
 

@@ -17,12 +17,11 @@ Each quantum step has one implementation, which works on a (rows, 2^n)
 amplitude array of independent rounds through the measurement kernel:
 ``carve`` is the bystander step of ame and ``parity_round`` the parity test.
 ``ame`` and ``verification`` are their one-row case plus the round's
-broadcast on a ``Network``. ``avka`` draws its rounds in batches of about
-1 MB and queues consecutive batches up to that size; a queue is one carve,
-one Z readout and one parity test, then each round's broadcasts in round
-order. A pure source is one state for a whole queue, carved as one tree
-(``carve``'s ``index``). The Monte Carlo in ``analysis`` calls the steps
-with many rows, and exhaustive tests pass forced ``outcomes``/``bases`` rows.
+broadcast on a ``Network``. ``avka`` queues batches of about 1 MB of draws
+(``_queued``): a queue is one carve, with rounds that share a state carved as
+one tree, one Z readout and one parity test, then each round's broadcasts in
+round order. The Monte Carlo in ``analysis`` calls the steps with many rows,
+and exhaustive tests pass forced ``outcomes``/``bases`` rows.
 
 Party i holds qubit i of each source state. All participant-ordered tuples
 use Alice first, then receivers ascending.
@@ -42,9 +41,8 @@ from .rng import RngBundle
 VERIFICATION_ROUND = "verification"
 KEYGEN_ROUND = "keygen"
 
-# Bytes per batch of rows: rounds and shots run 2^20 / (16 * 2^n) at a time (one
-# complex amplitude is 16 bytes) and notifications 2^20 / n^3 (one int8 per share
-# bit), so the batch arrays stay about 1 MB whatever the register size.
+# Bytes per batch and per queue: a batch holds 2^20 / (16 * 2^n) rounds or shots
+# (16 bytes per amplitude) or 2^20 / n^3 notifications (one int8 per share bit).
 _BATCH_BYTES = 2**20
 
 
@@ -56,26 +54,47 @@ def _batches(trials: int, row_bytes: int):
         yield min(size, trials - start)
 
 
-def _queues(trials: int, state_bytes: int, round_bytes: int, pure: bool) -> list[list[int]]:
-    """``_batches(trials, state_bytes)`` in queues: a batch joins while the
-    queue's distinct states (one if ``pure``, else one per round) and its
-    ``round_bytes`` per round each stay within ``_BATCH_BYTES``."""
-    queues: list[list[int]] = []
-    for size in _batches(trials, state_bytes):
-        if not queues or (sum(queues[-1]) + size) * max(round_bytes, 0 if pure else state_bytes) > _BATCH_BYTES:
-            queues.append([])
-        queues[-1].append(size)
-    return queues
-
-
 def _rows(source: StateVector | NoiseEnsemble, stream: np.random.Generator, shots: int):
-    """``shots`` states of a source as (states, index), draw i being the
-    amplitude row ``states[index[i]]``: a pure state is its one read-only
-    row for every draw, with no draws; a mixture draws one uniform per row
-    from ``stream`` and gives each draw its own row (index None)."""
+    """``shots`` states of a source as (states, index): its distinct states,
+    row 0 its own (a pure state's one read-only row), and draw i's row
+    ``states[index[i]]``. Only a mixture draws, from ``stream``."""
     if isinstance(source, StateVector):
         return source.amplitudes[None], np.zeros(shots, dtype=np.intp)
-    return sample_ensemble(source, stream, shots), None
+    return sample_ensemble(source, stream, shots)
+
+
+def _queued(sources, stream: np.random.Generator, draw_bytes: int):
+    """Queues of (states, index, batch sizes) of the (source, draws) pairs
+    ``sources``, drawn by ``_rows`` in ``_batches`` of 16 * 2^n-byte rows. A
+    batch joins while the queue's states and its draws, at ``draw_bytes`` each,
+    each stay within ``_BATCH_BYTES``. Consecutive batches of one source hold
+    its row 0 once, from the first draw of it on. A batch is drawn before the
+    queue it does not fit in is yielded."""
+    queue, held, drawn, last, first = [], 0, 0, None, None
+    for source, draws in sources:
+        for size in _batches(draws, 16 * 2**source.n_qubits):
+            states, index = _rows(source, stream, size)
+            shared = source is last and first is not None  # its row 0 is held, at row ``first``
+            if queue and max((held + len(states) - shared) * states[0].nbytes, (drawn + size) * draw_bytes) > _BATCH_BYTES:
+                joined, queue, held, drawn, shared = _joined(queue), [], 0, 0, False
+                yield joined
+            if shared:
+                states, index = states[1:], np.where(index == 0, first, index + held - 1)
+            elif np.count_nonzero(index == 0):
+                first, index = held, index + held
+            else:
+                first, states, index = None, states[1:], index + held - 1
+            queue.append((states, index))
+            held, drawn, last = held + len(states), drawn + size, source
+    if queue:
+        yield _joined(queue)
+
+
+def _joined(queue):
+    """A queue's batches as one (states, index, sizes)."""
+    parts = [states for states, _ in queue if len(states)]
+    states = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return states, np.concatenate([index for _, index in queue]), [len(index) for _, index in queue]
 
 
 @dataclass(frozen=True)
@@ -244,17 +263,17 @@ def carve_draws(roles: RoleAssignment, bundle: RngBundle, rows: int, withholding
 
 
 def carve(
-    amps: np.ndarray,
+    states: np.ndarray,
+    index: np.ndarray,
     roles: RoleAssignment,
     bundle: RngBundle,
     *,
     withholding: frozenset[int] = frozenset(),
     outcomes: np.ndarray | None = None,
-    index: np.ndarray | None = None,
     draws: Sequence[np.ndarray] | None = None,
 ) -> Carving:
-    """Carve the participants' GHZ state out of each row of a (rows, 2^n)
-    amplitude array.
+    """Carve the participants' GHZ state out of rounds of distinct states,
+    round i out of row ``states[index[i]]``, each state measured once per outcome.
 
     The ``carve_draws`` come first, unless given as ``draws``. Bystanders in
     ascending order X-measure their qubit with their uniforms. Alice's qubit
@@ -266,42 +285,31 @@ def carve(
     stream. ``outcomes`` forces the measured bystanders' outcomes:
     a (rows, n) array read by party, for enumerating branches; the forced
     rows draw no uniforms and raise ValueError on an impossible branch.
-    ``index`` makes the rows distinct states, round i carving
-    ``amps[index[i]]``: each measurement runs once per state and outcome
-    (``qsim._measure_kernel``), so a pure source's rounds are one tree.
     """
-    dim = amps.shape[1]
+    dim = states.shape[1]
     if dim != 2**roles.n:
         raise ValueError(f"state has {dim.bit_length() - 1} qubits but the network has {roles.n} parties")
     if not withholding <= roles.non_participants:
         raise ValueError("only non-participants can withhold their measurement")
-    rows = len(amps) if index is None else len(index)
-    coins, uniforms = draws or carve_draws(roles, bundle, rows, withholding, uniforms=outcomes is None)
+    coins, uniforms = draws or carve_draws(roles, bundle, len(index), withholding, uniforms=outcomes is None)
     bystanders = sorted(roles.non_participants)
     announced = coins.copy()
-    probability = np.ones(rows)
+    probability = np.ones(len(index))
     remaining = list(range(roles.n))
     for party in bystanders:
         if party in withholding:
             continue
         qubit = remaining.index(party)
         forced = {"u": uniforms[:, party]} if outcomes is None else {"outcomes": outcomes[:, party]}
-        if index is None:
-            announced[:, party], prob, amps = _measure_kernel(amps, qubit, Basis.X, **forced)
-        else:
-            announced[:, party], prob, amps, index = _measure_kernel(amps, qubit, Basis.X, index=index, **forced)
+        announced[:, party], prob, states, index = _measure_kernel(states, qubit, Basis.X, index=index, **forced)
         probability *= prob
         remaining.pop(qubit)
     corrected = np.bitwise_xor.reduce(announced[:, bystanders], axis=1) == 1
 
     order = [remaining.index(p) for p in (*roles.participant_order, *sorted(withholding))]
-    states = len(amps)
-    carved = amps.reshape(states, *[2] * len(order)).transpose(0, *(q + 1 for q in order)).reshape(states, -1)
-    carved = carved if index is None else carved[index]
-    if np.count_nonzero(corrected):
-        # Alice's qubit is now qubit 0: Z negates the second half of a row.
-        carved = carved.copy()
-        carved[corrected, carved.shape[1] // 2 :] *= -1.0
+    carved = states.reshape(-1, *[2] * len(order)).transpose(0, *(q + 1 for q in order)).reshape(len(states), -1)[index]
+    # Alice's qubit is now qubit 0: Z negates the second half of a row.
+    carved[corrected, carved.shape[1] // 2 :] *= -1.0
     return Carving(announced, probability, corrected, carved)
 
 
@@ -317,7 +325,7 @@ def ame(
     On a pure GHZ input the participants end up with a perfect (m+1)-party
     GHZ state in every branch.
     """
-    announced, _, corrected, carved = carve(state.amplitudes[None], roles, rng)
+    announced, _, corrected, carved = carve(*_rows(state, rng.source, 1), roles, rng)
     bits = announced[0].tolist()
     net.broadcast_round({p: str(b) for p, b in enumerate(bits)}, phase="ame:announce", expected=range(roles.n))
     return AmeOutcome(
@@ -498,13 +506,12 @@ def avka(
     run validates iff nothing aborted and every verification round accepted.
 
     The rounds run as rows. Their draws come in batches of about 1 MB, each
-    made as if the batch ran alone; consecutive batches queue while the
-    queue's distinct states and per-round arrays each stay within that size.
-    A queue makes one ``carve`` (a pure source is one state, carved as one
-    tree), one Z readout of the keygen rows and one ``parity_measure`` on
-    the verification rows. Then each round makes its broadcasts in round
-    order, as the per-party ``ame`` and ``verification`` do; a round that
-    aborts ends the run (its queue's later rounds are drawn by then).
+    made as if the batch ran alone, in queues (``_queued``). A queue makes
+    one ``carve`` (rounds that share a state are one tree), one Z readout of
+    the keygen rows and one ``parity_measure`` on the verification rows.
+    Then each round makes its broadcasts in round order, as the per-party
+    ``ame`` and ``verification`` do; a round that aborts ends the run (its
+    queue's later rounds, and the next batch's states, are drawn by then).
 
     ``withholder`` injects a bystander that skips its ame measurement and
     later measures its kept qubit in ``withholder_basis`` during keygen
@@ -534,12 +541,10 @@ def avka(
     aborted, done = False, 0
     try:
         _check_notified(roles, notification(roles, net, rng).notified)
-        for sizes in _queues(num_states, 16 * 2**roles.n, round_bytes, isinstance(source, StateVector)):
+        for states, rows, sizes in _queued([(source, num_states)], rng.source, round_bytes):
             # Failure records read ``index``: the queue's first round until
             # its broadcasts start, then the round being broadcast.
             index = done
-            size = sum(sizes)
-            states, rows = _rows(source, rng.source, size)
             batches, verifying = [], []
             for batch in sizes:  # every draw of each batch, in the order of a batch run alone
                 carve_drawn = carve_draws(roles, rng, batch, withholding)
@@ -550,7 +555,7 @@ def avka(
                     pairs = [stream.integers(0, 2, size=(tested, 2)) for stream in pair_rngs.values()]
                     verifying.append((*parity_draws(order, roles.alice, rng, tested), *pairs))
             *carve_drawn, keygen, readout = map(np.concatenate, zip(*batches))
-            announced, _, _, carved = carve(states, roles, rng, withholding=withholding, index=rows, draws=carve_drawn)
+            announced, _, _, carved = carve(states, rows, roles, rng, withholding=withholding, draws=carve_drawn)
             readouts = tests = iter(())
             if len(readout):
                 readouts = iter(measure_string(carved[keygen], readout_ops, uniforms=readout)[0].tolist())
@@ -558,7 +563,7 @@ def avka(
                 bases, uniforms, placeholders, *pairs = map(np.concatenate, zip(*verifying))
                 test = parity_measure(carved[~keygen], order, roles.alice, ParityDraws(bases, uniforms, placeholders))
                 tests = zip(*(c.tolist() for c in (test.bases, test.outcomes, test.placeholders, test.accepted, *pairs)))
-            for index, row, is_keygen in zip(range(done, done + size), announced.tolist(), keygen.tolist()):
+            for index, row, is_keygen in zip(range(done, done + len(rows)), announced.tolist(), keygen.tolist()):
                 phase = f"round[{index}]"
                 net.broadcast_round(dict(enumerate(map(str, row))), phase=f"{phase}:ame:announce", expected=range(roles.n))
                 net.broadcast_public(str(int(is_keygen)), phase=f"{phase}:coin")
@@ -573,7 +578,7 @@ def avka(
                     net.broadcast_round(announcements, phase=f"{phase}:verify:announce", expected=tuple(announcements))
                     record = VerificationRecord(basis_bits=tuple(bases), outcomes=tuple(outcomes), accepted=accepted)
                     rounds.append(AvkaRound(VERIFICATION_ROUND, verification=record))
-            done += size
+            done += len(rows)
     except ChannelAbort:
         aborted = True
 

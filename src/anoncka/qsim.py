@@ -409,9 +409,10 @@ def density_from_ensemble(e: NoiseEnsemble) -> DensityMatrix:
     return DensityMatrix(e.n_qubits, mat)
 
 
-def sample_ensemble(e: NoiseEnsemble, rng: np.random.Generator, shots: int) -> np.ndarray:
-    """Draw ``shots`` pure states of the mixture as a (shots, 2^n) array of
-    one state per row, one uniform ``u`` per state.
+def sample_ensemble(e: NoiseEnsemble, rng: np.random.Generator, shots: int):
+    """Draw ``shots`` pure states of the mixture, one uniform ``u`` each, as
+    (states, index): the coherent state, then the distinct basis states
+    drawn, and draw i's row ``states[index[i]]``.
 
     The states are laid out on [0, 1) in the order coherent state, then basis
     states 0 .. 2^n - 1: ``u < p`` gives the coherent state, otherwise the
@@ -419,12 +420,19 @@ def sample_ensemble(e: NoiseEnsemble, rng: np.random.Generator, shots: int) -> n
     """
     u = rng.random(shots)
     noise = u >= e.p
+    index = np.zeros(shots, dtype=np.intp)
+    if not np.count_nonzero(noise):  # the coherent state's own read-only row, not a copy
+        return e.coherent.amplitudes[None], index
     dim = 2**e.n_qubits
-    index = np.minimum(((u[noise] - e.p) / ((1.0 - e.p) / dim)).astype(np.int64), dim - 1)
-    amps = np.zeros((shots, dim), dtype=complex)
-    amps[~noise] = e.coherent.amplitudes
-    amps[np.flatnonzero(noise), index] = 1.0
-    return amps
+    basis = np.minimum(((u[noise] - e.p) / ((1.0 - e.p) / dim)).astype(np.int64), dim - 1)
+    seen = np.zeros(dim, dtype=bool)
+    seen[basis] = True
+    drawn = np.flatnonzero(seen)
+    index[noise] = np.searchsorted(drawn, basis) + 1
+    states = np.zeros((len(drawn) + 1, dim), dtype=complex)
+    states[0] = e.coherent.amplitudes
+    states[np.arange(1, len(drawn) + 1), drawn] = 1.0
+    return states, index
 
 
 def werner_p_for_fidelity(n: int, fidelity: float) -> float:

@@ -318,6 +318,34 @@ def visible_by_filter(entries, coalition) -> tuple:
     )
 
 
+def batch_sizes(trials: int, row_bytes: int):
+    """Row counts of the batches that together run ``trials`` rows of
+    ``row_bytes`` bytes each, at most ``protocols._BATCH_BYTES`` per batch
+    (read at call time, so a patched budget reaches the references)."""
+    from anoncka import protocols
+
+    size = max(1, protocols._BATCH_BYTES // row_bytes)
+    for start in range(0, trials, size):
+        yield min(size, trials - start)
+
+
+def dense_rows(source, stream: np.random.Generator, shots: int) -> np.ndarray:
+    """``shots`` states of a source as a dense (shots, 2^n) array, one row
+    per draw: a pure state repeated with no draws, or a mixture drawn with
+    one uniform per row from ``stream``, laid out on [0, 1) as the coherent
+    state, then basis states 0 .. 2^n - 1."""
+    if isinstance(source, StateVector):
+        return np.tile(source.amplitudes, (shots, 1))
+    u = stream.random(shots)
+    noise = u >= source.p
+    dim = 2**source.n_qubits
+    index = np.minimum(((u[noise] - source.p) / ((1.0 - source.p) / dim)).astype(np.int64), dim - 1)
+    amps = np.zeros((shots, dim), dtype=complex)
+    amps[~noise] = source.coherent.amplitudes
+    amps[np.flatnonzero(noise), index] = 1.0
+    return amps
+
+
 def theorem1_state_by_state(state_family, trials: int, bundle) -> list:
     """The Monte Carlo of ``check_theorem1`` as one loop per state, the way
     it ran before shots of several states shared one measurement: per state
@@ -325,16 +353,15 @@ def theorem1_state_by_state(state_family, trials: int, bundle) -> list:
     party 0 as verifier. This is a reference for the batching, not an
     independent oracle; it leaves ``bundle``'s streams where that loop does."""
     from anoncka.analysis import BoundCheck
-    from anoncka.protocols import _batches, _rows, parity_round
+    from anoncka.protocols import parity_round
     from anoncka.qsim import ghz_trace_distance
 
     k = state_family[0].n_qubits
     checks = []
     for entry in state_family:
         hits = 0
-        for shots in _batches(trials, 16 * 2**k):
-            states, rows = _rows(entry, bundle.source, shots)
-            amps = states if rows is None else states[rows]
+        for shots in batch_sizes(trials, 16 * 2**k):
+            amps = dense_rows(entry, bundle.source, shots)
             hits += int(np.count_nonzero(parity_round(amps, tuple(range(k)), 0, bundle).accepted))
         eps = min(1.0, max(0.0, ghz_trace_distance(entry)))
         rate, bound = hits / trials, 1.0 - eps**2 / 2.0
@@ -357,9 +384,7 @@ def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, 
         AvkaResult,
         AvkaRound,
         VerificationRecord,
-        _batches,
         _check_notified,
-        _rows,
         _test_announcements,
         carve,
         notification,
@@ -377,9 +402,8 @@ def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, 
     rounds, guesses, aborted, done = [], [], False, 0
     try:
         _check_notified(roles, notification(roles, net, rng).notified)
-        for size in _batches(num_states, 16 * 2**roles.n):
-            states, rows = _rows(source, rng.source, size)
-            announced, _, _, carved = carve(states if rows is None else states[rows], roles, rng, withholding=withholding)
+        for size in batch_sizes(num_states, 16 * 2**roles.n):
+            announced, _, _, carved = carve(dense_rows(source, rng.source, size), np.arange(size), roles, rng, withholding=withholding)
             keygen = rng.coin.random(size) < 1.0 / keygen_denom
             keygen_rows = np.count_nonzero(keygen)
             readouts = tests = iter(())

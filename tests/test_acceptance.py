@@ -63,7 +63,7 @@ def test_criterion_1_ame_exact_on_every_branch():
             branches = list(itertools.product((0, 1), repeat=len(bystanders)))
             outcomes = np.zeros((len(branches), n), dtype=np.int8)
             outcomes[:, bystanders] = np.array(branches, dtype=np.int8).reshape(len(branches), -1)
-            carving = carve(np.broadcast_to(ghz, (len(branches), ghz.size)), roles, bundle, outcomes=outcomes)
+            carving = carve(ghz[None], np.zeros(len(branches), dtype=np.intp), roles, bundle, outcomes=outcomes)
             assert np.allclose(carving.probability, 2.0 ** -len(bystanders), rtol=0, atol=1e-12)
             for row in carving.carved:
                 worst = min(worst, fidelity_pure(qsim.StateVector(roles.m + 1, row), ghz_state(roles.m + 1)))

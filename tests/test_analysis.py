@@ -3,6 +3,7 @@ table-top demonstration."""
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -338,6 +339,31 @@ def test_numpy_draw_alignment_the_batch_relies_on():
     # the verifier's placeholder pairs
     pairs = one_call(3, lambda g: g.integers(0, 2, size=(runs, 2)))
     assert np.array_equal(pairs, run_by_run(3, lambda g: g.integers(0, 2, size=2)))
+
+
+def test_numpy_draws_split_anywhere_as_the_rechunked_samplers_rely_on():
+    # ame_views sizes its chunks by bytes per run, so a chunk boundary may
+    # fall anywhere in a run of draws: a draw split in two (the scalar call
+    # for one row, as ``protocols._coins`` makes it) equals the joined draw
+    # and leaves the stream where the joined draw does.
+    n = 5
+    draws = {
+        "coins": lambda g, rows: np.atleast_1d(protocols._coins(g, rows)),
+        "integers": lambda g, rows: g.integers(0, 2, size=rows),
+        "random": lambda g, rows: g.random(rows),
+        "permuted": lambda g, rows: g.permuted(np.tile(np.arange(n), (rows, 1)), axis=1),
+    }
+    sizes = (1, 3, 5, 7, 11, 16)
+    for (name, draw), a, b in itertools.product(draws.items(), sizes, sizes):
+        split, joined = np.random.default_rng(a * 100 + b), np.random.default_rng(a * 100 + b)
+        parts = np.concatenate([draw(split, a), draw(split, b)])
+        assert np.array_equal(parts, draw(joined, a + b)), (name, a, b)
+        assert split.bit_generator.state == joined.bit_generator.state, (name, a, b)
+    # permuted over stacked rows is one permutation per row, row by row
+    stacked, by_row = np.random.default_rng(9), np.random.default_rng(9)
+    rows = draws["permuted"](stacked, 16)
+    assert np.array_equal(rows, np.stack([by_row.permuted(np.arange(n)) for _ in range(16)]))
+    assert stacked.bit_generator.state == by_row.bit_generator.state
 
 
 def test_tvd_identical_hypotheses_consistent_with_zero():

@@ -164,6 +164,23 @@ def test_unverified_run_draws_its_source_states_per_batch(tmp_path, capsys):
     assert peak < 10 * 2**20
 
 
+def test_werner_queues_hold_about_one_batch_of_distinct_states(tmp_path, capsys):
+    # At n=14 a state is 256 KB, so a queue holds at most four distinct
+    # states and reads one batch of four rounds ahead: the peak stays near
+    # 5 MB. A queue bounded only by its per-round arrays would take all 80
+    # rounds and the ~40 noise basis states among them: a 40 MB peak.
+    cfg = {"n": 14, "alice": 0, "receivers": [1, 2], "L": 80, "D": 2, "noise": {"model": "werner", "fidelity": 0.5}, "seed": 3}
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (EXIT_OK, EXIT_REJECTED)
+    assert json.loads(out)["num_rounds"] == 80
+    assert peak < 12 * 2**20
+
+
 def test_theorem1_csv_rows(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -556,7 +573,8 @@ SOURCE_RUNS = {
     },
 }
 # avka queues: an n=14 pure source with a withholder, whose four-round batches
-# are carved together, and an n=16 Werner mixture, whose one-round batches are
+# are carved together; an n=14 Werner mixture, whose queues hold several
+# distinct states; and an n=16 Werner mixture, whose one-round batches are
 # carved one by one.
 QUEUE_RUNS = {
     "n14_withholding": {
@@ -569,7 +587,20 @@ QUEUE_RUNS = {
         "adversary": {"kind": "withholding", "party": 5, "basis": "X"},
         "seed": 31,
     },
+    "n14_werner": {"n": 14, "alice": 0, "receivers": [1, 2], "L": 40, "D": 2, "noise": {"model": "werner", "fidelity": 0.8}, "seed": 41},
     "n16_werner": {"n": 16, "alice": 0, "receivers": [1, 2], "L": 12, "D": 3, "noise": {"model": "werner", "fidelity": 0.8}, "seed": 37},
+}
+# An ame anonymity estimate at n=16, whose runs are carved in chunks.
+ANONYMITY_RUNS = {
+    "n16_ame_anonymity": {
+        "protocol": "ame",
+        "n": 16,
+        "hypothesis_a": {"alice": 0, "receivers": [1, 2]},
+        "hypothesis_b": {"alice": 1, "receivers": [0, 2]},
+        "coalition": [3, 4],
+        "trials": 300,
+        "seed": 43,
+    },
 }
 # theorem1 grids whose shots span several batches per state at k=10 and
 # several states per batch at k=2; no row with eps > 0 accepts every shot.
@@ -584,7 +615,7 @@ THEOREM1_RUNS = {
     },
 }
 # (exit code, md5 of stdout) of each sample config, of N16_RUN, of SOURCE_RUNS,
-# of THEOREM1_RUNS and of QUEUE_RUNS.
+# of THEOREM1_RUNS, of QUEUE_RUNS and of ANONYMITY_RUNS.
 PINNED_STDOUT = {
     "theorem1.json": (EXIT_OK, "48310bbf36dbac6b45d10e8026f2fa6a"),
     "anonymity.json": (EXIT_OK, "080f80ca6201c152e18e6a7709c14872"),
@@ -600,13 +631,16 @@ PINNED_STDOUT = {
     "theorem1_k2": (EXIT_OK, "1b36ce4264f8ee772f366d102d97c2dd"),
     "n14_withholding": (EXIT_REJECTED, "1ac87ca9036ecf7d132d8b687f83ef06"),
     "n16_werner": (EXIT_REJECTED, "f80dd32650b93fb2f52000624d7699b5"),
+    "n14_werner": (EXIT_REJECTED, "a2cf80f8030128a0489d7f89699ccd3c"),
+    "n16_ame_anonymity": (EXIT_OK, "f7116717650c5f320cccc437cd33f30e"),
 }
 
 
 def test_sample_config_stdout_digests_are_pinned(tmp_path):
     """Same seed, same bytes: every sample config, one n=16 run, the
-    SOURCE_RUNS, the THEOREM1_RUNS and the QUEUE_RUNS print exactly the
-    stdout pinned in PINNED_STDOUT, with the pinned exit code.
+    SOURCE_RUNS, the THEOREM1_RUNS, the QUEUE_RUNS and the ANONYMITY_RUNS
+    print exactly the stdout pinned in PINNED_STDOUT, with the pinned exit
+    code.
 
     A change that alters RNG consumption (and so the printed numbers)
     updates the table and lists the changed outputs and fields in
@@ -619,6 +653,8 @@ def test_sample_config_stdout_digests_are_pinned(tmp_path):
         runs[name] = ("theorem1", write_config(tmp_path, cfg, f"{name}.json"))
     for name, cfg in QUEUE_RUNS.items():
         runs[name] = ("run", write_config(tmp_path, cfg, f"{name}.json"))
+    for name, cfg in ANONYMITY_RUNS.items():
+        runs[name] = ("anonymity", write_config(tmp_path, cfg, f"{name}.json"))
     seen = {}
     for name, (command, path) in runs.items():
         sink = io.StringIO()

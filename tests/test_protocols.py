@@ -7,9 +7,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anoncka import qsim
 from anoncka.netmodel import ChannelAbort, Network, RoleAssignment
@@ -31,6 +34,7 @@ from anoncka.rng import RngBundle
 from oracles import (
     avka_batch_by_batch,
     branch_probability,
+    dense_rows,
     enumerate_notification_tables,
     even_y_settings,
     exact_verification_acceptance,
@@ -121,7 +125,7 @@ def test_ame_both_bystander_outcomes_give_ghz3():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     rows = forced_rows(roles, [[0], [1]])
     amps = np.broadcast_to(ghz_state(4).amplitudes, (2, 16))
-    announced, probability, corrected, carved = carve(amps, roles, RngBundle.from_seed(3, 4), outcomes=rows)
+    announced, probability, corrected, carved = carve(amps, np.arange(2), roles, RngBundle.from_seed(3, 4), outcomes=rows)
     assert probability == pytest.approx([0.5, 0.5], abs=1e-12)
     for outcome in (0, 1):
         assert fidelity_pure(qsim.StateVector(3, carved[outcome]), ghz_state(3)) == pytest.approx(1.0, abs=1e-12)
@@ -135,7 +139,7 @@ def test_ame_exhaustive_branches_n5_pair():
     roles = RoleAssignment(n=5, alice=1, receivers=frozenset({3}))
     rows = forced_rows(roles, list(itertools.product((0, 1), repeat=3)))
     amps = np.broadcast_to(ghz_state(5).amplitudes, (8, 32))
-    _, probability, _, carved = carve(amps, roles, RngBundle.from_seed(4, 5), outcomes=rows)
+    _, probability, _, carved = carve(amps, np.arange(8), roles, RngBundle.from_seed(4, 5), outcomes=rows)
     assert probability == pytest.approx([1 / 8] * 8, abs=1e-12)
     for row in carved:
         assert fidelity_pure(qsim.StateVector(2, row), ghz_state(2)) == pytest.approx(1.0, abs=1e-10)
@@ -149,11 +153,11 @@ def test_ame_broadcast_covers_everyone_and_announces_true_outcomes():
     assert {e.sender for e in announce} == set(range(5))
     assert {e.sender: int(e.bits) for e in announce} == dict(enumerate(out.announced_bits))
     # the bystanders announce the outcomes the same draws give the batch step
-    rows = carve(ghz_state(5).amplitudes[None], roles, RngBundle.from_seed(5, 5))
+    rows = carve(ghz_state(5).amplitudes[None], np.zeros(1, dtype=np.intp), roles, RngBundle.from_seed(5, 5))
     assert tuple(rows.announced[0]) == out.announced_bits
     assert out.corrected == bool(sum(out.announced_bits[p] for p in (1, 2, 3)) % 2)
     # forced bystander outcomes (1, 0, 1) are announced as given; even parity -> no Z
-    forced = carve(ghz_state(5).amplitudes[None], roles, bundle, outcomes=forced_rows(roles, [[1, 0, 1]]))
+    forced = carve(ghz_state(5).amplitudes[None], np.zeros(1, dtype=np.intp), roles, bundle, outcomes=forced_rows(roles, [[1, 0, 1]]))
     assert forced.announced[0, 1:4].tolist() == [1, 0, 1]
     assert not forced.corrected[0]
 
@@ -487,6 +491,7 @@ AVKA_REFERENCE_RUNS = {
     "n4_three_round_batches_withholding": (4, (1, 2), 3, 3, False, 10, 2, 33),
     "n5_werner": (5, (2,), None, None, True, 200, 3, 34),
     "n8_queued_eight_round_batches": (8, (1, 5), 8, None, False, 150, 3, 35),
+    "n8_werner_queued_four_round_batches": (8, (1,), 4, None, True, 80, 3, 38),
     "n13_withholding": (13, (1, 2), None, 7, False, 40, 2, 36),
     "n16_run": (16, (1, 2), None, None, False, 16, 4, 5),
 }
@@ -509,6 +514,55 @@ def test_avka_matches_the_batch_by_batch_reference(name, monkeypatch):
     assert seen[0] == seen[1]
     types = {r.round_type for r in seen[0][0].rounds}
     assert types == {KEYGEN_ROUND, VERIFICATION_ROUND}
+
+
+@st.composite
+def avka_runs(draw):
+    """An avka run: n in 3..8, up to three receivers, a withholder or none,
+    a pure GHZ or Werner source (p in [0, 1], ends included), L, D and a
+    batch size from 1 byte to 2^20: half the time a few rounds per batch, so
+    that queues join batches, else a power of two or any size."""
+    n = draw(st.integers(3, 8))
+    receivers = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=3))
+    roles = RoleAssignment(n=n, alice=0, receivers=frozenset(receivers))
+    bystanders = sorted(roles.non_participants)
+    withholder = draw(st.none() | st.sampled_from(bystanders)) if bystanders else None
+    p = draw(st.floats(0.0, 1.0) | st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, None]))
+    source = ghz_state(n) if p is None else qsim.werner_ghz(n, p)
+    few_rounds = st.integers(1, 8).map(lambda rows: rows * 16 * 2**n)
+    return (
+        roles,
+        source,
+        withholder,
+        draw(st.sampled_from(list(qsim.Basis))),
+        draw(st.integers(0, 40)),
+        draw(st.integers(1, 4)),
+        draw(st.one_of(few_rounds, few_rounds, st.integers(0, 20).map(lambda e: 2**e), st.integers(1, 2**20))),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(avka_runs())
+def test_avka_queues_match_the_batch_by_batch_reference_on_any_source(run):
+    # Whatever the batch size, queues make the draws and records of batches
+    # run one by one, and a mixture's distinct states, gathered by index,
+    # are the dense rows drawn one per round.
+    roles, source, withholder, basis, num_states, denom, batch_bytes, seed = run
+    seen = []
+    with mock.patch.object(protocols, "_BATCH_BYTES", batch_bytes):
+        for avka_run in (avka, avka_batch_by_batch):
+            net, bundle = fresh(seed, roles.n)
+            result = avka_run(roles, num_states, denom, source, net, bundle, withholder=withholder, withholder_basis=basis)
+            streams = (*bundle.parties, bundle.network, bundle.coin, bundle.source, bundle.adversary)
+            seen.append((result, tuple(net.transcript), net.counters, [s.bit_generator.state for s in streams]))
+    assert seen[0] == seen[1]
+    if isinstance(source, qsim.NoiseEnsemble):
+        distinct, dense = np.random.default_rng(seed), np.random.default_rng(seed)
+        states, index = qsim.sample_ensemble(source, distinct, num_states)
+        assert len(np.unique(states, axis=0)) == len(states) and len(np.unique(index)) == len(states) - (0 not in index)
+        assert np.array_equal(states[index], dense_rows(source, dense, num_states))
+        assert distinct.bit_generator.state == dense.bit_generator.state
 
 
 def test_avka_verification_round_has_all_announcers():

@@ -232,9 +232,9 @@ def test_project_zero_probability_branch_rejected():
     # |0>|+>: bystander 1 X-measures |+>, so outcome 1 cannot happen
     plus = np.kron([1.0, 0.0], [SQRT_HALF, SQRT_HALF]).astype(complex)
     roles = RoleAssignment(n=2, alice=0, receivers=frozenset())
-    carve(plus[None], roles, RngBundle.from_seed(0, 2), outcomes=np.array([[0, 0]]))
+    carve(plus[None], np.zeros(1, dtype=np.intp), roles, RngBundle.from_seed(0, 2), outcomes=np.array([[0, 0]]))
     with pytest.raises(ValueError, match="probability"):
-        carve(plus[None], roles, RngBundle.from_seed(0, 2), outcomes=np.array([[0, 1]]))
+        carve(plus[None], np.zeros(1, dtype=np.intp), roles, RngBundle.from_seed(0, 2), outcomes=np.array([[0, 1]]))
     # the verifier of GHZ2 after an X outcome 0 can only see outcome 0
     ghz2 = qsim.ghz_state(2).amplitudes[None]
     with pytest.raises(ValueError, match="probability"):
@@ -639,9 +639,16 @@ def test_ensemble_validation():
         qsim.werner_ghz(2, 0.5, ghz=qsim.ghz_state(3))
 
 
+def gathered(draws):
+    """One amplitude row per draw from ``sample_ensemble``'s (states, index)."""
+    states, index = draws
+    return states[index]
+
+
 def test_sample_singleton_ensemble():
     e = qsim.werner_ghz(2, 1.0)
-    (amps,) = qsim.sample_ensemble(e, np.random.default_rng(0), 1)
+    states, index = qsim.sample_ensemble(e, np.random.default_rng(0), 1)
+    (amps,) = states[index]
     assert states_equal(qsim.StateVector(2, amps), qsim.ghz_state(2))
 
 
@@ -649,7 +656,7 @@ def test_sample_ensemble_frequencies():
     e = qsim.werner_ghz(1, 0.0)
     rng = np.random.default_rng(6)
     draws = 100_000
-    ones = sum(abs(qsim.sample_ensemble(e, rng, 1)[0, 1]) > 0.5 for _ in range(draws))
+    ones = sum(abs(gathered(qsim.sample_ensemble(e, rng, 1))[0, 1]) > 0.5 for _ in range(draws))
     assert ones / draws == pytest.approx(0.5, abs=0.01)
 
 
@@ -662,15 +669,15 @@ def test_sample_ensemble_matches_materialized_oracle(n):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(10_000):
             expected = sample_materialized(weights, vectors, oracle_rng)
-            assert np.array_equal(qsim.sample_ensemble(e, rng, 1)[0], expected)
+            assert np.array_equal(gathered(qsim.sample_ensemble(e, rng, 1))[0], expected)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.97, 1.0])
 def test_batched_sample_ensemble_matches_single_draws(p):
     e = qsim.werner_ghz(3, p)
-    batch = qsim.sample_ensemble(e, np.random.default_rng(5), 500)
+    batch = gathered(qsim.sample_ensemble(e, np.random.default_rng(5), 500))
     rng = np.random.default_rng(5)
-    single = np.vstack([qsim.sample_ensemble(e, rng, 1) for _ in range(500)])
+    single = np.vstack([gathered(qsim.sample_ensemble(e, rng, 1)) for _ in range(500)])
     assert np.array_equal(batch, single)
 
 
@@ -690,7 +697,7 @@ def test_sampled_z_statistics_match_density_diagonal():
     rho = qsim.density_from_ensemble(ensemble)
     rng = np.random.default_rng(7)
     draws = 100_000
-    amps = qsim.sample_ensemble(ensemble, rng, draws)
+    amps = gathered(qsim.sample_ensemble(ensemble, rng, draws))
     bits, _ = qsim.measure_string(amps, "ZZZZ", [rng] * 4)
     counts = np.bincount(bits.astype(np.int64) @ (1 << np.arange(3, -1, -1)), minlength=16)
     freqs = counts / draws
