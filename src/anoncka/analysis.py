@@ -499,10 +499,11 @@ def reproduce_experiment(
 
     def hits(ops: str, success: Callable[[np.ndarray], np.ndarray]) -> int:
         """Successful shots out of ``trials``, each on a fresh draw of the source."""
-        return sum(
-            int(success(measure_string(np.take(*sample_ensemble(ensemble, rng, shots), axis=0), ops, [rng] * len(ops))[0]).sum())
-            for shots in _batches(trials, 16 * 2**4)
-        )
+        total = 0
+        for shots in _batches(trials, 16 * 2**4):
+            amps = np.take(*sample_ensemble(ensemble, rng, shots), axis=0)
+            total += int(success(measure_string(amps, ops, rng.random((len(ops), shots)).T)[0]).sum())
+        return total
 
     stats = []
     for label in CONFIG_LABELS:

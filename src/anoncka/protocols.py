@@ -412,10 +412,8 @@ def parity_measure(
     last = holders.index(verifier)
     for column in (*(c for c in range(k) if c != last), last):
         qubit = remaining.index(holders[column])
-        if outcomes is None:
-            results[:, column], prob, amps = _measure_kernel(amps, qubit, bits[:, column], u=uniforms[:, column])
-        else:
-            results[:, column], prob, amps = _measure_kernel(amps, qubit, bits[:, column], outcomes=outcomes[:, column])
+        forced = {"u": uniforms[:, column]} if outcomes is None else {"outcomes": outcomes[:, column]}
+        results[:, column], prob, amps = _measure_kernel(amps, qubit, bits[:, column], **forced)
         probability *= prob
         remaining.pop(qubit)
     return ParityRound(bits, results, placeholders, probability, _parity_test(bits.T, results.T))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -190,29 +189,22 @@ def apply_rz(s: StateVector, qubit: int, theta: float) -> StateVector:
     return StateVector(s.n_qubits, t.reshape(-1))
 
 
-def _branch(z0: np.ndarray, z1: np.ndarray, phase, bit: int, out: np.ndarray | None = None, where=True) -> np.ndarray:
-    """Unnormalised ``bit`` branch of rows whose measured qubit splits into
-    the (rows, 2^q, 2^(n-q-1)) halves ``z0``/``z1``, as a (rows, 2^(n-1))
-    array: z0 or z1 for Z (``phase`` None), else (z0 + phase z1)/sqrt(2) or
-    (z0 - phase z1)/sqrt(2), with phase 1 for X (a scalar X takes no
-    multiply) and -1j for Y, one scalar or (rows, 1, 1). The branch is
-    written into ``out`` when one is given, only in the rows a (rows,) bool
-    ``where`` selects, else into a fresh array."""
-    rows, blocks, tail = z0.shape
-    if phase is not None and (isinstance(phase, np.ndarray) or phase != 1):
-        z1 = phase * z1
-    z0, z1 = z0.reshape(-1, tail), z1.reshape(-1, tail)  # 2-D views: cheaper elementwise loops
-    out = None if out is None else out.reshape(-1, tail)
-    where = np.repeat(where, blocks)[:, None] if np.ndim(where) else where
-    if phase is None:  # positive copies every bit into ``out``, signed zeros and NaNs included
-        vec = (z1 if bit else z0).copy() if out is None else np.positive(z1 if bit else z0, out=out, where=where)
-    else:
-        vec = (np.subtract if bit else np.add)(z0, z1, out=out, where=where)
-        np.multiply(vec, _SQRT_HALF, out=vec, where=where)
-    return vec.reshape(rows, -1)
-
-
-_PHASES = {Basis.X: 1, Basis.Y: -1j, Basis.Z: None}
+def _branch(z0: np.ndarray, z1: np.ndarray, equatorial: bool, bit: int, out: np.ndarray, where=True) -> np.ndarray:
+    """Write the unnormalised ``bit`` branch of rows whose measured qubit
+    splits into the (rows, 2^q, 2^(n-q-1)) halves ``z0``/``z1`` into the
+    (rows, 2^(n-1)) array ``out``, in the rows a (rows,) bool ``where``
+    selects (all of them by default), and return ``out``. The branch is z0
+    or z1 for Z, else (z0 + z1)/sqrt(2) or (z0 - z1)/sqrt(2) for an
+    ``equatorial`` basis, whose ``z1`` the caller has multiplied by the phase."""
+    blocks, tail = z0.shape[1:]
+    z0, z1, vec = z0.reshape(-1, tail), z1.reshape(-1, tail), out.reshape(-1, tail)  # 2-D views: cheaper loops
+    by_row, by_block = (where[:, None], np.repeat(where, blocks)[:, None]) if np.ndim(where) else (where, where)
+    if equatorial:
+        (np.subtract if bit else np.add)(z0, z1, out=vec, where=by_block)
+        np.multiply(out, _SQRT_HALF, out=out, where=by_row)
+    else:  # copyto copies every bit into ``out``, signed zeros and NaNs included
+        np.copyto(vec, z1 if bit else z0, where=by_block)
+    return out
 
 
 def _measure_kernel(
@@ -229,29 +221,33 @@ def _measure_kernel(
     ``basis`` is one Basis (or letter) for all rows, or a (shots,) array of
     Y bits, one per row: 0 measures X and 1 measures Y. Outcome 0 projects
     onto the +1 eigenvector: |+> for X, (|0>+i|1>)/sqrt(2) for Y, |0> for Z.
-    Row i gets outcome 0 iff ``u[i]`` is below its outcome-0 probability,
-    unless ``outcomes`` forces the outcomes. Returns the outcomes, their Born
-    probabilities and the kept branches with the measured qubit removed, each
-    normalised by its own norm c so rounding errors do not build up along a
-    chain of measurements. The normalisation multiplies by the complex
-    reciprocal (1/c, -0.0): numpy divides a + bi by a real c as
-    ((a + b*0)/c, (b - a*0)/c), and the multiply gives those bits, signed
-    zeros included, in a cheaper loop. When every row keeps outcome 1, the
-    branch is built in the outcome-0 branch's buffer.
+    X and Y keep (z0 +- phase z1)/sqrt(2) of the halves where the qubit is 0
+    and 1, with phase 1 for X and -i for Y; z1 is multiplied by it once per
+    call. Row i gets outcome 0 iff ``u[i]`` is below its outcome-0
+    probability, unless ``outcomes`` forces the outcomes. Returns the
+    outcomes, their Born probabilities and the kept branches with the
+    measured qubit removed, each normalised by its own norm c so rounding
+    errors do not build up along a chain of measurements. The normalisation
+    multiplies by the complex reciprocal (1/c, -0.0): numpy divides a + bi
+    by a real c as ((a + b*0)/c, (b - a*0)/c), and the multiply gives those
+    bits, signed zeros included, in a cheaper loop.
 
     ``index`` (one Basis only) makes the rows distinct states, each drawn at
     least once: draw i measures ``amps[index[i]]``, with ``u``/``outcomes``
-    per draw. Branch 0 and its probability are computed once per state. A
-    state keeps its row for the outcome its draws take, and adds its outcome-1
-    branch as a row when they take both (at most draws - states do). The call
-    also returns each draw's row; every draw matches a one-row call bit for bit.
+    per draw; without one, every row is its own state, drawn once. Branch 0
+    and its probability are computed once per state, in one buffer. A state
+    whose draws all take outcome 1 gets that branch in its own row, through
+    one row mask; a state whose draws take both outcomes adds its outcome-1
+    branch as a row after the states (at most draws - states do). With an
+    index the call also returns each draw's row; every draw matches a
+    one-row call bit for bit.
     """
     shots, dim = amps.shape
     if not 0 <= qubit < dim.bit_length() - 1:
         raise IndexError(f"qubit {qubit} out of range for {dim.bit_length() - 1}-qubit state")
     if isinstance(basis, (str, Basis)):
         basis = Basis(basis)
-        phase = _PHASES[basis]
+        equatorial, phase = basis is not Basis.Z, -1j if basis is Basis.Y else None
     elif index is not None:
         raise ValueError("an index needs one basis for every draw")
     else:
@@ -262,13 +258,15 @@ def _measure_kernel(
         valid = ys | (ybits == 0)
         if np.count_nonzero(valid) != shots:
             raise ValueError(f"Y bits must be 0 or 1, got {ybits[~valid][0]}")
-        phase = np.where(ys, -1j, 1)[:, None, None]
+        equatorial, phase = True, np.where(ys, -1j, 1)[:, None, None]
     t = amps.reshape(shots, 1 << qubit, 2, -1)
     z0, z1 = t[:, :, 0], t[:, :, 1]
+    if phase is not None:
+        z1 = phase * z1
     draws = shots if index is None else len(index)
-    buffer = None if index is None else np.empty((shots + min(shots, max(draws - shots, 0)), dim // 2), dtype=complex)
+    buffer = np.empty((shots + min(shots, max(draws - shots, 0)), dim // 2), dtype=complex)
 
-    vec = _branch(z0, z1, phase, 0, out=None if buffer is None else buffer[:shots])
+    vec = _branch(z0, z1, equatorial, 0, buffer[:shots])
     prob = np.vecdot(vec, vec).real
     if outcomes is None:
         ones = u >= (prob if index is None else prob[index])
@@ -282,27 +280,22 @@ def _measure_kernel(
         if np.count_nonzero(valid) != draws:
             raise ValueError(f"outcome must be 0 or 1, got {outcomes[~valid][0]}")
     if index is None:
-        # The outcome-1 branch is built only for the rows that keep it.
-        count = np.count_nonzero(ones)
-        if count == shots:
-            vec = _branch(z0, z1, phase, 1, out=vec)
-            prob = np.vecdot(vec, vec).real
-        elif count:
-            vec1 = _branch(z0[ones], z1[ones], phase if np.ndim(phase) == 0 else phase[ones], 1)
-            vec[ones], prob[ones] = vec1, np.vecdot(vec1, vec1).real
+        split, alone = (), ones
     else:
         reached = np.zeros((2, shots), dtype=bool)
         reached[outcomes, index] = True
         if np.count_nonzero(reached[0] | reached[1]) != shots:
             raise ValueError("every state needs at least one draw")
         split, alone = np.flatnonzero(reached[0] & reached[1]), reached[1] & ~reached[0]
-        if np.count_nonzero(alone):  # built in those states' rows, with no copies of z0, z1
-            prob = np.vecdot(_branch(z0, z1, phase, 1, out=vec, where=alone), vec).real
+    count = np.count_nonzero(alone)
+    if count:  # built in those states' rows, with no copies of z0, z1
+        prob = np.vecdot(_branch(z0, z1, equatorial, 1, vec, where=alone if count < shots else True), vec).real
+    if len(split):
         row1 = np.arange(shots)  # each state's outcome-1 row; a split adds one after the states
         row1[split] = shots + np.arange(len(split))
         vec, index = buffer[: shots + len(split)], np.where(ones, row1[index], index)
         for row, state in enumerate(split.tolist(), shots):
-            _branch(z0[state : state + 1], z1[state : state + 1], phase, 1, out=vec[row : row + 1])
+            _branch(z0[state : state + 1], z1[state : state + 1], equatorial, 1, vec[row : row + 1])
         prob = np.concatenate((prob, np.vecdot(vec[shots:], vec[shots:]).real))
     drawn = prob if index is None else prob[index]
     impossible = drawn < _BRANCH_EPS
@@ -328,18 +321,16 @@ def measure(
     return int(outcomes[0]), StateVector._checked(s.n_qubits - 1, post[0])
 
 
-def measure_string(amps: np.ndarray, ops: str, rngs: Sequence[np.random.Generator] = (), *, uniforms=None):
+def measure_string(amps: np.ndarray, ops: str, uniforms: np.ndarray):
     """Measure qubit 0 of every row of a (shots, 2^n) amplitude array once
     per character of ``ops`` (``X``, ``Y`` or ``Z``); every shot is measured
-    in the same bases. Column i draws one uniform per shot from ``rngs[i]``,
-    or reads column i of ``uniforms``, a (shots, m) array drawn earlier.
-    Returns the (shots, m) outcome bits and the (shots, 2^(n-m)) states of
-    the qubits left unmeasured.
+    in the same bases, column i with column i of ``uniforms``, a (shots, m)
+    array of uniforms. Returns the (shots, m) outcome bits and the
+    (shots, 2^(n-m)) states of the qubits left unmeasured.
     """
-    shots = len(amps)
-    bits = np.empty((shots, len(ops)), dtype=np.int8)
-    for i, (basis, draws) in enumerate(zip(ops, rngs if uniforms is None else uniforms.T, strict=True)):
-        bits[:, i], _, amps = _measure_kernel(amps, 0, basis, u=draws.random(shots) if uniforms is None else draws)
+    bits = np.empty((len(amps), len(ops)), dtype=np.int8)
+    for i, (basis, u) in enumerate(zip(ops, uniforms.T, strict=True)):
+        bits[:, i], _, amps = _measure_kernel(amps, 0, basis, u=u)
     return bits, amps
 
 

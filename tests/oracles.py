@@ -408,7 +408,8 @@ def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, 
             keygen_rows = np.count_nonzero(keygen)
             readouts = tests = iter(())
             if keygen_rows:
-                readouts = iter(measure_string(carved[keygen], readout_ops, readout_rngs)[0].tolist())
+                uniforms = np.column_stack([s.random(keygen_rows) for s in readout_rngs])
+                readouts = iter(measure_string(carved[keygen], readout_ops, uniforms)[0].tolist())
             if keygen_rows < size:
                 tested = carved[~keygen]
                 pairs = [stream.integers(0, 2, size=(len(tested), 2)).tolist() for stream in pair_rngs.values()]

@@ -313,7 +313,7 @@ def test_keygen_on_ghz_bits_agree_and_are_uniform():
     ones = 0
     rounds = 10_000
     for _ in range(rounds):
-        bits = qsim.measure_string(ghz_state(3).amplitudes[None], "ZZZ", [rng] * 3)[0][0].tolist()
+        bits = qsim.measure_string(ghz_state(3).amplitudes[None], "ZZZ", rng.random((3, 1)).T)[0][0].tolist()
         assert len(set(bits)) == 1
         ones += bits[0]
     assert ones / rounds == pytest.approx(0.5, abs=4 * np.sqrt(0.25 / rounds))
@@ -321,7 +321,7 @@ def test_keygen_on_ghz_bits_agree_and_are_uniform():
 
 def test_keygen_on_basis_state_deterministic():
     state = qsim.basis_state(3, 0b010)
-    bits, rest = qsim.measure_string(state.amplitudes[None], "ZZ", [np.random.default_rng(15)] * 2)
+    bits, rest = qsim.measure_string(state.amplitudes[None], "ZZ", np.random.default_rng(15).random((2, 1)).T)
     assert bits[0].tolist() == [0, 1]
     assert rest.shape == (1, 2) and abs(rest[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -332,7 +332,7 @@ def test_keygen_classical_mixture_mimics_ghz():
     rounds = 4000
     for _ in range(rounds):
         state = qsim.basis_state(3, 0 if rng.random() < 0.5 else 7)
-        bits = qsim.measure_string(state.amplitudes[None], "ZZZ", [rng] * 3)[0][0].tolist()
+        bits = qsim.measure_string(state.amplitudes[None], "ZZZ", rng.random((3, 1)).T)[0][0].tolist()
         assert len(set(bits)) == 1
         ones += bits[0]
     assert ones / rounds == pytest.approx(0.5, abs=4 * np.sqrt(0.25 / rounds))

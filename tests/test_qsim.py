@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,7 +277,7 @@ def test_single_shot_measure_is_bit_identical_to_one_state_reference():
             assert s.amplitudes.tobytes() == ref.tobytes()
     rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
     s = random_state(5, np.random.default_rng(98))
-    bits, rest = qsim.measure_string(s.amplitudes[None], "XYZX", [rng] * 4)
+    bits, rest = qsim.measure_string(s.amplitudes[None], "XYZX", rng.random((4, 1)).T)
     ref = s.amplitudes
     for ch, bit in zip("XYZX", bits[0]):
         ref_bit, ref = single_state_measure(ref, 0, ch, ref_rng)
@@ -390,6 +392,65 @@ def test_all_outcome_one_batch_matches_one_state_reference_bit_for_bit(basis):
         amps = post
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    rows=st.integers(1, 40),
+    basis=st.sampled_from(["X", "Y", "Z", "ybits"]),
+    forced=st.booleans(),
+    pattern=st.sampled_from(["zeros", "ones", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_outcome_pattern_matches_one_state_reference_bit_for_bit(n, rows, basis, forced, pattern, seed):
+    # All-0, all-1 and mixed outcomes, sampled or forced, take the kernel's
+    # one outcome-1 path: every row's outcome, probability and bytes are the
+    # one-state reference's, and the caller's array is left untouched.
+    rng = np.random.default_rng(seed)
+    amps = np.vstack([random_state(n, rng).amplitudes for _ in range(rows)])
+    qubit = int(rng.integers(0, n))
+    ybits = rng.integers(0, 2, size=rows)
+    letters = ["XY"[y] for y in ybits] if basis == "ybits" else [basis] * rows
+    want = {"zeros": np.zeros(rows, dtype=int), "ones": np.ones(rows, dtype=int), "mixed": rng.integers(0, 2, size=rows)}[pattern]
+    if pattern == "mixed":
+        want[:2] = [0, 1][:rows]
+    p0 = np.array([project(qsim.StateVector(n, row), qubit, letter, 0)[0] for row, letter in zip(amps, letters)])
+    spread = rng.uniform(0.01, 0.99, size=rows)
+    u = np.where(want == 1, p0 + (1.0 - p0) * spread, p0 * spread)
+    before = amps.tobytes()
+    draws = {"outcomes": want} if forced else {"u": u}
+    outcomes, probs, post = qsim._measure_kernel(amps, qubit, ybits if basis == "ybits" else basis, **draws)
+    assert amps.tobytes() == before
+    assert outcomes.tolist() == want.tolist()
+    for row, letter in enumerate(letters):
+        ref_bit, ref = single_state_measure(amps[row], qubit, letter, _Fixed(u[row]))
+        assert outcomes[row] == ref_bit
+        assert probs[row] == project(qsim.StateVector(n, amps[row]), qubit, letter, ref_bit)[0]
+        assert post[row].tobytes() == ref.tobytes()
+
+
+def _kernel_peak(amps, basis, outcomes) -> int:
+    """Peak bytes traced while the kernel measures qubit 1 of ``amps``."""
+    tracemalloc.start()
+    try:
+        qsim._measure_kernel(amps, 1, basis, outcomes=outcomes)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("basis", ["X", "Z", "ybits"])
+def test_mixed_outcome_call_allocates_no_more_than_an_all_zero_call(basis):
+    # The outcome-1 rows of a mixed call are written through a row mask into
+    # the outcome-0 buffer, so the call holds no gathered copies of the halves.
+    rng = np.random.default_rng(71)
+    rows = 256
+    amps = np.vstack([qsim.rotated_ghz(8, float(t)).amplitudes for t in rng.uniform(0.3, 2.8, rows)])
+    basis = rng.integers(0, 2, size=rows) if basis == "ybits" else basis
+    zeros, mixed = np.zeros(rows, dtype=int), rng.integers(0, 2, size=rows)
+    _kernel_peak(amps, basis, mixed)  # warm-up: first-call allocations are not the kernel's
+    assert _kernel_peak(amps, basis, mixed) <= 1.05 * _kernel_peak(amps, basis, zeros)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_batched_kernel_rejects_impossible_branches_and_bad_rows():
     amps = np.vstack([qsim.ghz_state(2).amplitudes, qsim.basis_state(2, 0).amplitudes])
@@ -498,13 +559,14 @@ def test_indexed_kernel_checks_only_the_branches_drawn():
 
 
 def test_batched_measure_string_matches_per_shot_readout():
-    # One ops string for every shot: column i draws one uniform per shot from
-    # rngs[i], shot by shot as a one-shot readout would.
+    # One ops string for every shot: column i reads one uniform per shot,
+    # drawn from rngs[i], shot by shot as a one-shot readout would.
     rng = np.random.default_rng(7)
     states = [random_state(4, rng) for _ in range(6)]
     for ops in ("XYZ", "ZZZ"):
         rngs = [np.random.default_rng(10 + i) for i in range(3)]
-        bits, rest = qsim.measure_string(np.vstack([s.amplitudes for s in states]), ops, rngs)
+        drawn = np.column_stack([r.random(len(states)) for r in rngs])
+        bits, rest = qsim.measure_string(np.vstack([s.amplitudes for s in states]), ops, drawn)
         uniforms = [np.random.default_rng(10 + i).random(len(states)) for i in range(3)]
         for shot, s in enumerate(states):
             ref = s.amplitudes
@@ -698,7 +760,7 @@ def test_sampled_z_statistics_match_density_diagonal():
     rng = np.random.default_rng(7)
     draws = 100_000
     amps = gathered(qsim.sample_ensemble(ensemble, rng, draws))
-    bits, _ = qsim.measure_string(amps, "ZZZZ", [rng] * 4)
+    bits, _ = qsim.measure_string(amps, "ZZZZ", rng.random((4, draws)).T)
     counts = np.bincount(bits.astype(np.int64) @ (1 << np.arange(3, -1, -1)), minlength=16)
     freqs = counts / draws
     diag = np.diag(rho.entries).real
