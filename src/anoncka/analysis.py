@@ -29,7 +29,6 @@ from .qsim import (
     ghz_trace_distance,
     local_correct_ghz_prime,
     measure_string,
-    sample_ensemble,
     werner_ghz,
     werner_p_for_fidelity,
 )
@@ -70,9 +69,9 @@ def check_theorem1(
     party 0 as verifier, and flag whether the acceptance rate stays below
     1 - eps^2/2 within four standard errors.
 
-    The shots are drawn per state in batches, as ``parity_round`` draws
-    them (each party from its own stream of one bundle spawned from ``rng``,
-    mixtures from its source stream), and queued across states; one
+    ``_queued`` draws each state's shots in batches, as ``parity_round``
+    would (each party from its own stream of one bundle spawned from ``rng``,
+    mixtures from its source stream), and joins them across states; one
     ``parity_measure`` runs each queue's rows, ``states[index]``.
     """
     if trials < 1:
@@ -89,9 +88,10 @@ def check_theorem1(
     accepted = np.zeros(len(state_family), dtype=np.int64)
     done = 0
     # A queued shot holds its gathered row and two 8-byte draws per holder.
-    for states, index, sizes in _queued(((entry, trials) for entry in state_family), bundle.source, 16 * 2**k + 16 * k):
-        drawn = ParityDraws(*map(np.concatenate, zip(*(parity_draws(holders, 0, bundle, shots) for shots in sizes))))
-        verdicts = parity_measure(states[index], holders, 0, drawn).accepted
+    family = ((entry, trials) for entry in state_family)
+    queues = _queued(family, bundle.source, 16 * 2**k + 16 * k, lambda shots: parity_draws(holders, 0, bundle, shots))
+    for states, index, drawn in queues:
+        verdicts = parity_measure(states[index], holders, 0, ParityDraws(*drawn)).accepted
         np.add.at(accepted, np.arange(done, done + len(index)) // trials, verdicts)
         done += len(index)
 
@@ -500,9 +500,11 @@ def reproduce_experiment(
     def hits(ops: str, success: Callable[[np.ndarray], np.ndarray]) -> int:
         """Successful shots out of ``trials``, each on a fresh draw of the source."""
         total = 0
-        for shots in _batches(trials, 16 * 2**4):
-            amps = np.take(*sample_ensemble(ensemble, rng, shots), axis=0)
-            total += int(success(measure_string(amps, ops, rng.random((len(ops), shots)).T)[0]).sum())
+        queues = _queued(
+            [(ensemble, trials)], rng, 16 * 2**4 + 8 * len(ops), lambda shots: (rng.random((len(ops), shots)).T,)
+        )
+        for states, index, (uniforms,) in queues:
+            total += int(success(measure_string(states[index], ops, uniforms)[0]).sum())
         return total
 
     stats = []

@@ -17,11 +17,11 @@ Each quantum step has one implementation, which works on a (rows, 2^n)
 amplitude array of independent rounds through the measurement kernel:
 ``carve`` is the bystander step of ame and ``parity_round`` the parity test.
 ``ame`` and ``verification`` are their one-row case plus the round's
-broadcast on a ``Network``. ``avka`` queues batches of about 1 MB of draws
-(``_queued``): a queue is one carve, with rounds that share a state carved as
-one tree, one Z readout and one parity test, then each round's broadcasts in
-round order. The Monte Carlo in ``analysis`` calls the steps with many rows,
-and exhaustive tests pass forced ``outcomes``/``bases`` rows.
+broadcast on a ``Network``. ``_queued`` joins batches of about 1 MB and
+makes each batch's draws as if it ran alone; an ``avka`` queue is one carve
+(rounds that share a state are one tree), one Z readout and one parity
+test, then each round's broadcasts in round order. ``analysis`` calls the
+steps with many rows, exhaustive tests with forced ``outcomes``/``bases``.
 
 Party i holds qubit i of each source state. All participant-ordered tuples
 use Alice first, then receivers ascending.
@@ -63,13 +63,15 @@ def _rows(source: StateVector | NoiseEnsemble, stream: np.random.Generator, shot
     return sample_ensemble(source, stream, shots)
 
 
-def _queued(sources, stream: np.random.Generator, draw_bytes: int):
-    """Queues of (states, index, batch sizes) of the (source, draws) pairs
+def _queued(sources, stream: np.random.Generator, draw_bytes: int, draw):
+    """Queues of (states, index, draws) of the (source, draws) pairs
     ``sources``, drawn by ``_rows`` in ``_batches`` of 16 * 2^n-byte rows. A
     batch joins while the queue's states and its draws, at ``draw_bytes`` each,
-    each stay within ``_BATCH_BYTES``. Consecutive batches of one source hold
-    its row 0 once, from the first draw of it on. A batch is drawn before the
-    queue it does not fit in is yielded."""
+    each stay within ``_BATCH_BYTES``; its states are drawn before the queue it
+    does not fit in is yielded, its other draws, ``draw(size)`` (a tuple of
+    arrays, one row per draw), right after it joins. So every batch draws as
+    if it ran alone, in batch order. Consecutive batches of one source hold
+    its row 0 once, from the first draw of it on."""
     queue, held, drawn, last, first = [], 0, 0, None, None
     for source, draws in sources:
         for size in _batches(draws, 16 * 2**source.n_qubits):
@@ -84,17 +86,18 @@ def _queued(sources, stream: np.random.Generator, draw_bytes: int):
                 first, index = held, index + held
             else:
                 first, states, index = None, states[1:], index + held - 1
-            queue.append((states, index))
+            queue.append((states, index, draw(size)))
             held, drawn, last = held + len(states), drawn + size, source
     if queue:
         yield _joined(queue)
 
 
 def _joined(queue):
-    """A queue's batches as one (states, index, sizes)."""
-    parts = [states for states, _ in queue if len(states)]
-    states = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return states, np.concatenate([index for _, index in queue]), [len(index) for _, index in queue]
+    """A queue's batches as one (states, index, draws), draws joined field by field."""
+    states, index, draws = zip(*queue)
+    parts = [rows for rows in states if len(rows)]
+    joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return joined, np.concatenate(index), tuple(map(np.concatenate, zip(*draws)))
 
 
 @dataclass(frozen=True)
@@ -503,13 +506,13 @@ def avka(
     verdict; keygen rounds append one bit to every participant's key. The
     run validates iff nothing aborted and every verification round accepted.
 
-    The rounds run as rows. Their draws come in batches of about 1 MB, each
-    made as if the batch ran alone, in queues (``_queued``). A queue makes
-    one ``carve`` (rounds that share a state are one tree), one Z readout of
-    the keygen rows and one ``parity_measure`` on the verification rows.
-    Then each round makes its broadcasts in round order, as the per-party
-    ``ame`` and ``verification`` do; a round that aborts ends the run (its
-    queue's later rounds, and the next batch's states, are drawn by then).
+    The rounds run as rows: ``_queued`` draws them in batches of about 1 MB,
+    each batch's draws as if it ran alone, and joins batches in queues. A
+    queue makes one ``carve`` (rounds that share a state are one tree), one Z
+    readout of its keygen rows and one ``parity_measure`` of its verification
+    rows. Then each round broadcasts in round order, as the per-party ``ame``
+    and ``verification`` do; a round that aborts ends the run (its queue's
+    later rounds, and the next batch's states, are drawn by then).
 
     ``withholder`` injects a bystander that skips its ame measurement and
     later measures its kept qubit in ``withholder_basis`` during keygen
@@ -533,34 +536,32 @@ def avka(
     pair_rngs = {p: rng.adversary if p == withholder else rng.party(p) for p in sorted(roles.non_participants)}
     # A queued round holds its carved row and about six 8-byte draws per party.
     round_bytes = 16 * 2 ** (m1 + len(withholding)) + 48 * roles.n
+    untested = (*parity_draws(order, roles.alice, rng, 0), *(np.empty((0, 2), dtype=np.int64) for _ in pair_rngs))
+
+    def draw(batch: int):
+        """A batch's draws after its states, in the order of a batch run alone."""
+        coins, uniforms = carve_draws(roles, rng, batch, withholding)
+        keygen = rng.coin.random(batch) < 1.0 / keygen_denom
+        tested = batch - np.count_nonzero(keygen)
+        readout = np.column_stack([s.random(batch - tested) for s in readout_rngs])
+        if not tested:
+            return coins, uniforms, keygen, readout, *untested
+        pairs = [stream.integers(0, 2, size=(tested, 2)) for stream in pair_rngs.values()]
+        return coins, uniforms, keygen, readout, *parity_draws(order, roles.alice, rng, tested), *pairs
 
     rounds: list[AvkaRound] = []
     guesses: list[int] = []
-    aborted, done = False, 0
+    # Failure records read ``index``: the queue's first round while ``_queued``
+    # draws it and it is carved, then the round being broadcast.
+    aborted, index, done = False, 0, 0
     try:
         _check_notified(roles, notification(roles, net, rng).notified)
-        for states, rows, sizes in _queued([(source, num_states)], rng.source, round_bytes):
-            # Failure records read ``index``: the queue's first round until
-            # its broadcasts start, then the round being broadcast.
-            index = done
-            batches, verifying = [], []
-            for batch in sizes:  # every draw of each batch, in the order of a batch run alone
-                carve_drawn = carve_draws(roles, rng, batch, withholding)
-                keygen = rng.coin.random(batch) < 1.0 / keygen_denom
-                tested = batch - np.count_nonzero(keygen)
-                batches.append((*carve_drawn, keygen, np.column_stack([s.random(batch - tested) for s in readout_rngs])))
-                if tested:
-                    pairs = [stream.integers(0, 2, size=(tested, 2)) for stream in pair_rngs.values()]
-                    verifying.append((*parity_draws(order, roles.alice, rng, tested), *pairs))
-            *carve_drawn, keygen, readout = map(np.concatenate, zip(*batches))
-            announced, _, _, carved = carve(states, rows, roles, rng, withholding=withholding, draws=carve_drawn)
-            readouts = tests = iter(())
-            if len(readout):
-                readouts = iter(measure_string(carved[keygen], readout_ops, uniforms=readout)[0].tolist())
-            if verifying:
-                bases, uniforms, placeholders, *pairs = map(np.concatenate, zip(*verifying))
-                test = parity_measure(carved[~keygen], order, roles.alice, ParityDraws(bases, uniforms, placeholders))
-                tests = zip(*(c.tolist() for c in (test.bases, test.outcomes, test.placeholders, test.accepted, *pairs)))
+        queues = _queued([(source, num_states)], rng.source, round_bytes, draw)
+        for states, rows, (coins, uniforms, keygen, readout, bases, test_uniforms, placeholders, *pairs) in queues:
+            announced, _, _, carved = carve(states, rows, roles, rng, withholding=withholding, draws=(coins, uniforms))
+            readouts = iter(measure_string(carved[keygen], readout_ops, uniforms=readout)[0].tolist())
+            test = parity_measure(carved[~keygen], order, roles.alice, ParityDraws(bases, test_uniforms, placeholders))
+            tests = zip(*(c.tolist() for c in (test.bases, test.outcomes, test.placeholders, test.accepted, *pairs)))
             for index, row, is_keygen in zip(range(done, done + len(rows)), announced.tolist(), keygen.tolist()):
                 phase = f"round[{index}]"
                 net.broadcast_round(dict(enumerate(map(str, row))), phase=f"{phase}:ame:announce", expected=range(roles.n))
@@ -576,7 +577,7 @@ def avka(
                     net.broadcast_round(announcements, phase=f"{phase}:verify:announce", expected=tuple(announcements))
                     record = VerificationRecord(basis_bits=tuple(bases), outcomes=tuple(outcomes), accepted=accepted)
                     rounds.append(AvkaRound(VERIFICATION_ROUND, verification=record))
-            done += len(rows)
+            index = done = done + len(rows)
     except ChannelAbort:
         aborted = True
 

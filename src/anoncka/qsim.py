@@ -165,14 +165,19 @@ def apply_pauli_x(s: StateVector, qubit: int) -> StateVector:
     return StateVector(s.n_qubits, t.reshape(-1))
 
 
-def apply_pauli_z(s: StateVector, qubit: int) -> StateVector:
-    """Negate every amplitude whose ``qubit`` bit is 1."""
+def _phase(s: StateVector, qubit: int, factor) -> StateVector:
+    """Multiply every amplitude whose ``qubit`` bit is 1 by ``factor``."""
     s._check_qubit(qubit)
     t = s.as_tensor().copy()
     idx: list = [slice(None)] * s.n_qubits
     idx[qubit] = 1
-    t[tuple(idx)] *= -1.0
+    t[tuple(idx)] *= factor
     return StateVector(s.n_qubits, t.reshape(-1))
+
+
+def apply_pauli_z(s: StateVector, qubit: int) -> StateVector:
+    """Negate every amplitude whose ``qubit`` bit is 1."""
+    return _phase(s, qubit, -1.0)
 
 
 def apply_rz(s: StateVector, qubit: int, theta: float) -> StateVector:
@@ -181,12 +186,7 @@ def apply_rz(s: StateVector, qubit: int, theta: float) -> StateVector:
     On a GHZ state the result is independent of which qubit is rotated, which
     is exactly what hides the identity of the rotating party.
     """
-    s._check_qubit(qubit)
-    t = s.as_tensor().copy()
-    idx: list = [slice(None)] * s.n_qubits
-    idx[qubit] = 1
-    t[tuple(idx)] *= np.exp(1j * theta)
-    return StateVector(s.n_qubits, t.reshape(-1))
+    return _phase(s, qubit, np.exp(1j * theta))
 
 
 def _branch(z0: np.ndarray, z1: np.ndarray, equatorial: bool, bit: int, out: np.ndarray, where=True) -> np.ndarray:
@@ -259,7 +259,7 @@ def _measure_kernel(
         if np.count_nonzero(valid) != shots:
             raise ValueError(f"Y bits must be 0 or 1, got {ybits[~valid][0]}")
         equatorial, phase = True, np.where(ys, -1j, 1)[:, None, None]
-    t = amps.reshape(shots, 1 << qubit, 2, -1)
+    t = amps.reshape(shots, 1 << qubit, 2, dim >> (qubit + 1))  # explicit: numpy cannot infer it for 0 rows
     z0, z1 = t[:, :, 0], t[:, :, 1]
     if phase is not None:
         z1 = phase * z1
@@ -385,10 +385,6 @@ class NoiseEnsemble:
     @property
     def n_qubits(self) -> int:
         return self.coherent.n_qubits
-
-
-def density_from_pure(psi: StateVector) -> DensityMatrix:
-    return DensityMatrix(psi.n_qubits, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
 def density_from_ensemble(e: NoiseEnsemble) -> DensityMatrix:

@@ -3,8 +3,9 @@
 Everything here is built from first principles (explicit Pauli matrices,
 Kronecker products, exhaustive XOR-table enumeration) and deliberately avoids
 the package's measurement path, so it can serve as a second route for
-checking the Monte Carlo implementations. ``StateVector`` is used only as
-the container the package's states come in.
+checking the Monte Carlo implementations. ``StateVector`` and
+``DensityMatrix`` are used only as the containers the package's states
+come in.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from anoncka.qsim import StateVector
+from anoncka.qsim import DensityMatrix, StateVector
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -77,6 +78,11 @@ def exact_verification_acceptance(rho: np.ndarray) -> float:
         projector = 0.5 * (np.eye(dim) + sign * operator_from_string(ops))
         total += float(np.trace(rho @ projector).real)
     return total / len(settings)
+
+
+def density_from_pure(psi: StateVector) -> DensityMatrix:
+    """The pure state's density matrix |psi><psi|."""
+    return DensityMatrix(psi.n_qubits, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
 def pure_state_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -369,6 +375,49 @@ def theorem1_state_by_state(state_family, trials: int, bundle) -> list:
         satisfied = rate <= bound + 4.0 * float(np.sqrt(bound * (1.0 - bound) / trials))
         checks.append(BoundCheck(eps, rate, stderr, bound, satisfied, trials))
     return checks
+
+
+def experiment_hits_by_batch(fidelity_target: float, trials: int, rng: np.random.Generator, *, from_ghz_prime=False) -> list:
+    """The Monte Carlo of ``analysis.reproduce_experiment`` as it ran before
+    its batches were queued: per configuration, its keygen setting, then each
+    verification setting, and per batch one draw of source states and one
+    ``measure_string`` with fresh uniforms from ``rng``. Returns each
+    configuration's (keygen hits, verification hits per setting). This is a
+    reference for the batching, not an independent oracle; it leaves ``rng``
+    where that loop does."""
+    from anoncka.analysis import (
+        CONFIG_LABELS,
+        VERIFICATION_SETTINGS,
+        keygen_success,
+        measurement_settings_for,
+        verification_success,
+    )
+    from anoncka.qsim import (
+        ghz_prime_state,
+        ghz_state,
+        local_correct_ghz_prime,
+        measure_string,
+        sample_ensemble,
+        werner_ghz,
+        werner_p_for_fidelity,
+    )
+
+    base = local_correct_ghz_prime(ghz_prime_state()) if from_ghz_prime else ghz_state(4)
+    ensemble = werner_ghz(4, werner_p_for_fidelity(4, fidelity_target), ghz=base)
+
+    def hits(ops: str, success) -> int:
+        total = 0
+        for shots in batch_sizes(trials, 16 * 2**4):
+            amps = np.take(*sample_ensemble(ensemble, rng, shots), axis=0)
+            total += int(success(measure_string(amps, ops, rng.random((len(ops), shots)).T)[0]).sum())
+        return total
+
+    counts = []
+    for label in CONFIG_LABELS:
+        keygen = hits(measurement_settings_for(label, "keygen"), lambda bits: keygen_success(bits, label))
+        settings = [measurement_settings_for(label, setting) for setting in VERIFICATION_SETTINGS]
+        counts.append((keygen, tuple(hits(ops, lambda bits: verification_success(bits, ops)) for ops in settings)))
+    return counts
 
 
 def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, rng, *, withholder=None, withholder_basis=None):

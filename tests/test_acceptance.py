@@ -35,7 +35,13 @@ from anoncka.protocols import KEYGEN_ROUND, VERIFICATION_ROUND, avka, carve, not
 from anoncka.qsim import Basis, ghz_state
 from anoncka.rng import RngBundle
 
-from oracles import enumerate_notification_tables, exact_verification_acceptance, fidelity_pure, key_rate
+from oracles import (
+    density_from_pure,
+    enumerate_notification_tables,
+    exact_verification_acceptance,
+    fidelity_pure,
+    key_rate,
+)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -112,7 +118,7 @@ def test_criterion_3_verification_oracle_equivalence():
         }
         bundle = RngBundle.from_seed(3000 + k, k)
         for name, (state, closed_form) in cases.items():
-            oracle = exact_verification_acceptance(qsim.density_from_pure(state).entries)
+            oracle = exact_verification_acceptance(density_from_pure(state).entries)
             assert oracle == pytest.approx(closed_form, abs=1e-12)
             shots = np.broadcast_to(state.amplitudes, (trials, 2**k))
             rate = np.count_nonzero(parity_round(shots, tuple(range(k)), 0, bundle).accepted) / trials

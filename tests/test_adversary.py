@@ -19,6 +19,8 @@ from anoncka.protocols import KEYGEN_ROUND, VERIFICATION_ROUND, avka
 from anoncka.qsim import Basis, ghz_state
 from anoncka.rng import RngBundle
 
+from oracles import density_from_pure
+
 ROLES = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
 
 
@@ -111,7 +113,7 @@ def test_withholding_acceptance_half_and_perfect_guess():
 def test_withholding_reduced_state_is_classical_ghz_mixture():
     # partial trace of the joint (m+2)-party GHZ over the withheld last qubit
     joint = ghz_state(4)
-    rho = qsim.density_from_pure(joint).entries.reshape(8, 2, 8, 2)
+    rho = density_from_pure(joint).entries.reshape(8, 2, 8, 2)
     reduced = rho[:, 0, :, 0] + rho[:, 1, :, 1]
     expected = np.zeros((8, 8))
     expected[0, 0] = expected[7, 7] = 0.5

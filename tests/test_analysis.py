@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anoncka import analysis, qsim
 from anoncka.analysis import (
@@ -35,7 +38,9 @@ from anoncka.rng import RngBundle
 
 from oracles import (
     ame_view_keys,
+    density_from_pure,
     exact_verification_acceptance,
+    experiment_hits_by_batch,
     key_rate,
     keygen_success_probability,
     notification_view_keys,
@@ -101,7 +106,7 @@ def test_batched_check_theorem1_matches_exact_acceptance(k):
         if isinstance(entry, qsim.NoiseEnsemble):
             rho = qsim.density_from_ensemble(entry).entries
         else:
-            rho = qsim.density_from_pure(entry).entries
+            rho = density_from_pure(entry).entries
         exact = exact_verification_acceptance(rho)
         assert check.accept_rate == pytest.approx(exact, abs=4 * np.sqrt(exact * (1 - exact) / trials))
 
@@ -141,6 +146,44 @@ def test_check_theorem1_matches_one_parity_round_per_state_bit_for_bit(monkeypat
     checks = check_theorem1(family, trials, np.random.default_rng(70 + k))
     reference = spawn(np.random.default_rng(70 + k), k)
     assert checks == theorem1_state_by_state(family, trials, reference)
+    assert _streams(bundles[0]) == _streams(reference)
+
+
+@st.composite
+def theorem1_runs(draw):
+    """A ``check_theorem1`` run: k in 2..6, one to four states (a rotated
+    GHZ state, a basis state or a Werner mixture with p in [0, 1], ends
+    included), trials in 1..200, a batch size from 1 byte to 2^20 (half the
+    time a few shots per batch, so that queues join batches) and a seed."""
+    k = draw(st.integers(2, 6))
+    state = st.one_of(
+        st.floats(0.0, 2 * np.pi).map(lambda theta: qsim.rotated_ghz(k, theta)),
+        st.integers(0, 2**k - 1).map(lambda i: qsim.basis_state(k, i)),
+        (st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])).map(lambda p: qsim.werner_ghz(k, p)),
+    )
+    few_shots = st.integers(1, 8).map(lambda rows: rows * 16 * 2**k)
+    return (
+        draw(st.lists(state, min_size=1, max_size=4)),
+        draw(st.integers(1, 200)),
+        draw(st.one_of(few_shots, st.integers(0, 20).map(lambda e: 2**e), st.integers(1, 2**20))),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(theorem1_runs())
+def test_check_theorem1_matches_the_state_by_state_reference_on_any_family(run):
+    # Whatever the family and the batch size, queued shots make the checks
+    # and leave the streams of one parity round per state and batch.
+    family, trials, batch_bytes, seed = run
+    bundles = []
+    spawn = RngBundle.from_generator
+    capture = staticmethod(lambda rng, n: bundles.append(spawn(rng, n)) or bundles[-1])
+    with mock.patch.object(protocols, "_BATCH_BYTES", batch_bytes), mock.patch.object(RngBundle, "from_generator", capture):
+        checks = check_theorem1(family, trials, np.random.default_rng(seed))
+        reference = spawn(np.random.default_rng(seed), family[0].n_qubits)
+        expected = theorem1_state_by_state(family, trials, reference)
+    assert checks == expected
     assert _streams(bundles[0]) == _streams(reference)
 
 
@@ -585,6 +628,24 @@ def test_experiment_verification_strictly_decreasing_in_noise():
 def test_experiment_infeasible_fidelity():
     with pytest.raises(ValueError):
         reproduce_experiment(0.05, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("fidelity", [0.81, 0.5, 1.0])
+@pytest.mark.parametrize("from_ghz_prime", [False, True])
+@pytest.mark.parametrize("trials, batch_bytes", [(5000, None), (37, 1000)], ids=["two-batches", "many-queues"])
+def test_experiment_matches_the_batch_by_batch_reference(monkeypatch, fidelity, from_ghz_prime, trials, batch_bytes):
+    # 5000 shots cross the 4096-shot batch; 1000 bytes make batches of 3
+    # shots and queues of one or two batches. The queued draws leave the rng
+    # where the batch loop does.
+    if batch_bytes is not None:
+        monkeypatch.setattr(protocols, "_BATCH_BYTES", batch_bytes)
+    rng, reference = np.random.default_rng(16), np.random.default_rng(16)
+    report = reproduce_experiment(fidelity, trials, rng, from_ghz_prime=from_ghz_prime)
+    counts = experiment_hits_by_batch(fidelity, trials, reference, from_ghz_prime=from_ghz_prime)
+    for stats, (keygen, verification) in zip(report.configurations, counts, strict=True):
+        assert stats.keygen_rate == keygen / trials
+        assert stats.per_setting == tuple(hits / trials for hits in verification)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_success_predicates():

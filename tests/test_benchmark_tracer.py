@@ -73,3 +73,28 @@ def test_failure_records_name_the_avka_round(rows, monkeypatch):
         return broadcast(self, *args, **kwargs)
 
     assert failing_run(lambda patch: patch.setattr(Network, "broadcast_round", round_5_fails)) == 5
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_failure_records_name_the_queue_whose_draws_fail(rows, monkeypatch):
+    """A failure in a batch's draws, which ``_queued`` makes while ``avka``
+    fetches the next queue, names that queue's first round, not the last
+    round broadcast."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import describe_exception
+
+    monkeypatch.setattr(protocols, "_BATCH_BYTES", rows * 16 * 2**4)  # one batch of ``rows`` rounds per queue at n=4
+    carve_draws, calls = protocols.carve_draws, []
+
+    def third_draw_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("injected")
+        return carve_draws(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "carve_draws", third_draw_fails)
+    roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
+    bundle = RngBundle.from_seed(5, 4)
+    with pytest.raises(ValueError, match="injected") as info:
+        protocols.avka(roles, 10, 2, qsim.ghz_state(4), Network(4, bundle.network), bundle)
+    assert describe_exception(info.value)["round"] == 2 * rows

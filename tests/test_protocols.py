@@ -35,6 +35,7 @@ from oracles import (
     avka_batch_by_batch,
     branch_probability,
     dense_rows,
+    density_from_pure,
     enumerate_notification_tables,
     even_y_settings,
     exact_verification_acceptance,
@@ -246,7 +247,7 @@ def test_verification_rotated_ghz_rate(theta):
     k = 4
     state = qsim.rotated_ghz(k, theta)
     expected = np.cos(theta / 2) ** 2
-    oracle = exact_verification_acceptance(qsim.density_from_pure(state).entries)
+    oracle = exact_verification_acceptance(density_from_pure(state).entries)
     assert oracle == pytest.approx(expected, abs=1e-12)
     bundle = RngBundle.from_seed(11, k)
     trials = 4000

@@ -13,11 +13,12 @@ from anoncka import qsim
 from anoncka.qsim import Basis
 
 from anoncka.netmodel import RoleAssignment
-from anoncka.protocols import carve, parity_round
+from anoncka.protocols import carve, parity_draws, parity_measure, parity_round
 from anoncka.rng import RngBundle
 
 from oracles import (
     born_probabilities,
+    density_from_pure,
     even_y_settings,
     exact_verification_acceptance,
     fidelity_pure,
@@ -558,6 +559,31 @@ def test_indexed_kernel_checks_only_the_branches_drawn():
         qsim._measure_kernel(states, 0, "Z", outcomes=np.array([0, 0]), index=np.array([0, 0]))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_kernel_and_its_callers_take_zero_rows(n):
+    # Zero rows give empty outcomes and probabilities and (0, 2^(n-1)) kept
+    # rows, with a Basis, a letter or empty Y bits, uniforms or forced
+    # outcomes, and an empty index.
+    amps, half = np.empty((0, 2**n), dtype=complex), (0, 2 ** (n - 1))
+    draws = ({"u": np.empty(0)}, {"outcomes": np.empty(0, dtype=np.int8)})
+    for basis in (Basis.X, "Y", np.empty(0, dtype=np.int8)):
+        for drawn in draws:
+            outcomes, probs, kept = qsim._measure_kernel(amps, n - 1, basis, **drawn)
+            assert outcomes.shape == probs.shape == (0,) and kept.shape == half
+    for basis in (Basis.Z, "X"):
+        for drawn in draws:
+            outcomes, probs, kept, rows = qsim._measure_kernel(amps, 0, basis, index=np.empty(0, np.intp), **drawn)
+            assert outcomes.shape == probs.shape == rows.shape == (0,) and kept.shape == half
+    bits, rest = qsim.measure_string(amps, "ZX"[:n], np.empty((0, min(n, 2))))
+    assert bits.shape == (0, min(n, 2)) and rest.shape == (0, 2 ** (n - min(n, 2)))
+    # Zero-row parity draws leave every stream where it was.
+    bundle = RngBundle.from_seed(3, n)
+    before = [s.bit_generator.state for s in bundle.parties]
+    test = parity_measure(amps, tuple(range(n)), 0, parity_draws(tuple(range(n)), 0, bundle, 0))
+    assert [s.bit_generator.state for s in bundle.parties] == before
+    assert test.bases.shape == test.outcomes.shape == (0, n) and test.accepted.shape == test.probability.shape == (0,)
+
+
 def test_batched_measure_string_matches_per_shot_readout():
     # One ops string for every shot: column i reads one uniform per shot,
     # drawn from rngs[i], shot by shot as a one-shot readout would.
@@ -652,7 +678,7 @@ def test_reorder_rejects_non_permutation():
 
 
 def test_density_from_pure_projector():
-    rho = qsim.density_from_pure(qsim.ghz_state(2))
+    rho = density_from_pure(qsim.ghz_state(2))
     assert np.trace(rho.entries) == pytest.approx(1.0)
     assert np.linalg.matrix_rank(rho.entries, tol=1e-10) == 1
 
@@ -769,16 +795,16 @@ def test_sampled_z_statistics_match_density_diagonal():
 
 
 def test_trace_distance_basics():
-    rho = qsim.density_from_pure(qsim.ghz_state(3))
+    rho = density_from_pure(qsim.ghz_state(3))
     assert qsim.trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
-    a = qsim.density_from_pure(qsim.basis_state(2, 0))
-    b = qsim.density_from_pure(qsim.basis_state(2, 3))
+    a = density_from_pure(qsim.basis_state(2, 0))
+    b = density_from_pure(qsim.basis_state(2, 3))
     assert qsim.trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trace_distance_rotated_ghz():
-    a = qsim.density_from_pure(qsim.ghz_state(3))
-    b = qsim.density_from_pure(qsim.rotated_ghz(3, np.pi / 2))
+    a = density_from_pure(qsim.ghz_state(3))
+    b = density_from_pure(qsim.rotated_ghz(3, np.pi / 2))
     assert qsim.trace_distance(a, b) == pytest.approx(abs(np.sin(np.pi / 4)), abs=1e-12)
 
 
@@ -787,7 +813,7 @@ def test_trace_distance_rotated_ghz():
 def test_trace_distance_symmetry_triangle_and_pure_formula(seed):
     rng = np.random.default_rng(seed)
     states = [random_state(2, rng) for _ in range(3)]
-    rhos = [qsim.density_from_pure(s) for s in states]
+    rhos = [density_from_pure(s) for s in states]
     d01 = qsim.trace_distance(rhos[0], rhos[1])
     d10 = qsim.trace_distance(rhos[1], rhos[0])
     d12 = qsim.trace_distance(rhos[1], rhos[2])
@@ -807,9 +833,9 @@ def test_ghz_trace_distance_matches_the_eigensolver(n):
     coherent += [random_state(n, rng) for _ in range(3)]
     # a global phase leaves c parallel to GHZ
     coherent.append(qsim.StateVector(n, np.exp(0.7j) * ghz.amplitudes))
-    ghz_rho = qsim.density_from_pure(ghz)
+    ghz_rho = density_from_pure(ghz)
     for c in coherent:
-        pure = qsim.trace_distance(qsim.density_from_pure(c), ghz_rho)
+        pure = qsim.trace_distance(density_from_pure(c), ghz_rho)
         assert qsim.ghz_trace_distance(c) == pytest.approx(pure, abs=1e-12)
         for p in (0.0, 1.0, rng.uniform()):
             ensemble = qsim.NoiseEnsemble(c, p)
@@ -820,8 +846,8 @@ def test_ghz_trace_distance_matches_the_eigensolver(n):
 
 
 def test_dimension_mismatch_errors():
-    a = qsim.density_from_pure(qsim.ghz_state(2))
-    b = qsim.density_from_pure(qsim.ghz_state(3))
+    a = density_from_pure(qsim.ghz_state(2))
+    b = density_from_pure(qsim.ghz_state(3))
     with pytest.raises(qsim.DimensionMismatchError):
         qsim.trace_distance(a, b)
 
@@ -837,5 +863,5 @@ def test_density_validation():
 
 def test_exact_acceptance_oracle_on_ghz():
     # cross-check the test oracle itself: GHZ passes with certainty
-    rho = qsim.density_from_pure(qsim.ghz_state(4)).entries
+    rho = density_from_pure(qsim.ghz_state(4)).entries
     assert exact_verification_acceptance(rho) == pytest.approx(1.0, abs=1e-12)
