@@ -20,7 +20,6 @@ from .protocols import (
 )
 from .qsim import (
     Basis,
-    DensityMatrix,
     NoiseEnsemble,
     StateVector,
     ghz_prime_state,
@@ -37,7 +36,6 @@ __all__ = [
     "AvkaResult",
     "Basis",
     "ChannelAbort",
-    "DensityMatrix",
     "Network",
     "NoiseEnsemble",
     "NotificationOutcome",

@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .netmodel import AdversaryView, RoleAssignment, check_coalition
-from .protocols import _batches, _check_notified, _parity_test, _queued, _rows, carve, deal_shares
+from .protocols import _batches, _check_notified, _parity_test, _queued, _rows, carve, carve_draws, deal_shares
 from .protocols import ParityDraws, parity_draws, parity_measure
 from .qsim import (
     NoiseEnsemble,
@@ -69,9 +69,9 @@ def check_theorem1(
     party 0 as verifier, and flag whether the acceptance rate stays below
     1 - eps^2/2 within four standard errors.
 
-    ``_queued`` draws each state's shots in batches, as ``parity_round``
-    would (each party from its own stream of one bundle spawned from ``rng``,
-    mixtures from its source stream), and joins them across states; one
+    ``_queued`` draws each state's shots in batches of ``parity_draws``
+    (each party from its own stream of one bundle spawned from ``rng``,
+    mixtures from its source stream) and joins them across states; one
     ``parity_measure`` runs each queue's rows, ``states[index]``.
     """
     if trials < 1:
@@ -157,7 +157,7 @@ def ame_views(
     ghz = ghz_state(n)
 
     def chunk(size: int):
-        bits = carve(*_rows(ghz, bundle.source, size), roles, bundle).announced
+        bits = carve(*_rows(ghz, bundle.source, size), roles, carve_draws(roles, bundle, size)).announced
         order = bundle.network.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
         raw = _permutation_ranks(order) << n | bits @ (1 << np.arange(n - 1, -1, -1))
         return raw, bits.sum(axis=1) % 2

@@ -19,7 +19,6 @@ to its run.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -331,22 +330,3 @@ def extract_view(transcript: Transcript, coalition: Iterable[int], n: int) -> Ad
     ``coalition`` can see, by masks over its sender and receiver columns."""
     members = check_coalition(coalition, n)
     return AdversaryView(coalition=members, visible_entries=transcript.seen_by(members, n))
-
-
-def transcript_to_jsonl(transcript: Iterable[Entry]) -> str:
-    """One JSON object per record: phase, kind, from, to, bits, position."""
-    lines = [
-        json.dumps(
-            {
-                "phase": e.phase,
-                "kind": e.kind,
-                "from": e.sender,
-                "to": e.receiver,
-                "bits": e.bits,
-                "position": e.position,
-            },
-            sort_keys=True,
-        )
-        for e in transcript
-    ]
-    return "\n".join(lines)

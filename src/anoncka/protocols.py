@@ -15,13 +15,14 @@
 
 Each quantum step has one implementation, which works on a (rows, 2^n)
 amplitude array of independent rounds through the measurement kernel:
-``carve`` is the bystander step of ame and ``parity_round`` the parity test.
-``ame`` and ``verification`` are their one-row case plus the round's
-broadcast on a ``Network``. ``_queued`` joins batches of about 1 MB and
-makes each batch's draws as if it ran alone; an ``avka`` queue is one carve
-(rounds that share a state are one tree), one Z readout and one parity
-test, then each round's broadcasts in round order. ``analysis`` calls the
-steps with many rows, exhaustive tests with forced ``outcomes``/``bases``.
+``carve`` is the bystander step of ame and ``parity_measure`` the parity
+test, each a pure function of the draws it is given: only ``carve_draws``,
+``parity_draws`` and ``_rows`` read a stream. ``ame`` and ``verification``
+are their one-row case plus a broadcast. ``_queued`` joins batches of about
+1 MB and makes each batch's draws as if it ran alone; an ``avka`` queue is
+one carve (rounds that share a state are one tree), one Z readout and one
+parity test, then each round's broadcasts in round order. ``analysis`` calls
+the steps with many rows, exhaustive tests with uniforms of -1 and 2.
 
 Party i holds qubit i of each source state. All participant-ordered tuples
 use Alice first, then receivers ascending.
@@ -30,7 +31,7 @@ use Alice first, then receivers ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,17 +249,17 @@ class Carving(NamedTuple):
     carved: np.ndarray  # (rows, 2^(m+1+w)) participants' qubits, then the w withheld
 
 
-def carve_draws(roles: RoleAssignment, bundle: RngBundle, rows: int, withholding=frozenset(), *, uniforms=True):
+def carve_draws(roles: RoleAssignment, bundle: RngBundle, rows: int, withholding=frozenset()):
     """The draws of ``rows`` carves as (rows, n) arrays by party, int8 coins
-    and uniforms (None if not ``uniforms``): bystanders in ascending order
-    draw a uniform per row from their stream, or, withholding, a coin from
-    the adversary stream; then every participant draws a coin per row."""
+    and uniforms: bystanders in ascending order draw a uniform per row from
+    their stream, or, withholding, a coin from the adversary stream; then
+    every participant draws a coin per row."""
     coins = np.zeros((rows, roles.n), dtype=np.int8)
-    draws = np.zeros((rows, roles.n)) if uniforms else None
+    draws = np.zeros((rows, roles.n))
     for party in sorted(roles.non_participants):
         if party in withholding:
             coins[:, party] = _coins(bundle.adversary, rows)
-        elif uniforms:
+        else:
             draws[:, party] = bundle.party(party).random(rows)
     for party in roles.participant_order:
         coins[:, party] = _coins(bundle.party(party), rows)
@@ -269,32 +270,29 @@ def carve(
     states: np.ndarray,
     index: np.ndarray,
     roles: RoleAssignment,
-    bundle: RngBundle,
+    draws: tuple[np.ndarray, np.ndarray],
     *,
     withholding: frozenset[int] = frozenset(),
-    outcomes: np.ndarray | None = None,
-    draws: Sequence[np.ndarray] | None = None,
 ) -> Carving:
     """Carve the participants' GHZ state out of rounds of distinct states,
     round i out of row ``states[index[i]]``, each state measured once per outcome.
 
-    The ``carve_draws`` come first, unless given as ``draws``. Bystanders in
-    ascending order X-measure their qubit with their uniforms. Alice's qubit
-    takes a Z in the rows whose bystander bits have odd parity, and the
-    remaining qubits are put in participant order.
+    ``draws`` are the (coins, uniforms) of ``carve_draws``, one row per
+    round. Bystanders in ascending order X-measure their qubit with their
+    uniforms; a uniform of -1 or 2 forces outcome 0 or 1, for enumerating
+    branches, and a forced impossible branch raises ValueError. Alice's
+    qubit takes a Z in the rows whose bystander bits have odd parity, and
+    the remaining qubits are put in participant order.
 
     ``withholding`` names bystanders that skip the measurement, keep their
-    qubit, and announce a coin instead, drawn from the bundle's adversary
-    stream. ``outcomes`` forces the measured bystanders' outcomes:
-    a (rows, n) array read by party, for enumerating branches; the forced
-    rows draw no uniforms and raise ValueError on an impossible branch.
+    qubit, and announce their coin instead.
     """
     dim = states.shape[1]
     if dim != 2**roles.n:
         raise ValueError(f"state has {dim.bit_length() - 1} qubits but the network has {roles.n} parties")
     if not withholding <= roles.non_participants:
         raise ValueError("only non-participants can withhold their measurement")
-    coins, uniforms = draws or carve_draws(roles, bundle, len(index), withholding, uniforms=outcomes is None)
+    coins, uniforms = draws
     bystanders = sorted(roles.non_participants)
     announced = coins.copy()
     probability = np.ones(len(index))
@@ -303,8 +301,7 @@ def carve(
         if party in withholding:
             continue
         qubit = remaining.index(party)
-        forced = {"u": uniforms[:, party]} if outcomes is None else {"outcomes": outcomes[:, party]}
-        announced[:, party], prob, states, index = _measure_kernel(states, qubit, Basis.X, index=index, **forced)
+        announced[:, party], prob, states, index = _measure_kernel(states, qubit, Basis.X, uniforms[:, party], index)
         probability *= prob
         remaining.pop(qubit)
     corrected = np.bitwise_xor.reduce(announced[:, bystanders], axis=1) == 1
@@ -328,7 +325,7 @@ def ame(
     On a pure GHZ input the participants end up with a perfect (m+1)-party
     GHZ state in every branch.
     """
-    announced, _, corrected, carved = carve(*_rows(state, rng.source, 1), roles, rng)
+    announced, _, corrected, carved = carve(*_rows(state, rng.source, 1), roles, carve_draws(roles, rng, 1))
     bits = announced[0].tolist()
     net.broadcast_round({p: str(b) for p, b in enumerate(bits)}, phase="ame:announce", expected=range(roles.n))
     return AmeOutcome(
@@ -357,7 +354,7 @@ class ParityDraws(NamedTuple):
     """A parity test's draws on a batch of rounds, as ``ParityRound``."""
 
     bases: np.ndarray  # (rows, k) int8: 0 -> X, 1 -> Y, with the verifier's reset bit
-    uniforms: np.ndarray | None  # (rows, k) measurement uniforms; None when outcomes are forced
+    uniforms: np.ndarray  # (rows, k) measurement uniforms
     placeholders: np.ndarray  # (rows, 2): the pair the verifier announces
 
 
@@ -372,40 +369,37 @@ class ParityRound(NamedTuple):
     accepted: np.ndarray  # (rows,) bool verdicts of ``_parity_test``
 
 
-def parity_draws(
-    holders: tuple[int, ...], verifier: int, bundle: RngBundle, rows: int, *, bases=None, uniforms: bool = True
-) -> ParityDraws:
+def parity_draws(holders: tuple[int, ...], verifier: int, bundle: RngBundle, rows: int) -> ParityDraws:
     """The draws of ``rows`` parity tests; none depends on the state.
 
     Every holder but the verifier, in ``holders`` order, draws one basis bit
     per row (0 -> X, 1 -> Y), then one uniform per row, from its own stream.
     The verifier draws its placeholder pair, then its uniforms, and resets
-    its basis bit so each row's Y count is even. Forced ``bases`` skip the
-    coins and ``uniforms=False`` the uniforms.
+    its basis bit so each row's Y count is even.
     """
     k = len(holders)
-    bits = np.empty((rows, k), dtype=np.int8) if bases is None else np.array(bases, dtype=np.int8)
-    draws = np.empty((rows, k)) if uniforms else None
+    bits = np.empty((rows, k), dtype=np.int8)
+    draws = np.empty((rows, k))
     last = holders.index(verifier)
     for column in (*(c for c in range(k) if c != last), last):
         stream = bundle.party(holders[column])
         if column == last:
             placeholders = stream.integers(0, 2, size=(rows, 2))
-        elif bases is None:
+        else:
             bits[:, column] = _coins(stream, rows)
-        if uniforms:
-            draws[:, column] = stream.random(rows)
+        draws[:, column] = stream.random(rows)
     bits[:, last] = 0
     bits[:, last] = bits.sum(axis=1) % 2
     return ParityDraws(bits, draws, placeholders)
 
 
-def parity_measure(
-    amps: np.ndarray, holders: tuple[int, ...], verifier: int, draws: ParityDraws, *, outcomes=None
-) -> ParityRound:
-    """The parity test with ``draws`` on each row of ``amps``, as in
-    ``parity_round``: the holders measure in ``holders`` order, the verifier
-    last, and qubits past the holders (kept by a withholder) stay unmeasured.
+def parity_measure(amps: np.ndarray, holders: tuple[int, ...], verifier: int, draws: ParityDraws) -> ParityRound:
+    """The even-Y X/Y parity test with ``draws`` (those of ``parity_draws``)
+    on each row of a (rows, 2^q) amplitude array in which party
+    ``holders[i]`` holds qubit i. The holders measure in ``holders`` order,
+    the verifier last, and qubits past the holders (kept by a withholder)
+    stay unmeasured. A uniform of -1 or 2 forces outcome 0 or 1, for
+    enumerating branches; a forced impossible branch raises ValueError.
     """
     bits, uniforms, placeholders = draws
     rows, k = len(amps), len(holders)
@@ -415,25 +409,10 @@ def parity_measure(
     last = holders.index(verifier)
     for column in (*(c for c in range(k) if c != last), last):
         qubit = remaining.index(holders[column])
-        forced = {"u": uniforms[:, column]} if outcomes is None else {"outcomes": outcomes[:, column]}
-        results[:, column], prob, amps = _measure_kernel(amps, qubit, bits[:, column], **forced)
+        results[:, column], prob, amps = _measure_kernel(amps, qubit, bits[:, column], uniforms[:, column])
         probability *= prob
         remaining.pop(qubit)
     return ParityRound(bits, results, placeholders, probability, _parity_test(bits.T, results.T))
-
-
-def parity_round(
-    amps: np.ndarray, holders: tuple[int, ...], verifier: int, bundle: RngBundle, *, bases=None, outcomes=None
-) -> ParityRound:
-    """The even-Y X/Y parity test on each row of a (rows, 2^q) amplitude
-    array in which party ``holders[i]`` holds qubit i: ``parity_draws``, then
-    ``parity_measure``. ``bases`` and ``outcomes`` force the draws with
-    (rows, k) arrays by holder position (the verifier's basis column is
-    ignored), for enumerating branches; a forced impossible branch raises
-    ValueError.
-    """
-    draws = parity_draws(holders, verifier, bundle, len(amps), bases=bases, uniforms=outcomes is None)
-    return parity_measure(amps, holders, verifier, draws, outcomes=outcomes)
 
 
 def _test_announcements(holders, verifier: int, bases, outcomes, pair) -> dict[int, str]:
@@ -451,7 +430,7 @@ def verification(
     rng: RngBundle,
 ) -> VerificationRecord:
     """Verify a k-party state against the GHZ parity correlations: the
-    one-row case of ``parity_round``, then one broadcast round.
+    one-row case of ``parity_measure``, then one broadcast round.
 
     Parties are the qubit indices 0..k-1. Everyone but the verifier draws a
     basis bit (0 -> X, 1 -> Y), measures, and broadcasts (basis, outcome);
@@ -463,7 +442,8 @@ def verification(
     k = state.n_qubits
     if not 0 <= verifier < k:
         raise IndexError(f"verifier {verifier} out of range for a {k}-qubit state")
-    bits, results, placeholders, _, accepted = parity_round(state.amplitudes[None], tuple(range(k)), verifier, rng)
+    draws = parity_draws(tuple(range(k)), verifier, rng, 1)
+    bits, results, placeholders, _, accepted = parity_measure(state.amplitudes[None], tuple(range(k)), verifier, draws)
     bits, results = bits[0].tolist(), results[0].tolist()
     net.broadcast_round(
         _test_announcements(range(k), verifier, bits, results, placeholders[0].tolist()),
@@ -558,7 +538,7 @@ def avka(
         _check_notified(roles, notification(roles, net, rng).notified)
         queues = _queued([(source, num_states)], rng.source, round_bytes, draw)
         for states, rows, (coins, uniforms, keygen, readout, bases, test_uniforms, placeholders, *pairs) in queues:
-            announced, _, _, carved = carve(states, rows, roles, rng, withholding=withholding, draws=(coins, uniforms))
+            announced, _, _, carved = carve(states, rows, roles, (coins, uniforms), withholding=withholding)
             readouts = iter(measure_string(carved[keygen], readout_ops, uniforms=readout)[0].tolist())
             test = parity_measure(carved[~keygen], order, roles.alice, ParityDraws(bases, test_uniforms, placeholders))
             tests = zip(*(c.tolist() for c in (test.bases, test.outcomes, test.placeholders, test.accepted, *pairs)))

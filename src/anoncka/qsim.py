@@ -207,40 +207,32 @@ def _branch(z0: np.ndarray, z1: np.ndarray, equatorial: bool, bit: int, out: np.
     return out
 
 
-def _measure_kernel(
-    amps: np.ndarray,
-    qubit: int,
-    basis,
-    u: np.ndarray | None = None,
-    outcomes: np.ndarray | None = None,
-    index: np.ndarray | None = None,
-):
+def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: np.ndarray | None = None):
     """The single-qubit measurement kernel, applied to every row of a
     (shots, 2^n) amplitude array; ``measure`` is its one-row case.
 
-    ``basis`` is one Basis (or letter) for all rows, or a (shots,) array of
-    Y bits, one per row: 0 measures X and 1 measures Y. Outcome 0 projects
-    onto the +1 eigenvector: |+> for X, (|0>+i|1>)/sqrt(2) for Y, |0> for Z.
-    X and Y keep (z0 +- phase z1)/sqrt(2) of the halves where the qubit is 0
-    and 1, with phase 1 for X and -i for Y; z1 is multiplied by it once per
-    call. Row i gets outcome 0 iff ``u[i]`` is below its outcome-0
-    probability, unless ``outcomes`` forces the outcomes. Returns the
-    outcomes, their Born probabilities and the kept branches with the
-    measured qubit removed, each normalised by its own norm c so rounding
-    errors do not build up along a chain of measurements. The normalisation
-    multiplies by the complex reciprocal (1/c, -0.0): numpy divides a + bi
-    by a real c as ((a + b*0)/c, (b - a*0)/c), and the multiply gives those
-    bits, signed zeros included, in a cheaper loop.
+    ``basis`` is one Basis (or letter) for all rows, or a (shots,) array of Y
+    bits, one per row: 0 measures X and 1 measures Y. Outcome 0 projects onto
+    the +1 eigenvector: |+> for X, (|0>+i|1>)/sqrt(2) for Y, |0> for Z. X and Y
+    keep (z0 +- phase z1)/sqrt(2) of the halves where the qubit is 0 and 1, with
+    phase 1 for X and -i for Y; z1 is multiplied by it once per call. Draw i
+    gets outcome 1 iff ``u[i]``, one uniform per draw, is at least its outcome-0
+    probability: u = -1 forces outcome 0 and u = 2 outcome 1. Returns the
+    outcomes, their Born probabilities and the kept branches with the measured
+    qubit removed, each normalised by its own norm c so rounding errors do not
+    build up along a chain of measurements. The normalisation multiplies by the
+    complex reciprocal (1/c, -0.0): numpy divides a + bi by a real c as
+    ((a + b*0)/c, (b - a*0)/c), and the multiply gives those bits, signed
+    zeros included, in a cheaper loop.
 
     ``index`` (one Basis only) makes the rows distinct states, each drawn at
-    least once: draw i measures ``amps[index[i]]``, with ``u``/``outcomes``
-    per draw; without one, every row is its own state, drawn once. Branch 0
-    and its probability are computed once per state, in one buffer. A state
-    whose draws all take outcome 1 gets that branch in its own row, through
-    one row mask; a state whose draws take both outcomes adds its outcome-1
-    branch as a row after the states (at most draws - states do). With an
-    index the call also returns each draw's row; every draw matches a
-    one-row call bit for bit.
+    least once: draw i measures ``amps[index[i]]``; without one, every row is
+    its own state, drawn once. Branch 0 and its probability are computed once
+    per state, in one buffer. A state whose draws all take outcome 1 gets that
+    branch in its own row, through one row mask; a state whose draws take both
+    outcomes adds its outcome-1 branch as a row after the states (at most
+    draws - states do). With an index the call also returns each draw's row;
+    every draw matches a one-row call bit for bit.
     """
     shots, dim = amps.shape
     if not 0 <= qubit < dim.bit_length() - 1:
@@ -264,21 +256,14 @@ def _measure_kernel(
     if phase is not None:
         z1 = phase * z1
     draws = shots if index is None else len(index)
+    if np.shape(u) != (draws,):
+        raise ValueError(f"expected {draws} uniforms, got shape {np.shape(u)}")
     buffer = np.empty((shots + min(shots, max(draws - shots, 0)), dim // 2), dtype=complex)
 
     vec = _branch(z0, z1, equatorial, 0, buffer[:shots])
     prob = np.vecdot(vec, vec).real
-    if outcomes is None:
-        ones = u >= (prob if index is None else prob[index])
-        outcomes = ones.view(np.int8)
-    else:
-        outcomes = np.asarray(outcomes)
-        if outcomes.shape != (draws,):
-            raise ValueError(f"expected {draws} outcomes, got shape {outcomes.shape}")
-        ones = outcomes == 1
-        valid = ones | (outcomes == 0)
-        if np.count_nonzero(valid) != draws:
-            raise ValueError(f"outcome must be 0 or 1, got {outcomes[~valid][0]}")
+    ones = u >= (prob if index is None else prob[index])
+    outcomes = ones.view(np.int8)
     if index is None:
         split, alone = (), ones
     else:

@@ -11,6 +11,7 @@ come in.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +202,13 @@ def project(s, qubit: int, basis, outcome: int):
     return prob, StateVector(s.n_qubits - 1, vec / np.sqrt(prob))
 
 
+def forcing(outcomes) -> np.ndarray:
+    """Measurement uniforms that force ``outcomes``: -1.0 for 0 and 2.0 for
+    1. The kernel takes outcome 1 iff a uniform is at least the outcome-0
+    probability, which lies in [0, 1] up to rounding."""
+    return np.where(np.asarray(outcomes) == 1, 2.0, -1.0)
+
+
 def overlap(a, b) -> complex:
     """<a|b> of two StateVectors on the same number of qubits."""
     if a.n_qubits != b.n_qubits:
@@ -324,6 +332,26 @@ def visible_by_filter(entries, coalition) -> tuple:
     )
 
 
+def transcript_to_jsonl(transcript) -> str:
+    """One JSON object per transcript record: phase, kind, from, to, bits,
+    position. The reference for a JSONL trace written by the package."""
+    lines = [
+        json.dumps(
+            {
+                "phase": e.phase,
+                "kind": e.kind,
+                "from": e.sender,
+                "to": e.receiver,
+                "bits": e.bits,
+                "position": e.position,
+            },
+            sort_keys=True,
+        )
+        for e in transcript
+    ]
+    return "\n".join(lines)
+
+
 def batch_sizes(trials: int, row_bytes: int):
     """Row counts of the batches that together run ``trials`` rows of
     ``row_bytes`` bytes each, at most ``protocols._BATCH_BYTES`` per batch
@@ -355,11 +383,12 @@ def dense_rows(source, stream: np.random.Generator, shots: int) -> np.ndarray:
 def theorem1_state_by_state(state_family, trials: int, bundle) -> list:
     """The Monte Carlo of ``check_theorem1`` as one loop per state, the way
     it ran before shots of several states shared one measurement: per state
-    and per batch, one draw of source rows and one ``parity_round`` with
-    party 0 as verifier. This is a reference for the batching, not an
-    independent oracle; it leaves ``bundle``'s streams where that loop does."""
+    and per batch, one draw of source rows and one parity test
+    (``parity_draws``, then ``parity_measure``) with party 0 as verifier.
+    This is a reference for the batching, not an independent oracle; it
+    leaves ``bundle``'s streams where that loop does."""
     from anoncka.analysis import BoundCheck
-    from anoncka.protocols import parity_round
+    from anoncka.protocols import parity_draws, parity_measure
     from anoncka.qsim import ghz_trace_distance
 
     k = state_family[0].n_qubits
@@ -368,7 +397,8 @@ def theorem1_state_by_state(state_family, trials: int, bundle) -> list:
         hits = 0
         for shots in batch_sizes(trials, 16 * 2**k):
             amps = dense_rows(entry, bundle.source, shots)
-            hits += int(np.count_nonzero(parity_round(amps, tuple(range(k)), 0, bundle).accepted))
+            draws = parity_draws(tuple(range(k)), 0, bundle, shots)
+            hits += int(np.count_nonzero(parity_measure(amps, tuple(range(k)), 0, draws).accepted))
         eps = min(1.0, max(0.0, ghz_trace_distance(entry)))
         rate, bound = hits / trials, 1.0 - eps**2 / 2.0
         stderr = float(np.sqrt(rate * (1.0 - rate) / trials))
@@ -423,8 +453,8 @@ def experiment_hits_by_batch(fidelity_target: float, trials: int, rng: np.random
 def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, rng, *, withholder=None, withholder_basis=None):
     """``protocols.avka`` as it ran before batches were queued: per batch of
     rounds, one draw of source rows, one ``carve`` of one row per round, one
-    array of coins, one Z readout and one ``parity_round``, then the rounds'
-    broadcasts. This is a reference for the queue, not an independent
+    array of coins, one Z readout and one parity test (``parity_draws``,
+    then ``parity_measure``), then the rounds' broadcasts. This is a reference for the queue, not an independent
     oracle; it leaves ``rng``'s streams and ``net`` where that loop does."""
     from anoncka.netmodel import ChannelAbort
     from anoncka.protocols import (
@@ -436,8 +466,10 @@ def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, 
         _check_notified,
         _test_announcements,
         carve,
+        carve_draws,
         notification,
-        parity_round,
+        parity_draws,
+        parity_measure,
     )
     from anoncka.qsim import Basis, measure_string
 
@@ -452,7 +484,9 @@ def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, 
     try:
         _check_notified(roles, notification(roles, net, rng).notified)
         for size in batch_sizes(num_states, 16 * 2**roles.n):
-            announced, _, _, carved = carve(dense_rows(source, rng.source, size), np.arange(size), roles, rng, withholding=withholding)
+            rows = dense_rows(source, rng.source, size)
+            draws = carve_draws(roles, rng, size, withholding)
+            announced, _, _, carved = carve(rows, np.arange(size), roles, draws, withholding=withholding)
             keygen = rng.coin.random(size) < 1.0 / keygen_denom
             keygen_rows = np.count_nonzero(keygen)
             readouts = tests = iter(())
@@ -462,7 +496,7 @@ def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, 
             if keygen_rows < size:
                 tested = carved[~keygen]
                 pairs = [stream.integers(0, 2, size=(len(tested), 2)).tolist() for stream in pair_rngs.values()]
-                test = parity_round(tested, order, roles.alice, rng)
+                test = parity_measure(tested, order, roles.alice, parity_draws(order, roles.alice, rng, len(tested)))
                 tests = zip(
                     test.bases.tolist(), test.outcomes.tolist(), test.placeholders.tolist(), test.accepted.tolist(), *pairs
                 )

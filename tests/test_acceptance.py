@@ -31,7 +31,16 @@ from anoncka.analysis import (
 )
 from anoncka.cli import main as cli_main
 from anoncka.netmodel import Network, RoleAssignment
-from anoncka.protocols import KEYGEN_ROUND, VERIFICATION_ROUND, avka, carve, notification, parity_round
+from anoncka.protocols import (
+    KEYGEN_ROUND,
+    VERIFICATION_ROUND,
+    avka,
+    carve,
+    carve_draws,
+    notification,
+    parity_draws,
+    parity_measure,
+)
 from anoncka.qsim import Basis, ghz_state
 from anoncka.rng import RngBundle
 
@@ -40,6 +49,7 @@ from oracles import (
     enumerate_notification_tables,
     exact_verification_acceptance,
     fidelity_pure,
+    forcing,
     key_rate,
 )
 
@@ -69,7 +79,8 @@ def test_criterion_1_ame_exact_on_every_branch():
             branches = list(itertools.product((0, 1), repeat=len(bystanders)))
             outcomes = np.zeros((len(branches), n), dtype=np.int8)
             outcomes[:, bystanders] = np.array(branches, dtype=np.int8).reshape(len(branches), -1)
-            carving = carve(ghz[None], np.zeros(len(branches), dtype=np.intp), roles, bundle, outcomes=outcomes)
+            coins, _ = carve_draws(roles, bundle, len(branches))
+            carving = carve(ghz[None], np.zeros(len(branches), dtype=np.intp), roles, (coins, forcing(outcomes)))
             assert np.allclose(carving.probability, 2.0 ** -len(bystanders), rtol=0, atol=1e-12)
             for row in carving.carved:
                 worst = min(worst, fidelity_pure(qsim.StateVector(roles.m + 1, row), ghz_state(roles.m + 1)))
@@ -121,7 +132,8 @@ def test_criterion_3_verification_oracle_equivalence():
             oracle = exact_verification_acceptance(density_from_pure(state).entries)
             assert oracle == pytest.approx(closed_form, abs=1e-12)
             shots = np.broadcast_to(state.amplitudes, (trials, 2**k))
-            rate = np.count_nonzero(parity_round(shots, tuple(range(k)), 0, bundle).accepted) / trials
+            holders = tuple(range(k))
+            rate = np.count_nonzero(parity_measure(shots, holders, 0, parity_draws(holders, 0, bundle, trials)).accepted) / trials
             stderr = np.sqrt(max(oracle * (1 - oracle), 1e-12) / trials)
             if name == "ghz":
                 case_ok = rate == 1.0  # exact: every run must accept

@@ -15,7 +15,7 @@ from anoncka.netmodel import ChannelAbort, Network, ProtocolError, RoleAssignmen
 from anoncka.protocols import avka, notification
 from anoncka.qsim import ghz_state
 from anoncka.rng import RngBundle
-from oracles import notify_by_message, visible_by_filter
+from oracles import notify_by_message, transcript_to_jsonl, visible_by_filter
 
 
 def test_role_assignment_validation():
@@ -232,7 +232,7 @@ def test_jsonl_export_schema():
     net = Network(3, np.random.default_rng(0))
     net.send_private(0, 1, "1", "phase-a")
     net.broadcast_round({2: "01"}, "phase-b")
-    lines = netmodel.transcript_to_jsonl(net.transcript).splitlines()
+    lines = transcript_to_jsonl(net.transcript).splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])
     assert first == {

@@ -24,8 +24,10 @@ from anoncka.protocols import (
     ame,
     avka,
     carve,
+    carve_draws,
     notification,
-    parity_round,
+    parity_draws,
+    parity_measure,
     verification,
 )
 from anoncka.qsim import ghz_state
@@ -40,6 +42,7 @@ from oracles import (
     even_y_settings,
     exact_verification_acceptance,
     fidelity_pure,
+    forcing,
 )
 
 
@@ -115,8 +118,8 @@ def test_ame_rejects_size_mismatch():
 
 
 def forced_rows(roles: RoleAssignment, outcomes) -> np.ndarray:
-    """A (rows, n) outcomes array for ``carve``: row i puts ``outcomes[i]``
-    on the bystanders in ascending order."""
+    """A (rows, n) outcomes array by party, for ``forcing``: row i puts
+    ``outcomes[i]`` on the bystanders in ascending order."""
     rows = np.zeros((len(outcomes), roles.n), dtype=np.int8)
     rows[:, sorted(roles.non_participants)] = outcomes
     return rows
@@ -126,7 +129,8 @@ def test_ame_both_bystander_outcomes_give_ghz3():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     rows = forced_rows(roles, [[0], [1]])
     amps = np.broadcast_to(ghz_state(4).amplitudes, (2, 16))
-    announced, probability, corrected, carved = carve(amps, np.arange(2), roles, RngBundle.from_seed(3, 4), outcomes=rows)
+    coins, _ = carve_draws(roles, RngBundle.from_seed(3, 4), 2)
+    announced, probability, corrected, carved = carve(amps, np.arange(2), roles, (coins, forcing(rows)))
     assert probability == pytest.approx([0.5, 0.5], abs=1e-12)
     for outcome in (0, 1):
         assert fidelity_pure(qsim.StateVector(3, carved[outcome]), ghz_state(3)) == pytest.approx(1.0, abs=1e-12)
@@ -140,7 +144,8 @@ def test_ame_exhaustive_branches_n5_pair():
     roles = RoleAssignment(n=5, alice=1, receivers=frozenset({3}))
     rows = forced_rows(roles, list(itertools.product((0, 1), repeat=3)))
     amps = np.broadcast_to(ghz_state(5).amplitudes, (8, 32))
-    _, probability, _, carved = carve(amps, np.arange(8), roles, RngBundle.from_seed(4, 5), outcomes=rows)
+    coins, _ = carve_draws(roles, RngBundle.from_seed(4, 5), 8)
+    _, probability, _, carved = carve(amps, np.arange(8), roles, (coins, forcing(rows)))
     assert probability == pytest.approx([1 / 8] * 8, abs=1e-12)
     for row in carved:
         assert fidelity_pure(qsim.StateVector(2, row), ghz_state(2)) == pytest.approx(1.0, abs=1e-10)
@@ -154,11 +159,13 @@ def test_ame_broadcast_covers_everyone_and_announces_true_outcomes():
     assert {e.sender for e in announce} == set(range(5))
     assert {e.sender: int(e.bits) for e in announce} == dict(enumerate(out.announced_bits))
     # the bystanders announce the outcomes the same draws give the batch step
-    rows = carve(ghz_state(5).amplitudes[None], np.zeros(1, dtype=np.intp), roles, RngBundle.from_seed(5, 5))
+    draws = carve_draws(roles, RngBundle.from_seed(5, 5), 1)
+    rows = carve(ghz_state(5).amplitudes[None], np.zeros(1, dtype=np.intp), roles, draws)
     assert tuple(rows.announced[0]) == out.announced_bits
     assert out.corrected == bool(sum(out.announced_bits[p] for p in (1, 2, 3)) % 2)
     # forced bystander outcomes (1, 0, 1) are announced as given; even parity -> no Z
-    forced = carve(ghz_state(5).amplitudes[None], np.zeros(1, dtype=np.intp), roles, bundle, outcomes=forced_rows(roles, [[1, 0, 1]]))
+    draws = carve_draws(roles, bundle, 1)[0], forcing(forced_rows(roles, [[1, 0, 1]]))
+    forced = carve(ghz_state(5).amplitudes[None], np.zeros(1, dtype=np.intp), roles, draws)
     assert forced.announced[0, 1:4].tolist() == [1, 0, 1]
     assert not forced.corrected[0]
 
@@ -207,17 +214,20 @@ def test_verification_accepts_ghz_exhaustively(k):
     # all even-Y settings, all outcome branches, as forced rows of one batch
     ghz = ghz_state(k).amplitudes
     bundle = RngBundle.from_seed(9, k)
+    holders = tuple(range(k))
+
+    def forced(bases, outcomes):
+        """The bundle's parity draws with ``bases`` and ``outcomes`` forced."""
+        return parity_draws(holders, 0, bundle, len(bases))._replace(bases=np.asarray(bases), uniforms=forcing(outcomes))
+
     for bits in even_y_settings(k):
         ops = "".join("Y" if b else "X" for b in bits)
         branches = list(itertools.product((0, 1), repeat=k))
         oracle = [branch_probability(ghz, ops, outcomes) for outcomes in branches]
         possible = [o for o, p in zip(branches, oracle) if p > 1e-12]
-        # party 0 is the verifier and resets its basis bit from the others'
+        # party 0 is the verifier; each setting already has the even Y count its reset makes
         bases = np.tile(bits, (len(possible), 1))
-        record = parity_round(
-            np.broadcast_to(ghz, (len(possible), 2**k)), tuple(range(k)), 0, bundle,
-            bases=bases, outcomes=np.array(possible),
-        )
+        record = parity_measure(np.broadcast_to(ghz, (len(possible), 2**k)), holders, 0, forced(bases, possible))
         assert record.accepted.all(), (bits, possible)
         assert np.array_equal(record.bases, bases)
         assert np.array_equal(record.outcomes, possible)
@@ -226,7 +236,7 @@ def test_verification_accepts_ghz_exhaustively(k):
         # every branch the oracle rules out is rejected as impossible
         for outcomes in set(branches) - set(possible):
             with pytest.raises(ValueError, match="probability"):
-                parity_round(ghz[None], tuple(range(k)), 0, bundle, bases=[bits], outcomes=np.array([outcomes]))
+                parity_measure(ghz[None], holders, 0, forced([bits], [outcomes]))
 
 
 def test_verification_all_zeros_accepts_half():

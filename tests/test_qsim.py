@@ -13,7 +13,7 @@ from anoncka import qsim
 from anoncka.qsim import Basis
 
 from anoncka.netmodel import RoleAssignment
-from anoncka.protocols import carve, parity_draws, parity_measure, parity_round
+from anoncka.protocols import ParityDraws, carve, carve_draws, parity_draws, parity_measure
 from anoncka.rng import RngBundle
 
 from oracles import (
@@ -22,6 +22,7 @@ from oracles import (
     even_y_settings,
     exact_verification_acceptance,
     fidelity_pure,
+    forcing,
     materialized_density,
     materialized_werner,
     project,
@@ -235,13 +236,15 @@ def test_project_zero_probability_branch_rejected():
     # |0>|+>: bystander 1 X-measures |+>, so outcome 1 cannot happen
     plus = np.kron([1.0, 0.0], [SQRT_HALF, SQRT_HALF]).astype(complex)
     roles = RoleAssignment(n=2, alice=0, receivers=frozenset())
-    carve(plus[None], np.zeros(1, dtype=np.intp), roles, RngBundle.from_seed(0, 2), outcomes=np.array([[0, 0]]))
+    coins, _ = carve_draws(roles, RngBundle.from_seed(0, 2), 1)
+    carve(plus[None], np.zeros(1, dtype=np.intp), roles, (coins, forcing([[0, 0]])))
     with pytest.raises(ValueError, match="probability"):
-        carve(plus[None], np.zeros(1, dtype=np.intp), roles, RngBundle.from_seed(0, 2), outcomes=np.array([[0, 1]]))
+        carve(plus[None], np.zeros(1, dtype=np.intp), roles, (coins, forcing([[0, 1]])))
     # the verifier of GHZ2 after an X outcome 0 can only see outcome 0
     ghz2 = qsim.ghz_state(2).amplitudes[None]
+    both_x = ParityDraws(np.zeros((1, 2), dtype=np.int8), forcing([[1, 0]]), np.zeros((1, 2), dtype=np.int64))
     with pytest.raises(ValueError, match="probability"):
-        parity_round(ghz2, (0, 1), 0, RngBundle.from_seed(0, 2), bases=np.zeros((1, 2)), outcomes=np.array([[1, 0]]))
+        parity_measure(ghz2, (0, 1), 0, both_x)
 
 
 def test_outcome_one_is_normalised_by_its_own_branch_norm():
@@ -296,7 +299,7 @@ def test_batched_forced_branches_match_born_oracle(n):
     qubit = int(rng.integers(0, n))
     # Per-row X/Y bits, then Z on every row.
     for basis, letters in ((ybits, ["XY"[y] for y in ybits]), ("Z", ["Z"] * shots)):
-        outcomes, probs, post = qsim._measure_kernel(amps, qubit, basis, outcomes=forced)
+        outcomes, probs, post = qsim._measure_kernel(amps, qubit, basis, forcing(forced))
         assert np.array_equal(outcomes, forced)
         assert post.shape == (shots, 2 ** (n - 1))
         for row in range(shots):
@@ -418,8 +421,8 @@ def test_every_outcome_pattern_matches_one_state_reference_bit_for_bit(n, rows, 
     spread = rng.uniform(0.01, 0.99, size=rows)
     u = np.where(want == 1, p0 + (1.0 - p0) * spread, p0 * spread)
     before = amps.tobytes()
-    draws = {"outcomes": want} if forced else {"u": u}
-    outcomes, probs, post = qsim._measure_kernel(amps, qubit, ybits if basis == "ybits" else basis, **draws)
+    draws = forcing(want) if forced else u
+    outcomes, probs, post = qsim._measure_kernel(amps, qubit, ybits if basis == "ybits" else basis, draws)
     assert amps.tobytes() == before
     assert outcomes.tolist() == want.tolist()
     for row, letter in enumerate(letters):
@@ -431,9 +434,10 @@ def test_every_outcome_pattern_matches_one_state_reference_bit_for_bit(n, rows, 
 
 def _kernel_peak(amps, basis, outcomes) -> int:
     """Peak bytes traced while the kernel measures qubit 1 of ``amps``."""
+    u = forcing(outcomes)
     tracemalloc.start()
     try:
-        qsim._measure_kernel(amps, 1, basis, outcomes=outcomes)
+        qsim._measure_kernel(amps, 1, basis, u)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -456,31 +460,44 @@ def test_mixed_outcome_call_allocates_no_more_than_an_all_zero_call(basis):
 def test_batched_kernel_rejects_impossible_branches_and_bad_rows():
     amps = np.vstack([qsim.ghz_state(2).amplitudes, qsim.basis_state(2, 0).amplitudes])
     with pytest.raises(ValueError, match="probability"):
-        qsim._measure_kernel(amps, 0, "Z", outcomes=np.array([0, 1]))
+        qsim._measure_kernel(amps, 0, "Z", forcing([0, 1]))
     # |+>|0> has no X outcome 1 on qubit 0: the per-row path names the row's basis
     plus = np.vstack([amps[0], [SQRT_HALF, 0, SQRT_HALF, 0]])
     with pytest.raises(ValueError, match=r"basis=X, outcome=1\) has probability"):
-        qsim._measure_kernel(plus, 0, np.array([1, 0]), outcomes=np.array([0, 1]))
+        qsim._measure_kernel(plus, 0, np.array([1, 0]), forcing([0, 1]))
     # a sampled outcome whose branch has probability 1e-13
     tiny = np.vstack([amps[0], [np.sqrt(1 - 1e-13), np.sqrt(1e-13), 0, 0]])
     with pytest.raises(ValueError, match="probability"):
         qsim._measure_kernel(tiny, 1, "Z", u=np.array([0.5, 1 - 1e-14]))
-    with pytest.raises(ValueError, match="outcome must be 0 or 1"):
-        qsim._measure_kernel(amps, 0, "Z", outcomes=np.array([0, 2]))
     with pytest.raises(ValueError, match="Y bits must be 0 or 1, got 2"):
-        qsim._measure_kernel(amps, 0, np.array([0, 2]), outcomes=np.array([0, 0]))
+        qsim._measure_kernel(amps, 0, np.array([0, 2]), forcing([0, 0]))
     with pytest.raises(ValueError, match=r"expected 2 Y bits, got shape \(3,\)"):
         qsim._measure_kernel(amps, 0, np.array([0, 1, 0]), u=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match=r"expected 2 outcomes, got shape \(3,\)"):
-        qsim._measure_kernel(amps, 0, "Z", outcomes=np.array([0, 1, 0]))
     with pytest.raises(ValueError, match="'Q' is not a valid Basis"):
-        qsim._measure_kernel(amps, 0, "Q", outcomes=np.array([0, 0]))
+        qsim._measure_kernel(amps, 0, "Q", forcing([0, 0]))
     bad = amps.copy()
     bad[1, 0] = np.nan
     with pytest.raises(ValueError, match="state norm nan"):
         qsim._measure_kernel(bad, 0, "X", u=np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="state norm nan"):
         qsim._measure_kernel(bad, 0, np.array([0, 1]), u=np.array([0.5, 0.5]))
+
+
+def test_kernel_rejects_uniforms_that_are_not_one_per_draw():
+    # Too few or too many uniforms raise, with or without an index, instead
+    # of one uniform being spread over every draw.
+    amps = np.vstack([qsim.ghz_state(2).amplitudes, qsim.basis_state(2, 0).amplitudes])
+    with pytest.raises(ValueError, match=r"expected 2 uniforms, got shape \(3,\)"):
+        qsim._measure_kernel(amps, 0, "Z", np.array([0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"expected 2 uniforms, got shape \(1,\)"):
+        qsim._measure_kernel(amps, 0, np.array([0, 1]), np.array([0.5]))
+    with pytest.raises(ValueError, match=r"expected 5 uniforms, got shape \(1,\)"):
+        qsim._measure_kernel(amps, 0, "X", np.array([0.5]), np.array([0, 1, 1, 0, 1]))
+    # a carve of five rounds handed the draws of one
+    roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
+    ghz = qsim.ghz_state(4).amplitudes[None]
+    with pytest.raises(ValueError, match=r"expected 5 uniforms, got shape \(1,\)"):
+        carve(ghz, np.zeros(5, dtype=np.intp), roles, carve_draws(roles, RngBundle.from_seed(0, 4), 1))
 
 
 def indexed_matches_one_call_per_draw(states, index, basis, levels, rng, forced=None):
@@ -492,11 +509,10 @@ def indexed_matches_one_call_per_draw(states, index, basis, levels, rng, forced=
     kept = []
     for level in range(levels):
         qubit = int(rng.integers(0, states.shape[1].bit_length() - 1))
-        draws = {"u": rng.random(len(index))} if forced is None else {"outcomes": forced[level]}
-        outcomes, probs, states, index = qsim._measure_kernel(states, qubit, basis, index=index, **draws)
+        u = rng.random(len(index)) if forced is None else forcing(forced[level])
+        outcomes, probs, states, index = qsim._measure_kernel(states, qubit, basis, u, index)
         for i, ref in enumerate(refs):
-            one = {key: value[i : i + 1] for key, value in draws.items()}
-            ref_outcome, ref_prob, refs[i] = qsim._measure_kernel(ref, qubit, basis, **one)
+            ref_outcome, ref_prob, refs[i] = qsim._measure_kernel(ref, qubit, basis, u[i : i + 1])
             assert outcomes[i] == ref_outcome[0]
             assert probs[i : i + 1].tobytes() == ref_prob.tobytes()
             assert states[index[i]].tobytes() == refs[i][0].tobytes()
@@ -543,20 +559,20 @@ def test_indexed_kernel_checks_only_the_branches_drawn():
     states = np.vstack([zero, qsim.basis_state(2, 3).amplitudes])
     index = np.array([0, 1, 0, 1])
     # outcome 1 of |00> and outcome 0 of |11> have probability 0 but no draw takes them
-    outcomes, probs, kept, rows = qsim._measure_kernel(states, 0, "Z", outcomes=np.array([0, 1, 0, 1]), index=index)
+    outcomes, probs, kept, rows = qsim._measure_kernel(states, 0, "Z", forcing([0, 1, 0, 1]), index)
     assert probs.tolist() == [1.0, 1.0, 1.0, 1.0] and rows.tolist() == [0, 1, 0, 1]
     _, _, kept, _ = qsim._measure_kernel(states, 0, "Z", u=np.array([0.3, 0.3, 0.99, 0.99]), index=index)
     assert kept.tolist() == [[1, 0], [0, 1]]
     # a drawn impossible branch raises the message of a one-row call
     with pytest.raises(ValueError) as one_row:
-        qsim._measure_kernel(zero[None], 0, "Z", outcomes=np.array([1]))
+        qsim._measure_kernel(zero[None], 0, "Z", forcing([1]))
     with pytest.raises(ValueError) as indexed:
-        qsim._measure_kernel(states, 0, "Z", outcomes=np.array([0, 1, 1, 1]), index=index)
+        qsim._measure_kernel(states, 0, "Z", forcing([0, 1, 1, 1]), index)
     assert str(indexed.value) == str(one_row.value) == "branch (qubit=0, basis=Z, outcome=1) has probability ~0"
     with pytest.raises(ValueError, match="one basis for every draw"):
         qsim._measure_kernel(states, 0, np.array([0, 1]), u=np.full(4, 0.5), index=index)
     with pytest.raises(ValueError, match="every state needs at least one draw"):
-        qsim._measure_kernel(states, 0, "Z", outcomes=np.array([0, 0]), index=np.array([0, 0]))
+        qsim._measure_kernel(states, 0, "Z", forcing([0, 0]), np.array([0, 0]))
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -565,14 +581,14 @@ def test_kernel_and_its_callers_take_zero_rows(n):
     # rows, with a Basis, a letter or empty Y bits, uniforms or forced
     # outcomes, and an empty index.
     amps, half = np.empty((0, 2**n), dtype=complex), (0, 2 ** (n - 1))
-    draws = ({"u": np.empty(0)}, {"outcomes": np.empty(0, dtype=np.int8)})
+    draws = (np.empty(0), forcing(np.empty(0, dtype=np.int8)))
     for basis in (Basis.X, "Y", np.empty(0, dtype=np.int8)):
         for drawn in draws:
-            outcomes, probs, kept = qsim._measure_kernel(amps, n - 1, basis, **drawn)
+            outcomes, probs, kept = qsim._measure_kernel(amps, n - 1, basis, drawn)
             assert outcomes.shape == probs.shape == (0,) and kept.shape == half
     for basis in (Basis.Z, "X"):
         for drawn in draws:
-            outcomes, probs, kept, rows = qsim._measure_kernel(amps, 0, basis, index=np.empty(0, np.intp), **drawn)
+            outcomes, probs, kept, rows = qsim._measure_kernel(amps, 0, basis, drawn, np.empty(0, np.intp))
             assert outcomes.shape == probs.shape == rows.shape == (0,) and kept.shape == half
     bits, rest = qsim.measure_string(amps, "ZX"[:n], np.empty((0, min(n, 2))))
     assert bits.shape == (0, min(n, 2)) and rest.shape == (0, 2 ** (n - min(n, 2)))
