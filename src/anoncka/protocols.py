@@ -240,6 +240,15 @@ def _coins(stream: np.random.Generator, rows: int):
     return stream.integers(0, 2) if rows == 1 else stream.integers(0, 2, size=rows)
 
 
+def _pairs(stream: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` pairs of fair coins as a (rows, 2) array, the same draws as
+    ``integers(0, 2, size=(rows, 2))``; one row takes two scalar calls, as
+    ``_coins`` does."""
+    if rows == 1:
+        return np.array([[stream.integers(0, 2), stream.integers(0, 2)]])
+    return stream.integers(0, 2, size=(rows, 2))
+
+
 class Carving(NamedTuple):
     """The bystander step of ame on a batch of rounds, one row per round."""
 
@@ -286,6 +295,16 @@ def carve(
 
     ``withholding`` names bystanders that skip the measurement, keep their
     qubit, and announce their coin instead.
+
+    The tree's levels share one workspace, allocated once per call as one
+    (2, states.size) array: level j writes its kept rows into half j % 2, so
+    it never overwrites its input, and a level never keeps more amplitudes
+    than its input (at most twice the rows at half the length). One block
+    rather than a fresh buffer per level matters at n=16, where the top
+    levels are 1 MiB each: freeing one 2 MiB block raises glibc's dynamic
+    trim threshold past it, whereas fresh 1 MiB levels left more than the
+    threshold free at the top of the heap, which was returned to the system
+    and faulted back in by the next call.
     """
     dim = states.shape[1]
     if dim != 2**roles.n:
@@ -297,11 +316,12 @@ def carve(
     announced = coins.copy()
     probability = np.ones(len(index))
     remaining = list(range(roles.n))
-    for party in bystanders:
-        if party in withholding:
-            continue
+    measuring = [p for p in bystanders if p not in withholding]
+    workspace = np.empty((2, states.size), dtype=complex) if measuring else None
+    for level, party in enumerate(measuring):
         qubit = remaining.index(party)
-        announced[:, party], prob, states, index = _measure_kernel(states, qubit, Basis.X, uniforms[:, party], index)
+        u, out = uniforms[:, party], workspace[level % 2]
+        announced[:, party], prob, states, index = _measure_kernel(states, qubit, Basis.X, u, index, out)
         probability *= prob
         remaining.pop(qubit)
     corrected = np.bitwise_xor.reduce(announced[:, bystanders], axis=1) == 1
@@ -384,7 +404,7 @@ def parity_draws(holders: tuple[int, ...], verifier: int, bundle: RngBundle, row
     for column in (*(c for c in range(k) if c != last), last):
         stream = bundle.party(holders[column])
         if column == last:
-            placeholders = stream.integers(0, 2, size=(rows, 2))
+            placeholders = _pairs(stream, rows)
         else:
             bits[:, column] = _coins(stream, rows)
         draws[:, column] = stream.random(rows)
@@ -526,7 +546,7 @@ def avka(
         readout = np.column_stack([s.random(batch - tested) for s in readout_rngs])
         if not tested:
             return coins, uniforms, keygen, readout, *untested
-        pairs = [stream.integers(0, 2, size=(tested, 2)) for stream in pair_rngs.values()]
+        pairs = [_pairs(stream, tested) for stream in pair_rngs.values()]
         return coins, uniforms, keygen, readout, *parity_draws(order, roles.alice, rng, tested), *pairs
 
     rounds: list[AvkaRound] = []

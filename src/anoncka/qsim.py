@@ -207,7 +207,9 @@ def _branch(z0: np.ndarray, z1: np.ndarray, equatorial: bool, bit: int, out: np.
     return out
 
 
-def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: np.ndarray | None = None):
+def _measure_kernel(
+    amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: np.ndarray | None = None, out: np.ndarray | None = None
+):
     """The single-qubit measurement kernel, applied to every row of a
     (shots, 2^n) amplitude array; ``measure`` is its one-row case.
 
@@ -233,6 +235,12 @@ def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: n
     outcomes adds its outcome-1 branch as a row after the states (at most
     draws - states do). With an index the call also returns each draw's row;
     every draw matches a one-row call bit for bit.
+
+    ``out``, a flat complex array that must not overlap ``amps``, takes the
+    place of that buffer: the kept rows are a view of it. It must hold a row
+    of half the length per state and one per state that can split, at most
+    min(states, draws - states); so ``amps.size`` entries always suffice.
+    ValueError if it is too small.
     """
     shots, dim = amps.shape
     if not 0 <= qubit < dim.bit_length() - 1:
@@ -258,7 +266,12 @@ def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: n
     draws = shots if index is None else len(index)
     if np.shape(u) != (draws,):
         raise ValueError(f"expected {draws} uniforms, got shape {np.shape(u)}")
-    buffer = np.empty((shots + min(shots, max(draws - shots, 0)), dim // 2), dtype=complex)
+    rows, half = shots + min(shots, max(draws - shots, 0)), dim // 2
+    if out is None:
+        out = np.empty(rows * half, dtype=complex)
+    elif out.size < rows * half:
+        raise ValueError(f"out holds {out.size} amplitudes but the kept rows need {rows * half}")
+    buffer = out[: rows * half].reshape(rows, half)
 
     vec = _branch(z0, z1, equatorial, 0, buffer[:shots])
     prob = np.vecdot(vec, vec).real
@@ -279,8 +292,11 @@ def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: n
         row1 = np.arange(shots)  # each state's outcome-1 row; a split adds one after the states
         row1[split] = shots + np.arange(len(split))
         vec, index = buffer[: shots + len(split)], np.where(ones, row1[index], index)
-        for row, state in enumerate(split.tolist(), shots):
-            _branch(z0[state : state + 1], z1[state : state + 1], equatorial, 1, vec[row : row + 1])
+        # one call per run of consecutive split states, on slices: no gathers
+        starts = np.flatnonzero(np.diff(split, prepend=-2) != 1).tolist()
+        for start, end in zip(starts, [*starts[1:], len(split)]):
+            first, last = split[start], split[end - 1] + 1
+            _branch(z0[first:last], z1[first:last], equatorial, 1, vec[shots + start : shots + end])
         prob = np.concatenate((prob, np.vecdot(vec[shots:], vec[shots:]).real))
     drawn = prob if index is None else prob[index]
     impossible = drawn < _BRANCH_EPS

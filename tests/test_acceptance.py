@@ -81,6 +81,7 @@ def test_criterion_1_ame_exact_on_every_branch():
             outcomes[:, bystanders] = np.array(branches, dtype=np.int8).reshape(len(branches), -1)
             coins, _ = carve_draws(roles, bundle, len(branches))
             carving = carve(ghz[None], np.zeros(len(branches), dtype=np.intp), roles, (coins, forcing(outcomes)))
+            assert np.array_equal(carving.announced[:, bystanders], outcomes[:, bystanders])
             assert np.allclose(carving.probability, 2.0 ** -len(bystanders), rtol=0, atol=1e-12)
             for row in carving.carved:
                 worst = min(worst, fidelity_pure(qsim.StateVector(roles.m + 1, row), ghz_state(roles.m + 1)))

@@ -382,6 +382,12 @@ def test_numpy_draw_alignment_the_batch_relies_on():
     # the verifier's placeholder pairs
     pairs = one_call(3, lambda g: g.integers(0, 2, size=(runs, 2)))
     assert np.array_equal(pairs, run_by_run(3, lambda g: g.integers(0, 2, size=2)))
+    # ...and two scalar calls per pair, as ``protocols._pairs`` draws one row,
+    # leave the stream where the pair array does
+    scalar, joined = np.random.default_rng(3), np.random.default_rng(3)
+    assert np.array_equal(pairs, [[scalar.integers(0, 2), scalar.integers(0, 2)] for _ in range(runs)])
+    joined.integers(0, 2, size=(runs, 2))
+    assert scalar.bit_generator.state == joined.bit_generator.state
 
 
 def test_numpy_draws_split_anywhere_as_the_rechunked_samplers_rely_on():

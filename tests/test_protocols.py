@@ -145,7 +145,9 @@ def test_ame_exhaustive_branches_n5_pair():
     rows = forced_rows(roles, list(itertools.product((0, 1), repeat=3)))
     amps = np.broadcast_to(ghz_state(5).amplitudes, (8, 32))
     coins, _ = carve_draws(roles, RngBundle.from_seed(4, 5), 8)
-    _, probability, _, carved = carve(amps, np.arange(8), roles, (coins, forcing(rows)))
+    announced, probability, _, carved = carve(amps, np.arange(8), roles, (coins, forcing(rows)))
+    bystanders = sorted(roles.non_participants)
+    assert np.array_equal(announced[:, bystanders], rows[:, bystanders])
     assert probability == pytest.approx([1 / 8] * 8, abs=1e-12)
     for row in carved:
         assert fidelity_pure(qsim.StateVector(2, row), ghz_state(2)) == pytest.approx(1.0, abs=1e-10)

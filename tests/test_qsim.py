@@ -539,6 +539,28 @@ def test_indexed_kernel_matches_one_call_per_draw_bit_for_bit(basis):
     forced = [0 * alternating, 1 + 0 * alternating, np.where(index == 1, 1, np.where(index == 3, alternating, 0)), alternating]
     kept = indexed_matches_one_call_per_draw(states, index, basis, n - 1, rng, forced=forced)
     assert kept[:2] == [len(states), len(states)] and kept[2] > len(states)
+    # States 0 and 2 split while 1 and 3 do not: two runs of split states.
+    apart = np.isin(np.arange(len(index)), (13, 14)).astype(int)
+    kept = indexed_matches_one_call_per_draw(states, index, basis, n - 1, rng, forced=[apart, *forced[1:]])
+    assert kept[0] == len(states) + 2
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+def test_kernel_writes_its_kept_rows_into_out(indexed):
+    # ``carve`` hands every level a half of one workspace: the kept rows are
+    # those of a call without ``out``, by bytes, and live in ``out``.
+    rng = np.random.default_rng(63)
+    states = np.vstack([random_state(5, rng).amplitudes for _ in range(3)])
+    index = np.array([0, 1, 1, 2, 2, 0]) if indexed else None
+    u = rng.random(6 if indexed else 3)
+    fresh = qsim._measure_kernel(states, 2, "X", u, index)
+    out = np.full(states.size, np.nan, dtype=complex)
+    into = qsim._measure_kernel(states, 2, "X", u, index, out)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh, into, strict=True))
+    assert np.shares_memory(into[2], out)
+    need = (6 if indexed else 3) * 16  # a row per state, plus one per possible split, of half the length
+    with pytest.raises(ValueError, match=f"out holds {need - 1} amplitudes but the kept rows need {need}"):
+        qsim._measure_kernel(states, 2, "X", u, index, out[: need - 1])
 
 
 def test_indexed_kernel_leaves_a_read_only_source_untouched():
