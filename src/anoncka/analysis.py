@@ -157,7 +157,7 @@ def ame_views(
     ghz = ghz_state(n)
 
     def chunk(size: int):
-        bits = carve(*_rows(ghz, bundle.source, size), roles, carve_draws(roles, bundle, size)).announced
+        bits = carve(*_rows(ghz, bundle.source, size), roles, carve_draws(roles, bundle, size), support=ghz._support).announced
         order = bundle.network.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
         raw = _permutation_ranks(order) << n | bits @ (1 << np.arange(n - 1, -1, -1))
         return raw, bits.sum(axis=1) % 2

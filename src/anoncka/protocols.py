@@ -20,9 +20,10 @@ test, each a pure function of the draws it is given: only ``carve_draws``,
 ``parity_draws`` and ``_rows`` read a stream. ``ame`` and ``verification``
 are their one-row case plus a broadcast. ``_queued`` joins batches of about
 1 MB and makes each batch's draws as if it ran alone; an ``avka`` queue is
-one carve (rounds that share a state are one tree), one Z readout and one
-parity test, then each round's broadcasts in round order. ``analysis`` calls
-the steps with many rows, exhaustive tests with uniforms of -1 and 2.
+one carve (rounds that share a state are one tree, run on the support from
+13 qubits up when no state has three nonzero amplitudes), one Z readout and
+one parity test, then each round's broadcasts in round order. ``analysis``
+calls the steps with many rows, exhaustive tests with uniforms of -1 and 2.
 
 Party i holds qubit i of each source state. All participant-ordered tuples
 use Alice first, then receivers ascending.
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .netmodel import ChannelAbort, Network, RoleAssignment
-from .qsim import Basis, NoiseEnsemble, StateVector, _measure_kernel, measure_string, sample_ensemble
+from .qsim import Basis, NoiseEnsemble, StateVector, _measure_kernel, _pair_support, measure_string, sample_ensemble
 from .rng import RngBundle
 
 VERIFICATION_ROUND = "verification"
@@ -45,6 +46,7 @@ KEYGEN_ROUND = "keygen"
 # Bytes per batch and per queue: a batch holds 2^20 / (16 * 2^n) rounds or shots
 # (16 bytes per amplitude) or 2^20 / n^3 notifications (one int8 per share bit).
 _BATCH_BYTES = 2**20
+_SUPPORT_QUBITS = 13  # the fewest qubits at which ``carve`` runs on the support
 
 
 def _batches(trials: int, row_bytes: int):
@@ -275,6 +277,24 @@ def carve_draws(roles: RoleAssignment, bundle: RngBundle, rows: int, withholding
     return coins, draws
 
 
+def _pair_levels(support: np.ndarray, n: int, measuring: list[int]):
+    """How a tree on n qubits that measures ``measuring`` in ascending order
+    moves the entries of the sorted basis indices ``support``: per level, each
+    entry's column in a [z0 | z1] row, one slot per entry in each half, and
+    its slot in the kept row, that of the first entry with its index after
+    the level; then each entry's final basis index."""
+    levels = len(measuring)
+    kept = np.ones((levels + 1, n), dtype=bool)  # the qubits left before each level, and at the end
+    kept[:, measuring] = np.arange(levels + 1)[:, None] <= np.arange(levels)
+    bits = support[:, None] >> (n - 1 - np.arange(n)) & 1  # (entries, n)
+    place = kept.astype(np.intp) << (np.cumsum(kept[:, ::-1], axis=1)[:, ::-1] - kept)  # of each qubit's bit
+    keys = (place @ bits.T)[1:]  # each entry's basis index after each level
+    # offset by level << n, so that one np.unique keeps the levels apart
+    _, first, inverse = np.unique(keys + (np.arange(levels) << n)[:, None], return_index=True, return_inverse=True)
+    slots = (first % len(support))[inverse].reshape(levels, -1)
+    return bits[:, measuring].T * len(support) + slots, slots, keys[-1]
+
+
 def carve(
     states: np.ndarray,
     index: np.ndarray,
@@ -282,6 +302,7 @@ def carve(
     draws: tuple[np.ndarray, np.ndarray],
     *,
     withholding: frozenset[int] = frozenset(),
+    support: np.ndarray | None = None,
 ) -> Carving:
     """Carve the participants' GHZ state out of rounds of distinct states,
     round i out of row ``states[index[i]]``, each state measured once per outcome.
@@ -296,15 +317,16 @@ def carve(
     ``withholding`` names bystanders that skip the measurement, keep their
     qubit, and announce their coin instead.
 
-    The tree's levels share one workspace, allocated once per call as one
-    (2, states.size) array: level j writes its kept rows into half j % 2, so
-    it never overwrites its input, and a level never keeps more amplitudes
-    than its input (at most twice the rows at half the length). One block
-    rather than a fresh buffer per level matters at n=16, where the top
-    levels are 1 MiB each: freeing one 2 MiB block raises glibc's dynamic
-    trim threshold past it, whereas fresh 1 MiB levels left more than the
-    threshold free at the top of the heap, which was returned to the system
-    and faulted back in by the next call.
+    From ``_SUPPORT_QUBITS`` qubits up, states with at most two nonzero
+    amplitudes each (GHZ, rotated GHZ, GHZ' and basis states, also after X
+    measurements) are carved on their support: ``support`` if given (a pure
+    source's ``StateVector._support``), else found here. Each level measures
+    qubit 0 of [z0 | z1] rows over the support it leaves; only the carved rows
+    are made dense. The entries left out are exact zeros, and a sum of at most
+    two nonzero terms rounds alike in any order, so the bits are the dense
+    tree's. The dense tree's levels share one (2, states.size) workspace,
+    level j writing into half j % 2: at n=16, fresh 1 MiB levels were returned
+    to the system and faulted back in by the next call.
     """
     dim = states.shape[1]
     if dim != 2**roles.n:
@@ -315,17 +337,32 @@ def carve(
     bystanders = sorted(roles.non_participants)
     announced = coins.copy()
     probability = np.ones(len(index))
-    remaining = list(range(roles.n))
     measuring = [p for p in bystanders if p not in withholding]
-    workspace = np.empty((2, states.size), dtype=complex) if measuring else None
-    for level, party in enumerate(measuring):
-        qubit = remaining.index(party)
-        u, out = uniforms[:, party], workspace[level % 2]
-        announced[:, party], prob, states, index = _measure_kernel(states, qubit, Basis.X, u, index, out)
-        probability *= prob
-        remaining.pop(qubit)
+    sparse = bool(measuring) and roles.n >= _SUPPORT_QUBITS
+    support = (_pair_support(states) if support is None else support) if sparse else None
+    if support is not None:
+        values = states[:, support]
+        columns, slots, support = _pair_levels(support, roles.n, measuring)
+        for level, party in enumerate(measuring):
+            pairs = np.zeros((len(values), 2 * values.shape[1]), dtype=complex)
+            pairs[:, columns[level]] = values
+            try:
+                announced[:, party], prob, kept, index = _measure_kernel(pairs, 0, Basis.X, uniforms[:, party], index)
+            except ValueError as error:  # name the register's qubit, as the dense tree does
+                raise ValueError(str(error).replace("qubit=0,", f"qubit={party - level},")) from None
+            probability *= prob
+            values = kept[:, slots[level]]
+        states = np.zeros((len(values), dim >> len(measuring)), dtype=complex)
+        states[:, support] = values
+    else:
+        workspace = np.empty((2, states.size), dtype=complex) if measuring else None
+        for level, party in enumerate(measuring):  # qubit party - level of what the levels before leave
+            u, out = uniforms[:, party], workspace[level % 2]
+            announced[:, party], prob, states, index = _measure_kernel(states, party - level, Basis.X, u, index, out)
+            probability *= prob
     corrected = np.bitwise_xor.reduce(announced[:, bystanders], axis=1) == 1
 
+    remaining = [p for p in range(roles.n) if p not in measuring]
     order = [remaining.index(p) for p in (*roles.participant_order, *sorted(withholding))]
     carved = states.reshape(-1, *[2] * len(order)).transpose(0, *(q + 1 for q in order)).reshape(len(states), -1)[index]
     # Alice's qubit is now qubit 0: Z negates the second half of a row.
@@ -345,7 +382,7 @@ def ame(
     On a pure GHZ input the participants end up with a perfect (m+1)-party
     GHZ state in every branch.
     """
-    announced, _, corrected, carved = carve(*_rows(state, rng.source, 1), roles, carve_draws(roles, rng, 1))
+    announced, _, corrected, carved = carve(*_rows(state, rng.source, 1), roles, carve_draws(roles, rng, 1), support=state._support)
     bits = announced[0].tolist()
     net.broadcast_round({p: str(b) for p, b in enumerate(bits)}, phase="ame:announce", expected=range(roles.n))
     return AmeOutcome(
@@ -557,8 +594,9 @@ def avka(
     try:
         _check_notified(roles, notification(roles, net, rng).notified)
         queues = _queued([(source, num_states)], rng.source, round_bytes, draw)
+        support = source._support if isinstance(source, StateVector) else None  # a mixture's, per queue in carve
         for states, rows, (coins, uniforms, keygen, readout, bases, test_uniforms, placeholders, *pairs) in queues:
-            announced, _, _, carved = carve(states, rows, roles, (coins, uniforms), withholding=withholding)
+            announced, _, _, carved = carve(states, rows, roles, (coins, uniforms), withholding=withholding, support=support)
             readouts = iter(measure_string(carved[keygen], readout_ops, uniforms=readout)[0].tolist())
             test = parity_measure(carved[~keygen], order, roles.alice, ParityDraws(bases, test_uniforms, placeholders))
             tests = zip(*(c.tolist() for c in (test.bases, test.outcomes, test.placeholders, test.accepted, *pairs)))

@@ -99,6 +99,14 @@ class StateVector:
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape([2] * self.n_qubits)
 
+    _support = functools.cached_property(lambda self: _pair_support(self.amplitudes[None]))  # found once
+
+
+def _pair_support(amps: np.ndarray) -> np.ndarray | None:
+    """The sorted basis indices where some row of a (rows, 2^n) array is nonzero, or None if a row has more than two."""
+    nonzero = amps != 0
+    return None if np.count_nonzero(nonzero, axis=1).max() > 2 else np.flatnonzero(nonzero.any(axis=0))
+
 
 def basis_state(n: int, index: int) -> StateVector:
     """Computational basis state ``|index>`` on ``n`` qubits."""
@@ -279,6 +287,11 @@ def _measure_kernel(
     outcomes = ones.view(np.int8)
     if index is None:
         split, alone = (), ones
+    elif draws == shots:  # one draw per state, if every state has one: none splits
+        if np.count_nonzero(np.bincount(index, minlength=shots)) != shots:
+            raise ValueError("every state needs at least one draw")
+        split, alone = (), np.zeros(shots, dtype=bool)
+        alone[index] = ones
     else:
         reached = np.zeros((2, shots), dtype=bool)
         reached[outcomes, index] = True

@@ -527,3 +527,38 @@ def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, 
         validated=validated,
         withholder_guess="".join(map(str, guesses)),
     )
+
+
+def carve_dense(states, index, roles, draws, *, withholding=frozenset()):
+    """``protocols.carve`` as it ran before its support tree: every level a
+    dense 2^(n-j)-amplitude kernel call, the levels sharing one workspace.
+    Frozen as the reference the support tree must match bit for bit; this is
+    a reference for the tree, not an independent oracle."""
+    from anoncka.protocols import Carving
+    from anoncka.qsim import Basis, _measure_kernel
+
+    dim = states.shape[1]
+    if dim != 2**roles.n:
+        raise ValueError(f"state has {dim.bit_length() - 1} qubits but the network has {roles.n} parties")
+    if not withholding <= roles.non_participants:
+        raise ValueError("only non-participants can withhold their measurement")
+    coins, uniforms = draws
+    bystanders = sorted(roles.non_participants)
+    announced = coins.copy()
+    probability = np.ones(len(index))
+    remaining = list(range(roles.n))
+    measuring = [p for p in bystanders if p not in withholding]
+    workspace = np.empty((2, states.size), dtype=complex) if measuring else None
+    for level, party in enumerate(measuring):
+        qubit = remaining.index(party)
+        u, out = uniforms[:, party], workspace[level % 2]
+        announced[:, party], prob, states, index = _measure_kernel(states, qubit, Basis.X, u, index, out)
+        probability *= prob
+        remaining.pop(qubit)
+    corrected = np.bitwise_xor.reduce(announced[:, bystanders], axis=1) == 1
+
+    order = [remaining.index(p) for p in (*roles.participant_order, *sorted(withholding))]
+    carved = states.reshape(-1, *[2] * len(order)).transpose(0, *(q + 1 for q in order)).reshape(len(states), -1)[index]
+    # Alice's qubit is now qubit 0: Z negates the second half of a row.
+    carved[corrected, carved.shape[1] // 2 :] *= -1.0
+    return Carving(announced, probability, corrected, carved)

@@ -573,9 +573,10 @@ SOURCE_RUNS = {
     },
 }
 # avka queues: an n=14 pure source with a withholder, whose four-round batches
-# are carved together; an n=14 Werner mixture, whose queues hold several
-# distinct states; and an n=16 Werner mixture, whose one-round batches are
-# carved one by one.
+# are carved together; an n=16 pure source with a withholder, carved on its
+# support with the withheld qubit kept; an n=14 Werner mixture, whose queues
+# hold several distinct states; and an n=16 Werner mixture, whose one-round
+# batches are carved one by one.
 QUEUE_RUNS = {
     "n14_withholding": {
         "n": 14,
@@ -586,6 +587,16 @@ QUEUE_RUNS = {
         "noise": {"model": "pure"},
         "adversary": {"kind": "withholding", "party": 5, "basis": "X"},
         "seed": 31,
+    },
+    "n16_withholding": {
+        "n": 16,
+        "alice": 0,
+        "receivers": [2, 11],
+        "L": 24,
+        "D": 2,
+        "noise": {"model": "pure"},
+        "adversary": {"kind": "withholding", "party": 7, "basis": "X"},
+        "seed": 47,
     },
     "n14_werner": {"n": 14, "alice": 0, "receivers": [1, 2], "L": 40, "D": 2, "noise": {"model": "werner", "fidelity": 0.8}, "seed": 41},
     "n16_werner": {"n": 16, "alice": 0, "receivers": [1, 2], "L": 12, "D": 3, "noise": {"model": "werner", "fidelity": 0.8}, "seed": 37},
@@ -630,6 +641,7 @@ PINNED_STDOUT = {
     "theorem1_k10": (EXIT_OK, "5169d17e7ccf8746828dd1b9c7d4c650"),
     "theorem1_k2": (EXIT_OK, "1b36ce4264f8ee772f366d102d97c2dd"),
     "n14_withholding": (EXIT_REJECTED, "1ac87ca9036ecf7d132d8b687f83ef06"),
+    "n16_withholding": (EXIT_REJECTED, "5fc69c84976b6c61cbce6283d76923b0"),
     "n16_werner": (EXIT_REJECTED, "f80dd32650b93fb2f52000624d7699b5"),
     "n14_werner": (EXIT_REJECTED, "a2cf80f8030128a0489d7f89699ccd3c"),
     "n16_ame_anonymity": (EXIT_OK, "f7116717650c5f320cccc437cd33f30e"),

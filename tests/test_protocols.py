@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -36,6 +37,7 @@ from anoncka.rng import RngBundle
 from oracles import (
     avka_batch_by_batch,
     branch_probability,
+    carve_dense,
     dense_rows,
     density_from_pure,
     enumerate_notification_tables,
@@ -170,6 +172,122 @@ def test_ame_broadcast_covers_everyone_and_announces_true_outcomes():
     forced = carve(ghz_state(5).amplitudes[None], np.zeros(1, dtype=np.intp), roles, draws)
     assert forced.announced[0, 1:4].tolist() == [1, 0, 1]
     assert not forced.corrected[0]
+
+
+@st.composite
+def carve_calls(draw):
+    """A carve call: n in 3..16, Alice and one to three receivers anywhere, a
+    withholder or none, 1..16 rounds of a GHZ, rotated GHZ, GHZ' (n=4), basis,
+    Werner-drawn or random dense source, random or forced uniforms, a pure
+    source's support given or not, and the support tree's crossover at its
+    value or at 3, so that small registers take that tree too."""
+    n = draw(st.integers(3, 16))
+    parties = draw(st.permutations(range(n)))
+    receivers = frozenset(parties[1 : 1 + draw(st.integers(1, min(3, n - 1)))])
+    roles = RoleAssignment(n=n, alice=parties[0], receivers=receivers)
+    bystanders = sorted(roles.non_participants)
+    withholding = frozenset(draw(st.sets(st.sampled_from(bystanders), max_size=1)) if bystanders else ())
+    kind = draw(st.sampled_from(["ghz", "rotated", "basis", "werner", "dense"] + ["ghz_prime"] * (n == 4)))
+    rounds, seed = draw(st.integers(1, 16)), draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    support = None
+    if kind == "werner":
+        states, index = qsim.sample_ensemble(qsim.werner_ghz(n, draw(st.floats(0.0, 1.0))), rng, rounds)
+    else:
+        if kind == "ghz":
+            state = ghz_state(n)
+        elif kind == "rotated":
+            state = qsim.rotated_ghz(n, draw(st.floats(0.0, 2 * np.pi)))
+        elif kind == "basis":
+            state = qsim.basis_state(n, draw(st.integers(0, 2**n - 1)))
+        elif kind == "ghz_prime":
+            state = qsim.ghz_prime_state()
+        else:
+            amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            state = qsim.StateVector(n, amps / np.linalg.norm(amps))
+        states, index = state.amplitudes[None], np.zeros(rounds, dtype=np.intp)
+        support = state._support if draw(st.booleans()) else None
+    coins, uniforms = carve_draws(roles, RngBundle.from_seed(seed, n), rounds, withholding)
+    if draw(st.booleans()):
+        uniforms = forcing(rng.integers(0, 2, size=uniforms.shape))
+    crossover = draw(st.sampled_from([protocols._SUPPORT_QUBITS, 3, 3]))
+    sparse = kind != "dense" and n >= crossover and len(bystanders) > len(withholding)
+    return roles, withholding, states, index, (coins, uniforms), support, crossover, sparse
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(carve_calls())
+def test_carve_matches_the_dense_reference_bit_for_bit(call):
+    # The support tree gives the frozen dense carve's announcements,
+    # corrections, probabilities and carved rows, by bytes, signed zeros
+    # included; states with three or more nonzero amplitudes stay dense.
+    roles, withholding, states, index, draws, support, crossover, sparse = call
+    with mock.patch.object(protocols, "_SUPPORT_QUBITS", crossover):
+        with mock.patch.object(protocols, "_pair_levels", wraps=protocols._pair_levels) as levels:
+            got = carve(states, index, roles, draws, withholding=withholding, support=support)
+    want = carve_dense(states, index, roles, draws, withholding=withholding)
+    assert levels.called == sparse
+    assert np.array_equal(got.announced, want.announced) and np.array_equal(got.corrected, want.corrected)
+    assert got.probability.tobytes() == want.probability.tobytes()
+    assert got.carved.shape == want.carved.shape and got.carved.tobytes() == want.carved.tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 8, 13, 16])
+def test_carve_of_many_werner_states_matches_the_dense_reference_bit_for_bit(n):
+    # Mostly noise draws: many basis states share one support tree, and
+    # entries that differ only in bystander bits meet in one slot.
+    roles = RoleAssignment(n=n, alice=1, receivers=frozenset({3}))
+    for seed in range(4):
+        withholding = frozenset({n - 1}) if seed % 2 else frozenset()
+        states, index = qsim.sample_ensemble(qsim.werner_ghz(n, 0.2), np.random.default_rng(seed), 16)
+        draws = carve_draws(roles, RngBundle.from_seed(seed, n), 16, withholding)
+        with mock.patch.object(protocols, "_SUPPORT_QUBITS", 3):
+            got = carve(states, index, roles, draws, withholding=withholding)
+        want = carve_dense(states, index, roles, draws, withholding=withholding)
+        assert len(states) > 8 and np.array_equal(got.announced, want.announced)
+        assert got.probability.tobytes() == want.probability.tobytes() and got.carved.tobytes() == want.carved.tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_carve_names_an_impossible_branch_as_the_dense_reference_does(n):
+    # The last bystander holds |+>, so it cannot announce 1; forcing it
+    # raises on both trees with the qubit it has when measured, not 0.
+    roles = RoleAssignment(n=n, alice=0, receivers=frozenset({1}))
+    amps = np.zeros(2**n, dtype=complex)
+    amps[[0, 1]] = np.sqrt(0.5)
+    coins, _ = carve_draws(roles, RngBundle.from_seed(n, n), 1)
+    draws = coins, forcing(np.eye(1, n, n - 1, dtype=np.int8))
+    errors = []
+    for run in (carve, carve_dense):
+        with mock.patch.object(protocols, "_SUPPORT_QUBITS", 3), pytest.raises(ValueError) as error:
+            run(amps[None], np.zeros(1, dtype=np.intp), roles, draws)
+        errors.append(str(error.value))
+    assert errors == ["branch (qubit=2, basis=X, outcome=1) has probability ~0"] * 2
+
+
+def test_pure_sixteen_qubit_carve_runs_on_its_support_in_bounded_memory():
+    # Sixteen rounds of a pure n=16 source peak far below the dense tree's
+    # 2 MiB workspace, with the support given or found; an n=16 state with
+    # three nonzero amplitudes still takes the dense tree and its workspace.
+    roles = RoleAssignment(n=16, alice=0, receivers=frozenset({1, 2}))
+    draws = carve_draws(roles, RngBundle.from_seed(8, 16), 16)
+    three = np.zeros(2**16, dtype=complex)
+    three[[0, 5, -1]] = np.sqrt(1 / 3)
+    ghz = ghz_state(16)
+
+    def peak(amps, support=None) -> int:
+        tracemalloc.start()
+        try:
+            carve(amps[None], np.zeros(16, dtype=np.intp), roles, draws, support=support)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert ghz._support.tolist() == [0, 2**16 - 1]
+    assert peak(ghz.amplitudes, ghz._support) < 256 * 1024
+    assert peak(ghz.amplitudes) < 256 * 1024
+    assert qsim.StateVector(16, three)._support is None
+    assert peak(three) >= 2 * 2**20
 
 
 def test_ame_participant_reorder_uses_alice_first():

@@ -563,6 +563,19 @@ def test_kernel_writes_its_kept_rows_into_out(indexed):
         qsim._measure_kernel(states, 2, "X", u, index, out[: need - 1])
 
 
+@pytest.mark.parametrize("basis", ["X", "Y", "Z"])
+def test_indexed_kernel_with_one_draw_per_state_matches_one_call_per_draw(basis):
+    # Each state drawn once, in shuffled order: no state splits, so the kept
+    # rows stay one per state, and each draw's row is that of its own call,
+    # whether some, none or all of the draws take outcome 1.
+    rng = np.random.default_rng(64)
+    states = np.vstack([random_state(4, rng).amplitudes for _ in range(5)])
+    index = np.array([3, 0, 4, 1, 2])
+    assert indexed_matches_one_call_per_draw(states, index, basis, 3, rng) == [5, 5, 5]
+    forced = [[1, 0, 0, 1, 0], [0] * 5, [1] * 5]
+    assert indexed_matches_one_call_per_draw(states, index, basis, 3, rng, forced=forced) == [5, 5, 5]
+
+
 def test_indexed_kernel_leaves_a_read_only_source_untouched():
     # A pure source is one read-only row drawn by every round; a read-only
     # broadcast of it may also stand for several states.
