@@ -324,9 +324,7 @@ def carve(
     qubit 0 of [z0 | z1] rows over the support it leaves; only the carved rows
     are made dense. The entries left out are exact zeros, and a sum of at most
     two nonzero terms rounds alike in any order, so the bits are the dense
-    tree's. The dense tree's levels share one (2, states.size) workspace,
-    level j writing into half j % 2: at n=16, fresh 1 MiB levels were returned
-    to the system and faulted back in by the next call.
+    tree's.
     """
     dim = states.shape[1]
     if dim != 2**roles.n:
@@ -355,10 +353,8 @@ def carve(
         states = np.zeros((len(values), dim >> len(measuring)), dtype=complex)
         states[:, support] = values
     else:
-        workspace = np.empty((2, states.size), dtype=complex) if measuring else None
         for level, party in enumerate(measuring):  # qubit party - level of what the levels before leave
-            u, out = uniforms[:, party], workspace[level % 2]
-            announced[:, party], prob, states, index = _measure_kernel(states, party - level, Basis.X, u, index, out)
+            announced[:, party], prob, states, index = _measure_kernel(states, party - level, Basis.X, uniforms[:, party], index)
             probability *= prob
     corrected = np.bitwise_xor.reduce(announced[:, bystanders], axis=1) == 1
 

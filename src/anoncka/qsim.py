@@ -215,9 +215,7 @@ def _branch(z0: np.ndarray, z1: np.ndarray, equatorial: bool, bit: int, out: np.
     return out
 
 
-def _measure_kernel(
-    amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: np.ndarray | None = None, out: np.ndarray | None = None
-):
+def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: np.ndarray | None = None):
     """The single-qubit measurement kernel, applied to every row of a
     (shots, 2^n) amplitude array; ``measure`` is its one-row case.
 
@@ -239,16 +237,11 @@ def _measure_kernel(
     least once: draw i measures ``amps[index[i]]``; without one, every row is
     its own state, drawn once. Branch 0 and its probability are computed once
     per state, in one buffer. A state whose draws all take outcome 1 gets that
-    branch in its own row, through one row mask; a state whose draws take both
-    outcomes adds its outcome-1 branch as a row after the states (at most
-    draws - states do). With an index the call also returns each draw's row;
-    every draw matches a one-row call bit for bit.
-
-    ``out``, a flat complex array that must not overlap ``amps``, takes the
-    place of that buffer: the kept rows are a view of it. It must hold a row
-    of half the length per state and one per state that can split, at most
-    min(states, draws - states); so ``amps.size`` entries always suffice.
-    ValueError if it is too small.
+    branch in its own row, through one row mask; the states whose draws take
+    both outcomes (at most draws - states) add their outcome-1 branches as
+    rows after the states, built by one call on gathered copies of their
+    halves. With an index the call also returns each draw's row; every draw
+    matches a one-row call bit for bit.
     """
     shots, dim = amps.shape
     if not 0 <= qubit < dim.bit_length() - 1:
@@ -274,12 +267,7 @@ def _measure_kernel(
     draws = shots if index is None else len(index)
     if np.shape(u) != (draws,):
         raise ValueError(f"expected {draws} uniforms, got shape {np.shape(u)}")
-    rows, half = shots + min(shots, max(draws - shots, 0)), dim // 2
-    if out is None:
-        out = np.empty(rows * half, dtype=complex)
-    elif out.size < rows * half:
-        raise ValueError(f"out holds {out.size} amplitudes but the kept rows need {rows * half}")
-    buffer = out[: rows * half].reshape(rows, half)
+    buffer = np.empty((shots + min(shots, max(draws - shots, 0)), dim // 2), dtype=complex)
 
     vec = _branch(z0, z1, equatorial, 0, buffer[:shots])
     prob = np.vecdot(vec, vec).real
@@ -305,11 +293,7 @@ def _measure_kernel(
         row1 = np.arange(shots)  # each state's outcome-1 row; a split adds one after the states
         row1[split] = shots + np.arange(len(split))
         vec, index = buffer[: shots + len(split)], np.where(ones, row1[index], index)
-        # one call per run of consecutive split states, on slices: no gathers
-        starts = np.flatnonzero(np.diff(split, prepend=-2) != 1).tolist()
-        for start, end in zip(starts, [*starts[1:], len(split)]):
-            first, last = split[start], split[end - 1] + 1
-            _branch(z0[first:last], z1[first:last], equatorial, 1, vec[shots + start : shots + end])
+        _branch(z0[split], z1[split], equatorial, 1, vec[shots:])
         prob = np.concatenate((prob, np.vecdot(vec[shots:], vec[shots:]).real))
     drawn = prob if index is None else prob[index]
     impossible = drawn < _BRANCH_EPS

@@ -531,9 +531,9 @@ def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, 
 
 def carve_dense(states, index, roles, draws, *, withholding=frozenset()):
     """``protocols.carve`` as it ran before its support tree: every level a
-    dense 2^(n-j)-amplitude kernel call, the levels sharing one workspace.
-    Frozen as the reference the support tree must match bit for bit; this is
-    a reference for the tree, not an independent oracle."""
+    dense 2^(n-j)-amplitude kernel call. Frozen as the reference the support
+    tree must match bit for bit; this is a reference for the tree, not an
+    independent oracle."""
     from anoncka.protocols import Carving
     from anoncka.qsim import Basis, _measure_kernel
 
@@ -548,11 +548,9 @@ def carve_dense(states, index, roles, draws, *, withholding=frozenset()):
     probability = np.ones(len(index))
     remaining = list(range(roles.n))
     measuring = [p for p in bystanders if p not in withholding]
-    workspace = np.empty((2, states.size), dtype=complex) if measuring else None
-    for level, party in enumerate(measuring):
+    for party in measuring:
         qubit = remaining.index(party)
-        u, out = uniforms[:, party], workspace[level % 2]
-        announced[:, party], prob, states, index = _measure_kernel(states, qubit, Basis.X, u, index, out)
+        announced[:, party], prob, states, index = _measure_kernel(states, qubit, Basis.X, uniforms[:, party], index)
         probability *= prob
         remaining.pop(qubit)
     corrected = np.bitwise_xor.reduce(announced[:, bystanders], axis=1) == 1

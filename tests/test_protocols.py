@@ -266,9 +266,10 @@ def test_carve_names_an_impossible_branch_as_the_dense_reference_does(n):
 
 
 def test_pure_sixteen_qubit_carve_runs_on_its_support_in_bounded_memory():
-    # Sixteen rounds of a pure n=16 source peak far below the dense tree's
-    # 2 MiB workspace, with the support given or found; an n=16 state with
-    # three nonzero amplitudes still takes the dense tree and its workspace.
+    # Sixteen rounds of a pure n=16 source peak far below one 1 MiB dense
+    # level, with the support given or found; an n=16 state with three
+    # nonzero amplitudes still takes the dense tree, which peaks above
+    # 2 MiB at its 1 MiB levels.
     roles = RoleAssignment(n=16, alice=0, receivers=frozenset({1, 2}))
     draws = carve_draws(roles, RngBundle.from_seed(8, 16), 16)
     three = np.zeros(2**16, dtype=complex)

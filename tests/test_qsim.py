@@ -432,12 +432,12 @@ def test_every_outcome_pattern_matches_one_state_reference_bit_for_bit(n, rows, 
         assert post[row].tobytes() == ref.tobytes()
 
 
-def _kernel_peak(amps, basis, outcomes) -> int:
+def _kernel_peak(amps, basis, outcomes, index=None) -> int:
     """Peak bytes traced while the kernel measures qubit 1 of ``amps``."""
     u = forcing(outcomes)
     tracemalloc.start()
     try:
-        qsim._measure_kernel(amps, 1, basis, u)
+        qsim._measure_kernel(amps, 1, basis, u, index)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -454,6 +454,19 @@ def test_mixed_outcome_call_allocates_no_more_than_an_all_zero_call(basis):
     zeros, mixed = np.zeros(rows, dtype=int), rng.integers(0, 2, size=rows)
     _kernel_peak(amps, basis, mixed)  # warm-up: first-call allocations are not the kernel's
     assert _kernel_peak(amps, basis, mixed) <= 1.05 * _kernel_peak(amps, basis, zeros)
+
+
+@pytest.mark.parametrize("basis", ["X", "Z"])
+def test_indexed_split_call_holds_its_kept_rows_and_one_gathered_copy_of_the_split_halves(basis):
+    # Every state is drawn twice and takes both outcomes, so all of them
+    # split: their outcome-1 rows are built from one gathered copy of their
+    # halves, and the call holds little beyond that copy and the kept rows.
+    rng = np.random.default_rng(72)
+    states = np.vstack([random_state(12, rng).amplitudes for _ in range(16)])
+    index, outcomes = np.tile(np.arange(16), 2), np.repeat([0, 1], 16)
+    kept = len(index) * states.shape[1] // 2 * states.itemsize  # a row of half the length per draw
+    _kernel_peak(states, basis, outcomes, index)  # warm-up: first-call allocations are not the kernel's
+    assert _kernel_peak(states, basis, outcomes, index) <= 1.1 * (kept + states.nbytes)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -543,24 +556,6 @@ def test_indexed_kernel_matches_one_call_per_draw_bit_for_bit(basis):
     apart = np.isin(np.arange(len(index)), (13, 14)).astype(int)
     kept = indexed_matches_one_call_per_draw(states, index, basis, n - 1, rng, forced=[apart, *forced[1:]])
     assert kept[0] == len(states) + 2
-
-
-@pytest.mark.parametrize("indexed", [False, True])
-def test_kernel_writes_its_kept_rows_into_out(indexed):
-    # ``carve`` hands every level a half of one workspace: the kept rows are
-    # those of a call without ``out``, by bytes, and live in ``out``.
-    rng = np.random.default_rng(63)
-    states = np.vstack([random_state(5, rng).amplitudes for _ in range(3)])
-    index = np.array([0, 1, 1, 2, 2, 0]) if indexed else None
-    u = rng.random(6 if indexed else 3)
-    fresh = qsim._measure_kernel(states, 2, "X", u, index)
-    out = np.full(states.size, np.nan, dtype=complex)
-    into = qsim._measure_kernel(states, 2, "X", u, index, out)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh, into, strict=True))
-    assert np.shares_memory(into[2], out)
-    need = (6 if indexed else 3) * 16  # a row per state, plus one per possible split, of half the length
-    with pytest.raises(ValueError, match=f"out holds {need - 1} amplitudes but the kept rows need {need}"):
-        qsim._measure_kernel(states, 2, "X", u, index, out[: need - 1])
 
 
 @pytest.mark.parametrize("basis", ["X", "Y", "Z"])
