@@ -6,22 +6,23 @@ for "random order or simultaneous" announcement), full transcript capture,
 and extraction of what a coalition of parties gets to see.
 
 The transcript is columnar: every channel call appends one block of records
-(a phase, a kind, and sender, receiver, bits and position columns), so a
-notification round records each n x n share table as one block with
-``send_block``, validated once with numpy, and each broadcast round is one
-block. A payload is a '0'/'1' string or, in a block, a 0/1 integer array.
-``Entry`` records are built from the columns only when read, and a
-coalition's view is a set of boolean masks over the sender and receiver
-columns. Channel counters track exact bit volumes. A run is sequential;
-independent runs may execute concurrently since every value here is confined
-to its run.
+(a kind, and phase, sender, receiver, payload and position columns), so a
+notification records its whole run with one ``send_block``, validated once
+with numpy, and ``broadcast_rounds`` records the rounds of a protocol step,
+an avka queue's announcements and public coins, as one block. A payload is a
+'0'/'1' string or, in a block, an integer payload code (``payload_codes``).
+``Entry`` records and their strings are built from the columns only when
+read, and a coalition's view is a set of boolean masks over the sender and
+receiver columns. Channel counters track exact bit volumes. A run is
+sequential; independent runs may execute concurrently since every value here
+is confined to its run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -36,7 +37,12 @@ class ProtocolError(ValueError):
 
 
 class ChannelAbort(RuntimeError):
-    """A required announcement was not made in time; the run must abort."""
+    """A required announcement was not made in time; the run must abort.
+    ``rounds`` counts the rounds of the block recorded before it."""
+
+    def __init__(self, message: str, rounds: int = 0):
+        super().__init__(message)
+        self.rounds = rounds
 
 
 class Entry(NamedTuple):
@@ -102,45 +108,51 @@ class RoleAssignment:
         return (self.alice, *sorted(self.receivers))
 
 
-_BIT_CHARS = np.array(["0", "1"])
+_POWERS = 2 ** np.arange(1, 63)  # a payload code holds at most 62 bits
+
+
+def payload_codes(*bits):
+    """The codes of payloads whose i-th bits are ``bits[i]`` (0/1 arrays): a
+    payload's bits after a leading 1, read in binary, less 2. So '0' -> 0,
+    '1' -> 1, '00' -> 2, ..., '11' -> 5, and a 0/1 array is its own code."""
+    return reduce(lambda code, bit: 2 * code + np.asarray(bit, dtype=np.int64), bits, 1) - 2
+
+
+def _codes(payloads) -> np.ndarray:
+    """The codes of '0'/'1' strings; ProtocolError unless each is non-empty
+    and at most 62 bits long."""
+    payloads = list(payloads)
+    for b in payloads:
+        if not (isinstance(b, str) and 0 < len(b) <= 62) or set(b) - {"0", "1"}:
+            raise ProtocolError(f"payload must be a non-empty '0'/'1' string of at most 62 bits, got {b!r}")
+    return np.array([int("1" + b, 2) - 2 for b in payloads], dtype=np.int64)
+
+
+def _bit_count(codes: np.ndarray) -> int:
+    """The total length of the payloads with these codes."""
+    return int(_POWERS.searchsorted(codes + 2, side="right").sum())
 
 
 class _Block(NamedTuple):
-    """The records of one channel call, as columns.
+    """The records of one channel call, as columns with one entry per
+    record: phase (an object array), sender, receiver, payload code and
+    announcement position. A private block's senders and receivers are
+    integer arrays and its positions None; a broadcast block's senders are an
+    object array (None for the public source) and its receivers None."""
 
-    A private block holds arrays: sender, receiver and bits, either an
-    integer array of 0/1 or an array of '0'/'1' strings; every position is
-    None. A broadcast block holds lists: sender (None for the public source),
-    bits as strings, and the announcement positions; every receiver is None.
-    """
-
-    phase: str
     kind: str
-    sender: Sequence
+    phase: np.ndarray
+    sender: np.ndarray
     receiver: np.ndarray | None
-    bits: Sequence
-    position: Sequence[int] | None
+    bits: np.ndarray
+    position: np.ndarray | None
 
     def entries(self, mask: np.ndarray | None) -> Iterator[Entry]:
         """The block's records, or those ``mask`` keeps, as entries."""
-        phase, kind = repeat(self.phase), repeat(self.kind)
-        if self.kind == BROADCAST:
-            return map(Entry, phase, kind, self.sender, repeat(None), self.bits, self.position)
-        sender, receiver, bits = self.sender, self.receiver, self.bits
-        if mask is not None:
-            sender, receiver, bits = sender[mask], receiver[mask], bits[mask]
-        if bits.dtype.kind != "U":
-            bits = _BIT_CHARS[bits]
-        return map(Entry, phase, kind, sender.tolist(), receiver.tolist(), bits.tolist(), repeat(None))
-
-
-def _bit_count(payloads: list) -> int:
-    """Total length of ``payloads``; ProtocolError unless each is a
-    non-empty '0'/'1' string."""
-    if not all(isinstance(b, str) and b for b in payloads) or set("".join(payloads)) - {"0", "1"}:
-        bad = next(b for b in payloads if not isinstance(b, str) or not b or set(b) - {"0", "1"})
-        raise ProtocolError(f"payload must be a non-empty '0'/'1' string, got {bad!r}")
-    return sum(map(len, payloads))
+        keep = slice(None) if mask is None else mask
+        phase, sender, bits = self.phase[keep].tolist(), self.sender[keep].tolist(), (self.bits[keep] + 2).tolist()
+        receiver, position = (repeat(None) if c is None else c[keep].tolist() for c in (self.receiver, self.position))
+        return map(Entry, phase, repeat(self.kind), sender, receiver, [bin(c)[3:] for c in bits], position)
 
 
 class Transcript(Sequence):
@@ -213,18 +225,20 @@ class Network:
         self._blocks: list[_Block] = []
         self.counters = ChannelCounters()
 
-    def _out_of_range(self, party: int) -> ProtocolError:
-        return ProtocolError(f"party {party} out of range for n={self.n}")
+    def _check_range(self, parties) -> None:
+        """ProtocolError unless each of ``parties``, a list or array of ints, is in range."""
+        if len(parties) and np.asarray(parties, dtype=np.intp).view(np.uintp).max() >= self.n:  # negatives wrap to large
+            raise ProtocolError(f"party {next(p for p in parties if not 0 <= p < self.n)} out of range for n={self.n}")
 
     @property
     def transcript(self) -> Transcript:
         return Transcript(self._blocks)
 
-    def send_block(self, senders, receivers, bits, phase: str, kept=False) -> None:
+    def send_block(self, senders, receivers, bits, phase, kept=False) -> None:
         """Uses of the private pairwise channels, one block of messages:
         message i goes ``senders[i]`` -> ``receivers[i]`` carrying ``bits[i]``,
         from an integer array of 0/1 (a table is read in C order) or a
-        sequence of '0'/'1' strings.
+        sequence of '0'/'1' strings, in ``phase`` (a string, or one per message).
 
         ``kept`` (a bool, or one per message) marks the shares a party deals
         to itself in an XOR-share round: a kept share has sender == receiver
@@ -239,16 +253,11 @@ class Network:
             bits = bits.reshape(-1).copy()
             if np.count_nonzero(bits & ~bits.dtype.type(1)):
                 raise ProtocolError(f"bit payloads must be 0 or 1, got {sorted(set(bits.tolist()))}")
-            size = len(bits)
         else:
-            bits = list(bits)
-            size = _bit_count(bits)
-            bits = np.array(bits, dtype=str)
+            bits = _codes(bits)
         if not len(bits) == len(senders) == len(receivers):
             raise ProtocolError("a block needs one sender, receiver and payload per message")
-        for parties in (senders, receivers):
-            if len(parties) and parties.view(np.uintp).max() >= self.n:
-                raise self._out_of_range(next(p for p in parties.tolist() if not 0 <= p < self.n))
+        self._check_range(np.concatenate([senders, receivers]))
         wrong = (senders == receivers) != kept
         if np.count_nonzero(wrong):
             first = np.flatnonzero(wrong)[0]
@@ -256,9 +265,10 @@ class Network:
             if sender == receiver:
                 raise ProtocolError(f"party {sender} cannot send to itself; use keep_share")
             raise ProtocolError(f"party {sender} keeps a share that goes to party {receiver}")
-        if size:
-            self._blocks.append(_Block(phase, PRIVATE, senders, receivers, bits, None))
-        self.counters.private_bits_sent += size
+        if len(bits):
+            phase = np.broadcast_to(np.array(phase, dtype=object), len(bits))
+            self._blocks.append(_Block(PRIVATE, phase, senders, receivers, bits, None))
+        self.counters.private_bits_sent += _bit_count(bits)
 
     def send_private(self, sender: int, receiver: int, bits: str, phase: str) -> None:
         """One use of the private pairwise channel sender -> receiver."""
@@ -267,6 +277,51 @@ class Network:
     def keep_share(self, party: int, bits: str, phase: str) -> None:
         """Record the share a party deals to itself in an XOR-share round."""
         self.send_block([party], [party], (bits,), phase, kept=True)
+
+    def broadcast_rounds(self, phases: Sequence[str], bits, expected: Iterable[int] | None = None) -> list:
+        """Broadcast rounds as one block; all parties see the same ordered
+        content. Round r, in phase ``phases[r]``, is row r of ``bits``, an
+        (rounds, n + 1) integer table of payload codes by announcer, -1 for
+        none; announcer n is the public randomness source, which announces
+        alone. A party round's order is a fresh uniform permutation of its
+        announcers: one ``permuted`` call makes every round's, the draws of one
+        ``permutation`` per round, so party rounds need one announcer count. At
+        the first party round that misses a party of ``expected``, the rounds
+        before it are recorded and a ChannelAbort counts them. Returns the
+        recorded senders, None for the public source.
+        """
+        bits = np.asarray(bits)
+        if bits.dtype.kind not in "iu" or bits.shape != (len(phases), self.n + 1) or bits.min(initial=0) < -1:
+            raise ProtocolError("a broadcast block takes a (rounds, n + 1) table of payload codes, -1 for none")
+        said = bits >= 0
+        party = ~said[:, -1]
+        if said[~party, :-1].any():
+            raise ProtocolError("the public source announces alone")
+        rounds = len(bits)
+        if expected is not None:
+            expected = sorted(expected)
+            self._check_range(expected)
+            short = (party & ~said[:, expected].all(axis=1)).nonzero()[0]
+            rounds = int(short[0]) if len(short) else rounds
+        said, party = said[:rounds], party[:rounds]
+        row, sender = said.nonzero()  # the records, by round, announcers ascending
+        counts = said.sum(axis=1)
+        start = counts.cumsum() - counts
+        k = counts[party]
+        if (k != k[:1]).any():
+            raise ProtocolError("the party rounds of a broadcast block need one announcer count")
+        slots = start[party][:, None] + np.arange(k.max(initial=0))  # each party round's records
+        sender[slots] = sender[self._rng.permuted(slots, axis=1)]
+        codes, public = bits[row, sender], sender.astype(object)
+        public[sender == self.n] = None
+        if len(codes):
+            phase = np.array(phases[:rounds], dtype=object).repeat(counts)
+            self._blocks.append(_Block(BROADCAST, phase, public, None, codes, np.arange(len(codes)) - start[row]))
+        self.counters.broadcast_bits_sent += _bit_count(codes)
+        if rounds < len(bits):
+            missing = [p for p in expected if bits[rounds, p] < 0]
+            raise ChannelAbort(f"parties {missing} did not announce in time ({phases[rounds]})", rounds)
+        return public.tolist()
 
     def broadcast_round(
         self,
@@ -278,29 +333,19 @@ class Network:
 
         Announcement order is a fresh uniform permutation of the announcers.
         If any party in ``expected`` fails to announce, the round aborts.
+        This is the one-round case of ``broadcast_rounds``.
         """
-        if expected is not None:
-            missing = sorted(set(expected) - set(announcements))
-            if missing:
-                raise ChannelAbort(f"parties {missing} did not announce in time ({phase})")
         announcers = sorted(announcements)
-        for party in announcers[:1] + announcers[-1:]:  # the extremes bound every announcer
-            if not 0 <= party < self.n:
-                raise self._out_of_range(party)
-        payloads = [announcements[p] for p in announcers]
-        size = _bit_count(payloads)
-        order = self._rng.permutation(len(announcers)).tolist()
-        parties, payloads = [announcers[i] for i in order], [payloads[i] for i in order]
-        if size:
-            self._blocks.append(_Block(phase, BROADCAST, parties, None, payloads, range(len(parties))))
-        self.counters.broadcast_bits_sent += size
-        return list(zip(parties, payloads))
+        self._check_range(announcers)
+        row = np.full((1, self.n + 1), -1)
+        row[0, announcers] = _codes(announcements[p] for p in announcers)
+        return [(p, announcements[p]) for p in self.broadcast_rounds([phase], row, expected)]
 
     def broadcast_public(self, bits: str, phase: str) -> None:
         """A broadcast from the neutral public randomness source (no party)."""
-        size = _bit_count([bits])
-        self._blocks.append(_Block(phase, BROADCAST, [None], None, [bits], [0]))
-        self.counters.broadcast_bits_sent += size
+        row = np.full((1, self.n + 1), -1)
+        row[0, -1] = _codes([bits])[0]
+        self.broadcast_rounds([phase], row)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ test, each a pure function of the draws it is given: only ``carve_draws``,
 are their one-row case plus a broadcast. ``_queued`` joins batches of about
 1 MB and makes each batch's draws as if it ran alone; an ``avka`` queue is
 one carve (rounds that share a state are one tree, run on the support from
-13 qubits up when no state has three nonzero amplitudes), one Z readout and
-one parity test, then each round's broadcasts in round order. ``analysis``
+13 qubits up when no state has three nonzero amplitudes), one Z readout,
+one parity test and one block of its rounds' broadcasts. ``analysis``
 calls the steps with many rows, exhaustive tests with uniforms of -1 and 2.
 
 Party i holds qubit i of each source state. All participant-ordered tuples
@@ -36,12 +36,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .netmodel import ChannelAbort, Network, RoleAssignment
+from .netmodel import ChannelAbort, Network, RoleAssignment, payload_codes
 from .qsim import Basis, NoiseEnsemble, StateVector, _measure_kernel, _pair_support, measure_string, sample_ensemble
 from .rng import RngBundle
 
 VERIFICATION_ROUND = "verification"
 KEYGEN_ROUND = "keygen"
+_STEPS = ("ame:announce", "coin", "verify:announce")  # an avka round's broadcast phases, in order
 
 # Bytes per batch and per queue: a batch holds 2^20 / (16 * 2^n) rounds or shots
 # (16 bytes per amplitude) or 2^20 / n^3 notifications (one int8 per share bit).
@@ -217,20 +218,19 @@ def notification(roles: RoleAssignment, net: Network, rng: RngBundle) -> Notific
     with even parity, except Alice, whose row parity encodes whether i is a
     receiver. Each party then returns the XOR of the column it received to
     party i, who recovers the membership bit exactly. This is the one-run
-    case of ``deal_shares``; it records on ``net`` one block per target for
-    the dealt table (dealer-major, kept shares on the diagonal) and one for
+    case of ``deal_shares``; it records its run on ``net`` as one block: per
+    target, the dealt table (dealer-major, kept shares on the diagonal), then
     the returned partials.
     """
     n = roles.n
     (shares,) = deal_shares(roles, rng, 1)
     partials = np.bitwise_xor.reduce(shares, axis=1)
-    parties = np.arange(n)
-    dealers, holders = np.repeat(parties, n), np.tile(parties, n)
-    diagonal = dealers == holders
-    for target in range(n):
-        phase = f"notify[target={target}]"
-        net.send_block(dealers, holders, shares[target], f"{phase}:shares", kept=diagonal)
-        net.send_block(parties, np.full(n, target), partials[target], f"{phase}:partials", kept=parties == target)
+    target, dealer, holder = np.indices((n, n, n))  # per target: the shares, dealer-major, then the partials
+    senders = np.hstack([dealer.reshape(n, -1), holder[:, 0]]).ravel()
+    receivers = np.hstack([holder.reshape(n, -1), target[:, 0]]).ravel()
+    phases = np.array([f"notify[target={t}]:{step}" for t in range(n) for step in ("shares", "partials")], dtype=object)
+    phase = phases.repeat([n * n, n] * n)
+    net.send_block(senders, receivers, np.hstack([shares.reshape(n, -1), partials]), phase, kept=senders == receivers)
     notified = np.bitwise_xor.reduce(partials, axis=1)
     return NotificationOutcome(notified=tuple(int(b) for b in notified), shares=shares)
 
@@ -468,14 +468,6 @@ def parity_measure(amps: np.ndarray, holders: tuple[int, ...], verifier: int, dr
     return ParityRound(bits, results, placeholders, probability, _parity_test(bits.T, results.T))
 
 
-def _test_announcements(holders, verifier: int, bases, outcomes, pair) -> dict[int, str]:
-    """A parity test's broadcast: every holder but the verifier announces
-    (basis, outcome), the verifier its placeholder pair."""
-    announcements = {p: f"{b}{o}" for p, b, o in zip(holders, bases, outcomes) if p != verifier}
-    announcements[verifier] = f"{pair[0]}{pair[1]}"
-    return announcements
-
-
 def verification(
     state: StateVector,
     verifier: int,
@@ -498,11 +490,9 @@ def verification(
     draws = parity_draws(tuple(range(k)), verifier, rng, 1)
     bits, results, placeholders, _, accepted = parity_measure(state.amplitudes[None], tuple(range(k)), verifier, draws)
     bits, results = bits[0].tolist(), results[0].tolist()
-    net.broadcast_round(
-        _test_announcements(range(k), verifier, bits, results, placeholders[0].tolist()),
-        phase="verify:announce",
-        expected=range(k),
-    )
+    announcements = {p: f"{b}{o}" for p, (b, o) in enumerate(zip(bits, results))}
+    announcements[verifier] = "".join(map(str, placeholders[0].tolist()))  # in place of its basis and outcome
+    net.broadcast_round(announcements, phase="verify:announce", expected=range(k))
     return VerificationRecord(basis_bits=tuple(bits), outcomes=tuple(results), accepted=bool(accepted[0]))
 
 
@@ -543,9 +533,9 @@ def avka(
     each batch's draws as if it ran alone, and joins batches in queues. A
     queue makes one ``carve`` (rounds that share a state are one tree), one Z
     readout of its keygen rows and one ``parity_measure`` of its verification
-    rows. Then each round broadcasts in round order, as the per-party ``ame``
-    and ``verification`` do; a round that aborts ends the run (its queue's
-    later rounds, and the next batch's states, are drawn by then).
+    rows, then records its rounds' broadcasts with one ``broadcast_rounds``
+    call. A round that aborts ends the run, which keeps the rounds before it
+    (its queue's later rounds, and the next batch's states, are drawn by then).
 
     ``withholder`` injects a bystander that skips its ame measurement and
     later measures its kept qubit in ``withholder_basis`` during keygen
@@ -584,36 +574,40 @@ def avka(
 
     rounds: list[AvkaRound] = []
     guesses: list[int] = []
-    # Failure records read ``index``: the queue's first round while ``_queued``
-    # draws it and it is carved, then the round being broadcast.
-    aborted, index, done = False, 0, 0
-    try:
-        _check_notified(roles, notification(roles, net, rng).notified)
-        queues = _queued([(source, num_states)], rng.source, round_bytes, draw)
-        support = source._support if isinstance(source, StateVector) else None  # a mixture's, per queue in carve
-        for states, rows, (coins, uniforms, keygen, readout, bases, test_uniforms, placeholders, *pairs) in queues:
-            announced, _, _, carved = carve(states, rows, roles, (coins, uniforms), withholding=withholding, support=support)
-            readouts = iter(measure_string(carved[keygen], readout_ops, uniforms=readout)[0].tolist())
-            test = parity_measure(carved[~keygen], order, roles.alice, ParityDraws(bases, test_uniforms, placeholders))
-            tests = zip(*(c.tolist() for c in (test.bases, test.outcomes, test.placeholders, test.accepted, *pairs)))
-            for index, row, is_keygen in zip(range(done, done + len(rows)), announced.tolist(), keygen.tolist()):
-                phase = f"round[{index}]"
-                net.broadcast_round(dict(enumerate(map(str, row))), phase=f"{phase}:ame:announce", expected=range(roles.n))
-                net.broadcast_public(str(int(is_keygen)), phase=f"{phase}:coin")
-                if is_keygen:
-                    readout = next(readouts)
-                    guesses += readout[m1:]
-                    rounds.append(AvkaRound(KEYGEN_ROUND, keygen_bits=tuple(readout[:m1])))
-                else:
-                    bases, outcomes, pair, accepted, *bystander_pairs = next(tests)
-                    announcements = _test_announcements(order, roles.alice, bases, outcomes, pair)
-                    announcements.update((p, f"{a}{b}") for p, (a, b) in zip(pair_rngs, bystander_pairs))
-                    net.broadcast_round(announcements, phase=f"{phase}:verify:announce", expected=tuple(announcements))
-                    record = VerificationRecord(basis_bits=tuple(bases), outcomes=tuple(outcomes), accepted=accepted)
-                    rounds.append(AvkaRound(VERIFICATION_ROUND, verification=record))
-            index = done = done + len(rows)
-    except ChannelAbort:
-        aborted = True
+    # Failure records read ``index``, the first round of the queue being drawn, carved or broadcast.
+    aborted, index = False, 0
+    _check_notified(roles, notification(roles, net, rng).notified)
+    queues = _queued([(source, num_states)], rng.source, round_bytes, draw)
+    support = source._support if isinstance(source, StateVector) else None  # a mixture's, per queue in carve
+    for states, rows, (coins, uniforms, keygen, readout, bases, test_uniforms, placeholders, *pairs) in queues:
+        announced, _, _, carved = carve(states, rows, roles, (coins, uniforms), withholding=withholding, support=support)
+        readouts = measure_string(carved[keygen], readout_ops, uniforms=readout)[0]
+        test = parity_measure(carved[~keygen], order, roles.alice, ParityDraws(bases, test_uniforms, placeholders))
+        # A round's block rows: its ame announcements, its coin, then a verification round's test.
+        steps = 3 - keygen
+        ends = steps.cumsum()
+        table = np.full((ends[-1], roles.n + 1), -1)
+        table[ends - steps, :-1], table[ends - steps + 1, -1] = announced, keygen
+        tested = np.empty((len(test.accepted), roles.n, 2), dtype=np.int64)  # each party's two bits
+        tested[:, order] = np.stack([test.bases, test.outcomes], axis=-1)
+        tested[:, [roles.alice, *pair_rngs]] = np.stack([test.placeholders, *pairs], axis=1)
+        table[ends[~keygen] - 1, :-1] = payload_codes(tested[..., 0], tested[..., 1])
+        phases = [f"round[{i}]:{step}" for i, s in enumerate(steps.tolist(), index) for step in _STEPS[:s]]
+        try:
+            net.broadcast_rounds(phases, table, expected=range(roles.n))
+        except ChannelAbort as abort:  # keep the rounds it recorded in full
+            aborted, keygen = True, keygen[: np.count_nonzero(ends <= abort.rounds)]
+        keys = map(tuple, readouts[:, :m1].tolist())
+        basis_bits, outcomes = (map(tuple, c.tolist()) for c in (test.bases, test.outcomes))
+        tests = map(VerificationRecord, basis_bits, outcomes, test.accepted.tolist())
+        rounds += [
+            AvkaRound(KEYGEN_ROUND, keygen_bits=next(keys)) if key else AvkaRound(VERIFICATION_ROUND, verification=next(tests))
+            for key in keygen.tolist()
+        ]
+        guesses += readouts[: np.count_nonzero(keygen), m1:].ravel().tolist()
+        if aborted:
+            break
+        index += len(rows)
 
     validated = not aborted and all(
         r.verification.accepted for r in rounds if r.round_type == VERIFICATION_ROUND

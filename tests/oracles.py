@@ -450,12 +450,22 @@ def experiment_hits_by_batch(fidelity_target: float, trials: int, rng: np.random
     return counts
 
 
+def _test_announcements(holders, verifier: int, bases, outcomes, pair) -> dict[int, str]:
+    """A parity test's broadcast: every holder but the verifier announces
+    (basis, outcome), the verifier its placeholder pair."""
+    announcements = {p: f"{b}{o}" for p, b, o in zip(holders, bases, outcomes) if p != verifier}
+    announcements[verifier] = f"{pair[0]}{pair[1]}"
+    return announcements
+
+
 def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, rng, *, withholder=None, withholder_basis=None):
     """``protocols.avka`` as it ran before batches were queued: per batch of
     rounds, one draw of source rows, one ``carve`` of one row per round, one
     array of coins, one Z readout and one parity test (``parity_draws``,
-    then ``parity_measure``), then the rounds' broadcasts. This is a reference for the queue, not an independent
-    oracle; it leaves ``rng``'s streams and ``net`` where that loop does."""
+    then ``parity_measure``), then the rounds' broadcasts, one ``broadcast_round``
+    or ``broadcast_public`` call each. This is a reference for the queue and its
+    broadcast blocks, not an independent oracle; it leaves ``rng``'s streams and
+    ``net`` where that loop does."""
     from anoncka.netmodel import ChannelAbort
     from anoncka.protocols import (
         KEYGEN_ROUND,
@@ -464,7 +474,6 @@ def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, 
         AvkaRound,
         VerificationRecord,
         _check_notified,
-        _test_announcements,
         carve,
         carve_draws,
         notification,

@@ -38,8 +38,8 @@ def test_benchmark_tracer_wraps_and_restores_the_traced_functions(monkeypatch):
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_failure_records_name_the_avka_round(rows, monkeypatch):
-    """A failure while a batch is carved names the batch's first round; a
-    failure in a round's broadcasts names that round."""
+    """A failure while a queue is carved or broadcast names the queue's first
+    round; the broadcast's error text names the failing round's phase."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import describe_exception
 
@@ -53,7 +53,7 @@ def test_failure_records_name_the_avka_round(rows, monkeypatch):
             fail(patch)
             with pytest.raises(ValueError, match="injected") as info:
                 protocols.avka(roles, 10, 2, qsim.ghz_state(4), net, bundle)
-        return describe_exception(info.value)["round"]
+        return describe_exception(info.value)
 
     carve, carves = protocols.carve, []
 
@@ -63,16 +63,19 @@ def test_failure_records_name_the_avka_round(rows, monkeypatch):
             raise ValueError("injected")
         return carve(*args, **kwargs)
 
-    assert failing_run(lambda patch: patch.setattr(protocols, "carve", third_carve_fails)) == 2 * rows
+    assert failing_run(lambda patch: patch.setattr(protocols, "carve", third_carve_fails))["round"] == 2 * rows
 
-    broadcast = Network.broadcast_round
+    broadcast = Network.broadcast_rounds
 
-    def round_5_fails(self, *args, **kwargs):
-        if kwargs["phase"].startswith("round[5]"):
-            raise ValueError("injected")
-        return broadcast(self, *args, **kwargs)
+    def round_5_fails(self, phases, *args, **kwargs):
+        failing = [phase for phase in phases if phase.startswith("round[5]")]
+        if failing:
+            raise ValueError(f"injected in {failing[0]}")
+        return broadcast(self, phases, *args, **kwargs)
 
-    assert failing_run(lambda patch: patch.setattr(Network, "broadcast_round", round_5_fails)) == 5
+    record = failing_run(lambda patch: patch.setattr(Network, "broadcast_rounds", round_5_fails))
+    assert record["round"] == 5 // rows * rows  # the queue's first round: 5 at rows=1, 3 at rows=3
+    assert "round[5]:ame:announce" in record["error"]
 
 
 @pytest.mark.parametrize("rows", [1, 3])

@@ -105,6 +105,47 @@ def test_broadcast_positions_form_permutation():
     assert sorted(e.position for e in net.transcript) == list(range(5))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 16, 17])
+@pytest.mark.parametrize("rounds", [0, 1, 7, 50])
+def test_one_permuted_call_draws_one_permutation_per_round(k, rounds):
+    # ``broadcast_rounds`` shuffles the record slots of a block's party rounds
+    # with one ``permuted`` call; the pinned transcripts hold only while that
+    # makes the draws of one ``permutation`` per round and leaves the stream
+    # where they would
+    tiled = np.tile(np.arange(k), (rounds, 1))
+    for table in (tiled, tiled + k * np.arange(rounds)[:, None]):
+        block, by_round = np.random.default_rng(k + 100 * rounds), np.random.default_rng(k + 100 * rounds)
+        shuffled = block.permuted(table, axis=1)
+        assert shuffled.tolist() == [row[by_round.permutation(k)].tolist() for row in table]
+        assert block.bit_generator.state == by_round.bit_generator.state
+
+
+def test_broadcast_rounds_equal_round_by_round_broadcasts_up_to_a_short_round():
+    # n=3; column 3 is the public source; round "c" misses party 1
+    phases = ["a", "coin", "b", "c", "d"]
+    codes = [[0, 1, 1, -1], [-1, -1, -1, 1], [5, 2, 0, -1], [1, -1, 0, -1], [0, 0, 0, -1]]
+    block, by_round = Network(3, np.random.default_rng(4)), Network(3, np.random.default_rng(4))
+    with pytest.raises(ChannelAbort, match=r"\[1\] did not announce in time \(c\)") as info:
+        block.broadcast_rounds(phases, np.array(codes), expected=range(3))
+    assert info.value.rounds == 3
+    by_round.broadcast_round({0: "0", 1: "1", 2: "1"}, "a")
+    by_round.broadcast_public("1", "coin")
+    by_round.broadcast_round({0: "11", 1: "00", 2: "0"}, "b")
+    assert block.transcript == by_round.transcript and block.counters == by_round.counters
+    assert block._rng.bit_generator.state == by_round._rng.bit_generator.state
+    assert netmodel.payload_codes(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])).tolist() == [2, 4, 3, 5]
+    bad_tables = [
+        [[0, 0, 0, 1]],  # the public source with parties
+        [[0, 0, -1, -1], [0, 0, 0, -1]],  # party rounds of two announcer counts
+        [[0, -2, 0, -1]],  # a code below -1
+        [[0, 0, 0]],  # no public column
+    ]
+    for bad in bad_tables:
+        with pytest.raises(ProtocolError):
+            block.broadcast_rounds(["p"] * len(bad), np.array(bad))
+    assert block.transcript == by_round.transcript
+
+
 def test_withheld_announcement_aborts():
     net = Network(3, np.random.default_rng(0))
     with pytest.raises(ChannelAbort, match=r"\[2\]"):

@@ -564,11 +564,13 @@ def test_avka_abort_recorded():
     class DropOnce(Network):
         dropped = False
 
-        def broadcast_round(self, announcements, phase, expected=None):
-            if phase.startswith("round[5]") and not self.dropped:
+        def broadcast_rounds(self, phases, bits, expected=None):
+            fifth = [row for row, phase in enumerate(phases) if phase.startswith("round[5]")]
+            if fifth and not self.dropped:  # party 3 stays silent in round 5's first broadcast
                 self.dropped = True
-                announcements = {p: b for p, b in announcements.items() if p != 3}
-            return super().broadcast_round(announcements, phase, expected)
+                bits = np.array(bits)
+                bits[fifth[0], 3] = -1
+            return super().broadcast_rounds(phases, bits, expected)
 
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     bundle = RngBundle.from_seed(25, 4)
@@ -576,6 +578,55 @@ def test_avka_abort_recorded():
     result = avka(roles, 20, 2, ghz_state(4), net, bundle)
     assert result.aborted and not result.validated
     assert len(result.rounds) == 5
+    recorded = {int(e.phase[6 : e.phase.index("]")]) for e in net.transcript if e.phase.startswith("round[")}
+    assert recorded == set(range(5))
+
+
+@pytest.mark.parametrize("silent_in", ["round[4]:ame:announce", "round[5]:verify:announce", "round[6]:verify:announce"])
+def test_avka_abort_matches_the_round_by_round_reference(silent_in, monkeypatch):
+    # three rounds per queue at n=4, so the abort falls inside a queue's block;
+    # party 3's silence in a verification step keeps that round's ame and coin
+    # records but not the round, as the per-round broadcasts of the reference do
+    monkeypatch.setattr(protocols, "_BATCH_BYTES", 3 * 16 * 2**4)
+
+    class PerRound(Network):
+        def broadcast_round(self, announcements, phase, expected=None):
+            silent = {p: b for p, b in announcements.items() if p != 3}
+            return super().broadcast_round(silent if phase == silent_in else announcements, phase, expected)
+
+    class Block(Network):
+        def broadcast_rounds(self, phases, bits, expected=None):
+            if silent_in in phases:
+                bits = np.array(bits)
+                bits[phases.index(silent_in), 3] = -1
+            return super().broadcast_rounds(phases, bits, expected)
+
+    roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
+    runs = []
+    for run, network in ((avka_batch_by_batch, PerRound), (avka, Block)):
+        bundle = RngBundle.from_seed(25, 4)
+        net = network(4, bundle.network)
+        runs.append((run(roles, 12, 2, ghz_state(4), net, bundle), net.transcript, net.counters, bundle.network.bit_generator.state))
+    assert runs[0] == runs[1]
+    assert runs[1][0].aborted and len(runs[1][0].rounds) == int(silent_in[6])  # the rounds before the silent one
+
+
+def test_avka_records_each_protocol_step_as_one_block(monkeypatch):
+    # n=16, L=16 is one queue: the notification is one send_block call and
+    # the rounds' broadcasts one broadcast_rounds call, none per round
+    calls = {name: 0 for name in ("send_block", "broadcast_round", "broadcast_rounds")}
+    for name in calls:
+
+        def counted(self, *args, _name=name, _method=getattr(Network, name), **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, name, counted)
+    roles = RoleAssignment(n=16, alice=0, receivers=frozenset({1, 2}))
+    net, bundle = fresh(5, 16)
+    result = avka(roles, 16, 4, ghz_state(16), net, bundle)
+    assert len(result.rounds) == 16 and not result.aborted
+    assert calls == {"send_block": 1, "broadcast_round": 0, "broadcast_rounds": 1}
 
 
 @pytest.mark.parametrize("withholder", [None, 3])
