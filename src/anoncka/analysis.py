@@ -72,7 +72,7 @@ def check_theorem1(
     ``_queued`` draws each state's shots in batches of ``parity_draws``
     (each party from its own stream of one bundle spawned from ``rng``,
     mixtures from its source stream) and joins them across states; one
-    ``parity_measure`` runs each queue's rows, ``states[index]``.
+    ``parity_measure`` runs each queue's shots through its ``index``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -87,11 +87,11 @@ def check_theorem1(
     holders = tuple(range(k))
     accepted = np.zeros(len(state_family), dtype=np.int64)
     done = 0
-    # A queued shot holds its gathered row and two 8-byte draws per holder.
+    # A queued shot may hold a kept row of its own and two 8-byte draws per holder.
     family = ((entry, trials) for entry in state_family)
     queues = _queued(family, bundle.source, 16 * 2**k + 16 * k, lambda shots: parity_draws(holders, 0, bundle, shots))
     for states, index, drawn in queues:
-        verdicts = parity_measure(states[index], holders, 0, ParityDraws(*drawn)).accepted
+        verdicts = parity_measure(states, holders, 0, ParityDraws(*drawn), index).accepted
         np.add.at(accepted, np.arange(done, done + len(index)) // trials, verdicts)
         done += len(index)
 
@@ -504,7 +504,7 @@ def reproduce_experiment(
             [(ensemble, trials)], rng, 16 * 2**4 + 8 * len(ops), lambda shots: (rng.random((len(ops), shots)).T,)
         )
         for states, index, (uniforms,) in queues:
-            total += int(success(measure_string(states[index], ops, uniforms)[0]).sum())
+            total += int(success(measure_string(states, ops, uniforms, index)[0]).sum())
         return total
 
     stats = []

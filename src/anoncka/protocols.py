@@ -446,23 +446,36 @@ def parity_draws(holders: tuple[int, ...], verifier: int, bundle: RngBundle, row
     return ParityDraws(bits, draws, placeholders)
 
 
-def parity_measure(amps: np.ndarray, holders: tuple[int, ...], verifier: int, draws: ParityDraws) -> ParityRound:
+def parity_measure(
+    amps: np.ndarray, holders: tuple[int, ...], verifier: int, draws: ParityDraws, index: np.ndarray | None = None
+) -> ParityRound:
     """The even-Y X/Y parity test with ``draws`` (those of ``parity_draws``)
     on each row of a (rows, 2^q) amplitude array in which party
     ``holders[i]`` holds qubit i. The holders measure in ``holders`` order,
     the verifier last, and qubits past the holders (kept by a withholder)
     stay unmeasured. A uniform of -1 or 2 forces outcome 0 or 1, for
-    enumerating branches; a forced impossible branch raises ValueError.
+    enumerating branches; a forced impossible branch raises ValueError. With
+    the kernel's ``index``, round i reads ``amps[index[i]]``: each column
+    measures each distinct (row, basis bit) pair once per outcome, gathering
+    rows only when one is drawn in both bases, and gives ``amps[index]``'s bits.
     """
     bits, uniforms, placeholders = draws
-    rows, k = len(amps), len(holders)
+    rows, k = len(bits), len(holders)
     results = np.empty((rows, k), dtype=np.int8)
     probability = np.ones(rows)
     remaining = list(holders)
     last = holders.index(verifier)
     for column in (*(c for c in range(k) if c != last), last):
         qubit = remaining.index(holders[column])
-        results[:, column], prob, amps = _measure_kernel(amps, qubit, bits[:, column], uniforms[:, column])
+        if index is None:
+            results[:, column], prob, amps = _measure_kernel(amps, qubit, bits[:, column], uniforms[:, column])
+        else:
+            keys = index * 2 + bits[:, column]
+            drawn = np.zeros(2 * len(amps), dtype=bool)  # (row, basis bit) pairs: np.unique without its sort
+            drawn[keys] = True
+            pairs, index = np.flatnonzero(drawn), np.cumsum(drawn)[keys] - 1
+            amps = amps if np.array_equal(pairs >> 1, np.arange(len(amps))) else amps[pairs >> 1]
+            results[:, column], prob, amps, index = _measure_kernel(amps, qubit, pairs & 1, uniforms[:, column], index)
         probability *= prob
         remaining.pop(qubit)
     return ParityRound(bits, results, placeholders, probability, _parity_test(bits.T, results.T))

@@ -233,9 +233,9 @@ def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: n
     ((a + b*0)/c, (b - a*0)/c), and the multiply gives those bits, signed
     zeros included, in a cheaper loop.
 
-    ``index`` (one Basis only) makes the rows distinct states, each drawn at
-    least once: draw i measures ``amps[index[i]]``; without one, every row is
-    its own state, drawn once. Branch 0 and its probability are computed once
+    ``index`` makes the rows distinct states, each drawn at least once: draw i
+    measures ``amps[index[i]]``, in that row's basis; without one, every row
+    is its own state, drawn once. Branch 0 and its probability are computed once
     per state, in one buffer. A state whose draws all take outcome 1 gets that
     branch in its own row, through one row mask; the states whose draws take
     both outcomes (at most draws - states) add their outcome-1 branches as
@@ -249,8 +249,6 @@ def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: n
     if isinstance(basis, (str, Basis)):
         basis = Basis(basis)
         equatorial, phase = basis is not Basis.Z, -1j if basis is Basis.Y else None
-    elif index is not None:
-        raise ValueError("an index needs one basis for every draw")
     else:
         ybits = np.asarray(basis)
         if ybits.shape != (shots,):
@@ -289,21 +287,22 @@ def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: n
     count = np.count_nonzero(alone)
     if count:  # built in those states' rows, with no copies of z0, z1
         prob = np.vecdot(_branch(z0, z1, equatorial, 1, vec, where=alone if count < shots else True), vec).real
+    rows = index  # each draw's kept row
     if len(split):
         row1 = np.arange(shots)  # each state's outcome-1 row; a split adds one after the states
         row1[split] = shots + np.arange(len(split))
-        vec, index = buffer[: shots + len(split)], np.where(ones, row1[index], index)
+        vec, rows = buffer[: shots + len(split)], np.where(ones, row1[index], index)
         _branch(z0[split], z1[split], equatorial, 1, vec[shots:])
         prob = np.concatenate((prob, np.vecdot(vec[shots:], vec[shots:]).real))
-    drawn = prob if index is None else prob[index]
+    drawn = prob if index is None else prob[rows]
     impossible = drawn < _BRANCH_EPS
     if np.count_nonzero(impossible):
         i = int(np.argmax(impossible))
-        name = basis.value if isinstance(basis, Basis) else "XY"[int(ys[i])]
+        name = basis.value if isinstance(basis, Basis) else "XY"[int(ys[i if index is None else index[i]])]
         raise ValueError(f"branch (qubit={qubit}, basis={name}, outcome={outcomes[i]}) has probability ~0")
     vec *= np.reciprocal(np.sqrt(prob), dtype=complex)[:, None]
     _check_unit_norms(vec)
-    return (outcomes, drawn, vec) if index is None else (outcomes, drawn, vec, index)
+    return (outcomes, drawn, vec) if index is None else (outcomes, drawn, vec, rows)
 
 
 def measure(
@@ -319,17 +318,20 @@ def measure(
     return int(outcomes[0]), StateVector._checked(s.n_qubits - 1, post[0])
 
 
-def measure_string(amps: np.ndarray, ops: str, uniforms: np.ndarray):
+def measure_string(amps: np.ndarray, ops: str, uniforms: np.ndarray, index: np.ndarray | None = None):
     """Measure qubit 0 of every row of a (shots, 2^n) amplitude array once
     per character of ``ops`` (``X``, ``Y`` or ``Z``); every shot is measured
     in the same bases, column i with column i of ``uniforms``, a (shots, m)
     array of uniforms. Returns the (shots, m) outcome bits and the
-    (shots, 2^(n-m)) states of the qubits left unmeasured.
+    (shots, 2^(n-m)) states of the qubits left unmeasured. With the kernel's
+    ``index``, shot i reads ``amps[index[i]]``, each column measures each
+    distinct row once per outcome, and a third array gives each shot's row.
     """
-    bits = np.empty((len(amps), len(ops)), dtype=np.int8)
+    bits = np.empty((len(amps) if index is None else len(index), len(ops)), dtype=np.int8)
+    rows = () if index is None else (index,)  # the kernel's optional index, passed on and returned
     for i, (basis, u) in enumerate(zip(ops, uniforms.T, strict=True)):
-        bits[:, i], _, amps = _measure_kernel(amps, 0, basis, u=u)
-    return bits, amps
+        bits[:, i], _, amps, *rows = _measure_kernel(amps, 0, basis, u, *rows)
+    return bits, amps, *rows
 
 
 def reorder_qubits(s: StateVector, order: tuple[int, ...]) -> StateVector:

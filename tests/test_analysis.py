@@ -218,6 +218,21 @@ def test_check_theorem1_queue_stays_within_its_row_budget():
     assert peak < 6 * 2**20
 
 
+def test_check_theorem1_reads_its_states_through_the_index():
+    # At k=10 a queue is 64 shots of 16 KB rows of one state. Gathered one
+    # row per shot, a queue holds 1 MB; read through the index, each column
+    # keeps a few rows per (state, basis bit) pair.
+    family = [qsim.rotated_ghz(10, 0.3)]
+    check_theorem1(family, 10, np.random.default_rng(5))  # lazy imports and caches, outside the trace
+    tracemalloc.start()
+    try:
+        check_theorem1(family, 1000, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_monte_carlo_needs_a_trial():
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials"):

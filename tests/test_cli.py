@@ -615,6 +615,8 @@ ANONYMITY_RUNS = {
 }
 # theorem1 grids whose shots span several batches per state at k=10 and
 # several states per batch at k=2; no row with eps > 0 accepts every shot.
+# At k=6, Werner queues of many distinct states, and batches that split
+# across queues.
 THEOREM1_RUNS = {
     "theorem1_k10": {"n": 10, "trials": 150, "seed": 23, "theta_grid": [0.0, 1.0, 2.5], "fidelity_grid": [1.0, 0.6]},
     "theorem1_k2": {
@@ -624,9 +626,12 @@ THEOREM1_RUNS = {
         "theta_grid": [0.0, 0.6, 0.9, 1.2, 1.5, 1.8, 2.1, 2.4, 2.7, 3.14159265],
         "fidelity_grid": [1.0, 0.9, 0.8, 0.7, 0.6, 0.5],
     },
+    "theorem1_k6": {"n": 6, "trials": 777, "seed": 31, "theta_grid": [0.4, 2.9], "fidelity_grid": [0.95, 0.55]},
 }
+# An experiment whose trials are not a multiple of its 4096-shot batches.
+EXPERIMENT_RUNS = {"experiment_werner": {"fidelity": 0.7, "trials": 5000, "source": "werner", "seed": 31}}
 # (exit code, md5 of stdout) of each sample config, of N16_RUN, of SOURCE_RUNS,
-# of THEOREM1_RUNS, of QUEUE_RUNS and of ANONYMITY_RUNS.
+# of THEOREM1_RUNS, of EXPERIMENT_RUNS, of QUEUE_RUNS and of ANONYMITY_RUNS.
 PINNED_STDOUT = {
     "theorem1.json": (EXIT_OK, "48310bbf36dbac6b45d10e8026f2fa6a"),
     "anonymity.json": (EXIT_OK, "080f80ca6201c152e18e6a7709c14872"),
@@ -640,6 +645,8 @@ PINNED_STDOUT = {
     "ghz_prime_werner": (EXIT_REJECTED, "0680b26a33108373f72aeda5e17f225e"),
     "theorem1_k10": (EXIT_OK, "5169d17e7ccf8746828dd1b9c7d4c650"),
     "theorem1_k2": (EXIT_OK, "1b36ce4264f8ee772f366d102d97c2dd"),
+    "theorem1_k6": (EXIT_OK, "b71510ead24c396905c25b3a7a69a579"),
+    "experiment_werner": (EXIT_OK, "0bd99564fc5b06498d21a3097d5486b9"),
     "n14_withholding": (EXIT_REJECTED, "1ac87ca9036ecf7d132d8b687f83ef06"),
     "n16_withholding": (EXIT_REJECTED, "5fc69c84976b6c61cbce6283d76923b0"),
     "n16_werner": (EXIT_REJECTED, "f80dd32650b93fb2f52000624d7699b5"),
@@ -650,9 +657,9 @@ PINNED_STDOUT = {
 
 def test_sample_config_stdout_digests_are_pinned(tmp_path):
     """Same seed, same bytes: every sample config, one n=16 run, the
-    SOURCE_RUNS, the THEOREM1_RUNS, the QUEUE_RUNS and the ANONYMITY_RUNS
-    print exactly the stdout pinned in PINNED_STDOUT, with the pinned exit
-    code.
+    SOURCE_RUNS, the THEOREM1_RUNS, the EXPERIMENT_RUNS, the QUEUE_RUNS and
+    the ANONYMITY_RUNS print exactly the stdout pinned in PINNED_STDOUT, with
+    the pinned exit code.
 
     A change that alters RNG consumption (and so the printed numbers)
     updates the table and lists the changed outputs and fields in
@@ -663,6 +670,8 @@ def test_sample_config_stdout_digests_are_pinned(tmp_path):
         runs[name] = ("run", write_config(tmp_path, cfg, f"{name}.json"))
     for name, cfg in THEOREM1_RUNS.items():
         runs[name] = ("theorem1", write_config(tmp_path, cfg, f"{name}.json"))
+    for name, cfg in EXPERIMENT_RUNS.items():
+        runs[name] = ("experiment", write_config(tmp_path, cfg, f"{name}.json"))
     for name, cfg in QUEUE_RUNS.items():
         runs[name] = ("run", write_config(tmp_path, cfg, f"{name}.json"))
     for name, cfg in ANONYMITY_RUNS.items():

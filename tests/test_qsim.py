@@ -516,16 +516,20 @@ def test_kernel_rejects_uniforms_that_are_not_one_per_draw():
 def indexed_matches_one_call_per_draw(states, index, basis, levels, rng, forced=None):
     """Measure ``states`` through ``index`` down ``levels`` qubits, each
     draw next to its own chain of one-row calls with the same uniform or
-    forced outcome: outcomes, probabilities and kept bytes agree. Returns
-    the number of kept rows after each level."""
+    forced outcome: outcomes, probabilities and kept bytes agree. ``basis``
+    is a letter, or "XY" for random Y bits, one per kept row at each level.
+    Returns the number of kept rows after each level."""
     refs = [states[s][None] for s in index.tolist()]
     kept = []
     for level in range(levels):
         qubit = int(rng.integers(0, states.shape[1].bit_length() - 1))
         u = rng.random(len(index)) if forced is None else forcing(forced[level])
-        outcomes, probs, states, index = qsim._measure_kernel(states, qubit, basis, u, index)
+        ybits = rng.integers(0, 2, len(states)) if basis == "XY" else None
+        rows = index
+        outcomes, probs, states, index = qsim._measure_kernel(states, qubit, basis if ybits is None else ybits, u, index)
         for i, ref in enumerate(refs):
-            ref_outcome, ref_prob, refs[i] = qsim._measure_kernel(ref, qubit, basis, u[i : i + 1])
+            ref_basis = basis if ybits is None else ybits[rows[i] : rows[i] + 1]
+            ref_outcome, ref_prob, refs[i] = qsim._measure_kernel(ref, qubit, ref_basis, u[i : i + 1])
             assert outcomes[i] == ref_outcome[0]
             assert probs[i : i + 1].tobytes() == ref_prob.tobytes()
             assert states[index[i]].tobytes() == refs[i][0].tobytes()
@@ -599,10 +603,97 @@ def test_indexed_kernel_checks_only_the_branches_drawn():
     with pytest.raises(ValueError) as indexed:
         qsim._measure_kernel(states, 0, "Z", forcing([0, 1, 1, 1]), index)
     assert str(indexed.value) == str(one_row.value) == "branch (qubit=0, basis=Z, outcome=1) has probability ~0"
-    with pytest.raises(ValueError, match="one basis for every draw"):
-        qsim._measure_kernel(states, 0, np.array([0, 1]), u=np.full(4, 0.5), index=index)
+    # Y bits are one per row, as every other basis is: each (row, basis) pair
+    # is measured once per outcome, and every draw matches its one-row call.
+    rng = np.random.default_rng(65)
+    rows = np.vstack([random_state(4, rng).amplitudes for _ in range(3)] + [qsim.rotated_ghz(4, 0.4).amplitudes])
+    kept = indexed_matches_one_call_per_draw(rows, np.array([0, 1, 1, 2, 3, 3, 3, 0, 2, 3]), "XY", 3, rng)
+    assert kept[0] > len(rows)
+    # A drawn impossible Y branch names the basis of the draw's own row.
+    y_plus = np.kron([1, 1j], [1, 0]) / np.sqrt(2)  # outcome 1 of Y on qubit 0 has probability 0
+    with pytest.raises(ValueError) as one_row:
+        qsim._measure_kernel(y_plus[None], 0, np.array([1]), forcing([1]))
+    with pytest.raises(ValueError) as indexed:
+        qsim._measure_kernel(np.vstack([y_plus, zero]), 0, np.array([1, 0]), forcing([0, 0, 1, 1]), np.array([1, 0, 1, 0]))
+    assert str(indexed.value) == str(one_row.value) == "branch (qubit=0, basis=Y, outcome=1) has probability ~0"
     with pytest.raises(ValueError, match="every state needs at least one draw"):
         qsim._measure_kernel(states, 0, "Z", forcing([0, 0]), np.array([0, 0]))
+
+
+def _distinct_rows(kind: str, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` rows of one family on n qubits: rotated GHZ, GHZ' (n = 4,
+    else GHZ), basis states, the drawn rows of a Werner mixture or random
+    dense states."""
+    if kind == "rotated":
+        return np.vstack([qsim.rotated_ghz(n, theta).amplitudes for theta in rng.uniform(0, 2 * np.pi, count)])
+    if kind == "ghz_prime":
+        return np.tile((qsim.ghz_prime_state() if n == 4 else qsim.ghz_state(n)).amplitudes, (count, 1))
+    if kind == "basis":
+        return np.vstack([qsim.basis_state(n, int(i)).amplitudes for i in rng.integers(0, 2**n, count)])
+    if kind == "werner":
+        states, index = qsim.sample_ensemble(qsim.werner_ghz(n, float(rng.uniform())), rng, count)
+        return states[np.unique(index)]
+    return np.vstack([random_state(n, rng).amplitudes for _ in range(count)])
+
+
+def _result_or_error(call):
+    try:
+        return call()
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 7),
+    extra=st.integers(0, 1),
+    middle=st.booleans(),
+    kinds=st.lists(st.sampled_from(["rotated", "ghz_prime", "basis", "werner", "dense"]), min_size=1, max_size=3),
+    repeats=st.booleans(),
+    forced=st.sampled_from(["none", "some", "all"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_indexed_readouts_match_gathered_rows_bit_for_bit(k, extra, middle, kinds, repeats, forced, seed):
+    # parity_measure and measure_string through an index give the bytes of
+    # the same call on the gathered rows ``states[index]``: outcomes,
+    # probabilities, verdicts and kept states, or the same ValueError text
+    # when a forced uniform draws an impossible branch. The index draws every
+    # row, once each or with repeats.
+    rng = np.random.default_rng(seed)
+    n = k + extra  # qubits past the holders stay unmeasured
+    states = np.vstack([_distinct_rows(kind, n, int(rng.integers(1, 4)), rng) for kind in kinds])
+    index = rng.permutation(len(states))
+    if repeats:
+        index = rng.permutation(np.concatenate([index, rng.integers(0, len(states), int(rng.integers(1, 60)))]))
+    draws = len(index)
+
+    def uniforms(columns: int) -> np.ndarray:
+        u = rng.random((draws, columns))
+        if forced == "none":
+            return u
+        pick = rng.random((draws, columns)) < (0.5 if forced == "some" else 1.0)
+        return np.where(pick, rng.choice([-1.0, 2.0], size=(draws, columns)), u)
+
+    holders = tuple(range(k))
+    verifier = k // 2 if middle else 0
+    drawn = parity_draws(holders, verifier, RngBundle.from_seed(seed % 1000, k), draws)
+    drawn = ParityDraws(drawn.bases, uniforms(k), drawn.placeholders)
+    indexed = _result_or_error(lambda: parity_measure(states, holders, verifier, drawn, index))
+    gathered = _result_or_error(lambda: parity_measure(states[index], holders, verifier, drawn))
+    if isinstance(gathered, str):
+        assert indexed == gathered
+    else:
+        assert [field.tobytes() for field in indexed] == [field.tobytes() for field in gathered]
+
+    ops = "".join(rng.choice(list("XYZ"), size=int(rng.integers(1, n + 1))))
+    u = uniforms(len(ops))
+    indexed = _result_or_error(lambda: qsim.measure_string(states, ops, u, index))
+    gathered = _result_or_error(lambda: qsim.measure_string(states[index], ops, u))
+    if isinstance(gathered, str):
+        assert indexed == gathered
+    else:
+        bits, rest, rows = indexed
+        assert bits.tobytes() == gathered[0].tobytes() and rest[rows].tobytes() == gathered[1].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3])
