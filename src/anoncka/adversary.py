@@ -74,7 +74,8 @@ def run_with_adversary(
     strategy replaces it, and a dishonest mixture draws from the adversary
     stream. Returns the protocol result, the adversary's view of the
     transcript, and its key guess (empty unless withholding). A strategy
-    inconsistent with ``roles`` raises ConfigurationError before any round.
+    inconsistent with ``roles`` or ``check_coalition`` (a withholder is a
+    coalition of one) raises ConfigurationError before any round.
     """
     withholder = None
     withholder_basis = Basis.Z
@@ -82,12 +83,6 @@ def run_with_adversary(
 
     if isinstance(strategy, HonestCurious):
         coalition = strategy.coalition
-        if roles.alice in coalition:
-            raise ConfigurationError("coalition must exclude Alice (her knowledge is trivial)")
-        try:
-            check_coalition(coalition, roles.n)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
     elif isinstance(strategy, WithholdingAgent):
         if strategy.party not in roles.non_participants:
             raise ConfigurationError(f"withholding agent {strategy.party} must be a non-participant")
@@ -101,6 +96,10 @@ def run_with_adversary(
         rng = replace(rng, source=rng.adversary)
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
+    try:
+        coalition = check_coalition(coalition, roles.n, (roles.alice,))
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
 
     result = avka(
         roles,

@@ -92,7 +92,7 @@ def check_theorem1(
     queues = _queued(family, bundle.source, 16 * 2**k + 16 * k, lambda shots: parity_draws(holders, 0, bundle, shots))
     for states, index, drawn in queues:
         verdicts = parity_measure(states, holders, 0, ParityDraws(*drawn), index).accepted
-        np.add.at(accepted, np.arange(done, done + len(index)) // trials, verdicts)
+        accepted += np.bincount((np.arange(done, done + len(index)) // trials)[verdicts], minlength=len(accepted))
         done += len(index)
 
     checks = []
@@ -291,10 +291,7 @@ def estimate_anonymity_tvd(
     if hypothesis_a.m != hypothesis_b.m:
         raise ValueError("hypotheses must share the receiver count")
     n = hypothesis_a.n
-    coalition = check_coalition(coalition, n)
-    for hyp in (hypothesis_a, hypothesis_b):
-        if hyp.alice in coalition:
-            raise ValueError("coalition must exclude Alice under both hypotheses")
+    coalition = check_coalition(coalition, n, (hypothesis_a.alice, hypothesis_b.alice))
     if trials < 2:
         raise ValueError("need at least two trials per hypothesis")
 

@@ -359,10 +359,13 @@ class AdversaryView:
     visible_entries: Sequence[Entry]
 
 
-def check_coalition(coalition: Iterable[int], n: int) -> frozenset[int]:
-    """The coalition as a frozenset; ValueError unless it holds at most n - 2
-    parties (the corruption bound), each a party of the n-party network."""
+def check_coalition(coalition: Iterable[int], n: int, alices: Iterable[int] = ()) -> frozenset[int]:
+    """The coalition as a frozenset; ValueError if it holds one of ``alices``
+    or more than n - 2 parties (the corruption bound), or a party outside
+    the n-party network."""
     members = frozenset(coalition)
+    if not members.isdisjoint(alices):
+        raise ValueError("coalition must exclude Alice")
     if len(members) > n - 2:
         raise ValueError(f"coalition of {len(members)} exceeds the corruption bound {n - 2}")
     if any(not 0 <= p < n for p in members):

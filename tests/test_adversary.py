@@ -43,6 +43,26 @@ def test_strategy_validation():
         run("not a strategy")
 
 
+@pytest.mark.parametrize(
+    "roles, strategy",
+    [
+        # a withholder is a coalition of one, over the bound n - 2 = 0
+        (RoleAssignment(n=2, alice=0, receivers=frozenset()), WithholdingAgent(party=1)),
+        # a dishonest source corrupts no party, but n - 2 = -1
+        (RoleAssignment(n=1, alice=0, receivers=frozenset()), DishonestSource(generator=ghz_state(1))),
+    ],
+)
+def test_coalition_over_the_bound_rejected_before_any_round(roles, strategy):
+    bundle = RngBundle.from_seed(1, roles.n)
+    streams = [*bundle.parties, bundle.network, bundle.coin, bundle.source, bundle.adversary]
+    before = [g.bit_generator.state for g in streams]
+    net = Network(roles.n, bundle.network)
+    with pytest.raises(ConfigurationError, match="corruption"):
+        run_with_adversary(roles, 3, 2, strategy, net, bundle)
+    assert len(net.transcript) == 0
+    assert [g.bit_generator.state for g in streams] == before
+
+
 def test_honest_curious_changes_nothing():
     strategy = HonestCurious(coalition=frozenset({3}))
     watched = run(strategy, seed=5).result

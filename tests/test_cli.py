@@ -92,6 +92,27 @@ def test_run_dishonest_ghz_minus_rejected(tmp_path, capsys):
     assert accepted and not any(accepted)
 
 
+# Coalitions over the corruption bound n - 2: a withholder (a coalition of one)
+# at n=2, and a dishonest source (no corrupted party) at n=1.
+OVER_BOUND_RUNS = {
+    "withholding_n2": {
+        **{"n": 2, "alice": 0, "receivers": [], "L": 3, "D": 2, "seed": 1},
+        "adversary": {"kind": "withholding", "party": 1},
+    },
+    "dishonest_source_n1": {
+        **{"n": 1, "alice": 0, "receivers": [], "L": 3, "D": 2, "seed": 1},
+        "adversary": {"kind": "dishonest_source", "state": "ghz"},
+    },
+}
+
+
+@pytest.mark.parametrize("name", OVER_BOUND_RUNS)
+def test_run_coalition_over_the_bound_is_usage_error(name, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "run", "--config", write_config(tmp_path, OVER_BOUND_RUNS[name]))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and "corruption bound" in err
+
+
 def test_run_missing_receivers_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {k: v for k, v in BASE_RUN.items() if k != "receivers"})
     code, out, err = run_cli(capsys, "run", "--config", cfg)
@@ -534,6 +555,50 @@ def test_mutated_sample_configs_never_raise(data, tmp_path):
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = main([CONFIG_COMMANDS[name], "--config", write_config(tmp_path, cfg)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_REJECTED)
+
+
+@st.composite
+def small_runs(draw):
+    """A run config: n in 1..5, L in {0, 1, 3}, D absent, 1 or 2, any or no
+    adversary, and parties drawn from -1..n, one out of range on either side."""
+    n = draw(st.integers(1, 5), label="n")
+    party = st.integers(-1, n)
+    parties = st.lists(party, max_size=n)
+
+    def spec(kind, **fields):
+        return st.fixed_dictionaries({"kind": st.just(kind), **fields})
+
+    adversary = st.one_of(
+        spec("honest_curious", coalition=parties),
+        spec("withholding", party=party, basis=st.sampled_from("XYZ")),
+        spec("dishonest_source", state=st.sampled_from(["ghz", "ghz_minus", "zeros"])),
+        spec("dishonest_source", state=st.just("rotated"), theta=st.sampled_from([0.0, 0.7])),
+        spec("dishonest_source", state=st.just("werner"), fidelity=st.sampled_from([0.4, 0.9])),
+    )
+    required = {
+        "n": st.just(n),
+        "alice": party,
+        "receivers": parties,
+        "L": st.sampled_from([0, 1, 3]),
+        "seed": st.integers(0, 3),
+    }
+    optional = {"D": st.sampled_from([1, 2]), "adversary": adversary}
+    return draw(st.fixed_dictionaries(required, optional=optional), label="config")
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cfg=small_runs())
+def test_small_network_runs_never_raise(cfg, tmp_path):
+    """A small network's run, with any adversary and party lists, exits 0, 1 or 2 and never raises."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(["run", "--config", write_config(tmp_path, cfg)])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_REJECTED)
 
 
