@@ -327,8 +327,6 @@ def estimate_anonymity_tvd(
 
 # --- table-top demonstration --------------------------------------------------------
 
-CONFIG_LABELS = ("AB1B2P4", "AP2B1B2", "AB1P3B2")
-
 # Slot layout per configuration label: which of the four wire positions hold
 # Alice, the two receivers, and the bystander (left to right, 0-based).
 CONFIG_SLOTS = {
@@ -336,52 +334,33 @@ CONFIG_SLOTS = {
     "AP2B1B2": {"alice": 0, "bobs": (2, 3), "bystander": 1},
     "AB1P3B2": {"alice": 0, "bobs": (1, 3), "bystander": 2},
 }
+CONFIG_LABELS = tuple(CONFIG_SLOTS)
 
 VERIFICATION_SETTINGS = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 
-# Reference measurement operators, one string per (configuration, round).
-# Verification rows are indexed by the participants' post-reset basis bits
-# (Alice, Bob1, Bob2); the bystander always measures X. Keygen rows put Z on
-# the participants and X on the bystander.
-MEASUREMENT_TABLE = {
-    "AB1B2P4": {
-        "keygen": "ZZZX",
-        (0, 0, 0): "XXXX",
-        (0, 1, 1): "XYYX",
-        (1, 0, 1): "YXYX",
-        (1, 1, 0): "YYXX",
-    },
-    "AP2B1B2": {
-        "keygen": "ZXZZ",
-        (0, 0, 0): "XXXX",
-        (0, 1, 1): "XXYY",
-        (1, 0, 1): "YXXY",
-        (1, 1, 0): "YXYX",
-    },
-    "AB1P3B2": {
-        "keygen": "ZZXZ",
-        (0, 0, 0): "XXXX",
-        (0, 1, 1): "XYXY",
-        (1, 0, 1): "YXXY",
-        (1, 1, 0): "YYXX",
-    },
-}
-
 
 def measurement_settings_for(config: str, setting: Union[str, tuple[int, int, int]]) -> str:
-    """Operator string for one configuration and round.
+    """Operator string for one configuration and round, by wire left to right.
 
-    ``setting`` is ``"keygen"`` or the participants' post-reset basis bits
-    (Alice, Bob1, Bob2), whose sum must be even.
+    The bystander measures X. Alice and the two receivers measure Z if
+    ``setting`` is ``"keygen"``, else X or Y by their post-reset basis bits
+    ``setting`` (Alice, Bob1, Bob2), whose sum must be even.
     """
-    if config not in MEASUREMENT_TABLE:
+    if config not in CONFIG_SLOTS:
         raise ValueError(f"unknown configuration {config!r}; choose from {CONFIG_LABELS}")
-    if setting == "keygen":
-        return MEASUREMENT_TABLE[config]["keygen"]
-    bits = tuple(setting)
-    if bits not in VERIFICATION_SETTINGS:
-        raise ValueError(f"{setting!r} is not a valid post-reset verification setting")
-    return MEASUREMENT_TABLE[config][bits]
+    if setting not in ("keygen", *VERIFICATION_SETTINGS):
+        raise ValueError(f"{setting!r} is neither 'keygen' nor a valid post-reset verification setting")
+    slots = CONFIG_SLOTS[config]
+    letters = "ZZZ" if setting == "keygen" else ["XY"[bit] for bit in setting]
+    by_wire = {slots["bystander"]: "X", **dict(zip((slots["alice"], *slots["bobs"]), letters))}
+    return "".join(by_wire[wire] for wire in range(4))
+
+
+# Every configuration's keygen string, then its verification strings by setting.
+MEASUREMENT_TABLE = {
+    label: {setting: measurement_settings_for(label, setting) for setting in ("keygen", *VERIFICATION_SETTINGS)}
+    for label in CONFIG_LABELS
+}
 
 
 @dataclass(frozen=True)

@@ -237,18 +237,19 @@ def notification(roles: RoleAssignment, net: Network, rng: RngBundle) -> Notific
 
 def _coins(stream: np.random.Generator, rows: int):
     """``rows`` fair coins, the same draws as ``rows`` calls of
-    ``integers(0, 2)``; one row takes the scalar call, which is several times
-    faster than a size-1 array draw."""
-    return stream.integers(0, 2) if rows == 1 else stream.integers(0, 2, size=rows)
+    ``integers(0, 2)``. One or two coins (one ``_pairs`` row) take scalar
+    calls, several times faster than a small array draw; one is a scalar."""
+    if rows == 1:
+        return stream.integers(0, 2)
+    if rows == 2:
+        return np.array([stream.integers(0, 2), stream.integers(0, 2)])
+    return stream.integers(0, 2, size=rows)
 
 
 def _pairs(stream: np.random.Generator, rows: int) -> np.ndarray:
     """``rows`` pairs of fair coins as a (rows, 2) array, the same draws as
-    ``integers(0, 2, size=(rows, 2))``; one row takes two scalar calls, as
-    ``_coins`` does."""
-    if rows == 1:
-        return np.array([[stream.integers(0, 2), stream.integers(0, 2)]])
-    return stream.integers(0, 2, size=(rows, 2))
+    ``integers(0, 2, size=(rows, 2))``, which fills in C order."""
+    return _coins(stream, 2 * rows).reshape(rows, 2)
 
 
 class Carving(NamedTuple):

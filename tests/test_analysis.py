@@ -559,28 +559,25 @@ def test_table_lookup_examples():
 def test_table_lookup_errors():
     with pytest.raises(ValueError, match="unknown configuration"):
         measurement_settings_for("nope", "keygen")
-    with pytest.raises(ValueError, match="post-reset"):
-        measurement_settings_for("AB1B2P4", (1, 0, 0))
+    # anything but "keygen" or one of the four settings is a ValueError,
+    # never a TypeError from iterating it
+    for setting in ((1, 0, 0), 5, None, (0, 1), "XYZ"):
+        with pytest.raises(ValueError, match="post-reset"):
+            measurement_settings_for("AB1B2P4", setting)
 
 
-def test_table_matches_slot_derivation():
-    # re-derive all 15 cells from the slot layout: participants carry the
-    # setting's X/Y bits (keygen: Z), the bystander always measures X
-    for label in CONFIG_LABELS:
-        slots = CONFIG_SLOTS[label]
-        derived = ["?"] * 4
-        derived[slots["alice"]] = "Z"
-        for bob in slots["bobs"]:
-            derived[bob] = "Z"
-        derived[slots["bystander"]] = "X"
-        assert "".join(derived) == MEASUREMENT_TABLE[label]["keygen"]
-        for setting in VERIFICATION_SETTINGS:
-            derived = ["?"] * 4
-            participants = (slots["alice"], *slots["bobs"])
-            for position, bit in zip(participants, setting):
-                derived[position] = "Y" if bit else "X"
-            derived[slots["bystander"]] = "X"
-            assert "".join(derived) == MEASUREMENT_TABLE[label][setting]
+def test_table_matches_the_demonstration_cells():
+    # the demonstration's 15 operator strings, written out by hand: the
+    # table is derived from CONFIG_SLOTS, so only literal cells can catch a
+    # wrong slot layout or a wrong derivation rule
+    cells = {
+        "AB1B2P4": {"keygen": "ZZZX", (0, 0, 0): "XXXX", (0, 1, 1): "XYYX", (1, 0, 1): "YXYX", (1, 1, 0): "YYXX"},
+        "AP2B1B2": {"keygen": "ZXZZ", (0, 0, 0): "XXXX", (0, 1, 1): "XXYY", (1, 0, 1): "YXXY", (1, 1, 0): "YXYX"},
+        "AB1P3B2": {"keygen": "ZZXZ", (0, 0, 0): "XXXX", (0, 1, 1): "XYXY", (1, 0, 1): "YXXY", (1, 1, 0): "YYXX"},
+    }
+    assert MEASUREMENT_TABLE == cells
+    assert [list(row) for row in MEASUREMENT_TABLE.values()] == [list(row) for row in cells.values()]
+    assert CONFIG_LABELS == tuple(cells)
 
 
 def test_table_invariants():
