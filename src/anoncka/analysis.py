@@ -20,7 +20,7 @@ import numpy as np
 
 from .netmodel import AdversaryView, RoleAssignment, check_coalition
 from .protocols import _batches, _check_notified, _parity_test, _queued, _rows, carve, carve_draws, deal_shares
-from .protocols import ParityDraws, parity_draws, parity_measure
+from .protocols import parity_draws, parity_measure
 from .qsim import (
     NoiseEnsemble,
     StateVector,
@@ -69,10 +69,10 @@ def check_theorem1(
     party 0 as verifier, and flag whether the acceptance rate stays below
     1 - eps^2/2 within four standard errors.
 
-    ``_queued`` draws each state's shots in batches of ``parity_draws``
-    (each party from its own stream of one bundle spawned from ``rng``,
-    mixtures from its source stream) and joins them across states; one
-    ``parity_measure`` runs each queue's shots through its ``index``.
+    ``_queued`` joins each state's shots, in batches, across states (a
+    mixture draws from the source stream of one bundle spawned from ``rng``);
+    ``parity_draws`` makes a queue's draws with one raw-word call per party
+    stream, and one ``parity_measure`` runs its shots through its ``index``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -89,9 +89,9 @@ def check_theorem1(
     done = 0
     # A queued shot may hold a kept row of its own and two 8-byte draws per holder.
     family = ((entry, trials) for entry in state_family)
-    queues = _queued(family, bundle.source, 16 * 2**k + 16 * k, lambda shots: parity_draws(holders, 0, bundle, shots))
+    queues = _queued(family, bundle.source, 16 * 2**k + 16 * k, lambda sizes: parity_draws(holders, 0, bundle, sizes))
     for states, index, drawn in queues:
-        verdicts = parity_measure(states, holders, 0, ParityDraws(*drawn), index).accepted
+        verdicts = parity_measure(states, holders, 0, drawn, index).accepted
         accepted += np.bincount((np.arange(done, done + len(index)) // trials)[verdicts], minlength=len(accepted))
         done += len(index)
 
@@ -465,7 +465,8 @@ def reproduce_experiment(
     ``fidelity_target``; with ``from_ghz_prime`` the coherent component is
     the locally corrected photonic state instead of the ideal GHZ state.
     Reports keygen and verification success rates per configuration plus the
-    averages, next to the reference values of the demonstration.
+    averages, next to the reference values of the demonstration. Each batch
+    draws its states, then its uniforms, from ``rng`` itself, so it runs alone.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -476,11 +477,11 @@ def reproduce_experiment(
     def hits(ops: str, success: Callable[[np.ndarray], np.ndarray]) -> int:
         """Successful shots out of ``trials``, each on a fresh draw of the source."""
         total = 0
-        queues = _queued(
-            [(ensemble, trials)], rng, 16 * 2**4 + 8 * len(ops), lambda shots: (rng.random((len(ops), shots)).T,)
-        )
-        for states, index, (uniforms,) in queues:
-            total += int(success(measure_string(states, ops, uniforms, index)[0]).sum())
+        for shots in _batches(trials, 16 * 2**4):
+            states, index = _rows(ensemble, rng, shots)
+            if not np.count_nonzero(index == 0):  # the kernel measures only states drawn
+                states, index = states[1:], index - 1
+            total += int(success(measure_string(states, ops, rng.random((len(ops), shots)).T, index)[0]).sum())
         return total
 
     stats = []

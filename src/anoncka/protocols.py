@@ -19,8 +19,9 @@ amplitude array of independent rounds through the measurement kernel:
 test, each a pure function of the draws it is given: only ``carve_draws``,
 ``parity_draws`` and ``_rows`` read a stream. ``ame`` and ``verification``
 are their one-row case plus a broadcast. ``_queued`` joins batches of about
-1 MB and makes each batch's draws as if it ran alone; an ``avka`` queue is
-one carve (rounds that share a state are one tree, run on the support from
+1 MB; ``_drawn`` makes a queue's draws with one raw-word call per stream,
+each batch's values as if it ran alone. An ``avka`` queue is one carve
+(rounds that share a state are one tree, run on the support from
 13 qubits up when no state has three nonzero amplitudes), one Z readout,
 one parity test and one block of its rounds' broadcasts. ``analysis``
 calls the steps with many rows, exhaustive tests with uniforms of -1 and 2.
@@ -72,17 +73,18 @@ def _queued(sources, stream: np.random.Generator, draw_bytes: int, draw):
     ``sources``, drawn by ``_rows`` in ``_batches`` of 16 * 2^n-byte rows. A
     batch joins while the queue's states and its draws, at ``draw_bytes`` each,
     each stay within ``_BATCH_BYTES``; its states are drawn before the queue it
-    does not fit in is yielded, its other draws, ``draw(size)`` (a tuple of
-    arrays, one row per draw), right after it joins. So every batch draws as
-    if it ran alone, in batch order. Consecutive batches of one source hold
-    its row 0 once, from the first draw of it on."""
+    does not fit in is yielded. Just before a queue is yielded, ``draw(sizes)``
+    makes its other draws (arrays with one row per draw) given its batch
+    sizes in order, with the values and stream states of each batch drawing as
+    if it ran alone, in batch order. Consecutive batches of one source hold its
+    row 0 once, from the first draw of it on."""
     queue, held, drawn, last, first = [], 0, 0, None, None
     for source, draws in sources:
         for size in _batches(draws, 16 * 2**source.n_qubits):
             states, index = _rows(source, stream, size)
             shared = source is last and first is not None  # its row 0 is held, at row ``first``
             if queue and max((held + len(states) - shared) * states[0].nbytes, (drawn + size) * draw_bytes) > _BATCH_BYTES:
-                joined, queue, held, drawn, shared = _joined(queue), [], 0, 0, False
+                joined, queue, held, drawn, shared = _joined(queue, draw), [], 0, 0, False
                 yield joined
             if shared:
                 states, index = states[1:], np.where(index == 0, first, index + held - 1)
@@ -90,18 +92,80 @@ def _queued(sources, stream: np.random.Generator, draw_bytes: int, draw):
                 first, index = held, index + held
             else:
                 first, states, index = None, states[1:], index + held - 1
-            queue.append((states, index, draw(size)))
+            queue.append((states, index))
             held, drawn, last = held + len(states), drawn + size, source
     if queue:
-        yield _joined(queue)
+        yield _joined(queue, draw)
 
 
-def _joined(queue):
-    """A queue's batches as one (states, index, draws), draws joined field by field."""
-    states, index, draws = zip(*queue)
+def _joined(queue, draw):
+    """A queue's batches as one (states, index, draws), ``draw`` given the batch sizes."""
+    states, index = zip(*queue)
     parts = [rows for rows in states if len(rows)]
     joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return joined, np.concatenate(index), tuple(map(np.concatenate, zip(*draws)))
+    return joined, np.concatenate(index), draw(np.array([len(rows) for rows in index]))
+
+
+def _drawn(fields) -> list:
+    """The values of ``fields``, (stream, coin, counts) triples, one array per
+    field: every stream draws batch by batch, and in a batch its fields in
+    list order, ``counts[b]`` coins (``integers(0, 2)``) if ``coin``, else
+    doubles (``random()``), in batch b (int counts are one batch). One batch
+    makes numpy's own calls, field by field: they cost less than a state read
+    and write per stream. Over several batches, every PCG64 stream makes one
+    ``random_raw`` call, decoded into numpy's own values and stream states. A
+    double is a word's top 53 bits. A coin is bit 31 of the next 32-bit half
+    (Lemire's method never rejects a range of 2): the half the stream keeps,
+    else a fresh word's low half, whose high half it keeps."""
+    counts = np.array([counts for _, _, counts in fields]).reshape(len(fields), -1)  # (fields, batches)
+    if counts.shape[1] == 1:
+        return [_coins(stream, c) if coin else stream.random(c) for (stream, coin, _), c in zip(fields, counts[:, 0].tolist())]
+    index: dict = {}
+    owner = np.array([index.setdefault(id(stream), (len(index), stream))[0] for stream, _, _ in fields])
+    coin = np.array([coin for _, coin, _ in fields], dtype=bool)
+    batches, totals = counts.shape[1], counts.sum(axis=1)
+    flips = np.bincount(owner, totals * coin, minlength=len(index)).astype(np.intp)  # coins per stream
+    words, states = [], []
+    for (_, generator), draws, flipped in zip(index.values(), np.bincount(owner, totals).astype(np.intp).tolist(), flips.tolist()):
+        gen = generator.bit_generator  # the words it takes if it keeps a half; one more if not and ``flipped`` is odd
+        raw, state = gen.random_raw(draws - flipped + flipped // 2), gen.state if flipped else None
+        if flipped % 2 and not state["has_uint32"]:
+            raw, state = np.append(raw, gen.random_raw(1)), gen.state
+        words.append(raw)
+        states.append((gen, state))
+    kept = np.array([bool(state and state["has_uint32"]) for _, state in states])
+    kept_halves = np.array([state["uinteger"] if state else 0 for _, state in states], dtype=np.uint32)
+    flat = np.concatenate([*words, np.zeros(1, dtype=np.uint64)])  # and a spare word, for index -1
+    halves = np.concatenate([flat.astype("<u8", copy=False).view("<u4"), kept_halves])  # low half first
+    # Runs, a field's draws in one batch, in draw order: stream by stream, batch by batch, field by field.
+    order = np.argsort((owner[:, None] * batches + np.arange(batches)).ravel(), kind="stable")
+    stream, coined, size = owner[order // batches], coin[order // batches], counts.ravel()[order]
+    # A stream's halves: 1 is the one it keeps, 2j and 2j + 1 the low and high halves of its j-th fresh word.
+    half = np.cumsum(size * coined) - size * coined - (np.cumsum(flips) - flips)[stream] + 2 - kept[stream]
+    fresh = np.where(coined, (half + size + 1 >> 1) - (half + 1 >> 1), size)  # the words each run draws
+    start = np.cumsum(fresh) - fresh  # ...from ``flat[start]`` on
+    coin_word = np.maximum.accumulate(np.where(coined & (fresh > 0), start + fresh - 1, -1))  # the last so far
+    ends = 1 - kept + flips  # each stream's last coin's half: a low one leaves its word's high half kept
+    highs = np.where(ends > 1, flat[coin_word[np.cumsum(np.bincount(stream)) - 1]] >> 32, kept_halves)
+    for (gen, state), end, high in zip((pair for pair in states if pair[1]), ends[flips > 0].tolist(), highs[flips > 0].tolist()):
+        state["has_uint32"], state["uinteger"] = int(end % 2 == 0), high
+        gen.state = state
+    # Coin i of a run reads half 2 * start + i of ``halves``, one less after an odd first half, which
+    # the first coin reads: its stream's kept half (after the words') or the coin word before's high half.
+    odd = coined & (half % 2 == 1) & (size > 0)
+    carry = np.where(half == 1, len(halves) - len(index) + stream, 2 * np.concatenate(([-1], coin_word[:-1])) + 1)
+    back = np.empty_like(order)
+    back[order] = np.arange(len(order))  # the runs in field order: field by field, batch by batch
+    read, odd, carry, coined, size = (x[back] for x in (np.where(coined, 2 * start - odd, start), odd, carry, coined, size))
+    values = []
+    for kind, source in ((coined, halves), (~coined, flat)):
+        first = np.cumsum(size[kind]) - size[kind]
+        at = np.arange(size[kind].sum()) + np.repeat(read[kind] - first, size[kind])
+        at[first[odd[kind]]] = carry[kind & odd]
+        values.append(source[at])
+    coins, doubles = values[0] >> 31, (values[1] >> 11) * 2.0**-53
+    cuts = np.where(coin, np.cumsum(totals * coin), np.cumsum(totals * ~coin)).tolist()
+    return [(coins if c else doubles)[cut - total : cut] for c, cut, total in zip(coin.tolist(), cuts, totals.tolist())]
 
 
 @dataclass(frozen=True)
@@ -235,21 +299,9 @@ def notification(roles: RoleAssignment, net: Network, rng: RngBundle) -> Notific
     return NotificationOutcome(notified=tuple(int(b) for b in notified), shares=shares)
 
 
-def _coins(stream: np.random.Generator, rows: int):
-    """``rows`` fair coins, the same draws as ``rows`` calls of
-    ``integers(0, 2)``. One or two coins (one ``_pairs`` row) take scalar
-    calls, several times faster than a small array draw; one is a scalar."""
-    if rows == 1:
-        return stream.integers(0, 2)
-    if rows == 2:
-        return np.array([stream.integers(0, 2), stream.integers(0, 2)])
-    return stream.integers(0, 2, size=rows)
-
-
-def _pairs(stream: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` pairs of fair coins as a (rows, 2) array, the same draws as
-    ``integers(0, 2, size=(rows, 2))``, which fills in C order."""
-    return _coins(stream, 2 * rows).reshape(rows, 2)
+def _coins(stream: np.random.Generator, rows: int) -> np.ndarray:
+    """``integers(0, 2, size=rows)``, one or two coins by scalar calls: several times faster."""
+    return stream.integers(0, 2, size=rows) if rows > 2 else np.array([stream.integers(0, 2) for _ in range(rows)])
 
 
 class Carving(NamedTuple):
@@ -261,21 +313,22 @@ class Carving(NamedTuple):
     carved: np.ndarray  # (rows, 2^(m+1+w)) participants' qubits, then the w withheld
 
 
-def carve_draws(roles: RoleAssignment, bundle: RngBundle, rows: int, withholding=frozenset()):
+def carve_draws(roles: RoleAssignment, bundle: RngBundle, rows, withholding=frozenset(), then=()):
     """The draws of ``rows`` carves as (rows, n) arrays by party, int8 coins
     and uniforms: bystanders in ascending order draw a uniform per row from
     their stream, or, withholding, a coin from the adversary stream; then
-    every participant draws a coin per row."""
-    coins = np.zeros((rows, roles.n), dtype=np.int8)
-    draws = np.zeros((rows, roles.n))
-    for party in sorted(roles.non_participants):
-        if party in withholding:
-            coins[:, party] = _coins(bundle.adversary, rows)
-        else:
-            draws[:, party] = bundle.party(party).random(rows)
-    for party in roles.participant_order:
-        coins[:, party] = _coins(bundle.party(party), rows)
-    return coins, draws
+    every participant draws a coin per row. ``rows`` may be a queue's batch
+    sizes: in each batch the streams then draw the ``then`` fields, ``_drawn``'s
+    (stream, coin, counts) triples, whose values follow the two arrays."""
+    bystanders, order = sorted(roles.non_participants), roles.participant_order
+    parties, coined = [*bystanders, *order], [p in withholding for p in bystanders] + [True] * len(order)
+    fields = [(bundle.adversary if p in withholding else bundle.party(p), coin, rows) for p, coin in zip(parties, coined)]
+    values = _drawn([*fields, *then])
+    coins = np.zeros((len(values[0]), roles.n), dtype=np.int8)
+    draws = np.zeros((len(coins), roles.n))
+    for party, coin, drawn in zip(parties, coined, values):
+        (coins if coin else draws)[:, party] = drawn
+    return coins, draws, *values[len(parties) :]
 
 
 def _pair_levels(support: np.ndarray, n: int, measuring: list[int]):
@@ -423,28 +476,30 @@ class ParityRound(NamedTuple):
     accepted: np.ndarray  # (rows,) bool verdicts of ``_parity_test``
 
 
-def parity_draws(holders: tuple[int, ...], verifier: int, bundle: RngBundle, rows: int) -> ParityDraws:
-    """The draws of ``rows`` parity tests; none depends on the state.
+def parity_draws(holders: tuple[int, ...], verifier: int, bundle: RngBundle, rows) -> ParityDraws:
+    """The draws of ``rows`` parity tests (or of a queue's batch sizes, batch
+    by batch); none depends on the state.
 
     Every holder but the verifier, in ``holders`` order, draws one basis bit
     per row (0 -> X, 1 -> Y), then one uniform per row, from its own stream.
     The verifier draws its placeholder pair, then its uniforms, and resets
     its basis bit so each row's Y count is even.
     """
-    k = len(holders)
-    bits = np.empty((rows, k), dtype=np.int8)
-    draws = np.empty((rows, k))
+    return _parity(holders, verifier, _drawn(_parity_fields(holders, verifier, bundle, rows)))
+
+
+def _parity_fields(holders: tuple[int, ...], verifier: int, bundle: RngBundle, rows) -> list:
+    """The (stream, coin, counts) fields of ``parity_draws``, as ``_drawn`` takes them."""
+    return [(bundle.party(h), coin, rows * (1 + (coin and h == verifier))) for h in holders for coin in (True, False)]
+
+
+def _parity(holders: tuple[int, ...], verifier: int, values: list) -> ParityDraws:
+    """``parity_draws`` from the values of its fields."""
     last = holders.index(verifier)
-    for column in (*(c for c in range(k) if c != last), last):
-        stream = bundle.party(holders[column])
-        if column == last:
-            placeholders = _pairs(stream, rows)
-        else:
-            bits[:, column] = _coins(stream, rows)
-        draws[:, column] = stream.random(rows)
-    bits[:, last] = 0
+    placeholders = values[2 * last].reshape(-1, 2).astype(np.int64)
+    bits = np.array([np.zeros(len(placeholders)) if c == last else b for c, b in enumerate(values[0::2])], dtype=np.int8).T
     bits[:, last] = bits.sum(axis=1) % 2
-    return ParityDraws(bits, draws, placeholders)
+    return ParityDraws(bits, np.array(values[1::2]).T, placeholders)
 
 
 def parity_measure(
@@ -543,9 +598,10 @@ def avka(
     verdict; keygen rounds append one bit to every participant's key. The
     run validates iff nothing aborted and every verification round accepted.
 
-    The rounds run as rows: ``_queued`` draws them in batches of about 1 MB,
-    each batch's draws as if it ran alone, and joins batches in queues. A
-    queue makes one ``carve`` (rounds that share a state are one tree), one Z
+    The rounds run as rows: ``_queued`` draws their states in batches of about
+    1 MB and joins batches in queues. A queue draws its public coins, then every
+    stream's draws in one raw-word call (``carve_draws``), each batch's values
+    as if it ran alone. It makes one ``carve`` (shared states are one tree), one Z
     readout of its keygen rows and one ``parity_measure`` of its verification
     rows, then records its rounds' broadcasts with one ``broadcast_rounds``
     call. A round that aborts ends the run, which keeps the rounds before it
@@ -573,18 +629,18 @@ def avka(
     pair_rngs = {p: rng.adversary if p == withholder else rng.party(p) for p in sorted(roles.non_participants)}
     # A queued round holds its carved row and about six 8-byte draws per party.
     round_bytes = 16 * 2 ** (m1 + len(withholding)) + 48 * roles.n
-    untested = (*parity_draws(order, roles.alice, rng, 0), *(np.empty((0, 2), dtype=np.int64) for _ in pair_rngs))
 
-    def draw(batch: int):
-        """A batch's draws after its states, in the order of a batch run alone."""
-        coins, uniforms = carve_draws(roles, rng, batch, withholding)
-        keygen = rng.coin.random(batch) < 1.0 / keygen_denom
-        tested = batch - np.count_nonzero(keygen)
-        readout = np.column_stack([s.random(batch - tested) for s in readout_rngs])
-        if not tested:
-            return coins, uniforms, keygen, readout, *untested
-        pairs = [_pairs(stream, tested) for stream in pair_rngs.values()]
-        return coins, uniforms, keygen, readout, *parity_draws(order, roles.alice, rng, tested), *pairs
+    def draw(sizes):
+        """A queue's draws: its coins, which fix each batch's tested rounds, then
+        every party's draws, each batch's in the order of a batch run alone."""
+        keygen = rng.coin.random(sizes.sum()) < 1.0 / keygen_denom
+        tested = np.add.reduceat(~keygen, np.cumsum(sizes) - sizes, dtype=np.intp)
+        read, paired, test = sizes - tested, 2 * tested, _parity_fields(order, roles.alice, rng, tested)
+        later = [(s, False, read) for s in readout_rngs] + [(s, True, paired) for s in pair_rngs.values()]
+        coins, uniforms, *values = carve_draws(roles, rng, sizes, withholding, later + test)
+        readout = np.column_stack(values[: len(readout_rngs)])
+        pairs = [pair.reshape(-1, 2) for pair in values[len(readout_rngs) : len(later)]]
+        return (coins, uniforms), keygen, readout, _parity(order, roles.alice, values[len(later) :]), pairs
 
     rounds: list[AvkaRound] = []
     guesses: list[int] = []
@@ -593,10 +649,10 @@ def avka(
     _check_notified(roles, notification(roles, net, rng).notified)
     queues = _queued([(source, num_states)], rng.source, round_bytes, draw)
     support = source._support if isinstance(source, StateVector) else None  # a mixture's, per queue in carve
-    for states, rows, (coins, uniforms, keygen, readout, bases, test_uniforms, placeholders, *pairs) in queues:
-        announced, _, _, carved = carve(states, rows, roles, (coins, uniforms), withholding=withholding, support=support)
+    for states, rows, (carving, keygen, readout, test_draws, pairs) in queues:
+        announced, _, _, carved = carve(states, rows, roles, carving, withholding=withholding, support=support)
         readouts = measure_string(carved[keygen], readout_ops, uniforms=readout)[0]
-        test = parity_measure(carved[~keygen], order, roles.alice, ParityDraws(bases, test_uniforms, placeholders))
+        test = parity_measure(carved[~keygen], order, roles.alice, test_draws)
         # A round's block rows: its ame announcements, its coin, then a verification round's test.
         steps = 3 - keygen
         ends = steps.cumsum()

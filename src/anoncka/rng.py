@@ -44,7 +44,9 @@ class RngBundle:
 
     @classmethod
     def _from_streams(cls, gens: list[np.random.Generator]) -> "RngBundle":
-        """Assign spawned streams in the documented order: parties first."""
+        """Assign spawned streams in the documented order: parties first; PCG64 only (queues decode its words)."""
+        if not all(isinstance(g.bit_generator, np.random.PCG64) for g in gens):
+            raise TypeError("every stream of an RngBundle must be a numpy Generator on PCG64")
         n_parties = len(gens) - 4
         return cls(
             parties=tuple(gens[:n_parties]),

@@ -91,6 +91,16 @@ def test_check_theorem1_computational_basis_states():
     assert checks[0].accept_rate == pytest.approx(0.5, abs=4 * np.sqrt(0.25 / 3000))
 
 
+def test_bundles_refuse_streams_other_than_pcg64():
+    # The queues decode PCG64's raw words, so another bit generator would
+    # silently give other values: it is refused before any draw.
+    with pytest.raises(TypeError, match="PCG64"):
+        check_theorem1([ghz_state(3)], 10, np.random.Generator(np.random.MT19937(1)))
+    with pytest.raises(TypeError, match="PCG64"):
+        RngBundle.from_generator(np.random.Generator(np.random.Philox(1)), 3)
+    assert RngBundle.from_generator(np.random.default_rng(1), 3).coin.bit_generator.state["bit_generator"] == "PCG64"
+
+
 def test_check_theorem1_rejects_mixed_sizes():
     with pytest.raises(ValueError):
         check_theorem1([ghz_state(3), ghz_state(4)], 10, np.random.default_rng(0))

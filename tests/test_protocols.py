@@ -748,6 +748,67 @@ def test_avka_queues_match_the_batch_by_batch_reference_on_any_source(run):
         assert distinct.bit_generator.state == dense.bit_generator.state
 
 
+def test_queue_draws_decode_numpys_own_draws():
+    # A queue's draws come from one raw-word call per stream, decoded into the
+    # values and stream states of numpy's own calls, made batch by batch:
+    # scalar or array, coins or doubles, on streams that start with a kept
+    # 32-bit half (after an odd number of coins) or without one.
+    plans = np.random.default_rng(27)
+    starts = set()
+    for trial in range(300):
+        n_streams, batches, n_fields = (int(x) for x in plans.integers((1, 2, 1), (5, 7, 9)))
+        owner = plans.integers(0, n_streams, size=n_fields)
+        coin = plans.integers(0, 2, size=n_fields).astype(bool)
+        counts = plans.integers(0, 4, size=(n_fields, batches))
+        scalar = plans.integers(0, 2, size=(batches, n_fields)).astype(bool)
+        by_numpy = [np.random.default_rng([trial, s]) for s in range(n_streams)]
+        decoded = [np.random.default_rng([trial, s]) for s in range(n_streams)]
+        for s, (a, b) in enumerate(zip(by_numpy, decoded)):
+            a.integers(0, 2, size=(trial + s) % 3), b.integers(0, 2, size=(trial + s) % 3)
+            starts.add(b.bit_generator.state["has_uint32"])
+        expected = [[] for _ in range(n_fields)]
+        for batch in range(batches):
+            for f in range(n_fields):
+                stream, size = by_numpy[owner[f]], int(counts[f, batch])
+                if scalar[batch, f]:
+                    expected[f] += [stream.integers(0, 2) if coin[f] else stream.random() for _ in range(size)]
+                else:
+                    expected[f] += (stream.integers(0, 2, size=size) if coin[f] else stream.random(size)).tolist()
+        values = protocols._drawn([(decoded[o], bool(c), counts[f]) for f, (o, c) in enumerate(zip(owner, coin))])
+        failure = f"numpy {np.__version__} no longer draws what PCG64's raw words decode to (trial {trial})"
+        assert len(values) == n_fields, failure
+        for want, got in zip(expected, values):
+            assert np.array_equal(np.array(want, dtype=float), got), failure
+        for a, b in zip(by_numpy, decoded):
+            assert a.bit_generator.state == b.bit_generator.state, failure
+            later = [(g.integers(0, 2), g.random(), g.integers(0, 2, size=3).tolist(), g.random(2).tolist()) for g in (a, b)]
+            assert later[0] == later[1], failure
+    assert starts == {0, 1}
+
+
+@pytest.mark.parametrize("withholder", [None, 4])
+@pytest.mark.parametrize("n, rounds", [(5, 4), (7, 40)])
+def test_avka_queues_starting_with_a_kept_half_match_the_batch_by_batch_reference(n, rounds, withholder, monkeypatch):
+    # At odd n a dealer's n*n int8 shares take an odd number of 32-bit halves,
+    # so every party stream starts its first queue keeping one. Batches of
+    # three rounds: at n=5 a round's draws outweigh half a state row, so only
+    # a short last batch joins a queue, and 4 rounds are one queue of two
+    # batches; at n=7 a queue holds several.
+    roles = RoleAssignment(n=n, alice=0, receivers=frozenset({1}))
+    net, bundle = fresh(40 + n, n)
+    notification(roles, net, bundle)
+    assert all(stream.bit_generator.state["has_uint32"] == 1 for stream in bundle.parties)
+    monkeypatch.setattr(protocols, "_BATCH_BYTES", 3 * 16 * 2**n)
+    seen = []
+    for run in (avka, avka_batch_by_batch):
+        net, bundle = fresh(40 + n, n)
+        result = run(roles, rounds, 2, ghz_state(n), net, bundle, withholder=withholder, withholder_basis=qsim.Basis.X)
+        streams = (*bundle.parties, bundle.network, bundle.coin, bundle.source, bundle.adversary)
+        seen.append((result, tuple(net.transcript), net.counters, [s.bit_generator.state for s in streams]))
+    assert seen[0] == seen[1]
+    assert {r.round_type for r in seen[0][0].rounds} == {KEYGEN_ROUND, VERIFICATION_ROUND}
+
+
 def test_avka_verification_round_has_all_announcers():
     roles = RoleAssignment(n=5, alice=0, receivers=frozenset({1, 2}))
     net, bundle = fresh(26, 5)
