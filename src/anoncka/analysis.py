@@ -186,8 +186,8 @@ def notification_views(
 
     def chunk(size: int):
         shares = deal_shares(roles, bundle, size)
-        partials = np.bitwise_xor.reduce(shares, axis=2)
-        _check_notified(roles, np.bitwise_xor.reduce(partials, axis=2))
+        partials = np.einsum("tjdh->tjh", shares) & 1
+        _check_notified(roles, np.einsum("tjh->tj", partials) & 1)
         messages = np.concatenate([shares.reshape(size, n, n * n), partials], axis=2)
         parities = np.bitwise_xor.reduceat(messages & visible, [0, n * n], axis=2)
         return _bit_keys(messages[:, visible]), _bit_keys(parities)
@@ -238,12 +238,17 @@ MAX_SUPPORT = 4096
 NULL_ROUNDS = 32
 
 
-def _empirical_tvd(xs: np.ndarray, ys: np.ndarray, support: int) -> float:
-    """Plug-in TVD between two samples of view indices in [0, support)."""
-    pa = np.bincount(xs, minlength=support) / len(xs)
-    pb = np.bincount(ys, minlength=support) / len(ys)
-    # fsum is exact, so the result does not depend on the summation order.
-    return 0.5 * math.fsum(np.abs(pa - pb))
+def _empirical_tvds(views: np.ndarray, trials: int, support: int) -> list[float]:
+    """Plug-in TVD per row of ``views``, a (rows, 2 trials) array of view
+    indices in [0, support): between a row's first ``trials`` and its last.
+
+    One ``bincount`` histograms every (row, half, view) key; a row's TVD is
+    half the ``math.fsum`` of its absolute differences, exact, so it does not
+    depend on the summation order.
+    """
+    keys = views.reshape(-1, trials) + support * np.arange(2 * len(views))[:, None]
+    halves = (np.bincount(keys.ravel(), minlength=len(keys) * support) / trials).reshape(len(views), 2, support)
+    return [0.5 * math.fsum(row) for row in np.abs(halves[:, 0] - halves[:, 1]).tolist()]
 
 
 @dataclass(frozen=True)
@@ -280,7 +285,11 @@ def estimate_anonymity_tvd(
     protocol ``trials`` times under each hypothesis, on a bundle spawned from
     ``rng`` per hypothesis, and keys every run's coalition view. The keys are
     histogrammed and the total-variation distance between the two view
-    distributions is debiased by a permutation null over the pooled runs. If
+    distributions is debiased by a permutation null over the pooled runs:
+    ``NULL_ROUNDS`` rows of the pooled views, shuffled by one ``permuted``
+    call per chunk of rows within ``_BATCH_BYTES`` (the draws and values of
+    one ``permutation`` call per row) and histogrammed by one
+    ``_empirical_tvds`` call. If
     the samples contain more distinct raw views than ``MAX_SUPPORT``, or
     more than ``trials`` (so the histogram cannot resolve repeats), the
     per-phase parity projection is used instead and the result is flagged
@@ -303,13 +312,15 @@ def estimate_anonymity_tvd(
     if projected:
         support, index = np.unique(np.concatenate([proj for _, proj in samples]), return_inverse=True)
 
-    raw_tvd = _empirical_tvd(index[:trials], index[trials:], len(support))
-    null = np.empty(NULL_ROUNDS)
-    for r in range(NULL_ROUNDS):
-        order = rng.permutation(len(index))
-        null[r] = _empirical_tvd(index[order[:trials]], index[order[trials:]], len(support))
-    null_mean = float(null.mean())
-    null_sd = float(null.std(ddof=1))
+    (raw_tvd,) = _empirical_tvds(index[None], trials, len(support))
+    null = []
+    # A row holds its shuffled views and their keys (2 trials int64 each),
+    # two count rows, their float copies and their list of differences.
+    for rows in _batches(NULL_ROUNDS, 32 * trials + 64 * len(support)):
+        views = np.tile(index, (rows, 1))
+        null += _empirical_tvds(rng.permuted(views, axis=1, out=views), trials, len(support))
+    null_mean = float(np.mean(null))
+    null_sd = float(np.std(null, ddof=1))
 
     tvd = max(0.0, raw_tvd - null_mean)
     stderr = max(null_sd, 0.5 / trials)

@@ -256,6 +256,8 @@ def deal_shares(roles: RoleAssignment, rng: RngBundle, trials: int) -> np.ndarra
     Every dealer draws its whole table, (trials, target, holder), in one
     call on its own stream. Then the last bit of each row is set so that the
     row XORs to 1 on Alice's rows for receiver targets and to 0 elsewhere.
+    Like every XOR over a share table, the row parity is the low bit of an
+    ``einsum`` sum: exact, since an int8 sum that wraps keeps its low bit.
     """
     n = roles.n
     shares = np.empty((trials, n, n, n), dtype=np.int8)
@@ -263,7 +265,7 @@ def deal_shares(roles: RoleAssignment, rng: RngBundle, trials: int) -> np.ndarra
         shares[:, :, dealer] = rng.party(dealer).integers(0, 2, size=(trials, n, n), dtype=np.int8)
     parity = np.zeros((n, n), dtype=np.int8)
     parity[sorted(roles.receivers), roles.alice] = 1
-    shares[..., -1] ^= np.bitwise_xor.reduce(shares, axis=-1) ^ parity
+    shares[..., -1] ^= (np.einsum("tjdh->tjd", shares) & 1) ^ parity
     return shares
 
 
@@ -288,14 +290,14 @@ def notification(roles: RoleAssignment, net: Network, rng: RngBundle) -> Notific
     """
     n = roles.n
     (shares,) = deal_shares(roles, rng, 1)
-    partials = np.bitwise_xor.reduce(shares, axis=1)
+    partials = np.einsum("jdh->jh", shares) & 1
     target, dealer, holder = np.indices((n, n, n))  # per target: the shares, dealer-major, then the partials
     senders = np.hstack([dealer.reshape(n, -1), holder[:, 0]]).ravel()
     receivers = np.hstack([holder.reshape(n, -1), target[:, 0]]).ravel()
     phases = np.array([f"notify[target={t}]:{step}" for t in range(n) for step in ("shares", "partials")], dtype=object)
     phase = phases.repeat([n * n, n] * n)
     net.send_block(senders, receivers, np.hstack([shares.reshape(n, -1), partials]), phase, kept=senders == receivers)
-    notified = np.bitwise_xor.reduce(partials, axis=1)
+    notified = np.einsum("jh->j", partials) & 1
     return NotificationOutcome(notified=tuple(int(b) for b in notified), shares=shares)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,6 +261,43 @@ def notification_view_keys(view, projection: str, n: int) -> tuple[bytes, bytes]
     phases = dict(item.rsplit("=", 1) for item in projection.split(";") if item)
     parities = [int(phases.get(f"notify[target={t}]:{kind}", 0)) for t in range(n) for kind in ("shares", "partials")]
     return raw, np.packbits(parities).tobytes()
+
+
+def _empirical_tvd(xs: np.ndarray, ys: np.ndarray, support: int) -> float:
+    """Plug-in TVD between two samples of view indices in [0, support)."""
+    pa = np.bincount(xs, minlength=support) / len(xs)
+    pb = np.bincount(ys, minlength=support) / len(ys)
+    return 0.5 * math.fsum(np.abs(pa - pb))
+
+
+def anonymity_tvd_by_permutation(view_sampler, hypothesis_a, hypothesis_b, coalition, trials: int, rng):
+    """``analysis.estimate_anonymity_tvd`` (for valid hypotheses) with its
+    permutation null drawn one ``rng.permutation`` call per round and each
+    TVD histogrammed on its own."""
+    from anoncka.analysis import MAX_SUPPORT, NULL_ROUNDS, TvdEstimate
+    from anoncka.rng import RngBundle
+
+    n = hypothesis_a.n
+    samples = [view_sampler(hyp, coalition, trials, RngBundle.from_generator(rng, n)) for hyp in (hypothesis_a, hypothesis_b)]
+    support, index = np.unique(np.concatenate([raw for raw, _ in samples]), return_inverse=True)
+    projected = len(support) > min(MAX_SUPPORT, trials)
+    if projected:
+        support, index = np.unique(np.concatenate([proj for _, proj in samples]), return_inverse=True)
+    raw_tvd = _empirical_tvd(index[:trials], index[trials:], len(support))
+    null = np.empty(NULL_ROUNDS)
+    for r in range(NULL_ROUNDS):
+        order = rng.permutation(len(index))
+        null[r] = _empirical_tvd(index[order[:trials]], index[order[trials:]], len(support))
+    tvd = max(0.0, raw_tvd - float(null.mean()))
+    return TvdEstimate(
+        tvd=tvd,
+        stderr=max(float(null.std(ddof=1)), 0.5 / trials),
+        trials_per_hypothesis=trials,
+        guessing_bound=min(1.0, 1.0 / (n - len(coalition)) + tvd),
+        raw_tvd=raw_tvd,
+        null_mean=float(null.mean()),
+        projected=projected,
+    )
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ table-top demonstration."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import tracemalloc
 from unittest import mock
@@ -38,6 +39,7 @@ from anoncka.rng import RngBundle
 
 from oracles import (
     ame_view_keys,
+    anonymity_tvd_by_permutation,
     density_from_pure,
     exact_verification_acceptance,
     experiment_hits_by_batch,
@@ -407,7 +409,7 @@ def test_numpy_draw_alignment_the_batch_relies_on():
     # the verifier's placeholder pairs
     pairs = one_call(3, lambda g: g.integers(0, 2, size=(runs, 2)))
     assert np.array_equal(pairs, run_by_run(3, lambda g: g.integers(0, 2, size=2)))
-    # ...and two scalar calls per pair, as ``protocols._pairs`` draws one row,
+    # ...and two scalar calls per pair, as ``protocols._coins`` draws one pair,
     # leave the stream where the pair array does
     scalar, joined = np.random.default_rng(3), np.random.default_rng(3)
     assert np.array_equal(pairs, [[scalar.integers(0, 2), scalar.integers(0, 2)] for _ in range(runs)])
@@ -524,6 +526,52 @@ def test_tvd_validation_errors():
         estimate_anonymity_tvd(ame_views, hyp_a, hyp_a, frozenset({0}), 10, rng)
     with pytest.raises(ValueError, match="corruption"):
         estimate_anonymity_tvd(ame_views, hyp_a, hyp_a, frozenset({1, 2, 3}), 10, rng)
+
+
+def test_tvd_null_matches_one_permutation_call_per_round(monkeypatch):
+    # The null shuffles a chunk of rounds' pooled views in one ``permuted``
+    # call and histograms it in one ``bincount``. On random keys of any
+    # support, raw or projected, with chunks of any number of rounds, every
+    # field of the estimate and the generator's final state match one
+    # ``permutation`` call and one histogram per round.
+    hyp_a = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
+    hyp_b = RoleAssignment(n=4, alice=1, receivers=frozenset({0}))
+    plan = np.random.default_rng(28)
+    cases = [int(t) for t in plan.integers(2, 301, size=60)] + [2, 3, 4097, 12345]
+    for case, trials in enumerate(cases):
+        raw_support, projected_support = (int(plan.choice([1, plan.integers(1, 2 * trials + 1)])) for _ in range(2))
+
+        def sampler(roles, coalition, trials, bundle):
+            stream = bundle.party(roles.alice)
+            return stream.integers(0, raw_support, size=trials), stream.integers(0, projected_support, size=trials)
+
+        monkeypatch.setattr(protocols, "_BATCH_BYTES", int(plan.integers(1, 40 * 32 * trials)))
+        rng, reference_rng = np.random.default_rng(case), np.random.default_rng(case)
+        est = estimate_anonymity_tvd(sampler, hyp_a, hyp_b, frozenset({3}), trials, rng)
+        reference = anonymity_tvd_by_permutation(sampler, hyp_a, hyp_b, frozenset({3}), trials, reference_rng)
+        assert dataclasses.asdict(est) == dataclasses.asdict(reference), (case, trials, raw_support, projected_support)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state, case
+
+
+def test_tvd_null_stays_within_a_few_megabytes_on_distinct_views():
+    # 2T distinct views at T = 10,000: every null round histograms 20,000
+    # keys, so 32 rounds in one pass would hold about 55 MB; in chunks within
+    # ``_BATCH_BYTES`` the estimate peaks near 3 MB.
+    def distinct(roles, coalition, trials, bundle):
+        keys = np.arange(trials) + roles.alice * trials
+        return keys, keys
+
+    hyp_a = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
+    hyp_b = RoleAssignment(n=4, alice=1, receivers=frozenset({0}))
+    estimate_anonymity_tvd(distinct, hyp_a, hyp_b, frozenset({3}), 10, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        est = estimate_anonymity_tvd(distinct, hyp_a, hyp_b, frozenset({3}), 10_000, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.projected and est.raw_tvd == 1.0
+    assert peak < 8 * 2**20
 
 
 # --- key rate -------------------------------------------------------------------------

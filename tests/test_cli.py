@@ -666,7 +666,8 @@ QUEUE_RUNS = {
     "n14_werner": {"n": 14, "alice": 0, "receivers": [1, 2], "L": 40, "D": 2, "noise": {"model": "werner", "fidelity": 0.8}, "seed": 41},
     "n16_werner": {"n": 16, "alice": 0, "receivers": [1, 2], "L": 12, "D": 3, "noise": {"model": "werner", "fidelity": 0.8}, "seed": 37},
 }
-# An ame anonymity estimate at n=16, whose runs are carved in chunks.
+# An ame anonymity estimate at n=16, whose runs are carved in chunks, and a
+# notification estimate at n=6 (projected, as its raw views are distinct).
 ANONYMITY_RUNS = {
     "n16_ame_anonymity": {
         "protocol": "ame",
@@ -676,6 +677,15 @@ ANONYMITY_RUNS = {
         "coalition": [3, 4],
         "trials": 300,
         "seed": 43,
+    },
+    "n6_notification_anonymity": {
+        "protocol": "notification",
+        "n": 6,
+        "hypothesis_a": {"alice": 0, "receivers": [1]},
+        "hypothesis_b": {"alice": 2, "receivers": [5]},
+        "coalition": [3, 4],
+        "trials": 500,
+        "seed": 47,
     },
 }
 # theorem1 grids whose shots span several batches per state at k=10 and
@@ -717,6 +727,7 @@ PINNED_STDOUT = {
     "n16_werner": (EXIT_REJECTED, "f80dd32650b93fb2f52000624d7699b5"),
     "n14_werner": (EXIT_REJECTED, "a2cf80f8030128a0489d7f89699ccd3c"),
     "n16_ame_anonymity": (EXIT_OK, "f7116717650c5f320cccc437cd33f30e"),
+    "n6_notification_anonymity": (EXIT_OK, "e1f2709285a87f0c1eb7632160de4faa"),
 }
 
 
