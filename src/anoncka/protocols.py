@@ -434,7 +434,8 @@ def ame(
     On a pure GHZ input the participants end up with a perfect (m+1)-party
     GHZ state in every branch.
     """
-    announced, _, corrected, carved = carve(*_rows(state, rng.source, 1), roles, carve_draws(roles, rng, 1), support=state._support)
+    support = state._support if roles.n >= _SUPPORT_QUBITS else None  # below, a fresh state's first read scans 2^n for nothing
+    announced, _, corrected, carved = carve(*_rows(state, rng.source, 1), roles, carve_draws(roles, rng, 1), support=support)
     bits = announced[0].tolist()
     net.broadcast_round({p: str(b) for p, b in enumerate(bits)}, phase="ame:announce", expected=range(roles.n))
     return AmeOutcome(
@@ -650,7 +651,8 @@ def avka(
     aborted, index = False, 0
     _check_notified(roles, notification(roles, net, rng).notified)
     queues = _queued([(source, num_states)], rng.source, round_bytes, draw)
-    support = source._support if isinstance(source, StateVector) else None  # a mixture's, per queue in carve
+    sparse = isinstance(source, StateVector) and roles.n >= _SUPPORT_QUBITS  # carve finds a mixture's per queue
+    support = source._support if sparse else None
     for states, rows, (carving, keygen, readout, test_draws, pairs) in queues:
         announced, _, _, carved = carve(states, rows, roles, carving, withholding=withholding, support=support)
         readouts = measure_string(carved[keygen], readout_ops, uniforms=readout)[0]

@@ -197,24 +197,6 @@ def apply_rz(s: StateVector, qubit: int, theta: float) -> StateVector:
     return _phase(s, qubit, np.exp(1j * theta))
 
 
-def _branch(z0: np.ndarray, z1: np.ndarray, equatorial: bool, bit: int, out: np.ndarray, where=True) -> np.ndarray:
-    """Write the unnormalised ``bit`` branch of rows whose measured qubit
-    splits into the (rows, 2^q, 2^(n-q-1)) halves ``z0``/``z1`` into the
-    (rows, 2^(n-1)) array ``out``, in the rows a (rows,) bool ``where``
-    selects (all of them by default), and return ``out``. The branch is z0
-    or z1 for Z, else (z0 + z1)/sqrt(2) or (z0 - z1)/sqrt(2) for an
-    ``equatorial`` basis, whose ``z1`` the caller has multiplied by the phase."""
-    blocks, tail = z0.shape[1:]
-    z0, z1, vec = z0.reshape(-1, tail), z1.reshape(-1, tail), out.reshape(-1, tail)  # 2-D views: cheaper loops
-    by_row, by_block = (where[:, None], np.repeat(where, blocks)[:, None]) if np.ndim(where) else (where, where)
-    if equatorial:
-        (np.subtract if bit else np.add)(z0, z1, out=vec, where=by_block)
-        np.multiply(out, _SQRT_HALF, out=out, where=by_row)
-    else:  # copyto copies every bit into ``out``, signed zeros and NaNs included
-        np.copyto(vec, z1 if bit else z0, where=by_block)
-    return out
-
-
 def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: np.ndarray | None = None):
     """The single-qubit measurement kernel, applied to every row of a
     (shots, 2^n) amplitude array; ``measure`` is its one-row case.
@@ -235,13 +217,16 @@ def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: n
 
     ``index`` makes the rows distinct states, each drawn at least once: draw i
     measures ``amps[index[i]]``, in that row's basis; without one, every row
-    is its own state, drawn once. Branch 0 and its probability are computed once
-    per state, in one buffer. A state whose draws all take outcome 1 gets that
-    branch in its own row, through one row mask; the states whose draws take
-    both outcomes (at most draws - states) add their outcome-1 branches as
-    rows after the states, built by one call on gathered copies of their
-    halves. With an index the call also returns each draw's row; every draw
-    matches a one-row call bit for bit.
+    is its own state, drawn once. One unmasked pass gives both branches of
+    every state, row 2s + b for state s's branch b: for X and Y one add and
+    one subtract of the halves, with the phased z1 written into the outcome-1
+    rows first, then one scaling of both by sqrt(1/2); for Z the halves
+    themselves, which at qubit 0 are ``amps`` unchanged. One vecdot gives every
+    branch's probability. Each state keeps its row in the outcome its draws
+    take, and a state whose draws take both outcomes (at most draws - states)
+    also keeps its outcome-1 row, after the states; one gather takes the kept
+    rows and their probabilities. With an index the call also returns each
+    draw's row; every draw matches a one-row call bit for bit.
     """
     shots, dim = amps.shape
     if not 0 <= qubit < dim.bit_length() - 1:
@@ -258,42 +243,35 @@ def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: n
         if np.count_nonzero(valid) != shots:
             raise ValueError(f"Y bits must be 0 or 1, got {ybits[~valid][0]}")
         equatorial, phase = True, np.where(ys, -1j, 1)[:, None, None]
-    t = amps.reshape(shots, 1 << qubit, 2, dim >> (qubit + 1))  # explicit: numpy cannot infer it for 0 rows
-    z0, z1 = t[:, :, 0], t[:, :, 1]
-    if phase is not None:
-        z1 = phase * z1
     draws = shots if index is None else len(index)
     if np.shape(u) != (draws,):
         raise ValueError(f"expected {draws} uniforms, got shape {np.shape(u)}")
-    buffer = np.empty((shots + min(shots, max(draws - shots, 0)), dim // 2), dtype=complex)
-
-    vec = _branch(z0, z1, equatorial, 0, buffer[:shots])
-    prob = np.vecdot(vec, vec).real
-    ones = u >= (prob if index is None else prob[index])
+    # complex and C-ordered, as Z's branches may be ``amps`` itself; explicit shape: numpy cannot infer it for 0 rows
+    t = np.ascontiguousarray(amps, dtype=complex).reshape(shots, 1 << qubit, 2, dim >> (qubit + 1))
+    if equatorial:
+        pairs = np.empty((shots, 2, *t.shape[1::2]), dtype=complex)
+        z1 = t[:, :, 1] if phase is None else np.multiply(phase, t[:, :, 1], out=pairs[:, 1])
+        np.add(t[:, :, 0], z1, out=pairs[:, 0])
+        np.subtract(t[:, :, 0], z1, out=pairs[:, 1])
+        pairs *= _SQRT_HALF
+    else:  # the halves themselves: a view of ``amps`` at qubit 0, else one copy
+        pairs = np.ascontiguousarray(t.swapaxes(1, 2))  # contiguous rows: a strided vecdot rounds differently
+    branches = pairs.reshape(2 * shots, dim // 2)
+    prob = np.vecdot(branches, branches).real
+    ones = u >= (prob[0::2] if index is None else prob[0::2][index])
     outcomes = ones.view(np.int8)
     if index is None:
-        split, alone = (), ones
-    elif draws == shots:  # one draw per state, if every state has one: none splits
-        if np.count_nonzero(np.bincount(index, minlength=shots)) != shots:
-            raise ValueError("every state needs at least one draw")
-        split, alone = (), np.zeros(shots, dtype=bool)
-        alone[index] = ones
+        keep, rows = 2 * np.arange(shots) + ones, None
     else:
-        reached = np.zeros((2, shots), dtype=bool)
-        reached[outcomes, index] = True
-        if np.count_nonzero(reached[0] | reached[1]) != shots:
+        keys = 2 * index + outcomes  # each draw's branch row
+        took = np.bincount(keys, minlength=2 * shots).reshape(shots, 2) > 0
+        if np.count_nonzero(took[:, 0] | took[:, 1]) != shots:
             raise ValueError("every state needs at least one draw")
-        split, alone = np.flatnonzero(reached[0] & reached[1]), reached[1] & ~reached[0]
-    count = np.count_nonzero(alone)
-    if count:  # built in those states' rows, with no copies of z0, z1
-        prob = np.vecdot(_branch(z0, z1, equatorial, 1, vec, where=alone if count < shots else True), vec).real
-    rows = index  # each draw's kept row
-    if len(split):
-        row1 = np.arange(shots)  # each state's outcome-1 row; a split adds one after the states
-        row1[split] = shots + np.arange(len(split))
-        vec, rows = buffer[: shots + len(split)], np.where(ones, row1[index], index)
-        _branch(z0[split], z1[split], equatorial, 1, vec[shots:])
-        prob = np.concatenate((prob, np.vecdot(vec[shots:], vec[shots:]).real))
+        split = np.flatnonzero(took[:, 0] & took[:, 1])
+        dest = np.arange(2 * shots) >> 1  # each branch row's kept row: its state's, or for a split one after the states
+        dest[2 * split + 1] = shots + np.arange(len(split))
+        rows, keep = dest[keys], np.concatenate((np.arange(0, 2 * shots, 2) + ~took[:, 0], 2 * split + 1))
+    vec, prob = branches.take(keep, axis=0), prob.take(keep)
     drawn = prob if index is None else prob[rows]
     impossible = drawn < _BRANCH_EPS
     if np.count_nonzero(impossible):

@@ -1,0 +1,49 @@
+"""``tools/pairs.py`` summarises alternating parent/change benchmark runs."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture
+def pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import pairs
+
+    return pairs
+
+
+def metrics(rate: float, rss: float = 38.5) -> dict[str, float]:
+    return {"setup_s": 0.25, "ops_per_s": rate, "peak_rss_mb": rss, "op_ok_ratio": 1.0}
+
+
+def test_summary_gives_quartiles_per_side_and_counts_wins_without_ties(pairs):
+    runs = [
+        (metrics(100.0), metrics(110.0, 38.6)),
+        (metrics(102.0), metrics(101.0, 38.6)),
+        (metrics(98.0), metrics(98.0, 38.7)),
+        (metrics(104.0), metrics(120.0, 38.8)),
+        (metrics(96.0), metrics(105.0, 38.9)),
+    ]
+    summary = pairs.summarize(runs)
+    assert summary["pairs"] == 5
+    assert (summary["wins"], summary["losses"]) == (3, 1)  # the tie at 98 counts for neither
+    assert summary["parent"]["ops_per_s"] == (98.0, 100.0, 102.0)
+    assert summary["change"]["ops_per_s"] == (101.0, 105.0, 110.0)
+    assert summary["change"]["peak_rss_mb"] == pytest.approx((38.6, 38.7, 38.8))
+    assert summary["parent"]["setup_s"] == (0.25, 0.25, 0.25)
+    assert pairs.summarize(runs[:1])["parent"]["ops_per_s"] == (100.0, 100.0, 100.0)
+
+
+def test_seed_ranges_are_inclusive_and_checkouts_must_match_in_path_length(pairs, tmp_path):
+    assert list(pairs.seed_range("31-34")) == [31, 32, 33, 34]
+    assert list(pairs.seed_range("7")) == [7]
+    (tmp_path / "a").mkdir()
+    (tmp_path / "bb").mkdir()
+    with pytest.raises(SystemExit) as exit_:
+        pairs.main([str(tmp_path / "a"), str(tmp_path / "bb"), "--workload", "verify-mc", "--seeds", "1-2"])
+    assert exit_.value.code == 2

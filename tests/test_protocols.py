@@ -112,6 +112,19 @@ def test_ame_all_parties_participants():
     assert np.array_equal(out.participant_state.amplitudes, ghz_state(3).amplitudes)
 
 
+def test_ame_and_avka_below_the_support_size_never_scan_a_fresh_state():
+    # carve runs on the support only from _SUPPORT_QUBITS up; below that a
+    # pure state's cached support would be a 2^n scan for nothing.
+    roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
+    state = qsim.rotated_ghz(4, 0.3)
+    ame(state, roles, *fresh(6, 4))
+    avka(roles, 20, 2, state, *fresh(7, 4))
+    assert "_support" not in vars(state)
+    with mock.patch.object(protocols, "_SUPPORT_QUBITS", 4):
+        ame(state, roles, *fresh(6, 4))
+    assert state._support.tolist() == [0, 15] and "_support" in vars(state)
+
+
 def test_ame_rejects_size_mismatch():
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
     net, bundle = fresh(2, 4)

@@ -494,6 +494,12 @@ def test_batched_kernel_rejects_impossible_branches_and_bad_rows():
         qsim._measure_kernel(bad, 0, "X", u=np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="state norm nan"):
         qsim._measure_kernel(bad, 0, np.array([0, 1]), u=np.array([0.5, 0.5]))
+    # a NaN state drawn beside a state that splits: every kept row of the
+    # index's gather, the split state's outcome-1 row included, is checked
+    ghz_and_nan = np.vstack([amps[0], bad[1]])
+    for basis in ("X", "Z", np.array([1, 0]), np.array([0, 1])):
+        with pytest.raises(ValueError, match="state norm nan"):
+            qsim._measure_kernel(ghz_and_nan, 0, basis, np.array([-1, 2, 0.5]), np.array([0, 0, 1]))
 
 
 def test_kernel_rejects_uniforms_that_are_not_one_per_draw():
