@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 from .netmodel import AdversaryView, Network, RoleAssignment, check_coalition, extract_view
-from .protocols import AvkaResult, avka
+from .protocols import AvkaResult, avka, check_run
 from .qsim import Basis, NoiseEnsemble, StateVector, ghz_state
 from .rng import RngBundle
 
@@ -73,30 +73,26 @@ def run_with_adversary(
     ``source`` is the honest source (pure GHZ by default); a DishonestSource
     strategy replaces it, and a dishonest mixture draws from the adversary
     stream. Returns the protocol result, the adversary's view of the
-    transcript, and its key guess (empty unless withholding). A strategy
-    inconsistent with ``roles`` or ``check_coalition`` (a withholder is a
-    coalition of one) raises ConfigurationError before any round.
+    transcript, and its key guess (empty unless withholding). A run that
+    breaks ``check_run`` or ``check_coalition`` (a withholder is a coalition
+    of one) raises ConfigurationError before any round.
     """
-    withholder = None
+    withholding: frozenset[int] = frozenset()
     withholder_basis = Basis.Z
     coalition: frozenset[int] = frozenset()
 
     if isinstance(strategy, HonestCurious):
         coalition = strategy.coalition
     elif isinstance(strategy, WithholdingAgent):
-        if strategy.party not in roles.non_participants:
-            raise ConfigurationError(f"withholding agent {strategy.party} must be a non-participant")
-        withholder = strategy.party
+        withholding = coalition = frozenset({strategy.party})
         withholder_basis = strategy.later_basis
-        coalition = frozenset({strategy.party})
     elif isinstance(strategy, DishonestSource):
         source = strategy.generator
-        if source.n_qubits != roles.n:
-            raise ConfigurationError(f"dishonest source emits {source.n_qubits}-qubit states for n={roles.n}")
         rng = replace(rng, source=rng.adversary)
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     try:
+        check_run(roles, net, rng, source, withholding)
         coalition = check_coalition(coalition, roles.n, (roles.alice,))
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
@@ -108,7 +104,7 @@ def run_with_adversary(
         ghz_state(roles.n) if source is None else source,
         net,
         rng,
-        withholder=withholder,
+        withholder=strategy.party if withholding else None,
         withholder_basis=withholder_basis,
     )
     view = extract_view(net.transcript, coalition, roles.n)

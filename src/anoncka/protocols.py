@@ -269,6 +269,19 @@ def deal_shares(roles: RoleAssignment, rng: RngBundle, trials: int) -> np.ndarra
     return shares
 
 
+def check_run(roles: RoleAssignment, net: Network, bundle: RngBundle, source=None, withholding=frozenset()) -> None:
+    """The run rule, which every protocol call checks before any draw or record:
+    ``source`` (if given), ``net`` and ``bundle`` hold one qubit, channel end and
+    stream per party of ``roles``, and only non-participants are in ``withholding``."""
+    qubits = roles.n if source is None else source.n_qubits
+    sizes = ("source", qubits, "qubits"), ("network", net.n, "parties"), ("bundle", len(bundle.parties), "parties")
+    for part, size, unit in sizes:
+        if size != roles.n:
+            raise ValueError(f"the {part} has {size} {unit}, but the run has n={roles.n}")
+    if not withholding <= roles.non_participants:
+        raise ValueError(f"withholders {sorted(withholding - roles.non_participants)} must be non-participants")
+
+
 def _check_notified(roles: RoleAssignment, notified) -> None:
     """Raise unless each row of ``notified`` (one bit per party) flags
     exactly the receivers."""
@@ -288,6 +301,7 @@ def notification(roles: RoleAssignment, net: Network, rng: RngBundle) -> Notific
     target, the dealt table (dealer-major, kept shares on the diagonal), then
     the returned partials.
     """
+    check_run(roles, net, rng)
     n = roles.n
     (shares,) = deal_shares(roles, rng, 1)
     partials = np.einsum("jdh->jh", shares) & 1
@@ -380,13 +394,8 @@ def carve(
     qubit 0 of [z0 | z1] rows over the support it leaves; only the carved rows
     are made dense. The entries left out are exact zeros, and a sum of at most
     two nonzero terms rounds alike in any order, so the bits are the dense
-    tree's.
+    tree's. Callers check the sizes and ``withholding`` first (``check_run``).
     """
-    dim = states.shape[1]
-    if dim != 2**roles.n:
-        raise ValueError(f"state has {dim.bit_length() - 1} qubits but the network has {roles.n} parties")
-    if not withholding <= roles.non_participants:
-        raise ValueError("only non-participants can withhold their measurement")
     coins, uniforms = draws
     bystanders = sorted(roles.non_participants)
     announced = coins.copy()
@@ -406,7 +415,7 @@ def carve(
                 raise ValueError(str(error).replace("qubit=0,", f"qubit={party - level},")) from None
             probability *= prob
             values = kept[:, slots[level]]
-        states = np.zeros((len(values), dim >> len(measuring)), dtype=complex)
+        states = np.zeros((len(values), states.shape[1] >> len(measuring)), dtype=complex)
         states[:, support] = values
     else:
         for level, party in enumerate(measuring):  # qubit party - level of what the levels before leave
@@ -434,6 +443,7 @@ def ame(
     On a pure GHZ input the participants end up with a perfect (m+1)-party
     GHZ state in every branch.
     """
+    check_run(roles, net, rng, state)
     support = state._support if roles.n >= _SUPPORT_QUBITS else None  # below, a fresh state's first read scans 2^n for nothing
     announced, _, corrected, carved = carve(*_rows(state, rng.source, 1), roles, carve_draws(roles, rng, 1), support=support)
     bits = announced[0].tolist()
@@ -559,6 +569,7 @@ def verification(
     k = state.n_qubits
     if not 0 <= verifier < k:
         raise IndexError(f"verifier {verifier} out of range for a {k}-qubit state")
+    check_run(RoleAssignment(k, verifier, frozenset(range(k)) - {verifier}), net, rng, state)
     draws = parity_draws(tuple(range(k)), verifier, rng, 1)
     bits, results, placeholders, _, accepted = parity_measure(state.amplitudes[None], tuple(range(k)), verifier, draws)
     bits, results = bits[0].tolist(), results[0].tolist()
@@ -614,14 +625,13 @@ def avka(
     later measures its kept qubit in ``withholder_basis`` during keygen
     rounds (its randomness comes from the bundle's adversary stream).
     """
-    if num_states < 0:
-        raise ValueError("num_states must be non-negative")
-    if keygen_denom < 1:
-        raise ValueError("keygen_denom must be at least 1")
-    if withholder is not None and withholder not in roles.non_participants:
-        raise ValueError(f"withholder {withholder} must be a non-participant")
-
+    if not isinstance(num_states, (int, np.integer)) or num_states < 0:
+        raise ValueError(f"num_states must be a non-negative integer, got {num_states!r}")
+    if not isinstance(keygen_denom, (int, np.integer)) or keygen_denom < 1:
+        raise ValueError(f"keygen_denom must be an integer of at least 1, got {keygen_denom!r}")
     withholding = frozenset() if withholder is None else frozenset({withholder})
+    check_run(roles, net, rng, source, withholding)
+
     # Keygen readout: the participants in Z, then the withholder's guess.
     order = roles.participant_order
     m1 = len(order)

@@ -417,11 +417,13 @@ def werner_ghz(n: int, p: float, *, ghz: StateVector | None = None) -> NoiseEnse
 
     Fidelity with GHZ is p + (1 - p)/2^n. ``ghz`` may substitute a different
     coherent component (e.g. the corrected photonic state) and must equal the
-    GHZ state up to numerical noise.
+    GHZ state up to numerical noise (a trace distance of at most 1e-12).
     """
     coherent = ghz if ghz is not None else ghz_state(n)
     if coherent.n_qubits != n:
         raise DimensionMismatchError("coherent component has the wrong register size")
+    if ghz is not None and (distance := ghz_trace_distance(ghz)) > 1e-12:
+        raise ValueError(f"coherent component is {distance:.3g} from GHZ in trace distance")
     return NoiseEnsemble(coherent, p)
 
 

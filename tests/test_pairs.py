@@ -47,3 +47,22 @@ def test_seed_ranges_are_inclusive_and_checkouts_must_match_in_path_length(pairs
     with pytest.raises(SystemExit) as exit_:
         pairs.main([str(tmp_path / "a"), str(tmp_path / "bb"), "--workload", "verify-mc", "--seeds", "1-2"])
     assert exit_.value.code == 2
+
+
+def test_verdicts_follow_the_bound_and_the_parents_quartile_spread(pairs):
+    parent = [100.0, 102.0, 98.0, 104.0, 96.0]  # median 100, quartiles 98 to 102
+    # 75 is 25% below the parent's median: past a 20% bound on a higher-is-better metric
+    assert pairs.verdict(parent, [75.0, 76.0, 74.0], "higher", 0.2) == "worse"
+    # a lower-is-better metric 10% over with a 5% bound
+    assert pairs.verdict(parent, [110.0, 111.0, 109.0], "lower", 0.05) == "worse"
+    # 1% down, but the parent's spread of 4 exceeds a 2% share of its median
+    assert pairs.verdict(parent, [99.0, 100.0, 98.0], "higher", 0.02) == "unresolved"
+    # ...unless every change run beats every parent run
+    assert pairs.verdict(parent, [105.0, 106.0, 107.0], "higher", 0.02) == "within bound"
+    assert pairs.verdict(parent, [99.0, 100.0, 98.0], "higher", 0.2) == "within bound"
+
+
+def test_gates_read_better_and_bound_from_the_checkouts_benchmark(pairs):
+    gates = pairs.gates(TOOLS.parent)
+    assert set(gates) == set(pairs.METRICS)
+    assert all(better in ("higher", "lower") and bound > 0 for better, bound in gates.values())

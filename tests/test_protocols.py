@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anoncka import qsim
+from anoncka.adversary import ConfigurationError, DishonestSource, HonestCurious, WithholdingAgent, run_with_adversary
 from anoncka.netmodel import ChannelAbort, Network, RoleAssignment
 from anoncka import protocols
 from anoncka.protocols import (
@@ -842,3 +843,56 @@ def test_avka_parameter_validation():
         avka(roles, 5, 0, ghz_state(4), net, bundle)
     with pytest.raises(ValueError):
         avka(roles, 5, 2, ghz_state(4), net, bundle, withholder=1)
+    with pytest.raises(ValueError, match="num_states"):
+        avka(roles, 2.5, 2, ghz_state(4), net, bundle)
+    with pytest.raises(ValueError, match="keygen_denom"):
+        avka(roles, 5, 2.5, ghz_state(4), net, bundle)
+
+
+MISMATCH_CALLS = {
+    "notification": lambda roles, state, net, bundle, withholder: notification(roles, net, bundle),
+    "ame": lambda roles, state, net, bundle, withholder: ame(state, roles, net, bundle),
+    "verification": lambda roles, state, net, bundle, withholder: verification(state, 0, net, bundle),
+    "avka": lambda roles, state, net, bundle, withholder: avka(roles, 3, 2, state, net, bundle, withholder=withholder),
+    "run_with_adversary": lambda roles, state, net, bundle, withholder: run_with_adversary(
+        roles, 3, 2, HonestCurious(frozenset({3})) if withholder is None else WithholdingAgent(withholder), net, bundle, source=state
+    ),
+    "dishonest_source": lambda roles, state, net, bundle, withholder: run_with_adversary(
+        roles, 3, 2, DishonestSource(state), net, bundle
+    ),
+}
+# What each case puts off by one party (or, for "withholder", makes a participant withhold), and the error it names.
+MISMATCHES = {
+    "state": r"the source has 5 qubits, but the run has n=4",
+    "network": r"the network has 5 parties, but the run has n=4",
+    "bundle": r"the bundle has 5 parties, but the run has n=4",
+    "withholder": r"withholders \[1\] must be non-participants",
+}
+
+
+@pytest.mark.parametrize(
+    "call, part",
+    [
+        (call, part)
+        for call in MISMATCH_CALLS
+        for part in MISMATCHES
+        if (part != "state" or call != "notification")
+        and (part != "withholder" or call in ("avka", "run_with_adversary"))
+    ],
+)
+def test_mismatched_run_rejected_before_any_draw_or_record(call, part):
+    # Party i holds qubit i of the source and stream i of the bundle: every
+    # protocol call checks the sizes and withholders before it draws or records.
+    roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
+    bundle = RngBundle.from_seed(28, 5 if part == "bundle" else 4)
+    net = Network(5 if part == "network" else 4, bundle.network)
+    state = ghz_state(5 if part == "state" else 4)
+    streams = [*bundle.parties, bundle.network, bundle.coin, bundle.source, bundle.adversary]
+    before = [g.bit_generator.state for g in streams]
+    # verification's run is its state's: a 5-qubit state makes the 4-party network the odd part
+    match = "the network has 4 parties, but the run has n=5" if (call, part) == ("verification", "state") else MISMATCHES[part]
+    error = ConfigurationError if call in ("run_with_adversary", "dishonest_source") else ValueError
+    with pytest.raises(error, match=match):
+        MISMATCH_CALLS[call](roles, state, net, bundle, 1 if part == "withholder" else None)
+    assert len(net.transcript) == 0
+    assert [g.bit_generator.state for g in streams] == before

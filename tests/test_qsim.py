@@ -445,8 +445,9 @@ def _kernel_peak(amps, basis, outcomes, index=None) -> int:
 
 @pytest.mark.parametrize("basis", ["X", "Z", "ybits"])
 def test_mixed_outcome_call_allocates_no_more_than_an_all_zero_call(basis):
-    # The outcome-1 rows of a mixed call are written through a row mask into
-    # the outcome-0 buffer, so the call holds no gathered copies of the halves.
+    # Every call builds both branches of every row in one array and gathers
+    # the kept branch of each row from it, so what a call holds does not
+    # depend on the outcomes its rows take.
     rng = np.random.default_rng(71)
     rows = 256
     amps = np.vstack([qsim.rotated_ghz(8, float(t)).amplitudes for t in rng.uniform(0.3, 2.8, rows)])
@@ -459,8 +460,8 @@ def test_mixed_outcome_call_allocates_no_more_than_an_all_zero_call(basis):
 @pytest.mark.parametrize("basis", ["X", "Z"])
 def test_indexed_split_call_holds_its_kept_rows_and_one_gathered_copy_of_the_split_halves(basis):
     # Every state is drawn twice and takes both outcomes, so all of them
-    # split: their outcome-1 rows are built from one gathered copy of their
-    # halves, and the call holds little beyond that copy and the kept rows.
+    # split and keep both branches: the call holds its both-branch array (the
+    # size of the states) and the kept rows gathered from it, little beyond.
     rng = np.random.default_rng(72)
     states = np.vstack([random_state(12, rng).amplitudes for _ in range(16)])
     index, outcomes = np.tile(np.arange(16), 2), np.repeat([0, 1], 16)
@@ -868,6 +869,8 @@ def test_ensemble_validation():
             qsim.werner_ghz(2, p)
     with pytest.raises(qsim.DimensionMismatchError):
         qsim.werner_ghz(2, 0.5, ghz=qsim.ghz_state(3))
+    with pytest.raises(ValueError, match="from GHZ in trace distance"):
+        qsim.werner_ghz(2, 0.5, ghz=qsim.rotated_ghz(2, 0.3))
 
 
 def gathered(draws):

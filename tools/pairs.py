@@ -6,8 +6,10 @@ PARENT and CHANGE are two checkouts of the repository. For each seed, the
 script runs each checkout's own ``perfbench/run.py --trace 0`` once, the side
 that runs first alternating from one seed to the next, and prints the pair's
 end-to-end metrics. It then prints each side's median and quartiles of every
-metric and how many pairs the change wins on ``ops_per_s`` (ties count for
-neither side).
+metric, how many pairs the change wins on ``ops_per_s`` (ties count for
+neither side), and a no-regression verdict per metric against the ``better``
+and ``bound`` of the parent's ``BENCHMARK.json``: ``worse``, ``unresolved`` or
+``within bound``.
 
 The two paths must have the same length: perfbench's rates can move by more
 than a change's gain with the length of the checkout's path alone (heap
@@ -63,6 +65,27 @@ def summarize(pairs: list[tuple[dict[str, float], dict[str, float]]]) -> dict:
     }
 
 
+def gates(checkout: Path) -> dict[str, tuple[str, float]]:
+    """``(better, bound)`` of each end-to-end metric in ``checkout``'s BENCHMARK.json."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {metric["name"]: (metric["better"], metric["bound"]) for metric in spec["end_to_end"]}
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``worse`` if the change's median is worse than the parent's by more
+    than ``bound`` times the parent's median; else ``unresolved`` if the
+    parent's quartile spread exceeds that share, unless every change run beats
+    every parent run; else ``within bound``."""
+    sign = 1 if better == "higher" else -1
+    q1, median, q3 = quartiles(parent)
+    share = bound * abs(median)
+    if sign * (median - quartiles(change)[1]) > share:
+        return "worse"
+    if q3 - q1 > share and min(sign * c for c in change) <= max(sign * p for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
 def seed_range(text: str) -> range:
     first, _, last = text.partition("-")
     return range(int(first), int(last or first) + 1)
@@ -79,6 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     parent, change = args.parent.resolve(), args.change.resolve()
     if len(str(parent)) != len(str(change)):
         parser.error(f"checkout paths differ in length ({len(str(parent))} and {len(str(change))} characters)")
+    bounds = gates(parent)
 
     pairs = []
     print("seed first " + " ".join(f"{side}.{name}" for side in ("parent", "change") for name in METRICS))
@@ -98,6 +122,8 @@ def main(argv: list[str] | None = None) -> int:
             q1, median, q3 = summary[side][name]
             print(f"{side} {name}: median {median:.6g}, quartiles {q1:.6g} to {q3:.6g}")
     print(f"change wins {summary['wins']} of {summary['pairs']} pairs on ops_per_s ({summary['losses']} losses)")
+    for name in METRICS:
+        print(f"{name}: {verdict([p[name] for p, _ in pairs], [c[name] for _, c in pairs], *bounds[name])}")
     return 0
 
 
