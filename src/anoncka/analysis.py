@@ -19,8 +19,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .netmodel import AdversaryView, RoleAssignment, check_coalition
-from .protocols import _batches, _check_notified, _parity_test, _queued, _rows, carve, carve_draws, deal_shares
-from .protocols import parity_draws, parity_measure
+from .protocols import _batches, _check_notified, _notification_layout, _parity_test, _queued, _rows, carve, carve_draws
+from .protocols import deal_shares, parity_draws, parity_measure
 from .qsim import (
     NoiseEnsemble,
     StateVector,
@@ -177,12 +177,10 @@ def notification_views(
     visible share bits and the XOR of the visible partial bits.
     """
     n = roles.n
-    member = np.isin(np.arange(n), list(coalition))
-    # A target round's n^2 shares (dealer, holder) and n partials (holder)
-    # in transcript order; a share is seen when its dealer or holder is in
-    # the coalition, a partial when its holder or its target is.
-    either = member[:, None] | member[None, :]
-    visible = np.concatenate([np.broadcast_to(either.reshape(-1), (n, n * n)), either], axis=1)
+    member = np.zeros(n, dtype=bool)
+    member[list(coalition)] = True
+    senders, receivers = _notification_layout(n)[:2]
+    visible = (member[senders] | member[receivers]).reshape(n, -1)
 
     def chunk(size: int):
         shares = deal_shares(roles, bundle, size)

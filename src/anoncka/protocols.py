@@ -33,6 +33,7 @@ use Alice first, then receivers ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +50,7 @@ _STEPS = ("ame:announce", "coin", "verify:announce")  # an avka round's broadcas
 # (16 bytes per amplitude) or 2^20 / n^3 notifications (one int8 per share bit).
 _BATCH_BYTES = 2**20
 _SUPPORT_QUBITS = 13  # the fewest qubits at which ``carve`` runs on the support
+_CACHED = 16  # the most notification layouts, and support tree level plans, a process keeps
 
 
 def _batches(trials: int, row_bytes: int):
@@ -299,20 +301,34 @@ def notification(roles: RoleAssignment, net: Network, rng: RngBundle) -> Notific
     party i, who recovers the membership bit exactly. This is the one-run
     case of ``deal_shares``; it records its run on ``net`` as one block: per
     target, the dealt table (dealer-major, kept shares on the diagonal), then
-    the returned partials.
+    the returned partials. Its layout is built once per n and process
+    (``_notification_layout``: 25 * (n^3 + n^2) bytes, 109 KB at n = 16, for
+    each of the last ``_CACHED`` sizes), reused only by a later run of that n.
     """
     check_run(roles, net, rng)
     n = roles.n
     (shares,) = deal_shares(roles, rng, 1)
     partials = np.einsum("jdh->jh", shares) & 1
+    senders, receivers, phase, kept = _notification_layout(n)
+    net.send_block(senders, receivers, np.hstack([shares.reshape(n, -1), partials]), phase, kept=kept)
+    return NotificationOutcome(notified=tuple((np.einsum("jh->j", partials) & 1).tolist()), shares=shares)
+
+
+@lru_cache(maxsize=_CACHED)
+def _notification_layout(n: int):
+    """The read-only senders, receivers, phases and kept mask of an n-party notification."""
     target, dealer, holder = np.indices((n, n, n))  # per target: the shares, dealer-major, then the partials
     senders = np.hstack([dealer.reshape(n, -1), holder[:, 0]]).ravel()
     receivers = np.hstack([holder.reshape(n, -1), target[:, 0]]).ravel()
     phases = np.array([f"notify[target={t}]:{step}" for t in range(n) for step in ("shares", "partials")], dtype=object)
-    phase = phases.repeat([n * n, n] * n)
-    net.send_block(senders, receivers, np.hstack([shares.reshape(n, -1), partials]), phase, kept=senders == receivers)
-    notified = np.einsum("jh->j", partials) & 1
-    return NotificationOutcome(notified=tuple(int(b) for b in notified), shares=shares)
+    return _read_only(senders, receivers, phases.repeat([n * n, n] * n), senders == receivers)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, made read-only: a cached value is shared by every caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _coins(stream: np.random.Generator, rows: int) -> np.ndarray:
@@ -347,13 +363,14 @@ def carve_draws(roles: RoleAssignment, bundle: RngBundle, rows, withholding=froz
     return coins, draws, *values[len(parties) :]
 
 
-def _pair_levels(support: np.ndarray, n: int, measuring: list[int]):
+@lru_cache(maxsize=_CACHED)
+def _pair_levels(support: tuple[int, ...], n: int, measuring: tuple[int, ...]):
     """How a tree on n qubits that measures ``measuring`` in ascending order
     moves the entries of the sorted basis indices ``support``: per level, each
     entry's column in a [z0 | z1] row, one slot per entry in each half, and
     its slot in the kept row, that of the first entry with its index after
-    the level; then each entry's final basis index."""
-    levels = len(measuring)
+    the level; then each entry's final basis index. Read-only arrays."""
+    levels, support = len(measuring), np.array(support, dtype=np.intp)
     kept = np.ones((levels + 1, n), dtype=bool)  # the qubits left before each level, and at the end
     kept[:, measuring] = np.arange(levels + 1)[:, None] <= np.arange(levels)
     bits = support[:, None] >> (n - 1 - np.arange(n)) & 1  # (entries, n)
@@ -362,7 +379,7 @@ def _pair_levels(support: np.ndarray, n: int, measuring: list[int]):
     # offset by level << n, so that one np.unique keeps the levels apart
     _, first, inverse = np.unique(keys + (np.arange(levels) << n)[:, None], return_index=True, return_inverse=True)
     slots = (first % len(support))[inverse].reshape(levels, -1)
-    return bits[:, measuring].T * len(support) + slots, slots, keys[-1]
+    return _read_only(bits[:, measuring].T * len(support) + slots, slots, keys[-1])
 
 
 def carve(
@@ -392,9 +409,12 @@ def carve(
     measurements) are carved on their support: ``support`` if given (a pure
     source's ``StateVector._support``), else found here. Each level measures
     qubit 0 of [z0 | z1] rows over the support it leaves; only the carved rows
-    are made dense. The entries left out are exact zeros, and a sum of at most
-    two nonzero terms rounds alike in any order, so the bits are the dense
-    tree's. Callers check the sizes and ``withholding`` first (``check_run``).
+    are made dense. Only a process that carves the same support, n and
+    measured set again reuses their plan (``_pair_levels``, the last
+    ``_CACHED``, 8 * s * (2m + 1) bytes for s entries and m levels). The
+    entries left out are exact zeros, and a sum of at most two nonzero terms
+    rounds alike in any order, so the bits are the dense tree's. Callers
+    check the sizes and ``withholding`` first (``check_run``).
     """
     coins, uniforms = draws
     bystanders = sorted(roles.non_participants)
@@ -405,7 +425,7 @@ def carve(
     support = (_pair_support(states) if support is None else support) if sparse else None
     if support is not None:
         values = states[:, support]
-        columns, slots, support = _pair_levels(support, roles.n, measuring)
+        columns, slots, support = _pair_levels(tuple(support.tolist()), roles.n, tuple(measuring))
         for level, party in enumerate(measuring):
             pairs = np.zeros((len(values), 2 * values.shape[1]), dtype=complex)
             pairs[:, columns[level]] = values

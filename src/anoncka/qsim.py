@@ -222,11 +222,11 @@ def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: n
     one subtract of the halves, with the phased z1 written into the outcome-1
     rows first, then one scaling of both by sqrt(1/2); for Z the halves
     themselves, which at qubit 0 are ``amps`` unchanged. One vecdot gives every
-    branch's probability. Each state keeps its row in the outcome its draws
-    take, and a state whose draws take both outcomes (at most draws - states)
-    also keeps its outcome-1 row, after the states; one gather takes the kept
-    rows and their probabilities. With an index the call also returns each
-    draw's row; every draw matches a one-row call bit for bit.
+    branch's probability. The kept rows are the branches drawn, state by state
+    and outcome 0 first (both, for a state whose draws take both): the nonzeros
+    of one mark per branch row, whose running count less one is each draw's
+    row. One gather takes them and their probabilities. With an index the call
+    also returns each draw's row; every draw matches a one-row call bit for bit.
     """
     shots, dim = amps.shape
     if not 0 <= qubit < dim.bit_length() - 1:
@@ -264,13 +264,11 @@ def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: n
         keep, rows = 2 * np.arange(shots) + ones, None
     else:
         keys = 2 * index + outcomes  # each draw's branch row
-        took = np.bincount(keys, minlength=2 * shots).reshape(shots, 2) > 0
-        if np.count_nonzero(took[:, 0] | took[:, 1]) != shots:
+        took = np.zeros(2 * shots, dtype=bool)
+        took[keys] = True
+        if np.count_nonzero(took[0::2] | took[1::2]) != shots:
             raise ValueError("every state needs at least one draw")
-        split = np.flatnonzero(took[:, 0] & took[:, 1])
-        dest = np.arange(2 * shots) >> 1  # each branch row's kept row: its state's, or for a split one after the states
-        dest[2 * split + 1] = shots + np.arange(len(split))
-        rows, keep = dest[keys], np.concatenate((np.arange(0, 2 * shots, 2) + ~took[:, 0], 2 * split + 1))
+        keep, rows = np.flatnonzero(took), np.cumsum(took)[keys] - 1
     vec, prob = branches.take(keep, axis=0), prob.take(keep)
     drawn = prob if index is None else prob[rows]
     impossible = drawn < _BRANCH_EPS

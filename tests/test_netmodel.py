@@ -38,6 +38,11 @@ def test_send_private_counts_bits():
     assert net.counters.private_bits_sent == 1
     net.send_private(1, 2, "010", "phase")
     assert net.counters.private_bits_sent == 4
+    # a block of k 0/1 integers adds k bits, and a block of strings their lengths
+    net.send_block([0, 1, 2, 0, 1, 2], [1, 2, 0, 2, 0, 1], np.array([[0, 1, 1], [0, 0, 0]], dtype=np.int8), "phase")
+    assert net.counters.private_bits_sent == 10
+    net.send_block([2, 1], [1, 0], ["0110", "1"], "phase")
+    assert net.counters.private_bits_sent == 15
 
 
 BAD_BLOCKS = [

@@ -66,3 +66,18 @@ def test_gates_read_better_and_bound_from_the_checkouts_benchmark(pairs):
     gates = pairs.gates(TOOLS.parent)
     assert set(gates) == set(pairs.METRICS)
     assert all(better in ("higher", "lower") and bound > 0 for better, bound in gates.values())
+
+
+def test_gain_needs_nine_wins_in_ten_and_a_median_past_the_parents_spread(pairs):
+    parent = [100.0, 102.0, 98.0, 104.0, 96.0, 101.0, 99.0, 103.0, 97.0, 100.0]  # median 100, quartiles 98.25 to 101.75
+    shown = [p + 5.0 for p in parent[:9]] + [parent[9] - 1.0]  # 9 wins of 10, median 104.5
+    assert pairs.gain(parent, shown, "higher") == "gain shown"
+    # 8 wins, a tie and a loss: the median is as far ahead, but the wins fall short
+    few_wins = [p + 5.0 for p in parent[:8]] + [parent[8], parent[9] - 1.0]
+    assert pairs.gain(parent, few_wins, "higher") == "gain not shown"
+    # every pair won, but by a median 2 ahead, inside the parent's spread of 3.5
+    narrow = [p + 2.0 for p in parent]
+    assert pairs.gain(parent, narrow, "higher") == "gain not shown"
+    # a lower-is-better metric gains by going down
+    assert pairs.gain(parent, [p - 5.0 for p in parent], "lower") == "gain shown"
+    assert pairs.gain(parent, shown, "lower") == "gain not shown"

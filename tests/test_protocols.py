@@ -305,6 +305,46 @@ def test_pure_sixteen_qubit_carve_runs_on_its_support_in_bounded_memory():
     assert peak(three) >= 2 * 2**20
 
 
+def test_cached_layouts_are_shared_read_only_arrays():
+    # The notification's layout and the support tree's level plan are built
+    # once per key: a second call returns the same arrays, none writable.
+    plan = ((0, 2**16 - 1), 16, tuple(range(3, 16)))
+    for cached, args in ((protocols._notification_layout, (5,)), (protocols._pair_levels, plan)):
+        first, second = cached(*args), cached(*args)
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        for array in first:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array
+
+
+def test_runs_agree_with_the_caches_cleared_and_warm():
+    # A cold and a warm cache give the same results, transcripts, counters
+    # and stream states: an n=16 avka run plans its support tree and lays out
+    # its notification, an n=5 notification lays out its own.
+    roles16 = RoleAssignment(n=16, alice=0, receivers=frozenset({1, 2}))
+    roles5 = RoleAssignment(n=5, alice=2, receivers=frozenset({0, 4}))
+
+    def runs():
+        net16, bundle16 = fresh(21, 16)
+        result = avka(roles16, 16, 4, ghz_state(16), net16, bundle16)
+        net5, bundle5 = fresh(22, 5)
+        outcome = notification(roles5, net5, bundle5)
+        streams = [
+            s.bit_generator.state for b in (bundle16, bundle5) for s in (*b.parties, b.network, b.coin, b.source, b.adversary)
+        ]
+        nets = (net16, net5)
+        return result, outcome.notified, outcome.shares.tobytes(), [n.transcript for n in nets], [n.counters for n in nets], streams
+
+    protocols._notification_layout.cache_clear()
+    protocols._pair_levels.cache_clear()
+    cold = runs()
+    hits = protocols._notification_layout.cache_info().hits, protocols._pair_levels.cache_info().hits
+    warm = runs()
+    assert protocols._notification_layout.cache_info().hits == hits[0] + 2
+    assert protocols._pair_levels.cache_info().hits > hits[1]
+    assert warm == cold
+
+
 def test_ame_participant_reorder_uses_alice_first():
     # participants-only run on a computational basis state: the output is the
     # input with qubits permuted to (alice, receivers ascending)

@@ -7,9 +7,10 @@ script runs each checkout's own ``perfbench/run.py --trace 0`` once, the side
 that runs first alternating from one seed to the next, and prints the pair's
 end-to-end metrics. It then prints each side's median and quartiles of every
 metric, how many pairs the change wins on ``ops_per_s`` (ties count for
-neither side), and a no-regression verdict per metric against the ``better``
-and ``bound`` of the parent's ``BENCHMARK.json``: ``worse``, ``unresolved`` or
-``within bound``.
+neither side), and two verdicts per metric, read against the ``better`` and
+``bound`` of the parent's ``BENCHMARK.json``: no regression (``worse``,
+``unresolved`` or ``within bound``) and a gain (``gain shown`` or ``gain not
+shown``).
 
 The two paths must have the same length: perfbench's rates can move by more
 than a change's gain with the length of the checkout's path alone (heap
@@ -86,6 +87,18 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "within bound"
 
 
+def gain(parent: list[float], change: list[float], better: str) -> str:
+    """``gain shown`` if the change wins at least 9 of every 10 (parent,
+    change) pairs in the ``better`` direction, ties counting for neither side,
+    and its median beats the parent's by more than the parent's quartile
+    spread; else ``gain not shown``."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change, strict=True))
+    q1, median, q3 = quartiles(parent)
+    shown = 10 * wins >= 9 * len(parent) and sign * (quartiles(change)[1] - median) > q3 - q1
+    return "gain shown" if shown else "gain not shown"
+
+
 def seed_range(text: str) -> range:
     first, _, last = text.partition("-")
     return range(int(first), int(last or first) + 1)
@@ -123,7 +136,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{side} {name}: median {median:.6g}, quartiles {q1:.6g} to {q3:.6g}")
     print(f"change wins {summary['wins']} of {summary['pairs']} pairs on ops_per_s ({summary['losses']} losses)")
     for name in METRICS:
-        print(f"{name}: {verdict([p[name] for p, _ in pairs], [c[name] for _, c in pairs], *bounds[name])}")
+        parent_runs, change_runs = [p[name] for p, _ in pairs], [c[name] for _, c in pairs]
+        better, bound = bounds[name]
+        print(f"{name}: {verdict(parent_runs, change_runs, better, bound)}; {gain(parent_runs, change_runs, better)}")
     return 0
 
 
