@@ -38,7 +38,6 @@ from .rng import RngBundle
 # fidelity 0.81 (keygen and verification success, as fractions).
 REFERENCE_KEYGEN_RATE = 0.92974
 REFERENCE_VERIFICATION_RATE = 0.87178
-REFERENCE_FIDELITY = 0.81
 
 # --- acceptance bound ---------------------------------------------------------------
 
@@ -157,7 +156,7 @@ def ame_views(
     ghz = ghz_state(n)
 
     def chunk(size: int):
-        bits = carve(*_rows(ghz, bundle.source, size), roles, carve_draws(roles, bundle, size), support=ghz._support).announced
+        bits = carve(*_rows(ghz, bundle.source, size), roles, carve_draws(roles, bundle, size), source=ghz).announced
         order = bundle.network.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
         raw = _permutation_ranks(order) << n | bits @ (1 << np.arange(n - 1, -1, -1))
         return raw, bits.sum(axis=1) % 2

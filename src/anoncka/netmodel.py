@@ -255,8 +255,8 @@ class Network:
                 raise ProtocolError(f"bit payloads must be 0 or 1, got {sorted(set(bits.tolist()))}")
         else:
             bits = _codes(bits)
-        if not len(bits) == len(senders) == len(receivers):
-            raise ProtocolError("a block needs one sender, receiver and payload per message")
+        if not len(bits) == len(senders) == len(receivers) or {np.shape(kept), np.shape(phase)} - {(), (len(bits),)}:
+            raise ProtocolError("a block needs one sender, receiver and payload per message, and one phase and kept flag for all or each")
         self._check_range(np.concatenate([senders, receivers]))
         wrong = (senders == receivers) != kept
         if np.count_nonzero(wrong):

@@ -21,10 +21,10 @@ test, each a pure function of the draws it is given: only ``carve_draws``,
 are their one-row case plus a broadcast. ``_queued`` joins batches of about
 1 MB; ``_drawn`` makes a queue's draws with one raw-word call per stream,
 each batch's values as if it ran alone. An ``avka`` queue is one carve
-(rounds that share a state are one tree, run on the support from
-13 qubits up when no state has three nonzero amplitudes), one Z readout,
-one parity test and one block of its rounds' broadcasts. ``analysis``
-calls the steps with many rows, exhaustive tests with uniforms of -1 and 2.
+(rounds that share a state are one tree, run on the support when no state
+has three nonzero amplitudes), one Z readout, one parity test and one
+block of its rounds' broadcasts. ``analysis`` calls the steps with many
+rows, exhaustive tests with uniforms of -1 and 2.
 
 Party i holds qubit i of each source state. All participant-ordered tuples
 use Alice first, then receivers ascending.
@@ -49,7 +49,6 @@ _STEPS = ("ame:announce", "coin", "verify:announce")  # an avka round's broadcas
 # Bytes per batch and per queue: a batch holds 2^20 / (16 * 2^n) rounds or shots
 # (16 bytes per amplitude) or 2^20 / n^3 notifications (one int8 per share bit).
 _BATCH_BYTES = 2**20
-_SUPPORT_QUBITS = 13  # the fewest qubits at which ``carve`` runs on the support
 _CACHED = 16  # the most notification layouts, and support tree level plans, a process keeps
 
 
@@ -389,7 +388,7 @@ def carve(
     draws: tuple[np.ndarray, np.ndarray],
     *,
     withholding: frozenset[int] = frozenset(),
-    support: np.ndarray | None = None,
+    source: StateVector | NoiseEnsemble | None = None,
 ) -> Carving:
     """Carve the participants' GHZ state out of rounds of distinct states,
     round i out of row ``states[index[i]]``, each state measured once per outcome.
@@ -404,10 +403,11 @@ def carve(
     ``withholding`` names bystanders that skip the measurement, keep their
     qubit, and announce their coin instead.
 
-    From ``_SUPPORT_QUBITS`` qubits up, states with at most two nonzero
-    amplitudes each (GHZ, rotated GHZ, GHZ' and basis states, also after X
-    measurements) are carved on their support: ``support`` if given (a pure
-    source's ``StateVector._support``), else found here. Each level measures
+    When some bystander measures and every state has at most two nonzero
+    amplitudes (GHZ, rotated GHZ, GHZ' and basis states, also after X
+    measurements), the states are carved on their support, at any n: that
+    of ``source``, the pure ``StateVector`` the rows are of (its ``_support``,
+    found once per state), else the rows' own, found here. Each level measures
     qubit 0 of [z0 | z1] rows over the support it leaves; only the carved rows
     are made dense. Only a process that carves the same support, n and
     measured set again reuses their plan (``_pair_levels``, the last
@@ -421,8 +421,7 @@ def carve(
     announced = coins.copy()
     probability = np.ones(len(index))
     measuring = [p for p in bystanders if p not in withholding]
-    sparse = bool(measuring) and roles.n >= _SUPPORT_QUBITS
-    support = (_pair_support(states) if support is None else support) if sparse else None
+    support = (source._support if isinstance(source, StateVector) else _pair_support(states)) if measuring else None
     if support is not None:
         values = states[:, support]
         columns, slots, support = _pair_levels(tuple(support.tolist()), roles.n, tuple(measuring))
@@ -464,8 +463,7 @@ def ame(
     GHZ state in every branch.
     """
     check_run(roles, net, rng, state)
-    support = state._support if roles.n >= _SUPPORT_QUBITS else None  # below, a fresh state's first read scans 2^n for nothing
-    announced, _, corrected, carved = carve(*_rows(state, rng.source, 1), roles, carve_draws(roles, rng, 1), support=support)
+    announced, _, corrected, carved = carve(*_rows(state, rng.source, 1), roles, carve_draws(roles, rng, 1), source=state)
     bits = announced[0].tolist()
     net.broadcast_round({p: str(b) for p, b in enumerate(bits)}, phase="ame:announce", expected=range(roles.n))
     return AmeOutcome(
@@ -681,10 +679,8 @@ def avka(
     aborted, index = False, 0
     _check_notified(roles, notification(roles, net, rng).notified)
     queues = _queued([(source, num_states)], rng.source, round_bytes, draw)
-    sparse = isinstance(source, StateVector) and roles.n >= _SUPPORT_QUBITS  # carve finds a mixture's per queue
-    support = source._support if sparse else None
     for states, rows, (carving, keygen, readout, test_draws, pairs) in queues:
-        announced, _, _, carved = carve(states, rows, roles, carving, withholding=withholding, support=support)
+        announced, _, _, carved = carve(states, rows, roles, carving, withholding=withholding, source=source)
         readouts = measure_string(carved[keygen], readout_ops, uniforms=readout)[0]
         test = parity_measure(carved[~keygen], order, roles.alice, test_draws)
         # A round's block rows: its ame announcements, its coin, then a verification round's test.

@@ -56,6 +56,7 @@ BAD_BLOCKS = [
     ([0, 1, 2], [0, 2, 2], np.array([0, 1, 1]), True),  # kept share that goes to another party
     ([0, 1, 2], [1, 2, 0], np.array([0, 1]), False),  # one payload short
     ([0, 1], [1, 2], ["1", "10x"], False),  # not a bit string
+    ([0, 1, 2], [0, 2, 0], np.array([0, 1, 1]), [True, False]),  # one kept flag short
 ]
 
 
@@ -71,6 +72,8 @@ def test_send_private_rejects_self_and_bad_parties():
     for senders, receivers, bits, kept in BAD_BLOCKS:
         with pytest.raises(ProtocolError):
             net.send_block(senders, receivers, bits, "p", kept=kept)
+    with pytest.raises(ProtocolError):  # one phase short
+        net.send_block([0, 1, 2], [1, 2, 0], np.array([0, 1, 1]), ["p", "q"])
     # a rejected call records nothing
     assert [e.phase for e in net.transcript] == ["accepted"]
     assert net.counters.private_bits_sent == 1

@@ -113,17 +113,22 @@ def test_ame_all_parties_participants():
     assert np.array_equal(out.participant_state.amplitudes, ghz_state(3).amplitudes)
 
 
-def test_ame_and_avka_below_the_support_size_never_scan_a_fresh_state():
-    # carve runs on the support only from _SUPPORT_QUBITS up; below that a
-    # pure state's cached support would be a 2^n scan for nothing.
-    roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
-    state = qsim.rotated_ghz(4, 0.3)
-    ame(state, roles, *fresh(6, 4))
-    avka(roles, 20, 2, state, *fresh(7, 4))
-    assert "_support" not in vars(state)
-    with mock.patch.object(protocols, "_SUPPORT_QUBITS", 4):
-        ame(state, roles, *fresh(6, 4))
-    assert state._support.tolist() == [0, 15] and "_support" in vars(state)
+@pytest.mark.parametrize("n, three", [(4, False), (16, False), (16, True)])
+def test_ame_then_avka_scan_a_fresh_pure_state_once(n, three):
+    # carve reads a pure source's cached support at any n, so an ame and then
+    # an avka on one fresh state scan its 2^n amplitudes once between them,
+    # also when it has three nonzero amplitudes and takes the dense tree.
+    roles = RoleAssignment(n=n, alice=0, receivers=frozenset({1}))
+    state = qsim.rotated_ghz(n, 0.3)
+    if three:
+        amps = np.zeros(2**n, dtype=complex)
+        amps[[0, 5, -1]] = np.sqrt(1 / 3)
+        state = qsim.StateVector(n, amps)
+    scan = mock.Mock(wraps=qsim._pair_support)
+    with mock.patch.object(qsim, "_pair_support", scan), mock.patch.object(protocols, "_pair_support", scan):
+        ame(state, roles, *fresh(6, n))
+        avka(roles, 20, 2, state, *fresh(7, n))
+    assert scan.call_count == 1
 
 
 def test_ame_rejects_size_mismatch():
@@ -192,9 +197,8 @@ def test_ame_broadcast_covers_everyone_and_announces_true_outcomes():
 def carve_calls(draw):
     """A carve call: n in 3..16, Alice and one to three receivers anywhere, a
     withholder or none, 1..16 rounds of a GHZ, rotated GHZ, GHZ' (n=4), basis,
-    Werner-drawn or random dense source, random or forced uniforms, a pure
-    source's support given or not, and the support tree's crossover at its
-    value or at 3, so that small registers take that tree too."""
+    Werner-drawn (an undrawn row 0 dropped, as ``_queued`` does) or random
+    dense source, random or forced uniforms, and the source given or not."""
     n = draw(st.integers(3, 16))
     parties = draw(st.permutations(range(n)))
     receivers = frozenset(parties[1 : 1 + draw(st.integers(1, min(3, n - 1)))])
@@ -204,9 +208,11 @@ def carve_calls(draw):
     kind = draw(st.sampled_from(["ghz", "rotated", "basis", "werner", "dense"] + ["ghz_prime"] * (n == 4)))
     rounds, seed = draw(st.integers(1, 16)), draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    support = None
     if kind == "werner":
-        states, index = qsim.sample_ensemble(qsim.werner_ghz(n, draw(st.floats(0.0, 1.0))), rng, rounds)
+        source = qsim.werner_ghz(n, draw(st.floats(0.0, 1.0)))
+        states, index = qsim.sample_ensemble(source, rng, rounds)
+        if not np.count_nonzero(index == 0):  # the kernel measures only states drawn
+            states, index = states[1:], index - 1
     else:
         if kind == "ghz":
             state = ghz_state(n)
@@ -219,14 +225,13 @@ def carve_calls(draw):
         else:
             amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
             state = qsim.StateVector(n, amps / np.linalg.norm(amps))
-        states, index = state.amplitudes[None], np.zeros(rounds, dtype=np.intp)
-        support = state._support if draw(st.booleans()) else None
+        source, states, index = state, state.amplitudes[None], np.zeros(rounds, dtype=np.intp)
     coins, uniforms = carve_draws(roles, RngBundle.from_seed(seed, n), rounds, withholding)
     if draw(st.booleans()):
         uniforms = forcing(rng.integers(0, 2, size=uniforms.shape))
-    crossover = draw(st.sampled_from([protocols._SUPPORT_QUBITS, 3, 3]))
-    sparse = kind != "dense" and n >= crossover and len(bystanders) > len(withholding)
-    return roles, withholding, states, index, (coins, uniforms), support, crossover, sparse
+    source = source if draw(st.booleans()) else None
+    sparse = kind != "dense" and len(bystanders) > len(withholding)
+    return roles, withholding, states, index, (coins, uniforms), source, sparse
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -235,10 +240,9 @@ def test_carve_matches_the_dense_reference_bit_for_bit(call):
     # The support tree gives the frozen dense carve's announcements,
     # corrections, probabilities and carved rows, by bytes, signed zeros
     # included; states with three or more nonzero amplitudes stay dense.
-    roles, withholding, states, index, draws, support, crossover, sparse = call
-    with mock.patch.object(protocols, "_SUPPORT_QUBITS", crossover):
-        with mock.patch.object(protocols, "_pair_levels", wraps=protocols._pair_levels) as levels:
-            got = carve(states, index, roles, draws, withholding=withholding, support=support)
+    roles, withholding, states, index, draws, source, sparse = call
+    with mock.patch.object(protocols, "_pair_levels", wraps=protocols._pair_levels) as levels:
+        got = carve(states, index, roles, draws, withholding=withholding, source=source)
     want = carve_dense(states, index, roles, draws, withholding=withholding)
     assert levels.called == sparse
     assert np.array_equal(got.announced, want.announced) and np.array_equal(got.corrected, want.corrected)
@@ -255,8 +259,7 @@ def test_carve_of_many_werner_states_matches_the_dense_reference_bit_for_bit(n):
         withholding = frozenset({n - 1}) if seed % 2 else frozenset()
         states, index = qsim.sample_ensemble(qsim.werner_ghz(n, 0.2), np.random.default_rng(seed), 16)
         draws = carve_draws(roles, RngBundle.from_seed(seed, n), 16, withholding)
-        with mock.patch.object(protocols, "_SUPPORT_QUBITS", 3):
-            got = carve(states, index, roles, draws, withholding=withholding)
+        got = carve(states, index, roles, draws, withholding=withholding)
         want = carve_dense(states, index, roles, draws, withholding=withholding)
         assert len(states) > 8 and np.array_equal(got.announced, want.announced)
         assert got.probability.tobytes() == want.probability.tobytes() and got.carved.tobytes() == want.carved.tobytes()
@@ -273,7 +276,7 @@ def test_carve_names_an_impossible_branch_as_the_dense_reference_does(n):
     draws = coins, forcing(np.eye(1, n, n - 1, dtype=np.int8))
     errors = []
     for run in (carve, carve_dense):
-        with mock.patch.object(protocols, "_SUPPORT_QUBITS", 3), pytest.raises(ValueError) as error:
+        with pytest.raises(ValueError) as error:
             run(amps[None], np.zeros(1, dtype=np.intp), roles, draws)
         errors.append(str(error.value))
     assert errors == ["branch (qubit=2, basis=X, outcome=1) has probability ~0"] * 2
@@ -281,7 +284,7 @@ def test_carve_names_an_impossible_branch_as_the_dense_reference_does(n):
 
 def test_pure_sixteen_qubit_carve_runs_on_its_support_in_bounded_memory():
     # Sixteen rounds of a pure n=16 source peak far below one 1 MiB dense
-    # level, with the support given or found; an n=16 state with three
+    # level, with the source given or not; an n=16 state with three
     # nonzero amplitudes still takes the dense tree, which peaks above
     # 2 MiB at its 1 MiB levels.
     roles = RoleAssignment(n=16, alice=0, receivers=frozenset({1, 2}))
@@ -290,16 +293,16 @@ def test_pure_sixteen_qubit_carve_runs_on_its_support_in_bounded_memory():
     three[[0, 5, -1]] = np.sqrt(1 / 3)
     ghz = ghz_state(16)
 
-    def peak(amps, support=None) -> int:
+    def peak(amps, source=None) -> int:
         tracemalloc.start()
         try:
-            carve(amps[None], np.zeros(16, dtype=np.intp), roles, draws, support=support)
+            carve(amps[None], np.zeros(16, dtype=np.intp), roles, draws, source=source)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     assert ghz._support.tolist() == [0, 2**16 - 1]
-    assert peak(ghz.amplitudes, ghz._support) < 256 * 1024
+    assert peak(ghz.amplitudes, ghz) < 256 * 1024
     assert peak(ghz.amplitudes) < 256 * 1024
     assert qsim.StateVector(16, three)._support is None
     assert peak(three) >= 2 * 2**20
