@@ -88,9 +88,8 @@ def check_theorem1(
     done = 0
     # A queued shot may hold a kept row of its own and two 8-byte draws per holder.
     family = ((entry, trials) for entry in state_family)
-    queues = _queued(family, bundle.source, 16 * 2**k + 16 * k, lambda sizes: parity_draws(holders, 0, bundle, sizes))
-    for states, index, drawn in queues:
-        verdicts = parity_measure(states, holders, 0, drawn, index).accepted
+    for states, index, sizes in _queued(family, bundle.source, 16 * 2**k + 16 * k):
+        verdicts = parity_measure(states, holders, 0, parity_draws(holders, 0, bundle, sizes), index).accepted
         accepted += np.bincount((np.arange(done, done + len(index)) // trials)[verdicts], minlength=len(accepted))
         done += len(index)
 

@@ -75,7 +75,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise CliError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError(f"config {path} must be a JSON object")
@@ -87,7 +87,10 @@ def _require(cfg: dict, key: str, kind: type, check: Callable[[Any], bool] = lam
         raise CliError(f"missing config key {key!r}")
     value = cfg[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise CliError(f"config key {key!r} is too large for a float") from None
     if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
         raise CliError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
     if not check(value):
@@ -96,13 +99,13 @@ def _require(cfg: dict, key: str, kind: type, check: Callable[[Any], bool] = lam
 
 
 def _require_list(cfg: dict, key: str, kind: type, default: list | None = None) -> list:
-    """A list of finite ``kind`` values (int, or float which admits int)."""
+    """A list of finite ``kind`` values (int, or float which admits int, as a float)."""
     values = _require(cfg, key, list) if default is None else cfg.get(key, default)
     if not isinstance(values, list) or not all(
-        isinstance(v, (int, kind)) and not isinstance(v, bool) and math.isfinite(v) for v in values
+        isinstance(v, (int, kind)) and not isinstance(v, bool) and -math.inf < v < math.inf for v in values
     ):
         raise CliError(f"config key {key!r} must be a list of {kind.__name__}, got {values!r}")
-    return values
+    return [_require({key: v}, key, kind) for v in values]
 
 
 def _parties(cfg: dict, key: str) -> frozenset[int]:
@@ -254,8 +257,8 @@ def cmd_theorem1(cfg: dict, fmt: str) -> int:
     k = _size_from({"n": 4, **cfg}, 2)
     theta_grid = _require_list(cfg, "theta_grid", float, default=[])
     fidelity_grid = _require_list(cfg, "fidelity_grid", float, default=[])
-    family: list[StateVector | NoiseEnsemble] = [rotated_ghz(k, float(t)) for t in theta_grid]
-    family += [_werner(k, float(f)) for f in fidelity_grid]
+    family: list[StateVector | NoiseEnsemble] = [rotated_ghz(k, t) for t in theta_grid]
+    family += [_werner(k, f) for f in fidelity_grid]
 
     checks = check_theorem1(family, trials, np.random.default_rng(seed))
     if fmt == "csv":
@@ -274,6 +277,8 @@ def cmd_anonymity(cfg: dict, fmt: str) -> int:
 
     def hyp(key: str) -> RoleAssignment:
         spec = _require(cfg, key, dict)
+        if spec.get("n", n) != n:
+            raise CliError(f"config key {key!r} has n {spec['n']!r}, but the hypotheses share the top-level n {n}")
         return _roles_from({"n": n, **spec})
 
     hyp_a, hyp_b = hyp("hypothesis_a"), hyp("hypothesis_b")

@@ -291,7 +291,8 @@ class Network:
         recorded senders, None for the public source.
         """
         bits = np.asarray(bits)
-        if bits.dtype.kind not in "iu" or bits.shape != (len(phases), self.n + 1) or bits.min(initial=0) < -1:
+        shaped = bits.dtype.kind in "iu" and bits.shape == (len(phases), self.n + 1)
+        if not shaped or not -1 <= bits.min(initial=0) <= bits.max(initial=0) <= 2**63 - 3:  # the longest payload's
             raise ProtocolError("a broadcast block takes a (rounds, n + 1) table of payload codes, -1 for none")
         said = bits >= 0
         party = ~said[:, -1]

@@ -69,23 +69,21 @@ def _rows(source: StateVector | NoiseEnsemble, stream: np.random.Generator, shot
     return sample_ensemble(source, stream, shots)
 
 
-def _queued(sources, stream: np.random.Generator, draw_bytes: int, draw):
-    """Queues of (states, index, draws) of the (source, draws) pairs
-    ``sources``, drawn by ``_rows`` in ``_batches`` of 16 * 2^n-byte rows. A
-    batch joins while the queue's states and its draws, at ``draw_bytes`` each,
-    each stay within ``_BATCH_BYTES``; its states are drawn before the queue it
-    does not fit in is yielded. Just before a queue is yielded, ``draw(sizes)``
-    makes its other draws (arrays with one row per draw) given its batch
-    sizes in order, with the values and stream states of each batch drawing as
-    if it ran alone, in batch order. Consecutive batches of one source hold its
-    row 0 once, from the first draw of it on."""
+def _queued(sources, stream: np.random.Generator, draw_bytes: int):
+    """Queues of (states, index, sizes) of the (source, draws) pairs
+    ``sources``, drawn by ``_rows`` in ``_batches`` of 16 * 2^n-byte rows,
+    ``sizes`` the queue's batch sizes in order. A batch joins while the
+    queue's states and its draws, at ``draw_bytes`` each, each stay within
+    ``_BATCH_BYTES``; its states are drawn before the queue it does not fit
+    in is yielded. Consecutive batches of one source hold its row 0 once,
+    from the first draw of it on."""
     queue, held, drawn, last, first = [], 0, 0, None, None
     for source, draws in sources:
         for size in _batches(draws, 16 * 2**source.n_qubits):
             states, index = _rows(source, stream, size)
             shared = source is last and first is not None  # its row 0 is held, at row ``first``
             if queue and max((held + len(states) - shared) * states[0].nbytes, (drawn + size) * draw_bytes) > _BATCH_BYTES:
-                joined, queue, held, drawn, shared = _joined(queue, draw), [], 0, 0, False
+                joined, queue, held, drawn, shared = _joined(queue), [], 0, 0, False
                 yield joined
             if shared:
                 states, index = states[1:], np.where(index == 0, first, index + held - 1)
@@ -96,15 +94,15 @@ def _queued(sources, stream: np.random.Generator, draw_bytes: int, draw):
             queue.append((states, index))
             held, drawn, last = held + len(states), drawn + size, source
     if queue:
-        yield _joined(queue, draw)
+        yield _joined(queue)
 
 
-def _joined(queue, draw):
-    """A queue's batches as one (states, index, draws), ``draw`` given the batch sizes."""
+def _joined(queue):
+    """A queue's batches as one (states, index, sizes)."""
     states, index = zip(*queue)
     parts = [rows for rows in states if len(rows)]
     joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return joined, np.concatenate(index), draw(np.array([len(rows) for rows in index]))
+    return joined, np.concatenate(index), np.array([len(rows) for rows in index])
 
 
 def _drawn(fields) -> list:
@@ -412,8 +410,9 @@ def carve(
     are made dense. Only a process that carves the same support, n and
     measured set again reuses their plan (``_pair_levels``, the last
     ``_CACHED``, 8 * s * (2m + 1) bytes for s entries and m levels). The
-    entries left out are exact zeros, and a sum of at most two nonzero terms
-    rounds alike in any order, so the bits are the dense tree's. Callers
+    entries left out are exact zeros: GHZ, GHZ', basis states and Werner
+    draws get the dense tree's bits, other states (a rotated GHZ) agree within
+    rounding, as ``np.vecdot`` groups a row's products by its layout. Callers
     check the sizes and ``withholding`` first (``check_run``).
     """
     coins, uniforms = draws
@@ -661,28 +660,22 @@ def avka(
     # A queued round holds its carved row and about six 8-byte draws per party.
     round_bytes = 16 * 2 ** (m1 + len(withholding)) + 48 * roles.n
 
-    def draw(sizes):
-        """A queue's draws: its coins, which fix each batch's tested rounds, then
-        every party's draws, each batch's in the order of a batch run alone."""
-        keygen = rng.coin.random(sizes.sum()) < 1.0 / keygen_denom
-        tested = np.add.reduceat(~keygen, np.cumsum(sizes) - sizes, dtype=np.intp)
-        read, paired, test = sizes - tested, 2 * tested, _parity_fields(order, roles.alice, rng, tested)
-        later = [(s, False, read) for s in readout_rngs] + [(s, True, paired) for s in pair_rngs.values()]
-        coins, uniforms, *values = carve_draws(roles, rng, sizes, withholding, later + test)
-        readout = np.column_stack(values[: len(readout_rngs)])
-        pairs = [pair.reshape(-1, 2) for pair in values[len(readout_rngs) : len(later)]]
-        return (coins, uniforms), keygen, readout, _parity(order, roles.alice, values[len(later) :]), pairs
-
     rounds: list[AvkaRound] = []
     guesses: list[int] = []
     # Failure records read ``index``, the first round of the queue being drawn, carved or broadcast.
     aborted, index = False, 0
     _check_notified(roles, notification(roles, net, rng).notified)
-    queues = _queued([(source, num_states)], rng.source, round_bytes, draw)
-    for states, rows, (carving, keygen, readout, test_draws, pairs) in queues:
-        announced, _, _, carved = carve(states, rows, roles, carving, withholding=withholding, source=source)
-        readouts = measure_string(carved[keygen], readout_ops, uniforms=readout)[0]
-        test = parity_measure(carved[~keygen], order, roles.alice, test_draws)
+    for states, rows, sizes in _queued([(source, num_states)], rng.source, round_bytes):
+        # The queue's public coins fix each batch's verification rounds; then every party draws.
+        keygen = rng.coin.random(len(rows)) < 1 / keygen_denom
+        verifying = np.add.reduceat(~keygen, np.cumsum(sizes) - sizes, dtype=np.intp)
+        test_fields = _parity_fields(order, roles.alice, rng, verifying)
+        later = [(s, False, sizes - verifying) for s in readout_rngs] + [(s, True, 2 * verifying) for s in pair_rngs.values()]
+        coins, uniforms, *values = carve_draws(roles, rng, sizes, withholding, later + test_fields)
+        pairs = [pair.reshape(-1, 2) for pair in values[len(readout_rngs) : len(later)]]
+        announced, _, _, carved = carve(states, rows, roles, (coins, uniforms), withholding=withholding, source=source)
+        readouts = measure_string(carved[keygen], readout_ops, uniforms=np.column_stack(values[: len(readout_rngs)]))[0]
+        test = parity_measure(carved[~keygen], order, roles.alice, _parity(order, roles.alice, values[len(later) :]))
         # A round's block rows: its ame announcements, its coin, then a verification round's test.
         steps = 3 - keygen
         ends = steps.cumsum()

@@ -80,9 +80,9 @@ def test_failure_records_name_the_avka_round(rows, monkeypatch):
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_failure_records_name_the_queue_whose_draws_fail(rows, monkeypatch):
-    """A failure in a batch's draws, which ``_queued`` makes while ``avka``
-    fetches the next queue, names that queue's first round, not the last
-    round broadcast."""
+    """A failure in a batch's draws, which ``avka`` makes at the top of its
+    loop over ``_queued``'s queues, names that queue's first round, not the
+    last round broadcast."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import describe_exception
 

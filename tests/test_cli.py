@@ -92,6 +92,16 @@ def test_run_dishonest_ghz_minus_rejected(tmp_path, capsys):
     assert accepted and not any(accepted)
 
 
+def test_run_with_a_denominator_too_large_for_a_float_verifies_every_round(tmp_path, capsys):
+    # 1 / D underflows to 0, so every round is a verification round, and a
+    # pure source passes every test.
+    code, out, err = run_cli(capsys, "run", "--config", write_config(tmp_path, {**BASE_RUN, "D": 10**400}))
+    payload = json.loads(out)
+    assert (code, err) == (EXIT_OK, "") and payload["validated"]
+    assert payload["round_types"] == ["verification"] * BASE_RUN["L"]
+    assert all(r["accepted"] for r in payload["rounds"])
+
+
 # Coalitions over the corruption bound n - 2: a withholder (a coalition of one)
 # at n=2, and a dishonest source (no corrupted party) at n=1.
 OVER_BOUND_RUNS = {
@@ -371,6 +381,15 @@ def test_missing_config_file(capsys):
     assert "cannot read" in captured.err
 
 
+def test_config_integer_past_the_digit_limit_is_usage_error(tmp_path, capsys):
+    # json.load raises a plain ValueError, not a JSONDecodeError, on an
+    # integer of more than 4300 digits.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE_RUN).replace('"D": 4', '"D": ' + "1" * 5000))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert (code, out) == (EXIT_USAGE, "") and err.startswith("error: config ")
+
+
 def test_seed_flag_overrides_config(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_RUN)
     _, out_a, _ = run_cli(capsys, "run", "--config", cfg, "--seed", "99")
@@ -425,6 +444,13 @@ def run_cli_process(*argv, hash_seed="0"):
         ("notify-demo", {"n": 17, "alice": 0, "receivers": [2], "seed": 31}),
         ("anonymity", {**ANON_CFG, "n": 17}),
         ("anonymity", {**ANON_CFG, "protocol": "notification", "n": 17}),
+        ("theorem1", {"n": 4, "trials": 10, "seed": 1, "theta_grid": [10**400]}),
+        ("experiment", {"fidelity": 10**400, "trials": 10, "seed": 1}),
+        ("run", {**BASE_RUN, "adversary": {"kind": "dishonest_source", "state": "rotated", "theta": 10**400}}),
+        (
+            "anonymity",
+            {**ANON_CFG, **{f"hypothesis_{h}": {**ANON_CFG[f"hypothesis_{h}"], "n": 6} for h in "ab"}, "coalition": [5]},
+        ),
     ],
 )
 def test_malformed_config_is_usage_error_without_traceback(command, cfg, tmp_path):

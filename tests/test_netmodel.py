@@ -146,6 +146,7 @@ def test_broadcast_rounds_equal_round_by_round_broadcasts_up_to_a_short_round():
         [[0, 0, 0, 1]],  # the public source with parties
         [[0, 0, -1, -1], [0, 0, 0, -1]],  # party rounds of two announcer counts
         [[0, -2, 0, -1]],  # a code below -1
+        [[0, 2**63 - 1, 0, -1]],  # a code above 2^63 - 3, that of the longest payload
         [[0, 0, 0]],  # no public column
     ]
     for bad in bad_tables:
