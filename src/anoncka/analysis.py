@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -103,11 +103,17 @@ def check_theorem1(
     return checks
 
 
-def bound_checks_to_csv(checks: Sequence[BoundCheck]) -> str:
-    lines = ["epsilon,accept_rate,stderr,bound,satisfied"]
-    for c in checks:
-        lines.append(f"{c.epsilon!r},{c.accept_rate!r},{c.stderr!r},{c.bound!r},{c.satisfied}")
+def _csv(header: str, rows: Iterable[Sequence]) -> str:
+    """``header``, then one line per row: a string field as itself, any other as its ``repr``."""
+    lines = [header, *(",".join([v if isinstance(v, str) else repr(v) for v in row]) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def bound_checks_to_csv(checks: Sequence[BoundCheck]) -> str:
+    return _csv(
+        "epsilon,accept_rate,stderr,bound,satisfied",
+        [(c.epsilon, c.accept_rate, c.stderr, c.bound, c.satisfied) for c in checks],
+    )
 
 
 # --- anonymity ----------------------------------------------------------------------
@@ -420,20 +426,15 @@ class ExperimentReport:
         }
 
     def to_csv(self) -> str:
-        lines = ["config,p_k,p_k_stderr,p_v,p_v_stderr"]
-        for c in self.configurations:
-            lines.append(
-                f"{c.label},{c.keygen_rate!r},{c.keygen_stderr!r},"
-                f"{c.verification_rate!r},{c.verification_stderr!r}"
-            )
-        lines.append(
-            f"average,{self.avg_keygen!r},{self.avg_keygen_stderr!r},"
-            f"{self.avg_verification!r},{self.avg_verification_stderr!r}"
+        return _csv(
+            "config,p_k,p_k_stderr,p_v,p_v_stderr",
+            [
+                *((c.label, c.keygen_rate, c.keygen_stderr, c.verification_rate, c.verification_stderr)
+                  for c in self.configurations),
+                ("average", self.avg_keygen, self.avg_keygen_stderr, self.avg_verification, self.avg_verification_stderr),
+                ("reference", self.reference_keygen, "", self.reference_verification, ""),
+            ],
         )
-        lines.append(
-            f"reference,{self.reference_keygen!r},,{self.reference_verification!r},"
-        )
-        return "\n".join(lines) + "\n"
 
 
 def keygen_success(bits, config: str):

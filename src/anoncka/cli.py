@@ -139,8 +139,8 @@ def _seed_from(cfg: dict) -> int:
     return _require(cfg, "seed", int, lambda v: v >= 0)
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(command: str, seed: int, payload: dict) -> None:
+    print(json.dumps({**payload, "command": command, "seed": seed}, indent=2, sort_keys=True))
 
 
 def _werner(n: int, fidelity: float, ghz: StateVector | None = None) -> NoiseEnsemble:
@@ -212,25 +212,18 @@ def cmd_run(cfg: dict, fmt: str) -> int:
     net = Network(roles.n, bundle.network)
     source = _make_source(cfg, roles)
     strategy = _make_strategy(cfg, roles)
+    payload = {"roles": {"n": roles.n, "alice": roles.alice, "receivers": sorted(roles.receivers)}}
 
     if cfg.get("D") is None:
         if strategy is not None:
             raise CliError("adversary strategies need the verifiable variant (set D)")
         keys = aka(roles, num_states, source, net, bundle)
-        _emit(
-            {
-                "command": "aka",
-                "roles": {"n": roles.n, "alice": roles.alice, "receivers": sorted(roles.receivers)},
-                "keys": {str(p): bits for p, bits in sorted(keys.items())},
-                "seed": seed,
-            }
-        )
+        _emit("aka", seed, {**payload, "keys": {str(p): bits for p, bits in sorted(keys.items())}})
         return EXIT_OK
 
     keygen_denom = _require(cfg, "D", int, lambda v: v >= 1)
     if strategy is None:
         result = avka(roles, num_states, keygen_denom, source, net, bundle)
-        payload = result.to_dict(roles)
     else:
         try:
             run = adv.run_with_adversary(
@@ -239,15 +232,12 @@ def cmd_run(cfg: dict, fmt: str) -> int:
         except adv.ConfigurationError as exc:
             raise CliError(str(exc)) from exc
         result = run.result
-        payload = result.to_dict(roles)
         payload["adversary"] = {
             "kind": cfg["adversary"]["kind"],
             "view_entries": len(run.view.visible_entries),
             "key_guess": run.adversary_key_guess,
         }
-    payload["command"] = "avka"
-    payload["seed"] = seed
-    _emit(payload)
+    _emit("avka", seed, {**result.to_dict(), **payload})
     return EXIT_OK if result.validated else EXIT_REJECTED
 
 
@@ -264,7 +254,7 @@ def cmd_theorem1(cfg: dict, fmt: str) -> int:
     if fmt == "csv":
         sys.stdout.write(bound_checks_to_csv(checks))
     else:
-        _emit({"command": "theorem1", "checks": [asdict(c) for c in checks], "seed": seed})
+        _emit("theorem1", seed, {"checks": [asdict(c) for c in checks]})
     return EXIT_OK
 
 
@@ -289,9 +279,7 @@ def cmd_anonymity(cfg: dict, fmt: str) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    payload = asdict(estimate)
-    payload.update({"command": "anonymity", "protocol": protocol, "seed": seed})
-    _emit(payload)
+    _emit("anonymity", seed, {**asdict(estimate), "protocol": protocol})
     return EXIT_OK
 
 
@@ -314,9 +302,7 @@ def cmd_experiment(cfg: dict, fmt: str) -> int:
     if fmt == "csv":
         sys.stdout.write(report.to_csv())
     else:
-        payload = report.to_dict()
-        payload.update({"command": "experiment", "seed": seed})
-        _emit(payload)
+        _emit("experiment", seed, report.to_dict())
     return EXIT_OK
 
 

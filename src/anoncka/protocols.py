@@ -110,12 +110,14 @@ def _drawn(fields) -> list:
     field: every stream draws batch by batch, and in a batch its fields in
     list order, ``counts[b]`` coins (``integers(0, 2)``) if ``coin``, else
     doubles (``random()``), in batch b (int counts are one batch). One batch
-    makes numpy's own calls, field by field: they cost less than a state read
-    and write per stream. Over several batches, every PCG64 stream makes one
-    ``random_raw`` call, decoded into numpy's own values and stream states. A
-    double is a word's top 53 bits. A coin is bit 31 of the next 32-bit half
-    (Lemire's method never rejects a range of 2): the half the stream keeps,
-    else a fresh word's low half, whose high half it keeps."""
+    makes numpy's own calls, field by field: on the one-batch calls that every
+    one-row ``ame`` and ``verification`` and the sample configs make, these
+    cost less than a state read and write per stream. Over several batches,
+    every PCG64 stream makes one ``random_raw`` call, decoded into numpy's own
+    values and stream states. A double is a word's top 53 bits. A coin is bit
+    31 of the next 32-bit half (Lemire's method never rejects a range of 2):
+    the half the stream keeps, else a fresh word's low half, whose high half
+    it keeps."""
     counts = np.array([counts for _, _, counts in fields]).reshape(len(fields), -1)  # (fields, batches)
     if counts.shape[1] == 1:
         return [_coins(stream, c) if coin else stream.random(c) for (stream, coin, _), c in zip(fields, counts[:, 0].tolist())]
@@ -223,7 +225,7 @@ class AvkaResult:
     validated: bool
     withholder_guess: str = ""
 
-    def to_dict(self, roles: RoleAssignment | None = None) -> dict:
+    def to_dict(self) -> dict:
         out: dict = {
             "aborted": self.aborted,
             "validated": self.validated,
@@ -243,8 +245,6 @@ class AvkaResult:
         }
         if self.withholder_guess:
             out["withholder_guess"] = self.withholder_guess
-        if roles is not None:
-            out["roles"] = {"n": roles.n, "alice": roles.alice, "receivers": sorted(roles.receivers)}
         return out
 
 

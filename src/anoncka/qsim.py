@@ -47,11 +47,23 @@ class Basis(enum.Enum):
 _NORM_TOL = 1e-12
 # |norm - 1| <= tol  <=>  |norm^2 - 1| <= 2 tol + tol^2, so the check can skip the square root.
 _SQUARED_NORM_TOL = 2 * _NORM_TOL + _NORM_TOL**2
+# OpenBLAS (0.3.31 measured) threads its dot product from 2^14 entries on, which changes its rounding.
+_CHUNK = 2**13
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a (rows, 2^k) complex array, the same at any
+    BLAS thread count: one ``vecdot`` per row of at most ``_CHUNK`` entries (a sum
+    would cost such a row about 1.5 us), else one per chunk and a sum over the chunks."""
+    if rows.shape[1] <= _CHUNK:
+        return np.vecdot(rows, rows).real
+    chunks = rows.reshape(len(rows), rows.shape[1] // _CHUNK, _CHUNK)  # explicit: numpy cannot infer it for 0 rows
+    return np.vecdot(chunks, chunks).real.sum(axis=1)
 
 
 def _check_unit_norms(amps: np.ndarray) -> None:
     """Raise unless every row of ``amps`` has norm 1 within 1e-12 (NaN fails)."""
-    squared = np.vecdot(amps, amps).real
+    squared = _squared_norms(amps)
     ok = np.abs(squared - 1.0) <= _SQUARED_NORM_TOL
     if np.count_nonzero(ok) != len(ok):
         norm = float(np.sqrt(squared[~ok][0]))
@@ -221,12 +233,13 @@ def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: n
     every state, row 2s + b for state s's branch b: for X and Y one add and
     one subtract of the halves, with the phased z1 written into the outcome-1
     rows first, then one scaling of both by sqrt(1/2); for Z the halves
-    themselves, which at qubit 0 are ``amps`` unchanged. One vecdot gives every
-    branch's probability. The kept rows are the branches drawn, state by state
-    and outcome 0 first (both, for a state whose draws take both): the nonzeros
-    of one mark per branch row, whose running count less one is each draw's
-    row. One gather takes them and their probabilities. With an index the call
-    also returns each draw's row; every draw matches a one-row call bit for bit.
+    themselves, which at qubit 0 are ``amps`` unchanged. One ``_squared_norms``
+    call gives every branch's probability. The kept rows are the branches
+    drawn, state by state and outcome 0 first (both, for a state whose draws
+    take both): the nonzeros of one mark per branch row, whose running count
+    less one is each draw's row. One gather takes them and their
+    probabilities. With an index the call also returns each draw's row; every
+    draw matches a one-row call bit for bit.
     """
     shots, dim = amps.shape
     if not 0 <= qubit < dim.bit_length() - 1:
@@ -257,7 +270,7 @@ def _measure_kernel(amps: np.ndarray, qubit: int, basis, u: np.ndarray, index: n
     else:  # the halves themselves: a view of ``amps`` at qubit 0, else one copy
         pairs = np.ascontiguousarray(t.swapaxes(1, 2))  # contiguous rows: a strided vecdot rounds differently
     branches = pairs.reshape(2 * shots, dim // 2)
-    prob = np.vecdot(branches, branches).real
+    prob = _squared_norms(branches)
     ones = u >= (prob[0::2] if index is None else prob[0::2][index])
     outcomes = ones.view(np.int8)
     if index is None:

@@ -711,8 +711,8 @@ def test_experiment_infeasible_fidelity():
 @pytest.mark.parametrize("trials, batch_bytes", [(5000, None), (37, 1000)], ids=["two-batches", "many-queues"])
 def test_experiment_matches_the_batch_by_batch_reference(monkeypatch, fidelity, from_ghz_prime, trials, batch_bytes):
     # 5000 shots cross the 4096-shot batch; 1000 bytes make batches of 3
-    # shots and queues of one or two batches. The queued draws leave the rng
-    # where the batch loop does.
+    # shots. Each batch draws its states, then its uniforms, and the rng ends
+    # where the batch-by-batch reference leaves it.
     if batch_bytes is not None:
         monkeypatch.setattr(protocols, "_BATCH_BYTES", batch_bytes)
     rng, reference = np.random.default_rng(16), np.random.default_rng(16)

@@ -179,6 +179,19 @@ def test_run_werner_noise_beyond_ten_qubits(cfg, tmp_path, capsys):
     assert payload["num_rounds"] == cfg["L"]
 
 
+@pytest.mark.parametrize("L, D", [(4, 1), (1, 4)])
+def test_run_at_sixteen_qubits_without_bystanders_with_one_round_type(L, D, tmp_path, capsys):
+    # Every other party a receiver: the carve is dense, its rows 2^15 amplitudes
+    # long. D = 1 draws no verification round; one round at D = 4 (seed 7) is a
+    # verification round, so no keygen round: each leaves a kernel call with zero rows.
+    cfg = {**BASE_RUN, "n": 16, "receivers": list(range(1, 16)), "L": L, "D": D}
+    code, out, err = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    assert payload["round_types"] == ["keygen" if D == 1 else "verification"] * L
+    assert len(set(payload["key_bits"].values())) == 1
+
+
 def test_unverified_run_draws_its_source_states_per_batch(tmp_path, capsys):
     # Built before the first round, the source's 2000 draws hold about 1000
     # noise basis states of 2^10 amplitudes (16 KB each): a 22 MB peak. Drawn
@@ -785,3 +798,18 @@ def test_sample_config_stdout_digests_are_pinned(tmp_path):
             code = main([command, "--config", path])
         seen[name] = (code, hashlib.md5(sink.getvalue().encode()).hexdigest())
     assert seen == PINNED_STDOUT
+
+
+# (command, sample config, format, md5 of stdout): the one format of each
+# command that PINNED_STDOUT, which prints every default, does not cover.
+PINNED_SECOND_FORMATS = [
+    ("theorem1", "theorem1.json", "json", "11c4078140da32518b7233842f6b7529"),
+    ("experiment", "experiment.json", "csv", "47ee63b1e767ddfb38041b2c58c84253"),
+]
+
+
+@pytest.mark.parametrize("command,config,fmt,digest", PINNED_SECOND_FORMATS)
+def test_sample_config_second_format_digests_are_pinned(command, config, fmt, digest, capsys):
+    code, out, err = run_cli(capsys, command, "--config", str(REPO / "configs" / config), "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.md5(out.encode()).hexdigest() == digest

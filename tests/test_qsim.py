@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +268,38 @@ def test_long_measurement_chains_at_16_qubits_keep_unit_norm():
         for _ in range(15):
             _, s = qsim.measure(s, 0, Basis.X, rng)
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-14
+
+
+# Prints one hash of the kernel's outcomes, probabilities and kept rows on
+# fixed rows of 2^15 and 2^16 amplitudes: X at qubit 0, per-row Y bits at qubit 1.
+_KERNEL_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from anoncka.qsim import _measure_kernel
+rng, digest = np.random.default_rng(3), hashlib.md5()
+for n in (15, 16):
+    amps = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+    amps /= np.sqrt((amps.real**2 + amps.imag**2).sum(axis=1))[:, None]
+    for qubit, basis in ((0, "X"), (1, np.array([0, 1, 1]))):
+        for part in _measure_kernel(amps, qubit, basis, np.full(3, 0.5)):
+            digest.update(part.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_kernel_gives_the_same_bits_at_one_and_two_blas_threads():
+    # OpenBLAS threads a complex dot product from 2^14 entries on, and the
+    # threaded sum rounds differently; the kernel's sums must not depend on
+    # it. Where OpenBLAS starts only one thread, both runs agree regardless.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    hashes = [
+        subprocess.run(
+            [sys.executable, "-c", _KERNEL_HASH_SCRIPT],
+            env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert hashes[0] == hashes[1] != ""
 
 
 def test_single_shot_measure_is_bit_identical_to_one_state_reference():
@@ -703,7 +739,7 @@ def test_indexed_readouts_match_gathered_rows_bit_for_bit(k, extra, middle, kind
         assert bits.tobytes() == gathered[0].tobytes() and rest[rows].tobytes() == gathered[1].tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, 16])
 def test_kernel_and_its_callers_take_zero_rows(n):
     # Zero rows give empty outcomes and probabilities and (0, 2^(n-1)) kept
     # rows, with a Basis, a letter or empty Y bits, uniforms or forced
