@@ -245,12 +245,19 @@ def _empirical_tvds(views: np.ndarray, trials: int, support: int) -> list[float]
     indices in [0, support): between a row's first ``trials`` and its last.
 
     One ``bincount`` histograms every (row, half, view) key; a row's TVD is
-    half the ``math.fsum`` of its absolute differences, exact, so it does not
-    depend on the summation order.
+    half the correctly rounded sum of its absolute differences, the double
+    ``0.5 * math.fsum`` gives. As no nonzero frequency is below 1 / trials, each
+    difference is a whole number of quanta q = ulp(1 / trials), below 2^(52 +
+    ceil(log2 trials)); its high and low 32 bits sum exactly in int64 for trials
+    below 2^30, ``float`` of the joined int rounds once, and q and 0.5 scale exactly.
     """
     keys = views.reshape(-1, trials) + support * np.arange(2 * len(views))[:, None]
     halves = (np.bincount(keys.ravel(), minlength=len(keys) * support) / trials).reshape(len(views), 2, support)
-    return [0.5 * math.fsum(row) for row in np.abs(halves[:, 0] - halves[:, 1]).tolist()]
+    quantum = math.ulp(1.0 / trials)
+    quanta = np.abs(halves[:, 0] - halves[:, 1]) / quantum
+    high = np.floor(quanta * 2.0**-32)
+    low = (quanta - high * 2.0**32).astype(np.int64).sum(axis=1).tolist()
+    return [0.5 * quantum * float((h << 32) + l) for h, l in zip(high.astype(np.int64).sum(axis=1).tolist(), low)]
 
 
 @dataclass(frozen=True)
@@ -316,9 +323,9 @@ def estimate_anonymity_tvd(
 
     (raw_tvd,) = _empirical_tvds(index[None], trials, len(support))
     null = []
-    # A row holds its shuffled views and their keys (2 trials int64 each),
-    # two count rows, their float copies and their list of differences.
-    for rows in _batches(NULL_ROUNDS, 32 * trials + 64 * len(support)):
+    # A row holds its shuffled views and their keys (2 trials int64 each), two
+    # frequency rows and at most five 8-byte rows of quanta, high and low parts.
+    for rows in _batches(NULL_ROUNDS, 32 * trials + 56 * len(support)):
         views = np.tile(index, (rows, 1))
         null += _empirical_tvds(rng.permuted(views, axis=1, out=views), trials, len(support))
     null_mean = float(np.mean(null))

@@ -52,13 +52,14 @@ _CHUNK = 2**13
 
 
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """The squared norm of each row of a (rows, 2^k) complex array, the same at any
-    BLAS thread count: one ``vecdot`` per row of at most ``_CHUNK`` entries (a sum
-    would cost such a row about 1.5 us), else one per chunk and a sum over the chunks."""
+    """The squared norm of each row of a (rows, width) complex array, the same at any
+    BLAS thread count: one ``vecdot`` per row of at most ``_CHUNK`` entries (a sum would
+    cost such a row about 1.5 us), else one per whole chunk summed, plus one of the rest."""
     if rows.shape[1] <= _CHUNK:
         return np.vecdot(rows, rows).real
-    chunks = rows.reshape(len(rows), rows.shape[1] // _CHUNK, _CHUNK)  # explicit: numpy cannot infer it for 0 rows
-    return np.vecdot(chunks, chunks).real.sum(axis=1)
+    whole = rows.shape[1] - rows.shape[1] % _CHUNK  # all of a row of 2^k: its rest is empty and adds 0.0
+    chunks, rest = rows[:, :whole].reshape(len(rows), whole // _CHUNK, _CHUNK), rows[:, whole:]  # explicit: not inferable for 0 rows
+    return np.vecdot(chunks, chunks).real.sum(axis=1) + np.vecdot(rest, rest).real
 
 
 def _check_unit_norms(amps: np.ndarray) -> None:
@@ -455,7 +456,7 @@ def ghz_trace_distance(entry: StateVector | NoiseEnsemble) -> float:
     else:
         c, p = entry.amplitudes, 1.0
     along = abs(c[0] + c[-1]) / np.sqrt(2.0)
-    across = np.sqrt(abs(c[0] - c[-1]) ** 2 / 2.0 + np.vdot(c[1:-1], c[1:-1]).real)
+    across = np.sqrt(abs(c[0] - c[-1]) ** 2 / 2.0 + _squared_norms(c[None, 1:-1])[0])
     noise = (1.0 - p) / c.size
     mean = noise - (1.0 - p) / 2.0
     radius = np.hypot((1.0 - p) / 2.0 + p * across**2, p * along * across)

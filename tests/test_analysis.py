@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -572,6 +573,25 @@ def test_tvd_null_stays_within_a_few_megabytes_on_distinct_views():
         tracemalloc.stop()
     assert est.projected and est.raw_tvd == 1.0
     assert peak < 8 * 2**20
+
+
+def test_empirical_tvds_are_half_the_fsum_of_the_frequency_differences():
+    # Each TVD is summed in whole quanta ulp(1 / trials); it must be the very
+    # double that half the ``math.fsum`` of the float differences gives, as a
+    # Python float, at trial counts around powers of two and up to 2^21 + 1.
+    rng = np.random.default_rng(38)
+    for trials in (2, 127, 128, 129, 1023, 1024, 1025, 99991, 10**6, 2**21 + 1):
+        rows = 1 if trials > 10**5 else 3
+        for support in sorted({1, max(1, min(2 * trials, 4096) // 3), min(2 * trials, 4096)}):
+            uniform = rng.integers(0, support, size=(rows, 2 * trials))
+            skewed = uniform.copy()
+            skewed[:, :trials][rng.random((rows, trials)) < 0.9] = 0
+            for views in (uniform, skewed):
+                got = analysis._empirical_tvds(views, trials, support)
+                counts = [np.bincount(half, minlength=support) / trials for half in views.reshape(-1, trials)]
+                want = [0.5 * math.fsum(np.abs(a - b).tolist()) for a, b in zip(counts[0::2], counts[1::2])]
+                assert all(type(x) is float for x in got), (trials, support)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (trials, support)
 
 
 # --- key rate -------------------------------------------------------------------------

@@ -271,11 +271,13 @@ def test_long_measurement_chains_at_16_qubits_keep_unit_norm():
 
 
 # Prints one hash of the kernel's outcomes, probabilities and kept rows on
-# fixed rows of 2^15 and 2^16 amplitudes: X at qubit 0, per-row Y bits at qubit 1.
+# fixed rows of 2^15 and 2^16 amplitudes: X at qubit 0, per-row Y bits at qubit 1;
+# then of ``ghz_trace_distance`` on fixed states of 14 to 16 qubits, whose
+# 2^n - 2 middle entries leave a remainder after the whole chunks.
 _KERNEL_HASH_SCRIPT = """
 import hashlib
 import numpy as np
-from anoncka.qsim import _measure_kernel
+from anoncka.qsim import StateVector, _measure_kernel, ghz_trace_distance
 rng, digest = np.random.default_rng(3), hashlib.md5()
 for n in (15, 16):
     amps = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
@@ -283,14 +285,20 @@ for n in (15, 16):
     for qubit, basis in ((0, "X"), (1, np.array([0, 1, 1]))):
         for part in _measure_kernel(amps, qubit, basis, np.full(3, 0.5)):
             digest.update(part.tobytes())
+for n in (14, 15, 16):
+    amps = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+    amps /= np.sqrt((amps.real**2 + amps.imag**2).sum(axis=1))[:, None]
+    for row in amps:
+        digest.update(float(ghz_trace_distance(StateVector(n, row))).hex().encode())
 print(digest.hexdigest())
 """
 
 
 def test_kernel_gives_the_same_bits_at_one_and_two_blas_threads():
     # OpenBLAS threads a complex dot product from 2^14 entries on, and the
-    # threaded sum rounds differently; the kernel's sums must not depend on
-    # it. Where OpenBLAS starts only one thread, both runs agree regardless.
+    # threaded sum rounds differently; the kernel's sums and the trace
+    # distance's must not depend on it. Where OpenBLAS starts only one
+    # thread, both runs agree regardless.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     hashes = [
         subprocess.run(
