@@ -330,11 +330,12 @@ class Network:
         phase: str,
         expected: Iterable[int] | None = None,
     ) -> list[tuple[int, str]]:
-        """One broadcast round; all parties see the same ordered content.
-
-        Announcement order is a fresh uniform permutation of the announcers.
-        If any party in ``expected`` fails to announce, the round aborts.
-        This is the one-round case of ``broadcast_rounds``.
+        """One broadcast round of '0'/'1' string payloads, for library
+        callers; all parties see the same ordered content. Announcement order
+        is a fresh uniform permutation of the announcers. If any party in
+        ``expected`` fails to announce, the round aborts. This is the
+        one-round case of ``broadcast_rounds``, through which every protocol
+        step records its rounds as payload codes.
         """
         announcers = sorted(announcements)
         self._check_range(announcers)

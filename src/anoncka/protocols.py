@@ -120,7 +120,7 @@ def _drawn(fields) -> list:
     it keeps."""
     counts = np.array([counts for _, _, counts in fields]).reshape(len(fields), -1)  # (fields, batches)
     if counts.shape[1] == 1:
-        return [_coins(stream, c) if coin else stream.random(c) for (stream, coin, _), c in zip(fields, counts[:, 0].tolist())]
+        return [stream.integers(0, 2, size=c) if coin else stream.random(c) for (stream, coin, _), c in zip(fields, counts[:, 0].tolist())]
     index: dict = {}
     owner = np.array([index.setdefault(id(stream), (len(index), stream))[0] for stream, _, _ in fields])
     coin = np.array([coin for _, coin, _ in fields], dtype=bool)
@@ -328,11 +328,6 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _coins(stream: np.random.Generator, rows: int) -> np.ndarray:
-    """``integers(0, 2, size=rows)``, one or two coins by scalar calls: several times faster."""
-    return stream.integers(0, 2, size=rows) if rows > 2 else np.array([stream.integers(0, 2) for _ in range(rows)])
-
-
 class Carving(NamedTuple):
     """The bystander step of ame on a batch of rounds, one row per round."""
 
@@ -463,11 +458,10 @@ def ame(
     """
     check_run(roles, net, rng, state)
     announced, _, corrected, carved = carve(*_rows(state, rng.source, 1), roles, carve_draws(roles, rng, 1), source=state)
-    bits = announced[0].tolist()
-    net.broadcast_round({p: str(b) for p, b in enumerate(bits)}, phase="ame:announce", expected=range(roles.n))
+    net.broadcast_rounds(["ame:announce"], np.append(announced[0], -1)[None], expected=range(roles.n))
     return AmeOutcome(
-        participant_state=StateVector._checked(roles.m + 1, carved[0]),
-        announced_bits=tuple(bits),
+        participant_state=StateVector(roles.m + 1, carved[0]),
+        announced_bits=tuple(announced[0].tolist()),
         corrected=bool(corrected[0]),
     )
 
@@ -574,7 +568,8 @@ def verification(
     rng: RngBundle,
 ) -> VerificationRecord:
     """Verify a k-party state against the GHZ parity correlations: the
-    one-row case of ``parity_measure``, then one broadcast round.
+    one-row case of ``parity_measure``, then its one row of payload codes
+    through ``Network.broadcast_rounds``.
 
     Parties are the qubit indices 0..k-1. Everyone but the verifier draws a
     basis bit (0 -> X, 1 -> Y), measures, and broadcasts (basis, outcome);
@@ -589,11 +584,10 @@ def verification(
     check_run(RoleAssignment(k, verifier, frozenset(range(k)) - {verifier}), net, rng, state)
     draws = parity_draws(tuple(range(k)), verifier, rng, 1)
     bits, results, placeholders, _, accepted = parity_measure(state.amplitudes[None], tuple(range(k)), verifier, draws)
-    bits, results = bits[0].tolist(), results[0].tolist()
-    announcements = {p: f"{b}{o}" for p, (b, o) in enumerate(zip(bits, results))}
-    announcements[verifier] = "".join(map(str, placeholders[0].tolist()))  # in place of its basis and outcome
-    net.broadcast_round(announcements, phase="verify:announce", expected=range(k))
-    return VerificationRecord(basis_bits=tuple(bits), outcomes=tuple(results), accepted=bool(accepted[0]))
+    row = np.append(payload_codes(bits[0], results[0]), -1)  # -1: the public source says nothing
+    row[verifier] = payload_codes(*placeholders[0].tolist())  # in place of its basis and outcome
+    net.broadcast_rounds(["verify:announce"], row[None], expected=range(k))
+    return VerificationRecord(basis_bits=tuple(bits[0].tolist()), outcomes=tuple(results[0].tolist()), accepted=bool(accepted[0]))
 
 
 def aka(

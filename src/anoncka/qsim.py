@@ -95,16 +95,6 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def _checked(cls, n_qubits: int, amps: np.ndarray) -> "StateVector":
-        """Wrap a contiguous amplitude row whose norm the measurement kernel
-        has just checked, without checking it a second time."""
-        s = object.__new__(cls)
-        amps.flags.writeable = False
-        object.__setattr__(s, "n_qubits", n_qubits)
-        object.__setattr__(s, "amplitudes", amps)
-        return s
-
     def _check_qubit(self, qubit: int) -> None:
         if not 0 <= qubit < self.n_qubits:
             raise IndexError(f"qubit {qubit} out of range for {self.n_qubits}-qubit state")
@@ -305,7 +295,7 @@ def measure(
     (``n_qubits`` drops by one).
     """
     outcomes, _, post = _measure_kernel(s.amplitudes[None], qubit, basis, u=rng.random(1))
-    return int(outcomes[0]), StateVector._checked(s.n_qubits - 1, post[0])
+    return int(outcomes[0]), StateVector(s.n_qubits - 1, post[0])
 
 
 def measure_string(amps: np.ndarray, ops: str, uniforms: np.ndarray, index: np.ndarray | None = None):

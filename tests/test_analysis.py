@@ -410,8 +410,7 @@ def test_numpy_draw_alignment_the_batch_relies_on():
     # the verifier's placeholder pairs
     pairs = one_call(3, lambda g: g.integers(0, 2, size=(runs, 2)))
     assert np.array_equal(pairs, run_by_run(3, lambda g: g.integers(0, 2, size=2)))
-    # ...and two scalar calls per pair, as ``protocols._coins`` draws one pair,
-    # leave the stream where the pair array does
+    # ...and two scalar calls per pair leave the stream where the pair array does
     scalar, joined = np.random.default_rng(3), np.random.default_rng(3)
     assert np.array_equal(pairs, [[scalar.integers(0, 2), scalar.integers(0, 2)] for _ in range(runs)])
     joined.integers(0, 2, size=(runs, 2))
@@ -420,12 +419,10 @@ def test_numpy_draw_alignment_the_batch_relies_on():
 
 def test_numpy_draws_split_anywhere_as_the_rechunked_samplers_rely_on():
     # ame_views sizes its chunks by bytes per run, so a chunk boundary may
-    # fall anywhere in a run of draws: a draw split in two (the scalar call
-    # for one row, as ``protocols._coins`` makes it) equals the joined draw
-    # and leaves the stream where the joined draw does.
+    # fall anywhere in a run of draws: a draw split in two equals the joined
+    # draw and leaves the stream where the joined draw does.
     n = 5
     draws = {
-        "coins": lambda g, rows: np.atleast_1d(protocols._coins(g, rows)),
         "integers": lambda g, rows: g.integers(0, 2, size=rows),
         "random": lambda g, rows: g.random(rows),
         "permuted": lambda g, rows: g.permuted(np.tile(np.arange(n), (rows, 1)), axis=1),

@@ -36,6 +36,7 @@ from anoncka.qsim import ghz_state
 from anoncka.rng import RngBundle
 
 from oracles import (
+    _test_announcements,
     avka_batch_by_batch,
     branch_probability,
     carve_dense,
@@ -392,9 +393,10 @@ def test_ame_announced_bits_uniform_on_ghz():
 
 def test_ame_aborts_on_missing_announcement():
     class DroppingNetwork(Network):
-        def broadcast_round(self, announcements, phase, expected=None):
-            announcements = {p: b for p, b in announcements.items() if p != 2}
-            return super().broadcast_round(announcements, phase, expected)
+        def broadcast_rounds(self, phases, bits, expected=None):
+            bits = np.array(bits)
+            bits[:, 2] = -1
+            return super().broadcast_rounds(phases, bits, expected)
 
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
     bundle = RngBundle.from_seed(8, 4)
@@ -469,6 +471,50 @@ def test_verification_verifier_index_checked():
     net, bundle = fresh(12, 3)
     with pytest.raises(IndexError):
         verification(ghz_state(3), 3, net, bundle)
+
+
+@pytest.mark.parametrize("step", ["ame", "verification"])
+def test_one_row_call_records_one_row_of_payload_codes(step, monkeypatch):
+    calls = {name: 0 for name in ("broadcast_round", "broadcast_rounds")}
+    for name in calls:
+
+        def counted(self, *args, _name=name, _method=getattr(Network, name), **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, name, counted)
+    if step == "ame":
+        net, bundle = fresh(3, 4)
+        ame(ghz_state(4), RoleAssignment(n=4, alice=0, receivers=frozenset({2})), net, bundle)
+    else:
+        net, bundle = fresh(3, 3)
+        verification(ghz_state(3), 1, net, bundle)
+    assert calls == {"broadcast_round": 0, "broadcast_rounds": 1}
+
+
+def test_one_row_calls_record_what_a_string_round_records():
+    # the same draws on a second bundle, broadcast as '0'/'1' strings
+    for n, seed in itertools.product(range(2, 7), range(3)):
+        state = qsim.rotated_ghz(n, 0.3)
+        roles = RoleAssignment(n=n, alice=seed % n, receivers=frozenset({(seed + 1) % n}))
+        net, bundle = fresh(seed, n)
+        out = ame(state, roles, net, bundle)
+        ref_net, ref = fresh(seed, n)
+        announced, _, corrected, carved = carve(state.amplitudes[None], np.zeros(1, dtype=np.intp), roles, carve_draws(roles, ref, 1), source=state)
+        ref_net.broadcast_round({p: str(b) for p, b in enumerate(announced[0])}, "ame:announce", expected=range(n))
+        assert (out.announced_bits, out.corrected) == (tuple(announced[0]), corrected[0])
+        assert out.participant_state.amplitudes.tobytes() == carved[0].tobytes()
+        assert (tuple(net.transcript), net.counters) == (tuple(ref_net.transcript), ref_net.counters)
+    for k, seed in itertools.product(range(2, 7), range(3)):
+        state, holders = qsim.rotated_ghz(k, 0.3), tuple(range(k))
+        for verifier in holders:
+            net, bundle = fresh(seed, k)
+            record = verification(state, verifier, net, bundle)
+            ref_net, ref = fresh(seed, k)
+            bits, results, pairs, _, accepted = parity_measure(state.amplitudes[None], holders, verifier, parity_draws(holders, verifier, ref, 1))
+            ref_net.broadcast_round(_test_announcements(holders, verifier, bits[0], results[0], pairs[0]), "verify:announce", expected=holders)
+            assert (record.basis_bits, record.outcomes, record.accepted) == (tuple(bits[0]), tuple(results[0]), accepted[0])
+            assert (tuple(net.transcript), net.counters) == (tuple(ref_net.transcript), ref_net.counters)
 
 
 def test_verification_basis_sum_always_even():
