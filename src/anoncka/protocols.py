@@ -105,6 +105,36 @@ def _joined(queue):
     return joined, np.concatenate(index), np.array([len(rows) for rows in index])
 
 
+# PCG64 serves a 32-bit draw as a half of a 64-bit word: the half it keeps in its
+# state (``has_uint32``, ``uinteger``), else a fresh word's low half, whose high half
+# it keeps. A used half stays in ``uinteger``, stale. ``random_raw`` leaves both
+# fields alone, so a decoder of 32-bit draws reads them and writes them back.
+def _raw(gen: np.random.PCG64, words: int, halves: int):
+    """PCG64 ``gen``'s raw words for ``words`` whole words and ``halves``
+    halves, and its state after them (None if ``halves`` is 0): ``halves // 2``
+    words serve the halves if it keeps one, one more if not and ``halves`` is odd."""
+    raw, state = gen.random_raw(words + halves // 2), gen.state if halves else None
+    if halves % 2 and not state["has_uint32"]:
+        raw, state = np.concatenate((raw, gen.random_raw(1))), gen.state
+    return raw, state
+
+
+def _int8_coins(streams, count: int) -> np.ndarray:
+    """numpy's ``stream.integers(0, 2, count, dtype=np.int8)`` for each of
+    ``streams``, a row each, from one ``_raw`` call per stream: coin i is bit 7
+    of byte i (low byte first) of the ceil(count / 4) halves that numpy's call
+    reads; the last half's unused bytes are dropped."""
+    halves, tables = -(-count // 4), []
+    for stream in streams if count else ():
+        gen = stream.bit_generator
+        raw, state = _raw(gen, 0, halves)
+        kept, read = state["has_uint32"], state["uinteger"].to_bytes(4, "little") + raw.astype("<u8", copy=False).tobytes()
+        tables.append(read[4 - 4 * kept :][:count])  # ``read`` is the kept half, then the fresh halves
+        state["has_uint32"], state["uinteger"] = (halves - kept) % 2, int.from_bytes(read[-4:], "little")
+        gen.state = state
+    return (np.frombuffer(b"".join(tables), dtype=np.uint8) >> 7).view(np.int8).reshape(len(tables), count)
+
+
 def _drawn(fields) -> list:
     """The values of ``fields``, (stream, coin, counts) triples, one array per
     field: every stream draws batch by batch, and in a batch its fields in
@@ -113,11 +143,9 @@ def _drawn(fields) -> list:
     makes numpy's own calls, field by field: on the one-batch calls that every
     one-row ``ame`` and ``verification`` and the sample configs make, these
     cost less than a state read and write per stream. Over several batches,
-    every PCG64 stream makes one ``random_raw`` call, decoded into numpy's own
+    every PCG64 stream makes one ``_raw`` call, decoded into numpy's own
     values and stream states. A double is a word's top 53 bits. A coin is bit
-    31 of the next 32-bit half (Lemire's method never rejects a range of 2):
-    the half the stream keeps, else a fresh word's low half, whose high half
-    it keeps."""
+    31 of the next 32-bit half (Lemire's method never rejects a range of 2)."""
     counts = np.array([counts for _, _, counts in fields]).reshape(len(fields), -1)  # (fields, batches)
     if counts.shape[1] == 1:
         return [stream.integers(0, 2, size=c) if coin else stream.random(c) for (stream, coin, _), c in zip(fields, counts[:, 0].tolist())]
@@ -128,12 +156,9 @@ def _drawn(fields) -> list:
     flips = np.bincount(owner, totals * coin, minlength=len(index)).astype(np.intp)  # coins per stream
     words, states = [], []
     for (_, generator), draws, flipped in zip(index.values(), np.bincount(owner, totals).astype(np.intp).tolist(), flips.tolist()):
-        gen = generator.bit_generator  # the words it takes if it keeps a half; one more if not and ``flipped`` is odd
-        raw, state = gen.random_raw(draws - flipped + flipped // 2), gen.state if flipped else None
-        if flipped % 2 and not state["has_uint32"]:
-            raw, state = np.append(raw, gen.random_raw(1)), gen.state
+        raw, state = _raw(generator.bit_generator, draws - flipped, flipped)
         words.append(raw)
-        states.append((gen, state))
+        states.append((generator.bit_generator, state))
     kept = np.array([bool(state and state["has_uint32"]) for _, state in states])
     kept_halves = np.array([state["uinteger"] if state else 0 for _, state in states], dtype=np.uint32)
     flat = np.concatenate([*words, np.zeros(1, dtype=np.uint64)])  # and a spare word, for index -1
@@ -252,16 +277,16 @@ def deal_shares(roles: RoleAssignment, rng: RngBundle, trials: int) -> np.ndarra
     """XOR share tables of ``trials`` notifications, as a (trials, target,
     dealer, holder) int8 bit array.
 
-    Every dealer draws its whole table, (trials, target, holder), in one
-    call on its own stream. Then the last bit of each row is set so that the
+    Every dealer draws its whole table, (trials, target, holder), on its own
+    stream: numpy's int8 coins, decoded by ``_int8_coins`` from one raw-word
+    call per dealer. Then the last bit of each row is set so that the
     row XORs to 1 on Alice's rows for receiver targets and to 0 elsewhere.
     Like every XOR over a share table, the row parity is the low bit of an
     ``einsum`` sum: exact, since an int8 sum that wraps keeps its low bit.
     """
     n = roles.n
     shares = np.empty((trials, n, n, n), dtype=np.int8)
-    for dealer in range(n):
-        shares[:, :, dealer] = rng.party(dealer).integers(0, 2, size=(trials, n, n), dtype=np.int8)
+    shares.transpose(2, 0, 1, 3)[...] = _int8_coins(map(rng.party, range(n)), trials * n * n).reshape(n, trials, n, n)
     parity = np.zeros((n, n), dtype=np.int8)
     parity[sorted(roles.receivers), roles.alice] = 1
     shares[..., -1] ^= (np.einsum("tjdh->tjd", shares) & 1) ^ parity

@@ -357,18 +357,18 @@ def test_notification_view_keys_match_the_per_party_transcript(roles, batch_runs
         assert_notification_keys_match(roles, coalition, raw, projected, views)
 
 
-class ReplayStream:
-    """Stands in for a party's stream: hands out one run of a pre-drawn
-    (runs, n, n) share table per call."""
+class ReplayDeal:
+    """Stands in for ``protocols._int8_coins``: hands out one run of each
+    dealer's pre-drawn (runs, n, n) share table per call."""
 
-    def __init__(self, table):
-        self.table = table
+    def __init__(self, tables):
+        self.tables = tables
         self.runs = 0
 
-    def integers(self, low, high, size, dtype):
-        assert (low, high, size, dtype) == (0, 2, (1, *self.table.shape[1:]), np.int8)
+    def __call__(self, streams, count):
+        assert (len(list(streams)), count) == (len(self.tables), self.tables[0][0].size)
         self.runs += 1
-        return self.table[self.runs - 1 : self.runs].copy()
+        return np.stack([table[self.runs - 1] for table in self.tables]).reshape(len(self.tables), count)
 
 
 def test_notification_view_keys_match_injected_tables_at_odd_n():
@@ -381,8 +381,9 @@ def test_notification_view_keys_match_injected_tables_at_odd_n():
         raw, projected = notification_views(roles, coalition, trials, RngBundle.from_seed(seed, roles.n))
         streams = RngBundle.from_seed(seed, roles.n)
         tables = [streams.party(p).integers(0, 2, size=(trials, 5, 5), dtype=np.int8) for p in range(5)]
-        replay = RngBundle(tuple(ReplayStream(t) for t in tables), *(np.random.default_rng(0) for _ in range(4)))
-        views = per_party_views(notification, roles, coalition, trials, replay)
+        replay = RngBundle(tuple(np.random.default_rng(0) for _ in range(5)), *(np.random.default_rng(0) for _ in range(4)))
+        with mock.patch.object(protocols, "_int8_coins", ReplayDeal(tables)):
+            views = per_party_views(notification, roles, coalition, trials, replay)
         assert_notification_keys_match(roles, coalition, raw, projected, views)
 
 

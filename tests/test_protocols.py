@@ -908,6 +908,39 @@ def test_queue_draws_decode_numpys_own_draws():
     assert starts == {0, 1}
 
 
+def test_share_coins_decode_numpys_own_int8_draws():
+    # Every dealer's share table comes from one raw-word call, decoded into the
+    # values and stream state (the stale kept half included) of numpy's int8
+    # coins, after int64 and int8 coins and doubles that leave a kept half or not.
+    plans = np.random.default_rng(40)
+    starts = set()
+    for trial in range(3000):
+        by_numpy, decoded = np.random.default_rng([trial, 40]), np.random.default_rng([trial, 40])
+        for kind, size in plans.integers((0, 0), (3, 9), size=(int(plans.integers(0, 4)), 2)).tolist():
+            for g in (by_numpy, decoded):
+                (g.random(size) if kind == 2 else g.integers(0, 2, size=size, dtype=(np.int64, np.int8)[kind]))
+        starts.add(decoded.bit_generator.state["has_uint32"])
+        count = int(plans.integers(1, 201))
+        want = by_numpy.integers(0, 2, size=count, dtype=np.int8)
+        (got,) = protocols._int8_coins([decoded], count)
+        failure = f"numpy {np.__version__} no longer draws what PCG64's raw words decode to (trial {trial})"
+        assert got.dtype == np.int8 and np.array_equal(want, got), failure
+        assert by_numpy.bit_generator.state == decoded.bit_generator.state, failure
+    assert starts == {0, 1}
+
+
+def test_share_tables_are_numpys_int8_draws():
+    # deal_shares' tables and party streams are those of one int8 call per dealer.
+    for n, trials in [(6, 100), (16, 1), (3, 7)]:
+        roles = RoleAssignment(n=n, alice=0, receivers=frozenset({n - 1}))
+        bundle, reference = RngBundle.from_seed(n, n), RngBundle.from_seed(n, n)
+        shares = protocols.deal_shares(roles, bundle, trials)
+        for dealer in range(n):
+            table = reference.party(dealer).integers(0, 2, size=(trials, n, n), dtype=np.int8)
+            assert np.array_equal(shares[:, :, dealer, :-1], table[..., :-1])
+            assert bundle.party(dealer).bit_generator.state == reference.party(dealer).bit_generator.state
+
+
 @pytest.mark.parametrize("withholder", [None, 4])
 @pytest.mark.parametrize("n, rounds", [(5, 4), (7, 40)])
 def test_avka_queues_starting_with_a_kept_half_match_the_batch_by_batch_reference(n, rounds, withholder, monkeypatch):
