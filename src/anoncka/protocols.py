@@ -19,7 +19,7 @@ amplitude array of independent rounds through the measurement kernel:
 test, each a pure function of the draws it is given: only ``carve_draws``,
 ``parity_draws`` and ``_rows`` read a stream. ``ame`` and ``verification``
 are their one-row case plus a broadcast. ``_queued`` joins batches of about
-1 MB; ``_drawn`` makes a queue's draws with one raw-word call per stream,
+1 MB; ``rng.draw`` makes a queue's draws with one raw-word call per stream,
 each batch's values as if it ran alone. An ``avka`` queue is one carve
 (rounds that share a state are one tree, run on the support when no state
 has three nonzero amplitudes), one Z readout, one parity test and one
@@ -40,7 +40,7 @@ import numpy as np
 
 from .netmodel import ChannelAbort, Network, RoleAssignment, payload_codes
 from .qsim import Basis, NoiseEnsemble, StateVector, _measure_kernel, _pair_support, measure_string, sample_ensemble
-from .rng import RngBundle
+from .rng import RngBundle, coin_tables, draw
 
 VERIFICATION_ROUND = "verification"
 KEYGEN_ROUND = "keygen"
@@ -103,95 +103,6 @@ def _joined(queue):
     parts = [rows for rows in states if len(rows)]
     joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return joined, np.concatenate(index), np.array([len(rows) for rows in index])
-
-
-# PCG64 serves a 32-bit draw as a half of a 64-bit word: the half it keeps in its
-# state (``has_uint32``, ``uinteger``), else a fresh word's low half, whose high half
-# it keeps. A used half stays in ``uinteger``, stale. ``random_raw`` leaves both
-# fields alone, so a decoder of 32-bit draws reads them and writes them back.
-def _raw(gen: np.random.PCG64, words: int, halves: int):
-    """PCG64 ``gen``'s raw words for ``words`` whole words and ``halves``
-    halves, and its state after them (None if ``halves`` is 0): ``halves // 2``
-    words serve the halves if it keeps one, one more if not and ``halves`` is odd."""
-    raw, state = gen.random_raw(words + halves // 2), gen.state if halves else None
-    if halves % 2 and not state["has_uint32"]:
-        raw, state = np.concatenate((raw, gen.random_raw(1))), gen.state
-    return raw, state
-
-
-def _int8_coins(streams, count: int) -> np.ndarray:
-    """numpy's ``stream.integers(0, 2, count, dtype=np.int8)`` for each of
-    ``streams``, a row each, from one ``_raw`` call per stream: coin i is bit 7
-    of byte i (low byte first) of the ceil(count / 4) halves that numpy's call
-    reads; the last half's unused bytes are dropped."""
-    halves, tables = -(-count // 4), []
-    for stream in streams if count else ():
-        gen = stream.bit_generator
-        raw, state = _raw(gen, 0, halves)
-        kept, read = state["has_uint32"], state["uinteger"].to_bytes(4, "little") + raw.astype("<u8", copy=False).tobytes()
-        tables.append(read[4 - 4 * kept :][:count])  # ``read`` is the kept half, then the fresh halves
-        state["has_uint32"], state["uinteger"] = (halves - kept) % 2, int.from_bytes(read[-4:], "little")
-        gen.state = state
-    return (np.frombuffer(b"".join(tables), dtype=np.uint8) >> 7).view(np.int8).reshape(len(tables), count)
-
-
-def _drawn(fields) -> list:
-    """The values of ``fields``, (stream, coin, counts) triples, one array per
-    field: every stream draws batch by batch, and in a batch its fields in
-    list order, ``counts[b]`` coins (``integers(0, 2)``) if ``coin``, else
-    doubles (``random()``), in batch b (int counts are one batch). One batch
-    makes numpy's own calls, field by field: on the one-batch calls that every
-    one-row ``ame`` and ``verification`` and the sample configs make, these
-    cost less than a state read and write per stream. Over several batches,
-    every PCG64 stream makes one ``_raw`` call, decoded into numpy's own
-    values and stream states. A double is a word's top 53 bits. A coin is bit
-    31 of the next 32-bit half (Lemire's method never rejects a range of 2)."""
-    counts = np.array([counts for _, _, counts in fields]).reshape(len(fields), -1)  # (fields, batches)
-    if counts.shape[1] == 1:
-        return [stream.integers(0, 2, size=c) if coin else stream.random(c) for (stream, coin, _), c in zip(fields, counts[:, 0].tolist())]
-    index: dict = {}
-    owner = np.array([index.setdefault(id(stream), (len(index), stream))[0] for stream, _, _ in fields])
-    coin = np.array([coin for _, coin, _ in fields], dtype=bool)
-    batches, totals = counts.shape[1], counts.sum(axis=1)
-    flips = np.bincount(owner, totals * coin, minlength=len(index)).astype(np.intp)  # coins per stream
-    words, states = [], []
-    for (_, generator), draws, flipped in zip(index.values(), np.bincount(owner, totals).astype(np.intp).tolist(), flips.tolist()):
-        raw, state = _raw(generator.bit_generator, draws - flipped, flipped)
-        words.append(raw)
-        states.append((generator.bit_generator, state))
-    kept = np.array([bool(state and state["has_uint32"]) for _, state in states])
-    kept_halves = np.array([state["uinteger"] if state else 0 for _, state in states], dtype=np.uint32)
-    flat = np.concatenate([*words, np.zeros(1, dtype=np.uint64)])  # and a spare word, for index -1
-    halves = np.concatenate([flat.astype("<u8", copy=False).view("<u4"), kept_halves])  # low half first
-    # Runs, a field's draws in one batch, in draw order: stream by stream, batch by batch, field by field.
-    order = np.argsort((owner[:, None] * batches + np.arange(batches)).ravel(), kind="stable")
-    stream, coined, size = owner[order // batches], coin[order // batches], counts.ravel()[order]
-    # A stream's halves: 1 is the one it keeps, 2j and 2j + 1 the low and high halves of its j-th fresh word.
-    half = np.cumsum(size * coined) - size * coined - (np.cumsum(flips) - flips)[stream] + 2 - kept[stream]
-    fresh = np.where(coined, (half + size + 1 >> 1) - (half + 1 >> 1), size)  # the words each run draws
-    start = np.cumsum(fresh) - fresh  # ...from ``flat[start]`` on
-    coin_word = np.maximum.accumulate(np.where(coined & (fresh > 0), start + fresh - 1, -1))  # the last so far
-    ends = 1 - kept + flips  # each stream's last coin's half: a low one leaves its word's high half kept
-    highs = np.where(ends > 1, flat[coin_word[np.cumsum(np.bincount(stream)) - 1]] >> 32, kept_halves)
-    for (gen, state), end, high in zip((pair for pair in states if pair[1]), ends[flips > 0].tolist(), highs[flips > 0].tolist()):
-        state["has_uint32"], state["uinteger"] = int(end % 2 == 0), high
-        gen.state = state
-    # Coin i of a run reads half 2 * start + i of ``halves``, one less after an odd first half, which
-    # the first coin reads: its stream's kept half (after the words') or the coin word before's high half.
-    odd = coined & (half % 2 == 1) & (size > 0)
-    carry = np.where(half == 1, len(halves) - len(index) + stream, 2 * np.concatenate(([-1], coin_word[:-1])) + 1)
-    back = np.empty_like(order)
-    back[order] = np.arange(len(order))  # the runs in field order: field by field, batch by batch
-    read, odd, carry, coined, size = (x[back] for x in (np.where(coined, 2 * start - odd, start), odd, carry, coined, size))
-    values = []
-    for kind, source in ((coined, halves), (~coined, flat)):
-        first = np.cumsum(size[kind]) - size[kind]
-        at = np.arange(size[kind].sum()) + np.repeat(read[kind] - first, size[kind])
-        at[first[odd[kind]]] = carry[kind & odd]
-        values.append(source[at])
-    coins, doubles = values[0] >> 31, (values[1] >> 11) * 2.0**-53
-    cuts = np.where(coin, np.cumsum(totals * coin), np.cumsum(totals * ~coin)).tolist()
-    return [(coins if c else doubles)[cut - total : cut] for c, cut, total in zip(coin.tolist(), cuts, totals.tolist())]
 
 
 @dataclass(frozen=True)
@@ -278,15 +189,15 @@ def deal_shares(roles: RoleAssignment, rng: RngBundle, trials: int) -> np.ndarra
     dealer, holder) int8 bit array.
 
     Every dealer draws its whole table, (trials, target, holder), on its own
-    stream: numpy's int8 coins, decoded by ``_int8_coins`` from one raw-word
-    call per dealer. Then the last bit of each row is set so that the
-    row XORs to 1 on Alice's rows for receiver targets and to 0 elsewhere.
+    stream, one ``rng.coin_tables`` table per notification. Then the last
+    bit of each row is set so that the row XORs to 1 on Alice's rows for
+    receiver targets and to 0 elsewhere.
     Like every XOR over a share table, the row parity is the low bit of an
     ``einsum`` sum: exact, since an int8 sum that wraps keeps its low bit.
     """
     n = roles.n
     shares = np.empty((trials, n, n, n), dtype=np.int8)
-    shares.transpose(2, 0, 1, 3)[...] = _int8_coins(map(rng.party, range(n)), trials * n * n).reshape(n, trials, n, n)
+    shares.transpose(2, 0, 1, 3)[...] = coin_tables(rng.parties, trials, n * n).reshape(n, trials, n, n)
     parity = np.zeros((n, n), dtype=np.int8)
     parity[sorted(roles.receivers), roles.alice] = 1
     shares[..., -1] ^= (np.einsum("tjdh->tjd", shares) & 1) ^ parity
@@ -367,12 +278,12 @@ def carve_draws(roles: RoleAssignment, bundle: RngBundle, rows, withholding=froz
     and uniforms: bystanders in ascending order draw a uniform per row from
     their stream, or, withholding, a coin from the adversary stream; then
     every participant draws a coin per row. ``rows`` may be a queue's batch
-    sizes: in each batch the streams then draw the ``then`` fields, ``_drawn``'s
+    sizes: in each batch the streams then draw the ``then`` fields, ``rng.draw``'s
     (stream, coin, counts) triples, whose values follow the two arrays."""
     bystanders, order = sorted(roles.non_participants), roles.participant_order
     parties, coined = [*bystanders, *order], [p in withholding for p in bystanders] + [True] * len(order)
     fields = [(bundle.adversary if p in withholding else bundle.party(p), coin, rows) for p, coin in zip(parties, coined)]
-    values = _drawn([*fields, *then])
+    values = draw([*fields, *then])
     coins = np.zeros((len(values[0]), roles.n), dtype=np.int8)
     draws = np.zeros((len(coins), roles.n))
     for party, coin, drawn in zip(parties, coined, values):
@@ -534,18 +445,18 @@ def parity_draws(holders: tuple[int, ...], verifier: int, bundle: RngBundle, row
     The verifier draws its placeholder pair, then its uniforms, and resets
     its basis bit so each row's Y count is even.
     """
-    return _parity(holders, verifier, _drawn(_parity_fields(holders, verifier, bundle, rows)))
+    return _parity(holders, verifier, draw(_parity_fields(holders, verifier, bundle, rows)))
 
 
 def _parity_fields(holders: tuple[int, ...], verifier: int, bundle: RngBundle, rows) -> list:
-    """The (stream, coin, counts) fields of ``parity_draws``, as ``_drawn`` takes them."""
+    """The (stream, coin, counts) fields of ``parity_draws``, as ``rng.draw`` takes them."""
     return [(bundle.party(h), coin, rows * (1 + (coin and h == verifier))) for h in holders for coin in (True, False)]
 
 
 def _parity(holders: tuple[int, ...], verifier: int, values: list) -> ParityDraws:
     """``parity_draws`` from the values of its fields."""
     last = holders.index(verifier)
-    placeholders = values[2 * last].reshape(-1, 2).astype(np.int64)
+    placeholders = values[2 * last].reshape(-1, 2)
     bits = np.array([np.zeros(len(placeholders)) if c == last else b for c, b in enumerate(values[0::2])], dtype=np.int8).T
     bits[:, last] = bits.sum(axis=1) % 2
     return ParityDraws(bits, np.array(values[1::2]).T, placeholders)

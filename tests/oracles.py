@@ -390,6 +390,17 @@ def transcript_to_jsonl(transcript) -> str:
     return "\n".join(lines)
 
 
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_seeded(words) -> tuple[int, int]:
+    """The (state, increment) PCG64 starts at from four 64-bit seed words
+    w0..w3: w0 w1 the 128-bit seed, w2 w3 the sequence, in Python ints."""
+    w0, w1, w2, w3 = map(int, words)
+    inc = ((w2 << 64 | w3) << 1 | 1) % 2**128
+    return ((inc + (w0 << 64 | w1)) * PCG64_MULTIPLIER + inc) % 2**128, inc
+
+
 def batch_sizes(trials: int, row_bytes: int):
     """Row counts of the batches that together run ``trials`` rows of
     ``row_bytes`` bytes each, at most ``protocols._BATCH_BYTES`` per batch
@@ -542,7 +553,7 @@ def avka_batch_by_batch(roles, num_states: int, keygen_denom: int, source, net, 
                 readouts = iter(measure_string(carved[keygen], readout_ops, uniforms)[0].tolist())
             if keygen_rows < size:
                 tested = carved[~keygen]
-                pairs = [stream.integers(0, 2, size=(len(tested), 2)).tolist() for stream in pair_rngs.values()]
+                pairs = [(stream.bit_generator.random_raw((len(tested), 2)) >> 63).tolist() for stream in pair_rngs.values()]
                 test = parity_measure(tested, order, roles.alice, parity_draws(order, roles.alice, rng, len(tested)))
                 tests = zip(
                     test.bases.tolist(), test.outcomes.tolist(), test.placeholders.tolist(), test.accepted.tolist(), *pairs

@@ -94,16 +94,6 @@ def test_check_theorem1_computational_basis_states():
     assert checks[0].accept_rate == pytest.approx(0.5, abs=4 * np.sqrt(0.25 / 3000))
 
 
-def test_bundles_refuse_streams_other_than_pcg64():
-    # The queues decode PCG64's raw words, so another bit generator would
-    # silently give other values: it is refused before any draw.
-    with pytest.raises(TypeError, match="PCG64"):
-        check_theorem1([ghz_state(3)], 10, np.random.Generator(np.random.MT19937(1)))
-    with pytest.raises(TypeError, match="PCG64"):
-        RngBundle.from_generator(np.random.Generator(np.random.Philox(1)), 3)
-    assert RngBundle.from_generator(np.random.default_rng(1), 3).coin.bit_generator.state["bit_generator"] == "PCG64"
-
-
 def test_check_theorem1_rejects_mixed_sizes():
     with pytest.raises(ValueError):
         check_theorem1([ghz_state(3), ghz_state(4)], 10, np.random.default_rng(0))
@@ -332,6 +322,7 @@ def test_ame_view_keys_match_the_per_party_transcript(roles, batch_runs, monkeyp
 NOTIFICATION_ROLES = [
     RoleAssignment(n=4, alice=0, receivers=frozenset({2})),
     RoleAssignment(n=6, alice=3, receivers=frozenset({0, 5})),
+    RoleAssignment(n=5, alice=1, receivers=frozenset({0, 4})),
 ]
 
 
@@ -346,7 +337,7 @@ def assert_notification_keys_match(roles, coalition, raw, projected, views):
 @pytest.mark.parametrize("roles", NOTIFICATION_ROLES, ids=lambda r: f"n{r.n}")
 @pytest.mark.parametrize("batch_runs", [None, 3])
 def test_notification_view_keys_match_the_per_party_transcript(roles, batch_runs, monkeypatch):
-    # even n: one (runs, n, n) draw per dealer equals one (1, n, n) draw per run
+    # at any n, a dealer's t tables in one call equal its tables of t one-run calls
     if batch_runs is not None:
         monkeypatch.setattr(protocols, "_BATCH_BYTES", batch_runs * roles.n**3)
     trials = 40
@@ -357,74 +348,14 @@ def test_notification_view_keys_match_the_per_party_transcript(roles, batch_runs
         assert_notification_keys_match(roles, coalition, raw, projected, views)
 
 
-class ReplayDeal:
-    """Stands in for ``protocols._int8_coins``: hands out one run of each
-    dealer's pre-drawn (runs, n, n) share table per call."""
-
-    def __init__(self, tables):
-        self.tables = tables
-        self.runs = 0
-
-    def __call__(self, streams, count):
-        assert (len(list(streams)), count) == (len(self.tables), self.tables[0][0].size)
-        self.runs += 1
-        return np.stack([table[self.runs - 1] for table in self.tables]).reshape(len(self.tables), count)
-
-
-def test_notification_view_keys_match_injected_tables_at_odd_n():
-    # at odd n the per-party draws do not line up with the batch's, so the
-    # per-party protocol replays the tables the batch drew
-    roles = RoleAssignment(n=5, alice=1, receivers=frozenset({0, 4}))
-    trials = 40
-    for index, coalition in enumerate(coalitions(roles.n, roles.alice)):
-        seed = 60 + index
-        raw, projected = notification_views(roles, coalition, trials, RngBundle.from_seed(seed, roles.n))
-        streams = RngBundle.from_seed(seed, roles.n)
-        tables = [streams.party(p).integers(0, 2, size=(trials, 5, 5), dtype=np.int8) for p in range(5)]
-        replay = RngBundle(tuple(np.random.default_rng(0) for _ in range(5)), *(np.random.default_rng(0) for _ in range(4)))
-        with mock.patch.object(protocols, "_int8_coins", ReplayDeal(tables)):
-            views = per_party_views(notification, roles, coalition, trials, replay)
-        assert_notification_keys_match(roles, coalition, raw, projected, views)
-
-
-def test_numpy_draw_alignment_the_batch_relies_on():
-    # The samplers draw a whole batch per stream in one call; the per-party
-    # protocols draw one run at a time. These equalities keep the two
-    # byte-identical.
-    runs = 50
-
-    def one_call(seed, draw):
-        return draw(np.random.default_rng(seed))
-
-    def run_by_run(seed, draw):
-        rng = np.random.default_rng(seed)
-        return np.stack([draw(rng) for _ in range(runs)])
-
-    for n in (2, 4, 6, 8):
-        batch = one_call(n, lambda g: g.integers(0, 2, size=(runs, n, n), dtype=np.int8))
-        assert np.array_equal(batch, run_by_run(n, lambda g: g.integers(0, 2, size=(n, n), dtype=np.int8)))
-        order = one_call(n, lambda g: g.permuted(np.tile(np.arange(n), (runs, 1)), axis=1))
-        assert np.array_equal(order, run_by_run(n, lambda g: g.permutation(n)))
-    assert np.array_equal(one_call(1, lambda g: g.random(runs)), run_by_run(1, lambda g: g.random(1))[:, 0])
-    coins = one_call(2, lambda g: g.integers(0, 2, size=runs))
-    assert np.array_equal(coins, run_by_run(2, lambda g: g.integers(0, 2)))
-    # the verifier's placeholder pairs
-    pairs = one_call(3, lambda g: g.integers(0, 2, size=(runs, 2)))
-    assert np.array_equal(pairs, run_by_run(3, lambda g: g.integers(0, 2, size=2)))
-    # ...and two scalar calls per pair leave the stream where the pair array does
-    scalar, joined = np.random.default_rng(3), np.random.default_rng(3)
-    assert np.array_equal(pairs, [[scalar.integers(0, 2), scalar.integers(0, 2)] for _ in range(runs)])
-    joined.integers(0, 2, size=(runs, 2))
-    assert scalar.bit_generator.state == joined.bit_generator.state
-
-
 def test_numpy_draws_split_anywhere_as_the_rechunked_samplers_rely_on():
     # ame_views sizes its chunks by bytes per run, so a chunk boundary may
-    # fall anywhere in a run of draws: a draw split in two equals the joined
-    # draw and leaves the stream where the joined draw does.
+    # fall anywhere in a run of the network stream's permutations, and the
+    # avka reference draws the public coins batch by batch where a queue
+    # draws them at once: a draw split in two equals the joined draw and
+    # leaves the stream where the joined draw does.
     n = 5
     draws = {
-        "integers": lambda g, rows: g.integers(0, 2, size=rows),
         "random": lambda g, rows: g.random(rows),
         "permuted": lambda g, rows: g.permuted(np.tile(np.arange(n), (rows, 1)), axis=1),
     }

@@ -747,26 +747,26 @@ EXPERIMENT_RUNS = {"experiment_werner": {"fidelity": 0.7, "trials": 5000, "sourc
 # (exit code, md5 of stdout) of each sample config, of N16_RUN, of SOURCE_RUNS,
 # of THEOREM1_RUNS, of EXPERIMENT_RUNS, of QUEUE_RUNS and of ANONYMITY_RUNS.
 PINNED_STDOUT = {
-    "theorem1.json": (EXIT_OK, "48310bbf36dbac6b45d10e8026f2fa6a"),
-    "anonymity.json": (EXIT_OK, "080f80ca6201c152e18e6a7709c14872"),
+    "theorem1.json": (EXIT_OK, "9b651550e6336bffb3caa333d53f92d8"),
+    "anonymity.json": (EXIT_OK, "70d5e33b2529a1a291bebeb4430b572d"),
     "experiment.json": (EXIT_OK, "92a02081d0e73b6dda69447b76d913d6"),
-    "notify_demo.json": (EXIT_OK, "9ac4cc7129636ba945d1b327622b893e"),
-    "run.json": (EXIT_OK, "c2e5eae0c3d9f32a722aac62ba9d7f95"),
-    "run_withholding.json": (EXIT_REJECTED, "4eafba46624f64f6755ae6fdc07bf9a7"),
-    "n16": (EXIT_OK, "4619c8878620a8be65c02748d4b0638e"),
-    "werner_aka": (EXIT_OK, "f66e3c88ac0f350f7a45c3f661374503"),
-    "dishonest_werner": (EXIT_REJECTED, "2ce639e18f0364c0c9017b8e6c522e87"),
-    "ghz_prime_werner": (EXIT_REJECTED, "0680b26a33108373f72aeda5e17f225e"),
-    "theorem1_k10": (EXIT_OK, "5169d17e7ccf8746828dd1b9c7d4c650"),
-    "theorem1_k2": (EXIT_OK, "1b36ce4264f8ee772f366d102d97c2dd"),
-    "theorem1_k6": (EXIT_OK, "b71510ead24c396905c25b3a7a69a579"),
+    "notify_demo.json": (EXIT_OK, "72e3cc0c086f0862d46acc4938489bb6"),
+    "run.json": (EXIT_OK, "35dac1d9c159ea6ff9fb772c50d64927"),
+    "run_withholding.json": (EXIT_REJECTED, "b558dc68235f0a6dec5d30c06885379b"),
+    "n16": (EXIT_OK, "0dcddaec5931a7d7a5412f8bb59114b6"),
+    "werner_aka": (EXIT_OK, "d5dbb40bed7b63f711899d0906b1628e"),
+    "dishonest_werner": (EXIT_REJECTED, "9fc2154bde232654f4a54b608edfe0d5"),
+    "ghz_prime_werner": (EXIT_REJECTED, "651043da57b18d1d785b69212cd697df"),
+    "theorem1_k10": (EXIT_OK, "cd49743585bab6c5d917468bb2f4154d"),
+    "theorem1_k2": (EXIT_OK, "539ad67e17930a05ac055378bc5e1dab"),
+    "theorem1_k6": (EXIT_OK, "dc2703a1d0ce5bc47e9497821489aac6"),
     "experiment_werner": (EXIT_OK, "0bd99564fc5b06498d21a3097d5486b9"),
-    "n14_withholding": (EXIT_REJECTED, "1ac87ca9036ecf7d132d8b687f83ef06"),
-    "n16_withholding": (EXIT_REJECTED, "5fc69c84976b6c61cbce6283d76923b0"),
-    "n16_werner": (EXIT_REJECTED, "f80dd32650b93fb2f52000624d7699b5"),
-    "n14_werner": (EXIT_REJECTED, "a2cf80f8030128a0489d7f89699ccd3c"),
-    "n16_ame_anonymity": (EXIT_OK, "f7116717650c5f320cccc437cd33f30e"),
-    "n6_notification_anonymity": (EXIT_OK, "e1f2709285a87f0c1eb7632160de4faa"),
+    "n14_withholding": (EXIT_REJECTED, "53cc7c34d94cf22ad4cc144c2bbd9739"),
+    "n16_withholding": (EXIT_REJECTED, "c3a1b3b0ed024860c308879fbeb8f52e"),
+    "n16_werner": (EXIT_OK, "b82fef3e0e69bd4f784d3e91ad8af005"),
+    "n14_werner": (EXIT_REJECTED, "b4f1ca909358987ffdb135383246408b"),
+    "n16_ame_anonymity": (EXIT_OK, "ca490cce46b7500f9ae5031c3eecd6ee"),
+    "n6_notification_anonymity": (EXIT_OK, "be30e4c085ea8ccb91fe30f9e78e3d06"),
 }
 
 
@@ -803,7 +803,7 @@ def test_sample_config_stdout_digests_are_pinned(tmp_path):
 # (command, sample config, format, md5 of stdout): the one format of each
 # command that PINNED_STDOUT, which prints every default, does not cover.
 PINNED_SECOND_FORMATS = [
-    ("theorem1", "theorem1.json", "json", "11c4078140da32518b7233842f6b7529"),
+    ("theorem1", "theorem1.json", "json", "a9ead4f4493fd8899e89ece3c8a4596e"),
     ("experiment", "experiment.json", "csv", "47ee63b1e767ddfb38041b2c58c84253"),
 ]
 

@@ -726,7 +726,7 @@ def test_avka_abort_matches_the_round_by_round_reference(silent_in, monkeypatch)
     roles = RoleAssignment(n=4, alice=0, receivers=frozenset({1, 2}))
     runs = []
     for run, network in ((avka_batch_by_batch, PerRound), (avka, Block)):
-        bundle = RngBundle.from_seed(25, 4)
+        bundle = RngBundle.from_seed(26, 4)  # its coins make rounds 4, 5 and 6 keygen, verification, verification
         net = network(4, bundle.network)
         runs.append((run(roles, 12, 2, ghz_state(4), net, bundle), net.transcript, net.counters, bundle.network.bit_generator.state))
     assert runs[0] == runs[1]
@@ -870,89 +870,27 @@ def test_avka_queues_match_the_batch_by_batch_reference_on_any_source(run):
         assert distinct.bit_generator.state == dense.bit_generator.state
 
 
-def test_queue_draws_decode_numpys_own_draws():
-    # A queue's draws come from one raw-word call per stream, decoded into the
-    # values and stream states of numpy's own calls, made batch by batch:
-    # scalar or array, coins or doubles, on streams that start with a kept
-    # 32-bit half (after an odd number of coins) or without one.
-    plans = np.random.default_rng(27)
-    starts = set()
-    for trial in range(300):
-        n_streams, batches, n_fields = (int(x) for x in plans.integers((1, 2, 1), (5, 7, 9)))
-        owner = plans.integers(0, n_streams, size=n_fields)
-        coin = plans.integers(0, 2, size=n_fields).astype(bool)
-        counts = plans.integers(0, 4, size=(n_fields, batches))
-        scalar = plans.integers(0, 2, size=(batches, n_fields)).astype(bool)
-        by_numpy = [np.random.default_rng([trial, s]) for s in range(n_streams)]
-        decoded = [np.random.default_rng([trial, s]) for s in range(n_streams)]
-        for s, (a, b) in enumerate(zip(by_numpy, decoded)):
-            a.integers(0, 2, size=(trial + s) % 3), b.integers(0, 2, size=(trial + s) % 3)
-            starts.add(b.bit_generator.state["has_uint32"])
-        expected = [[] for _ in range(n_fields)]
-        for batch in range(batches):
-            for f in range(n_fields):
-                stream, size = by_numpy[owner[f]], int(counts[f, batch])
-                if scalar[batch, f]:
-                    expected[f] += [stream.integers(0, 2) if coin[f] else stream.random() for _ in range(size)]
-                else:
-                    expected[f] += (stream.integers(0, 2, size=size) if coin[f] else stream.random(size)).tolist()
-        values = protocols._drawn([(decoded[o], bool(c), counts[f]) for f, (o, c) in enumerate(zip(owner, coin))])
-        failure = f"numpy {np.__version__} no longer draws what PCG64's raw words decode to (trial {trial})"
-        assert len(values) == n_fields, failure
-        for want, got in zip(expected, values):
-            assert np.array_equal(np.array(want, dtype=float), got), failure
-        for a, b in zip(by_numpy, decoded):
-            assert a.bit_generator.state == b.bit_generator.state, failure
-            later = [(g.integers(0, 2), g.random(), g.integers(0, 2, size=3).tolist(), g.random(2).tolist()) for g in (a, b)]
-            assert later[0] == later[1], failure
-    assert starts == {0, 1}
-
-
-def test_share_coins_decode_numpys_own_int8_draws():
-    # Every dealer's share table comes from one raw-word call, decoded into the
-    # values and stream state (the stale kept half included) of numpy's int8
-    # coins, after int64 and int8 coins and doubles that leave a kept half or not.
-    plans = np.random.default_rng(40)
-    starts = set()
-    for trial in range(3000):
-        by_numpy, decoded = np.random.default_rng([trial, 40]), np.random.default_rng([trial, 40])
-        for kind, size in plans.integers((0, 0), (3, 9), size=(int(plans.integers(0, 4)), 2)).tolist():
-            for g in (by_numpy, decoded):
-                (g.random(size) if kind == 2 else g.integers(0, 2, size=size, dtype=(np.int64, np.int8)[kind]))
-        starts.add(decoded.bit_generator.state["has_uint32"])
-        count = int(plans.integers(1, 201))
-        want = by_numpy.integers(0, 2, size=count, dtype=np.int8)
-        (got,) = protocols._int8_coins([decoded], count)
-        failure = f"numpy {np.__version__} no longer draws what PCG64's raw words decode to (trial {trial})"
-        assert got.dtype == np.int8 and np.array_equal(want, got), failure
-        assert by_numpy.bit_generator.state == decoded.bit_generator.state, failure
-    assert starts == {0, 1}
-
-
-def test_share_tables_are_numpys_int8_draws():
-    # deal_shares' tables and party streams are those of one int8 call per dealer.
-    for n, trials in [(6, 100), (16, 1), (3, 7)]:
+def test_share_tables_are_the_rules_coin_tables():
+    # deal_shares' tables and party streams are those of ceil(n^2 / 64) words
+    # per notification and dealer, coin i bit i % 64 of word i // 64, low bit first.
+    for n, trials in [(6, 100), (16, 1), (3, 7), (9, 2)]:
         roles = RoleAssignment(n=n, alice=0, receivers=frozenset({n - 1}))
         bundle, reference = RngBundle.from_seed(n, n), RngBundle.from_seed(n, n)
         shares = protocols.deal_shares(roles, bundle, trials)
         for dealer in range(n):
-            table = reference.party(dealer).integers(0, 2, size=(trials, n, n), dtype=np.int8)
-            assert np.array_equal(shares[:, :, dealer, :-1], table[..., :-1])
+            words = reference.party(dealer).bit_generator.random_raw((trials, -(-n * n // 64))).tolist()
+            table = [[row[i // 64] >> (i % 64) & 1 for i in range(n * n)] for row in words]
+            assert np.array_equal(shares[:, :, dealer, :-1], np.reshape(table, (trials, n, n))[..., :-1])
             assert bundle.party(dealer).bit_generator.state == reference.party(dealer).bit_generator.state
 
 
 @pytest.mark.parametrize("withholder", [None, 4])
 @pytest.mark.parametrize("n, rounds", [(5, 4), (7, 40)])
-def test_avka_queues_starting_with_a_kept_half_match_the_batch_by_batch_reference(n, rounds, withholder, monkeypatch):
-    # At odd n a dealer's n*n int8 shares take an odd number of 32-bit halves,
-    # so every party stream starts its first queue keeping one. Batches of
-    # three rounds: at n=5 a round's draws outweigh half a state row, so only
-    # a short last batch joins a queue, and 4 rounds are one queue of two
-    # batches; at n=7 a queue holds several.
+def test_avka_queues_at_odd_n_match_the_batch_by_batch_reference(n, rounds, withholder, monkeypatch):
+    # Batches of three rounds: at n=5 a round's draws outweigh half a state
+    # row, so only a short last batch joins a queue, and 4 rounds are one
+    # queue of two batches; at n=7 a queue holds several.
     roles = RoleAssignment(n=n, alice=0, receivers=frozenset({1}))
-    net, bundle = fresh(40 + n, n)
-    notification(roles, net, bundle)
-    assert all(stream.bit_generator.state["has_uint32"] == 1 for stream in bundle.parties)
     monkeypatch.setattr(protocols, "_BATCH_BYTES", 3 * 16 * 2**n)
     seen = []
     for run in (avka, avka_batch_by_batch):
