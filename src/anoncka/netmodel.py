@@ -250,11 +250,12 @@ class Network:
         if senders.ndim != 1 or receivers.ndim != 1:
             raise ProtocolError("a block takes one-dimensional sender and receiver columns")
         if isinstance(bits, np.ndarray) and bits.dtype.kind in "iu":
-            bits = bits.reshape(-1).copy()
+            bits, count = bits.reshape(-1).copy(), bits.size  # a 0/1 payload is its own code, one bit long
             if np.count_nonzero(bits & ~bits.dtype.type(1)):
                 raise ProtocolError(f"bit payloads must be 0 or 1, got {sorted(set(bits.tolist()))}")
         else:
             bits = _codes(bits)
+            count = _bit_count(bits)
         if not len(bits) == len(senders) == len(receivers) or {np.shape(kept), np.shape(phase)} - {(), (len(bits),)}:
             raise ProtocolError("a block needs one sender, receiver and payload per message, and one phase and kept flag for all or each")
         self._check_range(np.concatenate([senders, receivers]))
@@ -266,9 +267,10 @@ class Network:
                 raise ProtocolError(f"party {sender} cannot send to itself; use keep_share")
             raise ProtocolError(f"party {sender} keeps a share that goes to party {receiver}")
         if len(bits):
-            phase = np.broadcast_to(np.array(phase, dtype=object), len(bits))
+            phase = np.asarray(phase, dtype=object)  # a caller's writable array is copied, a read-only one shared
+            phase = np.broadcast_to(phase.copy() if phase.flags.writeable else phase, len(bits))
             self._blocks.append(_Block(PRIVATE, phase, senders, receivers, bits, None))
-        self.counters.private_bits_sent += _bit_count(bits)
+        self.counters.private_bits_sent += count
 
     def send_private(self, sender: int, receiver: int, bits: str, phase: str) -> None:
         """One use of the private pairwise channel sender -> receiver."""

@@ -50,6 +50,9 @@ _STEPS = ("ame:announce", "coin", "verify:announce")  # an avka round's broadcas
 # (16 bytes per amplitude) or 2^20 / n^3 notifications (one int8 per share bit).
 _BATCH_BYTES = 2**20
 _CACHED = 16  # the most notification layouts, and support tree level plans, a process keeps
+# Uniforms that draw each outcome of a unit row of probability above about 1e-6, so that one
+# kernel call teaches a carve's walk both steps of a row.
+_PROBES = np.array([1e-6, 1 - 1e-6])
 
 
 def _batches(trials: int, row_bytes: int):
@@ -297,7 +300,8 @@ def _pair_levels(support: tuple[int, ...], n: int, measuring: tuple[int, ...]):
     moves the entries of the sorted basis indices ``support``: per level, each
     entry's column in a [z0 | z1] row, one slot per entry in each half, and
     its slot in the kept row, that of the first entry with its index after
-    the level; then each entry's final basis index. Read-only arrays."""
+    the level; whether its carve walks the rows it meets (every level has the
+    same columns); then each entry's final basis index. Read-only arrays."""
     levels, support = len(measuring), np.array(support, dtype=np.intp)
     kept = np.ones((levels + 1, n), dtype=bool)  # the qubits left before each level, and at the end
     kept[:, measuring] = np.arange(levels + 1)[:, None] <= np.arange(levels)
@@ -307,7 +311,8 @@ def _pair_levels(support: tuple[int, ...], n: int, measuring: tuple[int, ...]):
     # offset by level << n, so that one np.unique keeps the levels apart
     _, first, inverse = np.unique(keys + (np.arange(levels) << n)[:, None], return_index=True, return_inverse=True)
     slots = (first % len(support))[inverse].reshape(levels, -1)
-    return _read_only(bits[:, measuring].T * len(support) + slots, slots, keys[-1])
+    columns = bits[:, measuring].T * len(support) + slots  # bit * entries + slot: equal columns, equal slots
+    return _read_only(columns, slots, np.array((columns == columns[0]).all()), keys[-1])
 
 
 def carve(
@@ -334,17 +339,18 @@ def carve(
 
     When some bystander measures and every state has at most two nonzero
     amplitudes (GHZ, rotated GHZ, GHZ' and basis states, also after X
-    measurements), the states are carved on their support, at any n: that
-    of ``source``, the pure ``StateVector`` the rows are of (its ``_support``,
-    found once per state), else the rows' own, found here. Each level measures
-    qubit 0 of [z0 | z1] rows over the support it leaves; only the carved rows
-    are made dense. Only a process that carves the same support, n and
-    measured set again reuses their plan (``_pair_levels``, the last
-    ``_CACHED``, 8 * s * (2m + 1) bytes for s entries and m levels). The
-    entries left out are exact zeros: GHZ, GHZ', basis states and Werner
-    draws get the dense tree's bits, other states (a rotated GHZ) agree within
-    rounding, as ``np.vecdot`` groups a row's products by its layout. Callers
-    check the sizes and ``withholding`` first (``check_run``).
+    measurements), the states are carved on their support, at any n: that of
+    ``source`` (its cached ``_support``), else the rows' own. Each level
+    measures qubit 0 of [z0 | z1] rows by a plan (``_pair_levels``, cached);
+    only the carved rows are made dense. When one plan covers every level
+    (GHZ, rotated GHZ), the levels after the first walk the rows met: a
+    kernel call on new rows, with the uniforms ``_PROBES`` added per row, learns
+    both their steps, and a round at a known step takes it by the kernel's
+    rule u >= p0 (a pure n=16 queue: 3 kernel calls, not 13). The entries left
+    out are exact zeros: GHZ, GHZ', basis states and Werner draws get the
+    dense tree's bits, other states (a rotated GHZ) agree within rounding, as
+    ``np.vecdot`` groups a row's products by its layout. Callers check the
+    sizes and ``withholding`` first (``check_run``).
     """
     coins, uniforms = draws
     bystanders = sorted(roles.non_participants)
@@ -354,16 +360,46 @@ def carve(
     support = (source._support if isinstance(source, StateVector) else _pair_support(states)) if measuring else None
     if support is not None:
         values = states[:, support]
-        columns, slots, support = _pair_levels(tuple(support.tolist()), roles.n, tuple(measuring))
-        for level, party in enumerate(measuring):
+        columns, slots, walk, support = _pair_levels(tuple(support.tolist()), roles.n, tuple(measuring))
+        # met: row bytes -> id; child, branch: per key 2 id + outcome once drawn (-1, inf before), kept row's key, probability
+        met, child, branch = {}, np.empty(0, dtype=np.intp), np.empty(0)
+
+        def keyed(rows):  # each row's key 2 id
+            return 2 * np.array([met.setdefault(row.tobytes(), len(met)) for row in rows], dtype=np.intp)
+
+        def rows():  # the rows met, by id
+            return np.frombuffer(b"".join(met), dtype=complex).reshape(len(met), -1)
+
+        def measure(level, values, u, at):  # one kernel call on [z0 | z1] rows
             pairs = np.zeros((len(values), 2 * values.shape[1]), dtype=complex)
             pairs[:, columns[level]] = values
             try:
-                announced[:, party], prob, kept, index = _measure_kernel(pairs, 0, Basis.X, uniforms[:, party], index)
+                outcomes, prob, kept, out = _measure_kernel(pairs, 0, Basis.X, u, at)
             except ValueError as error:  # name the register's qubit, as the dense tree does
-                raise ValueError(str(error).replace("qubit=0,", f"qubit={party - level},")) from None
+                raise ValueError(str(error).replace("qubit=0,", f"qubit={measuring[level] - level},")) from None
+            return outcomes, prob, kept[:, slots[level]], out
+
+        for level, party in enumerate(measuring):
+            if level and walk:  # a round whose row took its step before takes it again, by the kernel's rule
+                if values is not None:  # the first such level: each round's row by its key
+                    index, values = keyed(values)[index], None
+                if 2 * len(met) > len(child):  # room for as many rows again, and 32 more
+                    child, branch = (np.concatenate([a, np.full(2 * len(met) + 64, fill)]) for a, fill in ((child, -1), (branch, np.inf)))
+                keys = index + (uniforms[:, party] >= branch[index])
+                todo = child[keys] < 0
+                if np.count_nonzero(todo):  # one kernel call on the rows from the first such round's on
+                    first = np.minimum.reduce(at := keys[todo] >> 1)
+                    probes = np.arange(2 * first, 2 * len(met))  # two per row from the first on: id << 1 | which of _PROBES
+                    at, u = np.concatenate([at, probes >> 1]), np.concatenate([uniforms[todo, party], _PROBES[probes & 1]])
+                    outcomes, prob, kept, out = measure(level, rows()[first:], u, at - first)
+                    drawn = 2 * at + outcomes
+                    child[drawn], branch[drawn] = keyed(kept)[out], prob
+                    keys[todo] = drawn[: len(drawn) - len(probes)]
+                announced[:, party], prob, index = keys & 1, branch[keys], child[keys]
+            else:  # every state and draw through the kernel
+                announced[:, party], prob, values, index = measure(level, values, uniforms[:, party], index)
             probability *= prob
-            values = kept[:, slots[level]]
+        values, index = (rows(), index >> 1) if values is None else (values, index)
         states = np.zeros((len(values), states.shape[1] >> len(measuring)), dtype=complex)
         states[:, support] = values
     else:

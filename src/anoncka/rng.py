@@ -63,9 +63,11 @@ class RngBundle:
 
     @classmethod
     def from_generator(cls, rng: np.random.Generator, n_parties: int) -> "RngBundle":
-        """Derive a bundle from an existing generator of any bit generator
-        (consumes one spawn of its ``seed_seq``)."""
-        return cls._from_words(rng.bit_generator.seed_seq.spawn(1)[0], n_parties)
+        """Derive a bundle from a generator of any bit generator whose ``seed_seq``
+        spawns (consuming one spawn); a bundle's own streams raise TypeError."""
+        if not isinstance(seed_seq := rng.bit_generator.seed_seq, np.random.bit_generator.ISpawnableSeedSequence):
+            raise TypeError("a bundle stream has no seed sequence to spawn; derive from np.random.default_rng(seed)")
+        return cls._from_words(seed_seq.spawn(1)[0], n_parties)
 
     @classmethod
     def _from_words(cls, seed_seq: np.random.SeedSequence, n_parties: int) -> "RngBundle":

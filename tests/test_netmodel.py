@@ -45,6 +45,20 @@ def test_send_private_counts_bits():
     assert net.counters.private_bits_sent == 15
 
 
+def test_a_block_keeps_its_phases_when_the_caller_edits_its_array():
+    # A writable phase column is copied into the transcript; a read-only one,
+    # which no one can edit, is shared.
+    net = Network(3, np.random.default_rng(0))
+    phases = np.array(["a", "b", "c"], dtype=object)
+    net.send_block([0, 1, 2], [1, 2, 0], np.array([0, 1, 1]), phases)
+    phases[:] = "edited"
+    fixed = np.array(["d", "e", "f"], dtype=object)
+    fixed.flags.writeable = False
+    net.send_block([0, 1, 2], [1, 2, 0], np.array([1, 0, 1]), fixed)
+    assert [e.phase for e in net.transcript] == ["a", "b", "c", "d", "e", "f"]
+    assert np.shares_memory(net._blocks[-1].phase, fixed) and not np.shares_memory(net._blocks[0].phase, phases)
+
+
 BAD_BLOCKS = [
     # (senders, receivers, bits, kept)
     ([0, 1, 3], [1, 2, 0], np.array([0, 1, 1]), False),  # party out of range

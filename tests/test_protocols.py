@@ -285,6 +285,73 @@ def test_carve_of_many_werner_states_matches_the_dense_reference_bit_for_bit(n):
         assert got.probability.tobytes() == want.probability.tobytes() and got.carved.tobytes() == want.carved.tobytes()
 
 
+def _many_rounds(kind: str, n: int, rounds: int, rng: np.random.Generator):
+    """(states, index, source) of ``rounds`` rounds of one kind on n qubits;
+    Werner draws keep only the states drawn, as ``_queued`` does."""
+    if kind == "werner":
+        states, index = qsim.sample_ensemble(qsim.werner_ghz(n, 0.97), rng, rounds)
+        if not np.count_nonzero(index == 0):
+            states, index = states[1:], index - 1
+        return states, index, None
+    state = {
+        "ghz": ghz_state(n),
+        "ghz_prime": qsim.ghz_prime_state(),
+        "rotated": qsim.rotated_ghz(n, 0.7),
+        "basis": qsim.basis_state(n, int(rng.integers(0, 2**n))),
+    }[kind]
+    return state.amplitudes[None], np.zeros(rounds, dtype=np.intp), state
+
+
+@pytest.mark.parametrize("kind", ["ghz", "ghz_prime", "rotated", "basis", "werner"])
+def test_many_round_carves_match_the_dense_reference_and_the_per_level_tree(kind):
+    # Over 300 rounds, most levels reuse the steps their rows took before;
+    # a fifth of the outcomes are forced, and a fifth of the uniforms lie on
+    # or one ulp beside 1/2, a GHZ row's outcome-0 probability, so that some
+    # equal it and draw outcome 1 by the kernel's rule u >= p0. Every round's
+    # announcements, probability and carved bytes are those of the dense
+    # tree (within rounding for a rotated GHZ, as the support tree is) and,
+    # bit for bit, those of the support tree with one kernel call per level.
+    rng = np.random.default_rng(71)
+    for n in [4] if kind == "ghz_prime" else [10, 11, 12]:
+        roles = RoleAssignment(n=n, alice=n - 2, receivers=frozenset({1}))
+        states, index, source = _many_rounds(kind, n, 300, rng)
+        coins, uniforms = carve_draws(roles, RngBundle.from_seed(n, n), 300)
+        draw = rng.random(uniforms.shape)
+        forced, tied = draw < 0.2, (draw >= 0.2) & (draw < 0.4)
+        uniforms[forced] = forcing(rng.integers(0, 2, size=np.count_nonzero(forced)))
+        uniforms[tied] = rng.choice([np.nextafter(0.5, 0), 0.5, np.nextafter(0.5, 1)], size=np.count_nonzero(tied))
+        got = carve(states, index, roles, (coins, uniforms), source=source)
+        want = carve_dense(states, index, roles, (coins, uniforms))
+        assert np.array_equal(got.announced, want.announced) and np.array_equal(got.corrected, want.corrected)
+        if kind == "rotated":
+            np.testing.assert_allclose(got.probability, want.probability, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got.carved, want.carved, rtol=0, atol=1e-15)
+        else:
+            assert got.probability.tobytes() == want.probability.tobytes() and got.carved.tobytes() == want.carved.tobytes()
+
+        def per_level(*key, plan=protocols._pair_levels):  # the plan, with the walk over the rows met turned off
+            columns, slots, _, support = plan(*key)
+            return columns, slots, np.array(False), support
+
+        with mock.patch.object(protocols, "_pair_levels", per_level):
+            plain = carve(states, index, roles, (coins, uniforms), source=source)
+        for field in ("announced", "probability", "corrected", "carved"):
+            assert getattr(got, field).tobytes() == getattr(plain, field).tobytes()
+
+
+def test_a_pure_sixteen_qubit_queue_makes_a_few_kernel_calls():
+    # Thirteen bystanders measure, but the rows of a pure GHZ source repeat
+    # from level to level: the carve learns their steps in a few kernel calls
+    # and walks them, where one call per bystander made thirteen.
+    roles = RoleAssignment(n=16, alice=0, receivers=frozenset({1, 2}))
+    ghz = ghz_state(16)
+    for seed in range(8):
+        draws = carve_draws(roles, RngBundle.from_seed(seed, 16), 16)
+        with mock.patch.object(protocols, "_measure_kernel", wraps=protocols._measure_kernel) as kernel:
+            carve(ghz.amplitudes[None], np.zeros(16, dtype=np.intp), roles, draws, source=ghz)
+        assert kernel.call_count <= 4
+
+
 @pytest.mark.parametrize("n", [6, 16])
 def test_carve_names_an_impossible_branch_as_the_dense_reference_does(n):
     # The last bystander holds |+>, so it cannot announce 1; forcing it

@@ -54,6 +54,16 @@ def test_bundles_from_any_parent_are_pcg64_streams_seeded_by_the_rule():
     assert check.accept_rate == 1.0
 
 
+def test_a_bundle_stream_cannot_parent_a_bundle():
+    # A bundle stream is seeded from four words, with no seed sequence to
+    # spawn: deriving from it is refused by name, and the stream is not drawn.
+    stream = RngBundle.from_seed(1, 3).coin
+    before = stream.bit_generator.state
+    with pytest.raises(TypeError, match="a bundle stream has no seed sequence to spawn"):
+        RngBundle.from_generator(stream, 3)
+    assert stream.bit_generator.state == before
+
+
 def field_by_field(fields, batches: int) -> list:
     """``rng.draw``'s values, drawn one field at a time, batch by batch, each
     value one raw word: a coin its top bit, a double its top 53 bits."""
