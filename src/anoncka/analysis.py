@@ -93,14 +93,14 @@ def check_theorem1(
         accepted += np.bincount((np.arange(done, done + len(index)) // trials)[verdicts], minlength=len(accepted))
         done += len(index)
 
-    checks = []
-    for entry, hits in zip(state_family, accepted.tolist()):
-        eps = min(1.0, max(0.0, ghz_trace_distance(entry)))
-        rate, bound = hits / trials, 1.0 - eps**2 / 2.0
-        stderr = float(np.sqrt(rate * (1.0 - rate) / trials))
-        satisfied = rate <= bound + 4.0 * math.sqrt(bound * (1.0 - bound) / trials)
-        checks.append(BoundCheck(eps, rate, stderr, bound, satisfied, trials))
-    return checks
+    eps = np.clip([ghz_trace_distance(entry) for entry in state_family], 0.0, 1.0)
+    # ``float_power`` squares by the C library's ``pow``, as Python's ``**`` does; numpy's ``**``
+    # multiplies, and glibc 2.36's pow rounds 0.08% of uniform doubles in [0, 1) one ulp apart.
+    rate, bound = accepted / trials, 1.0 - np.float_power(eps, 2) / 2.0
+    stderr = np.sqrt(rate * (1.0 - rate) / trials)
+    satisfied = rate <= bound + 4.0 * np.sqrt(bound * (1.0 - bound) / trials)
+    columns = (eps, rate, stderr, bound, satisfied)
+    return [BoundCheck(*row, trials) for row in zip(*(column.tolist() for column in columns))]
 
 
 def _csv(header: str, rows: Iterable[Sequence]) -> str:
@@ -302,7 +302,9 @@ def estimate_anonymity_tvd(
     the samples contain more distinct raw views than ``MAX_SUPPORT``, or
     more than ``trials`` (so the histogram cannot resolve repeats), the
     per-phase parity projection is used instead and the result is flagged
-    as projected.
+    as projected. ``trials`` must satisfy 2 <= trials < 2^30, the range where
+    ``_empirical_tvds`` is exact; any other value raises ``ValueError``
+    before any draw.
     """
     if hypothesis_a.n != hypothesis_b.n:
         raise ValueError("hypotheses must share the network size")
@@ -310,8 +312,8 @@ def estimate_anonymity_tvd(
         raise ValueError("hypotheses must share the receiver count")
     n = hypothesis_a.n
     coalition = check_coalition(coalition, n, (hypothesis_a.alice, hypothesis_b.alice))
-    if trials < 2:
-        raise ValueError("need at least two trials per hypothesis")
+    if not 2 <= trials < 2**30:
+        raise ValueError(f"trials per hypothesis must satisfy 2 <= trials < 2**30, got {trials}")
 
     samples = [
         view_sampler(hyp, coalition, trials, RngBundle.from_generator(rng, n)) for hyp in (hypothesis_a, hypothesis_b)
@@ -489,52 +491,31 @@ def reproduce_experiment(
     base = local_correct_ghz_prime(ghz_prime_state()) if from_ghz_prime else ghz_state(4)
     ensemble = werner_ghz(4, weight, ghz=base)
 
-    def hits(ops: str, success: Callable[[np.ndarray], np.ndarray]) -> int:
-        """Successful shots out of ``trials``, each on a fresh draw of the source."""
+    def hits(label: str, setting: Union[str, tuple[int, int, int]]) -> int:
+        """Successful shots of one configuration and setting out of ``trials``,
+        each on a fresh draw of the source."""
+        ops = measurement_settings_for(label, setting)
         total = 0
         for shots in _batches(trials, 16 * 2**4):
             states, index = _rows(ensemble, rng, shots)
             if not np.count_nonzero(index == 0):  # the kernel measures only states drawn
                 states, index = states[1:], index - 1
-            total += int(success(measure_string(states, ops, rng.random((len(ops), shots)).T, index)[0]).sum())
+            bits = measure_string(states, ops, rng.random((len(ops), shots)).T, index)[0]
+            total += int((keygen_success(bits, label) if setting == "keygen" else verification_success(bits, ops)).sum())
         return total
 
-    stats = []
-    for label in CONFIG_LABELS:
-        p_k = hits(measurement_settings_for(label, "keygen"), lambda bits: keygen_success(bits, label)) / trials
-        p_k_err = float(np.sqrt(p_k * (1.0 - p_k) / trials))
-
-        setting_rates = []
-        setting_vars = []
-        for setting in VERIFICATION_SETTINGS:
-            ops = measurement_settings_for(label, setting)
-            rate = hits(ops, lambda bits: verification_success(bits, ops)) / trials
-            setting_rates.append(rate)
-            setting_vars.append(rate * (1.0 - rate) / trials)
-        p_v = float(np.mean(setting_rates))
-        p_v_err = float(np.sqrt(np.sum(setting_vars)) / len(setting_rates))
-        stats.append(
-            ConfigStats(
-                label=label,
-                keygen_rate=p_k,
-                keygen_stderr=p_k_err,
-                verification_rate=p_v,
-                verification_stderr=p_v_err,
-                per_setting=tuple(setting_rates),
-            )
-        )
-
-    avg_k = float(np.mean([c.keygen_rate for c in stats]))
-    avg_k_err = float(np.sqrt(np.sum([c.keygen_stderr**2 for c in stats])) / len(stats))
-    avg_v = float(np.mean([c.verification_rate for c in stats]))
-    avg_v_err = float(np.sqrt(np.sum([c.verification_stderr**2 for c in stats])) / len(stats))
-    return ExperimentReport(
-        fidelity=fidelity_target,
-        mixture_weight=weight,
-        trials=trials,
-        configurations=tuple(stats),
-        avg_keygen=avg_k,
-        avg_keygen_stderr=avg_k_err,
-        avg_verification=avg_v,
-        avg_verification_stderr=avg_v_err,
+    settings = ("keygen", *VERIFICATION_SETTINGS)
+    rates = np.array([[hits(label, setting) for setting in settings] for label in CONFIG_LABELS]) / trials
+    variances = rates * (1.0 - rates) / trials
+    # One row per configuration, in ConfigStats' order: p_k, its stderr, p_v (the mean over settings), its stderr.
+    p_v_stderr = np.sqrt(variances[:, 1:].sum(axis=1)) / len(VERIFICATION_SETTINGS)
+    table = np.column_stack([rates[:, 0], np.sqrt(variances[:, 0]), rates[:, 1:].mean(axis=1), p_v_stderr])
+    # Over configurations: each rate's mean and each stderr's root-sum-square (squared as in
+    # ``check_theorem1``), divided by their number.
+    averages = table.mean(axis=0)
+    averages[1::2] = np.sqrt(np.float_power(table[:, 1::2], 2).sum(axis=0)) / len(table)
+    configurations = tuple(
+        ConfigStats(label, *row, per_setting=tuple(per_setting))
+        for label, row, per_setting in zip(CONFIG_LABELS, table.tolist(), rates[:, 1:].tolist())
     )
+    return ExperimentReport(fidelity_target, weight, trials, configurations, *averages.tolist())

@@ -207,6 +207,16 @@ def test_all_accepting_run_above_a_low_bound_is_a_violation(monkeypatch):
     assert not check.satisfied
 
 
+def test_check_theorem1_squares_eps_as_python_does(monkeypatch):
+    # With glibc 2.36, Python's eps**2 (the C library's pow) and numpy's ** (eps * eps)
+    # round these eps one ulp apart, and the bound shows the difference.
+    claimed = [0.8813294795117756, 0.941023085302428, 0.7862216290165682]
+    remaining = iter(claimed)
+    monkeypatch.setattr(analysis, "ghz_trace_distance", lambda entry: next(remaining))
+    checks = check_theorem1([ghz_state(3)] * 3, 10, np.random.default_rng(8))
+    assert [c.bound for c in checks] == [1.0 - eps**2 / 2.0 for eps in claimed]
+
+
 def test_check_theorem1_queue_stays_within_its_row_budget():
     # At k=12 a batch is 16 shots of 64 KB, about 1 MB. Ten Werner states of
     # 64 shots would hold 40 MB if every drawn batch queued before measuring.
@@ -458,6 +468,22 @@ def test_tvd_validation_errors():
         estimate_anonymity_tvd(ame_views, hyp_a, hyp_a, frozenset({1, 2, 3}), 10, rng)
 
 
+@pytest.mark.parametrize("trials", [1, 2**30, 2**40])
+def test_tvd_refuses_trials_outside_its_exact_range_before_any_draw(trials):
+    # Each TVD is an exact int64 sum only for trials below 2^30; at 2^30 the
+    # samplers would otherwise draw 2^30 runs per hypothesis before any check.
+    def sampler(*args):
+        raise AssertionError("the sampler ran")
+
+    hyp_a = RoleAssignment(n=4, alice=0, receivers=frozenset({1}))
+    hyp_b = RoleAssignment(n=4, alice=1, receivers=frozenset({0}))
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"2 <= trials < 2\*\*30"):
+        estimate_anonymity_tvd(sampler, hyp_a, hyp_b, frozenset({3}), trials, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_tvd_null_matches_one_permutation_call_per_round(monkeypatch):
     # The null shuffles a chunk of rounds' pooled views in one ``permuted``
     # call and histograms it in one ``bincount``. On random keys of any
@@ -667,10 +693,34 @@ def test_experiment_matches_the_batch_by_batch_reference(monkeypatch, fidelity, 
     rng, reference = np.random.default_rng(16), np.random.default_rng(16)
     report = reproduce_experiment(fidelity, trials, rng, from_ghz_prime=from_ghz_prime)
     counts = experiment_hits_by_batch(fidelity, trials, reference, from_ghz_prime=from_ghz_prime)
-    for stats, (keygen, verification) in zip(report.configurations, counts, strict=True):
-        assert stats.keygen_rate == keygen / trials
-        assert stats.per_setting == tuple(hits / trials for hits in verification)
     assert rng.bit_generator.state == reference.bit_generator.state
+    # Every derived field, recomputed from the counts in plain Python in setting order.
+    expected = []
+    for label, (keygen, verification) in zip(CONFIG_LABELS, counts, strict=True):
+        p_k, per_setting = keygen / trials, [hits / trials for hits in verification]
+        p_v = sum(per_setting) / len(per_setting)
+        p_v_stderr = math.sqrt(sum(rate * (1.0 - rate) / trials for rate in per_setting)) / len(per_setting)
+        expected.append(analysis.ConfigStats(label, p_k, math.sqrt(p_k * (1.0 - p_k) / trials), p_v, p_v_stderr, tuple(per_setting)))
+    assert report.configurations == tuple(expected)
+    assert report.avg_keygen == sum(c.keygen_rate for c in expected) / len(expected)
+    assert report.avg_keygen_stderr == math.sqrt(sum(c.keygen_stderr**2 for c in expected)) / len(expected)
+    assert report.avg_verification == sum(c.verification_rate for c in expected) / len(expected)
+    assert report.avg_verification_stderr == math.sqrt(sum(c.verification_stderr**2 for c in expected)) / len(expected)
+
+
+def test_reports_hold_python_scalars_only():
+    # numpy 2 prints its scalars as np.float64(0.5) or np.True_ in a CSV row;
+    # ``per_setting`` is printed only as JSON, where np.float64 prints like a
+    # float, so no digest would show one there.
+    checks = check_theorem1([ghz_state(4), qsim.werner_ghz(4, 0.5), qsim.rotated_ghz(4, 1.0)], 50, np.random.default_rng(3))
+    report = reproduce_experiment(0.81, 50, np.random.default_rng(3))
+    for record in (*checks, *report.configurations, report):
+        for field in dataclasses.fields(record):
+            value = getattr(record, field.name)
+            if field.type.startswith("tuple["):  # tuple[float, ...] or tuple[ConfigStats, ...]
+                assert type(value) is tuple and {type(v).__name__ for v in value} == {field.type[6:].split(",")[0]}
+            else:
+                assert type(value).__name__ == field.type, (type(record).__name__, field.name, value)
 
 
 def test_success_predicates():

@@ -64,11 +64,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--blocks", type=int, default=20)
     parser.add_argument("--slices", type=int, default=5, help="slices per block")
     args = parser.parse_args(argv)
+    if args.blocks < 1 or args.slices < 1:
+        parser.error(f"--blocks and --slices must be at least 1, got {args.blocks} and {args.slices}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     sys.path.insert(0, str(checkouts["parent"] / "perfbench"))
     import workloads
 
+    if args.workload not in workloads.WORKLOAD_TYPES:
+        parser.error(f"unknown workload {args.workload!r}; choose from {', '.join(workloads.WORKLOAD_TYPES)}")
     workload = workloads.WORKLOAD_TYPES[args.workload](args.seed)
     clis = {side: load(f"anoncka_{side}", checkouts[side]) for side in SIDES}
     medians: dict[str, list[float]] = {side: [] for side in SIDES}
