@@ -133,6 +133,13 @@ def _bit_count(codes: np.ndarray) -> int:
     return int(_POWERS.searchsorted(codes + 2, side="right").sum())
 
 
+def _owned(column, dtype) -> np.ndarray:
+    """``column`` as a ``dtype`` array its caller cannot edit: a read-only
+    array of that dtype (a cached layout's) is shared, anything else copied."""
+    shared = isinstance(column, np.ndarray) and column.dtype == dtype and not column.flags.writeable
+    return column if shared else np.array(column, dtype=dtype)
+
+
 class _Block(NamedTuple):
     """The records of one channel call, as columns with one entry per
     record: phase (an object array), sender, receiver, payload code and
@@ -246,7 +253,7 @@ class Network:
         accounts for exactly n bits per dealer. A self-send anywhere else is a
         ProtocolError. A block that fails a check records nothing.
         """
-        senders, receivers = np.array(senders, dtype=np.intp), np.array(receivers, dtype=np.intp)
+        senders, receivers = _owned(senders, np.intp), _owned(receivers, np.intp)
         if senders.ndim != 1 or receivers.ndim != 1:
             raise ProtocolError("a block takes one-dimensional sender and receiver columns")
         if isinstance(bits, np.ndarray) and bits.dtype.kind in "iu":
@@ -267,9 +274,7 @@ class Network:
                 raise ProtocolError(f"party {sender} cannot send to itself; use keep_share")
             raise ProtocolError(f"party {sender} keeps a share that goes to party {receiver}")
         if len(bits):
-            phase = np.asarray(phase, dtype=object)  # a caller's writable array is copied, a read-only one shared
-            phase = np.broadcast_to(phase.copy() if phase.flags.writeable else phase, len(bits))
-            self._blocks.append(_Block(PRIVATE, phase, senders, receivers, bits, None))
+            self._blocks.append(_Block(PRIVATE, np.broadcast_to(_owned(phase, object), len(bits)), senders, receivers, bits, None))
         self.counters.private_bits_sent += count
 
     def send_private(self, sender: int, receiver: int, bits: str, phase: str) -> None:

@@ -19,7 +19,8 @@ amplitude array of independent rounds through the measurement kernel:
 test, each a pure function of the draws it is given: only ``carve_draws``,
 ``parity_draws`` and ``_rows`` read a stream. ``ame`` and ``verification``
 are their one-row case plus a broadcast. ``_queued`` joins batches of about
-1 MB; ``rng.draw`` makes a queue's draws with one raw-word call per stream,
+1 MB, a pure source's as one run; a pure source keeps the walk its carves
+learned. ``rng.draw`` makes a queue's draws with one raw-word call per stream,
 each batch's values as if it ran alone. An ``avka`` queue is one carve
 (rounds that share a state are one tree, run on the support when no state
 has three nonzero amplitudes), one Z readout, one parity test and one
@@ -55,12 +56,11 @@ _CACHED = 16  # the most notification layouts, and support tree level plans, a p
 _PROBES = np.array([1e-6, 1 - 1e-6])
 
 
-def _batches(trials: int, row_bytes: int):
+def _batches(trials: int, row_bytes: int) -> list[int]:
     """Row counts of the batches that together run ``trials`` rows of
-    ``row_bytes`` bytes each."""
+    ``row_bytes`` bytes each: all but the last hold the same count."""
     size = max(1, _BATCH_BYTES // row_bytes)
-    for start in range(0, trials, size):
-        yield min(size, trials - start)
+    return [size] * (trials // size) + [trials % size] * (trials % size > 0)
 
 
 def _rows(source: StateVector | NoiseEnsemble, stream: np.random.Generator, shots: int):
@@ -79,13 +79,17 @@ def _queued(sources, stream: np.random.Generator, draw_bytes: int):
     queue's states and its draws, at ``draw_bytes`` each, each stay within
     ``_BATCH_BYTES``; its states are drawn before the queue it does not fit
     in is yielded. Consecutive batches of one source hold its row 0 once,
-    from the first draw of it on."""
+    from the first draw of it on; once a pure source's row is held, its
+    later batches that fit the draw budget join as one run, with one index."""
     queue, held, drawn, last, first = [], 0, 0, None, None
     for source, draws in sources:
-        for size in _batches(draws, 16 * 2**source.n_qubits):
-            states, index = _rows(source, stream, size)
+        sizes, at = _batches(draws, 16 * 2**source.n_qubits), 0
+        pure = isinstance(source, StateVector) and len(sizes) > 1
+        ends = np.minimum(np.arange(1, len(sizes) + 1) * sizes[0], draws) if pure else None  # a pure source's draws to each batch's end
+        while at < len(sizes):
+            states, index = _rows(source, stream, sizes[at])
             shared = source is last and first is not None  # its row 0 is held, at row ``first``
-            if queue and max((held + len(states) - shared) * states[0].nbytes, (drawn + size) * draw_bytes) > _BATCH_BYTES:
+            if queue and max((held + len(states) - shared) * states[0].nbytes, (drawn + sizes[at]) * draw_bytes) > _BATCH_BYTES:
                 joined, queue, held, drawn, shared = _joined(queue), [], 0, 0, False
                 yield joined
             if shared:
@@ -94,18 +98,22 @@ def _queued(sources, stream: np.random.Generator, draw_bytes: int):
                 first, index = held, index + held
             else:
                 first, states, index = None, states[1:], index + held - 1
-            queue.append((states, index))
-            held, drawn, last = held + len(states), drawn + size, source
+            stop = at + 1
+            if ends is not None:  # the row is held, so each later batch adds only its draws
+                stop = max(stop, int(np.searchsorted(ends, ends[at] - sizes[at] - drawn + _BATCH_BYTES // draw_bytes, "right")))
+                index = np.full(ends[stop - 1] - ends[at] + sizes[at], first)
+            queue.append((states, index, sizes[at:stop]))
+            held, drawn, last, at = held + len(states), drawn + len(index), source, stop
     if queue:
         yield _joined(queue)
 
 
 def _joined(queue):
-    """A queue's batches as one (states, index, sizes)."""
-    states, index = zip(*queue)
+    """A queue's entries as one (states, index, sizes)."""
+    states, index, sizes = zip(*queue)
     parts = [rows for rows in states if len(rows)]
     joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return joined, np.concatenate(index), np.array([len(rows) for rows in index])
+    return joined, np.concatenate(index), np.array([size for run in sizes for size in run])
 
 
 @dataclass(frozen=True)
@@ -346,7 +354,10 @@ def carve(
     (GHZ, rotated GHZ), the levels after the first walk the rows met: a
     kernel call on new rows, with the uniforms ``_PROBES`` added per row, learns
     both their steps, and a round at a known step takes it by the kernel's
-    rule u >= p0 (a pure n=16 queue: 3 kernel calls, not 13). The entries left
+    rule u >= p0 (a pure n=16 queue: 3 kernel calls, not 13). A pure
+    ``source`` keeps the table per plan (``_walks``); a walk starts from it
+    and publishes an extended copy if it learned a row, never writing into a
+    published one, so a later carve of it makes one call. The entries left
     out are exact zeros: GHZ, GHZ', basis states and Werner draws get the
     dense tree's bits, other states (a rotated GHZ) agree within rounding, as
     ``np.vecdot`` groups a row's products by its layout. Callers check the
@@ -359,10 +370,13 @@ def carve(
     measuring = [p for p in bystanders if p not in withholding]
     support = (source._support if isinstance(source, StateVector) else _pair_support(states)) if measuring else None
     if support is not None:
-        values = states[:, support]
-        columns, slots, walk, support = _pair_levels(tuple(support.tolist()), roles.n, tuple(measuring))
-        # met: row bytes -> id; child, branch: per key 2 id + outcome once drawn (-1, inf before), kept row's key, probability
-        met, child, branch = {}, np.empty(0, dtype=np.intp), np.empty(0)
+        values, plan = states[:, support], (tuple(support.tolist()), roles.n, tuple(measuring))
+        columns, slots, walk, support = _pair_levels(*plan)
+        # met: row bytes -> id; child, branch: per key 2 id + outcome once drawn (-1, inf before), kept row's key, probability.
+        # A pure source keeps the last table learned per plan; a walk extends a copy of it.
+        walks = source._walks if isinstance(source, StateVector) else {}
+        met, child, branch = walks.get(plan, ({}, np.empty(0, dtype=np.intp), np.empty(0)))
+        met, child, branch, learned = dict(met), child.copy(), branch.copy(), False
 
         def keyed(rows):  # each row's key 2 id
             return 2 * np.array([met.setdefault(row.tobytes(), len(met)) for row in rows], dtype=np.intp)
@@ -393,12 +407,14 @@ def carve(
                     at, u = np.concatenate([at, probes >> 1]), np.concatenate([uniforms[todo, party], _PROBES[probes & 1]])
                     outcomes, prob, kept, out = measure(level, rows()[first:], u, at - first)
                     drawn = 2 * at + outcomes
-                    child[drawn], branch[drawn] = keyed(kept)[out], prob
+                    child[drawn], branch[drawn], learned = keyed(kept)[out], prob, True
                     keys[todo] = drawn[: len(drawn) - len(probes)]
                 announced[:, party], prob, index = keys & 1, branch[keys], child[keys]
             else:  # every state and draw through the kernel
                 announced[:, party], prob, values, index = measure(level, values, uniforms[:, party], index)
             probability *= prob
+        if learned:  # published whole, and never written again
+            walks[plan] = met, child, branch
         values, index = (rows(), index >> 1) if values is None else (values, index)
         states = np.zeros((len(values), states.shape[1] >> len(measuring)), dtype=complex)
         states[:, support] = values

@@ -103,6 +103,7 @@ class StateVector:
         return self.amplitudes.reshape([2] * self.n_qubits)
 
     _support = functools.cached_property(lambda self: _pair_support(self.amplitudes[None]))  # found once
+    _walks = functools.cached_property(lambda self: {})  # protocols.carve's walk tables, by plan
 
 
 def _pair_support(amps: np.ndarray) -> np.ndarray | None:

@@ -618,3 +618,38 @@ def carve_dense(states, index, roles, draws, *, withholding=frozenset()):
     # Alice's qubit is now qubit 0: Z negates the second half of a row.
     carved[corrected, carved.shape[1] // 2 :] *= -1.0
     return Carving(announced, probability, corrected, carved)
+
+
+def queued_batch_by_batch(sources, stream: np.random.Generator, draw_bytes: int):
+    """``protocols._queued`` as it ran one batch at a time: per batch of each
+    (source, draws) pair, one ``_rows`` call and one index array, the batch
+    joining while the queue's distinct states and its draws each stay within
+    ``protocols._BATCH_BYTES`` (read at call time). Consecutive batches of one
+    source hold its row 0 once, from the first draw of it on. This is a
+    reference for the joined runs, not an independent oracle."""
+    from anoncka import protocols
+
+    queue, held, drawn, last, first = [], 0, 0, None, None
+
+    def joined():
+        parts = [rows for rows, _ in queue if len(rows)]
+        states = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return states, np.concatenate([index for _, index in queue]), np.array([len(index) for _, index in queue])
+
+    for source, draws in sources:
+        for size in batch_sizes(draws, 16 * 2**source.n_qubits):
+            states, index = protocols._rows(source, stream, size)
+            shared = source is last and first is not None
+            if queue and max((held + len(states) - shared) * states[0].nbytes, (drawn + size) * draw_bytes) > protocols._BATCH_BYTES:
+                yield joined()
+                queue, held, drawn, shared = [], 0, 0, False
+            if shared:
+                states, index = states[1:], np.where(index == 0, first, index + held - 1)
+            elif np.count_nonzero(index == 0):
+                first, index = held, index + held
+            else:
+                first, states, index = None, states[1:], index + held - 1
+            queue.append((states, index))
+            held, drawn, last = held + len(states), drawn + size, source
+    if queue:
+        yield joined()

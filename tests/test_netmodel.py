@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from anoncka import netmodel
 from anoncka.netmodel import ChannelAbort, Network, ProtocolError, RoleAssignment, extract_view
-from anoncka.protocols import avka, notification
+from anoncka.protocols import _notification_layout, avka, notification
 from anoncka.qsim import ghz_state
 from anoncka.rng import RngBundle
 from oracles import notify_by_message, transcript_to_jsonl, visible_by_filter
@@ -57,6 +57,25 @@ def test_a_block_keeps_its_phases_when_the_caller_edits_its_array():
     net.send_block([0, 1, 2], [1, 2, 0], np.array([1, 0, 1]), fixed)
     assert [e.phase for e in net.transcript] == ["a", "b", "c", "d", "e", "f"]
     assert np.shares_memory(net._blocks[-1].phase, fixed) and not np.shares_memory(net._blocks[0].phase, phases)
+
+
+def test_a_block_shares_read_only_endpoints_and_copies_writable_ones():
+    # A notification's block keeps the cached layout's read-only sender and
+    # receiver columns; a caller's writable columns are copied, so editing
+    # them after the call leaves the transcript as sent.
+    roles = RoleAssignment(n=16, alice=0, receivers=frozenset({5}))
+    bundle = RngBundle.from_seed(3, 16)
+    net = Network(16, bundle.network)
+    notification(roles, net, bundle)
+    senders, receivers, _, _ = _notification_layout(16)
+    (block,) = net._blocks
+    assert np.shares_memory(block.sender, senders) and np.shares_memory(block.receiver, receivers)
+    net = Network(3, np.random.default_rng(0))
+    senders, receivers = np.array([0, 1, 2]), np.array([1, 2, 0])
+    net.send_block(senders, receivers, np.array([0, 1, 1]), "p")
+    senders[:], receivers[:] = 2, 1
+    assert [(e.sender, e.receiver) for e in net.transcript] == [(0, 1), (1, 2), (2, 0)]
+    assert not np.shares_memory(net._blocks[0].sender, senders) and not np.shares_memory(net._blocks[0].receiver, receivers)
 
 
 BAD_BLOCKS = [

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -47,6 +48,7 @@ from oracles import (
     exact_verification_acceptance,
     fidelity_pure,
     forcing,
+    queued_batch_by_batch,
 )
 
 
@@ -339,17 +341,93 @@ def test_many_round_carves_match_the_dense_reference_and_the_per_level_tree(kind
             assert getattr(got, field).tobytes() == getattr(plain, field).tobytes()
 
 
+def _copy(state: qsim.StateVector) -> qsim.StateVector:
+    """A fresh ``StateVector`` of the same amplitudes: no walk learned on it yet,
+    whatever other tests carved from a shared ``ghz_state(n)``."""
+    return qsim.StateVector(state.n_qubits, state.amplitudes)
+
+
+def _kernel_calls(run) -> int:
+    with mock.patch.object(protocols, "_measure_kernel", wraps=protocols._measure_kernel) as kernel:
+        run()
+    return kernel.call_count
+
+
 def test_a_pure_sixteen_qubit_queue_makes_a_few_kernel_calls():
     # Thirteen bystanders measure, but the rows of a pure GHZ source repeat
     # from level to level: the carve learns their steps in a few kernel calls
-    # and walks them, where one call per bystander made thirteen.
+    # and walks them, where one call per bystander made thirteen. The source
+    # keeps what it learned, so its next carve calls the kernel only for the
+    # first level, which sends every state and draw through it.
     roles = RoleAssignment(n=16, alice=0, receivers=frozenset({1, 2}))
-    ghz = ghz_state(16)
     for seed in range(8):
+        ghz = _copy(ghz_state(16))
         draws = carve_draws(roles, RngBundle.from_seed(seed, 16), 16)
-        with mock.patch.object(protocols, "_measure_kernel", wraps=protocols._measure_kernel) as kernel:
-            carve(ghz.amplitudes[None], np.zeros(16, dtype=np.intp), roles, draws, source=ghz)
-        assert kernel.call_count <= 4
+        again = carve_draws(roles, RngBundle.from_seed(seed + 8, 16), 16)
+        assert _kernel_calls(lambda: carve(ghz.amplitudes[None], np.zeros(16, dtype=np.intp), roles, draws, source=ghz)) <= 4
+        assert _kernel_calls(lambda: carve(ghz.amplitudes[None], np.zeros(16, dtype=np.intp), roles, again, source=ghz)) == 1
+
+
+def test_a_second_carve_of_a_source_gives_the_bytes_of_a_fresh_one():
+    # The walk a source learned is reused by the next carve of the same plan,
+    # and every carve gives the bytes of the same carve on a copy of the
+    # source that has learned nothing. A carve that learns publishes a new
+    # table and leaves the one it started from as it was.
+    rng = np.random.default_rng(44)
+    for n, state in [(9, ghz_state(9)), (12, qsim.rotated_ghz(12, 0.7)), (16, qsim.rotated_ghz(16, np.pi))]:
+        source = _copy(state)
+        for seed in range(12):
+            roles = RoleAssignment(n=n, alice=seed % 3, receivers=frozenset({n - 1 - seed % 2}))
+            coins, uniforms = carve_draws(roles, RngBundle.from_seed(seed, n), 1 + seed % 4 * 13)
+            uniforms[rng.random(uniforms.shape) < 0.2] = 0.5
+            args = source.amplitudes[None], np.zeros(len(coins), dtype=np.intp), roles, (coins, uniforms)
+            published = dict(source._walks)
+            snapshots = {plan: (dict(met), child.tobytes(), branch.tobytes()) for plan, (met, child, branch) in published.items()}
+            got = carve(*args, source=source)
+            want = carve(*args, source=_copy(source))
+            for field in ("announced", "probability", "corrected", "carved"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            for plan, (met, child, branch) in published.items():
+                assert (met, child.tobytes(), branch.tobytes()) == snapshots[plan]
+        assert len(source._walks) == 6
+
+
+def test_threads_carving_one_shared_source_give_the_bytes_of_sequential_carves():
+    # Concurrent carves read the process-wide ghz_state(16)'s published walk
+    # tables and publish extended copies; none writes into a table another
+    # carve may be reading.
+    calls = []
+    for seed in range(16):
+        roles = RoleAssignment(n=16, alice=seed % 4, receivers=frozenset({15 - seed % 3}))
+        calls.append((roles, carve_draws(roles, RngBundle.from_seed(seed, 16), 1 + seed % 5 * 8)))
+
+    def run(call, source=ghz_state(16)):
+        roles, draws = call
+        carving = carve(source.amplitudes[None], np.zeros(len(draws[0]), dtype=np.intp), roles, draws, source=source)
+        return [field.tobytes() for field in carving]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the walks
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            together = list(pool.map(run, calls * 3, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    alone = [run(call, _copy(ghz_state(16))) for call in calls]
+    assert together == alone * 3
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_a_sources_walk_stays_a_few_rows(n):
+    # GHZ, GHZ with its all-ones phase pi, and a rotated GHZ: after 20 carves
+    # of 200 rounds each, every plan's table holds at most 8 distinct rows.
+    roles = RoleAssignment(n=n, alice=2, receivers=frozenset({n - 3}))
+    for state in (ghz_state(n), qsim.rotated_ghz(n, np.pi), qsim.rotated_ghz(n, 0.7)):
+        source = _copy(state)
+        for seed in range(20):
+            draws = carve_draws(roles, RngBundle.from_seed(seed, n), 200)
+            carve(source.amplitudes[None], np.zeros(200, dtype=np.intp), roles, draws, source=source)
+        assert [len(met) <= 8 for met, _, _ in source._walks.values()] == [True]
 
 
 @pytest.mark.parametrize("n", [6, 16])
@@ -912,6 +990,37 @@ def avka_runs(draw):
         draw(st.one_of(few_rounds, few_rounds, st.integers(0, 20).map(lambda e: 2**e), st.integers(1, 2**20))),
         draw(st.integers(0, 2**32 - 1)),
     )
+
+
+@pytest.mark.parametrize(
+    "n, batch_bytes, draw_bytes",
+    [(4, 1024, 100), (4, 1024, 85), (4, 1024, 1025), (4, 2**20, 16), (13, 2**20, 2**20 // 20), (16, 2**20, 2**20 // 10), (16, 2**20, 896)],
+)
+def test_queues_match_the_batch_by_batch_reference(n, batch_bytes, draw_bytes):
+    # Pure, Werner and mixed source lists, with draw budgets that cut a pure
+    # source's run of batches mid-source (10, 12 and 20 rounds, 12 ending on
+    # a batch of 4, and the first batch alone) or never: each queue's
+    # states, index and batch sizes are those of the per-batch loop, and so
+    # is the source stream after each queue, taken one at a time as avka's
+    # break on an abort takes them.
+    ghz, werner, rotated = ghz_state(n), qsim.werner_ghz(n, 0.9), qsim.rotated_ghz(n, 0.7)
+    lists = [
+        [(ghz, 23)],
+        [(werner, 17)],
+        [(ghz, 9), (werner, 6), (ghz, 11), (ghz, 5)],
+        [(rotated, 4), (ghz, 21), (ghz, 0), (rotated, 13), (werner, 3)],
+    ]
+    with mock.patch.object(protocols, "_BATCH_BYTES", batch_bytes):
+        for seed, sources in enumerate(lists):
+            got_stream, want_stream = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = protocols._queued(sources, got_stream, draw_bytes)
+            want = queued_batch_by_batch(sources, want_stream, draw_bytes)
+            for queue, reference in itertools.zip_longest(got, want):
+                assert got_stream.bit_generator.state == want_stream.bit_generator.state
+                assert queue is not None and reference is not None
+                for part, expected in zip(queue, reference):
+                    assert part.dtype == expected.dtype and part.shape == expected.shape and part.tobytes() == expected.tobytes()
+            assert got_stream.bit_generator.state == want_stream.bit_generator.state
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
