@@ -19,13 +19,13 @@ amplitude array of independent rounds through the measurement kernel:
 test, each a pure function of the draws it is given: only ``carve_draws``,
 ``parity_draws`` and ``_rows`` read a stream. ``ame`` and ``verification``
 are their one-row case plus a broadcast. ``_queued`` joins batches of about
-1 MB, a pure source's as one run; a pure source keeps the walk its carves
-learned. ``rng.draw`` makes a queue's draws with one raw-word call per stream,
-each batch's values as if it ran alone. An ``avka`` queue is one carve
-(rounds that share a state are one tree, run on the support when no state
-has three nonzero amplitudes), one Z readout, one parity test and one
-block of its rounds' broadcasts. ``analysis`` calls the steps with many
-rows, exhaustive tests with uniforms of -1 and 2.
+1 MB, a pure source's as one run; a pure source keeps its carves' walk
+table, closed: both steps of every row. ``rng.draw`` makes a queue's draws
+with one raw-word call per stream, each batch's values as if it ran alone.
+An ``avka`` queue is one carve (rounds that share a state are one tree, run
+on the support when no state has three nonzero amplitudes), one Z readout,
+one parity test and one block of its rounds' broadcasts. ``analysis`` calls
+the steps with many rows, exhaustive tests with uniforms of -1 and 2.
 
 Party i holds qubit i of each source state. All participant-ordered tuples
 use Alice first, then receivers ascending.
@@ -51,9 +51,6 @@ _STEPS = ("ame:announce", "coin", "verify:announce")  # an avka round's broadcas
 # (16 bytes per amplitude) or 2^20 / n^3 notifications (one int8 per share bit).
 _BATCH_BYTES = 2**20
 _CACHED = 16  # the most notification layouts, and support tree level plans, a process keeps
-# Uniforms that draw each outcome of a unit row of probability above about 1e-6, so that one
-# kernel call teaches a carve's walk both steps of a row.
-_PROBES = np.array([1e-6, 1 - 1e-6])
 
 
 def _batches(trials: int, row_bytes: int) -> list[int]:
@@ -351,17 +348,19 @@ def carve(
     ``source`` (its cached ``_support``), else the rows' own. Each level
     measures qubit 0 of [z0 | z1] rows by a plan (``_pair_levels``, cached);
     only the carved rows are made dense. When one plan covers every level
-    (GHZ, rotated GHZ), the levels after the first walk the rows met: a
-    kernel call on new rows, with the uniforms ``_PROBES`` added per row, learns
-    both their steps, and a round at a known step takes it by the kernel's
-    rule u >= p0 (a pure n=16 queue: 3 kernel calls, not 13). A pure
-    ``source`` keeps the table per plan (``_walks``); a walk starts from it
-    and publishes an extended copy if it learned a row, never writing into a
-    published one, so a later carve of it makes one call. The entries left
-    out are exact zeros: GHZ, GHZ', basis states and Werner draws get the
-    dense tree's bits, other states (a rotated GHZ) agree within rounding, as
-    ``np.vecdot`` groups a row's products by its layout. Callers check the
-    sizes and ``withholding`` first (``check_run``).
+    (GHZ, rotated GHZ), z0 and z1 fill disjoint slots, so each outcome of a
+    row is 1/2 up to rounding, and the levels after the first walk the rows
+    met: meeting rows without steps, a level makes one kernel call on every
+    row met since, with the uniforms -1 and 2 per row (which cannot raise),
+    and appends both steps of each; a round steps by the kernel's rule
+    u >= p0, so no drawn uniform reaches the kernel (a pure n=16 queue: 3
+    calls, not 13). A pure ``source`` keeps the table per plan (``_walks``),
+    which a walk starts from and replaces, never writes into, if it learned
+    a row: concurrent carves stay exact, and a later one makes one call.
+    The entries left out are exact zeros: GHZ, GHZ', basis states and Werner
+    draws get the dense tree's bits, other states (a rotated GHZ) agree
+    within rounding, as ``np.vecdot`` groups a row's products by its layout.
+    Callers check the sizes and ``withholding`` first (``check_run``).
     """
     coins, uniforms = draws
     bystanders = sorted(roles.non_participants)
@@ -372,11 +371,11 @@ def carve(
     if support is not None:
         values, plan = states[:, support], (tuple(support.tolist()), roles.n, tuple(measuring))
         columns, slots, walk, support = _pair_levels(*plan)
-        # met: row bytes -> id; child, branch: per key 2 id + outcome once drawn (-1, inf before), kept row's key, probability.
-        # A pure source keeps the last table learned per plan; a walk extends a copy of it.
+        # met: row bytes -> id; child, branch: per key 2 id + outcome of the first len(child) / 2 ids, kept row's key and
+        # probability. A pure source keeps the last table learned per plan; a walk replaces it (np.append), never writes into it.
         walks = source._walks if isinstance(source, StateVector) else {}
-        met, child, branch = walks.get(plan, ({}, np.empty(0, dtype=np.intp), np.empty(0)))
-        met, child, branch, learned = dict(met), child.copy(), branch.copy(), False
+        known = walks.get(plan, ({}, np.empty(0, dtype=np.intp), np.empty(0)))
+        met, child, branch = dict(known[0]), *known[1:]
 
         def keyed(rows):  # each row's key 2 id
             return 2 * np.array([met.setdefault(row.tobytes(), len(met)) for row in rows], dtype=np.intp)
@@ -397,23 +396,16 @@ def carve(
             if level and walk:  # a round whose row took its step before takes it again, by the kernel's rule
                 if values is not None:  # the first such level: each round's row by its key
                     index, values = keyed(values)[index], None
-                if 2 * len(met) > len(child):  # room for as many rows again, and 32 more
-                    child, branch = (np.concatenate([a, np.full(2 * len(met) + 64, fill)]) for a, fill in ((child, -1), (branch, np.inf)))
+                if index.max() >= len(child):  # a row without steps: one forced call gives both of every row met since
+                    new = len(met) - len(child) // 2
+                    _, prob, kept, _ = measure(level, rows()[-new:], np.tile([-1.0, 2.0], new), np.arange(new).repeat(2))
+                    child, branch = np.append(child, keyed(kept)), np.append(branch, prob)  # kept rows come in key order
                 keys = index + (uniforms[:, party] >= branch[index])
-                todo = child[keys] < 0
-                if np.count_nonzero(todo):  # one kernel call on the rows from the first such round's on
-                    first = np.minimum.reduce(at := keys[todo] >> 1)
-                    probes = np.arange(2 * first, 2 * len(met))  # two per row from the first on: id << 1 | which of _PROBES
-                    at, u = np.concatenate([at, probes >> 1]), np.concatenate([uniforms[todo, party], _PROBES[probes & 1]])
-                    outcomes, prob, kept, out = measure(level, rows()[first:], u, at - first)
-                    drawn = 2 * at + outcomes
-                    child[drawn], branch[drawn], learned = keyed(kept)[out], prob, True
-                    keys[todo] = drawn[: len(drawn) - len(probes)]
                 announced[:, party], prob, index = keys & 1, branch[keys], child[keys]
             else:  # every state and draw through the kernel
                 announced[:, party], prob, values, index = measure(level, values, uniforms[:, party], index)
             probability *= prob
-        if learned:  # published whole, and never written again
+        if child is not known[1]:  # published whole, and never written again
             walks[plan] = met, child, branch
         values, index = (rows(), index >> 1) if values is None else (values, index)
         states = np.zeros((len(values), states.shape[1] >> len(measuring)), dtype=complex)

@@ -23,6 +23,7 @@ def test_the_repository_against_itself_prints_the_same_bytes_on_both_sides():
     assert out[2].startswith("parent ms per slice (block medians): median ")
     assert out[3].startswith("change ms per slice (block medians): median ")
     assert out[4].startswith("change wins ") and out[4].endswith("of 2 blocks; every slice printed the same bytes on both sides")
+    assert out[5:] == ["ms per slice: gain shown"] or out[5:] == ["ms per slice: gain not shown"]
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from anoncka import qsim
@@ -428,6 +428,96 @@ def test_a_sources_walk_stays_a_few_rows(n):
             draws = carve_draws(roles, RngBundle.from_seed(seed, n), 200)
             carve(source.amplitudes[None], np.zeros(200, dtype=np.intp), roles, draws, source=source)
         assert [len(met) <= 8 for met, _, _ in source._walks.values()] == [True]
+
+
+def _per_level(*key, plan=protocols._pair_levels):
+    """``_pair_levels``, with the walk over the rows met turned off."""
+    columns, slots, _, support = plan(*key)
+    return columns, slots, np.array(False), support
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_a_walk_learns_both_steps_of_its_rows_by_forced_kernel_calls_only(n):
+    # One plan puts z0 and z1 in disjoint slots, so both steps of every row a
+    # walk meets have probability 1/2: after the first level's call, the
+    # kernel sees only the forcing uniforms -1 and 2, never a draw, and every
+    # table a source publishes over 1 to 4 carves is closed. A further carve,
+    # its uniforms forced or 1/2 and one ulp beside it, walks the rows
+    # learned in one kernel call and gives the bytes of the dense tree on GHZ
+    # and basis states and of the per-level support tree on rotated GHZ
+    # states, where a uniform one ulp from 1/2 can take the other branch than
+    # the dense tree's rounding.
+    rng = np.random.default_rng(45 + n)
+    roles = RoleAssignment(n=n, alice=1, receivers=frozenset({n - 1}))
+    rotated = [(qsim.rotated_ghz(n, theta), False) for theta in (0.7, np.pi, 2.1)]
+    for carves, (state, exact) in enumerate([(ghz_state(n), True), *rotated, (qsim.basis_state(n, 0), True)], start=n):
+        source, rounds = _copy(state), np.zeros(16, dtype=np.intp)
+        for seed in range(1 + carves % 4):
+            draws = carve_draws(roles, RngBundle.from_seed(seed, n), 16)
+            with mock.patch.object(protocols, "_measure_kernel", wraps=protocols._measure_kernel) as kernel:
+                carve(source.amplitudes[None], rounds, roles, draws, source=source)
+            assert all(set(call.args[3].tolist()) <= {-1.0, 2.0} for call in kernel.call_args_list[1:])
+            assert len(source._walks) == 1
+            for met, child, branch in source._walks.values():
+                assert len(child) == len(branch) and len(child) % 2 == 0 and len(child) // 2 <= len(met)
+                assert child.max() < 2 * len(met) and np.abs(branch - 0.5).max() <= 1e-15
+        coins, _ = carve_draws(roles, RngBundle.from_seed(99, n), 16)
+        uniforms = rng.choice([-1.0, 2.0, np.nextafter(0.5, 0), 0.5, np.nextafter(0.5, 1)], size=(16, n))
+        assert _kernel_calls(lambda: carve(source.amplitudes[None], rounds, roles, (coins, uniforms), source=source)) == 1
+        got = carve(source.amplitudes[None], rounds, roles, (coins, uniforms), source=source)
+        if exact:
+            want = carve_dense(source.amplitudes[None], rounds, roles, (coins, uniforms))
+        else:
+            with mock.patch.object(protocols, "_pair_levels", _per_level):
+                want = carve(source.amplitudes[None], rounds, roles, (coins, uniforms), source=_copy(state))
+        assert [field.tobytes() for field in got] == [field.tobytes() for field in want]
+
+
+@st.composite
+def one_plan_queues(draw):
+    """A queue that ``carve_calls`` never draws: n in 4..16, Alice and one or
+    two receivers anywhere, a withholder or none, 1..3 distinct rows of one
+    or two random complex amplitudes at basis indices whose measured bystander
+    bits are all equal, every row drawn by some of 1..16 rounds, a fifth of
+    the uniforms forced, and one plan over every level."""
+    n = draw(st.integers(4, 16))
+    parties = draw(st.permutations(range(n)))
+    roles = RoleAssignment(n=n, alice=parties[0], receivers=frozenset(parties[1 : 1 + draw(st.integers(1, 2))]))
+    bystanders = sorted(roles.non_participants)
+    withholding = frozenset(draw(st.sets(st.sampled_from(bystanders), max_size=1)))
+    measuring = [p for p in bystanders if p not in withholding]
+    count, seed = draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    states = np.zeros((count, 2**n), dtype=complex)
+    for row in states:
+        bits = rng.integers(0, 2, size=(draw(st.integers(1, 2)), n))
+        bits[:, measuring] = rng.integers(0, 2, size=(len(bits), 1))
+        row[bits @ (1 << np.arange(n)[::-1])] = rng.normal(size=len(bits)) + 1j * rng.normal(size=len(bits))
+        row /= np.linalg.norm(row)
+    assume(len({row.tobytes() for row in states}) == count and len(measuring) >= 2)
+    assume(protocols._pair_levels(tuple(qsim._pair_support(states).tolist()), n, tuple(measuring))[2])
+    rounds = draw(st.integers(count, 16))
+    index = rng.permutation(np.concatenate([np.arange(count), rng.integers(0, count, size=rounds - count)]))
+    coins, uniforms = carve_draws(roles, RngBundle.from_seed(seed, n), rounds, withholding)
+    forced = rng.random(uniforms.shape) < 0.2
+    uniforms[forced] = forcing(rng.integers(0, 2, size=np.count_nonzero(forced)))
+    return roles, withholding, states, index, (coins, uniforms)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(one_plan_queues())
+def test_one_plan_queues_walk_to_the_dense_reference(queue):
+    # Random rows on one plan walk from the second level on: the kernel sees
+    # no draw there, nothing raises, and the carve gives the dense tree's
+    # announcements, and its probabilities and carved rows within rounding.
+    roles, withholding, states, index, draws = queue
+    with mock.patch.object(protocols, "_measure_kernel", wraps=protocols._measure_kernel) as kernel:
+        got = carve(states, index, roles, draws, withholding=withholding)
+    assert all(set(call.args[3].tolist()) <= {-1.0, 2.0} for call in kernel.call_args_list[1:])
+    want = carve_dense(states, index, roles, draws, withholding=withholding)
+    assert np.array_equal(got.announced, want.announced) and np.array_equal(got.corrected, want.corrected)
+    np.testing.assert_allclose(got.probability, want.probability, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got.carved, want.carved, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [6, 16])

@@ -9,8 +9,11 @@ parent's ``perfbench/workloads.py``. Block b holds slices b * S .. b * S + S - 1
 (S = ``--slices``); each side runs them through its own ``cli.main``, the side
 that goes first alternating from block to block. Every slice must print the
 same bytes on both sides, else the script stops with exit code 1. It then
-prints each side's quartiles of the block medians (ms per slice) and how many
-blocks the change wins.
+prints each side's quartiles of the block medians (ms per slice), how many
+blocks the change wins, and ``tools/pairs.py``'s gain verdict over the block
+medians (lower is better), so that one-process evidence is judged by the
+benchmark's rule: at least 9 of every 10 wins, and a median gain beyond the
+parent's quartile spread.
 
 Separate processes (``tools/pairs.py``) measure what the benchmark measures,
 set-up and memory included; one process compares the code alone, when the
@@ -31,7 +34,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from pairs import quartiles  # tools/pairs.py, beside this script: one rule for the spread both report
+from pairs import gain, quartiles  # tools/pairs.py, beside this script: one rule for the spread and gain both report
 
 SIDES = ("parent", "change")
 
@@ -102,6 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{side} ms per slice (block medians): median {median:.4g}, quartiles {q1:.4g} to {q3:.4g}")
     wins = sum(c < p for p, c in zip(medians["parent"], medians["change"]))
     print(f"change wins {wins} of {args.blocks} blocks; every slice printed the same bytes on both sides")
+    print(f"ms per slice: {gain(medians['parent'], medians['change'], 'lower')}")
     return 0
 
 
